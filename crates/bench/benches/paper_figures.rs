@@ -494,7 +494,9 @@ fn bench_zone_outage(c: &mut Criterion) {
 /// resident events, and decompress MB/s (compressed input over replay
 /// wall clock — the streaming reader inflates every byte it replays),
 /// plus a windowed row whose overhead ratio prices the speculation +
-/// reconciliation machinery at week scale.
+/// reconciliation machinery at week scale, and a resumable row (6 h
+/// epochs, every snapshot encoded) reporting events/sec, the first and
+/// last snapshot sizes, and encode ms per epoch.
 ///
 /// A one-day anchor row with the same functions, market, and trace
 /// generator rides along: it is the day-scale baseline at *identical*
@@ -674,6 +676,61 @@ fn bench_week_replay(c: &mut Criterion) {
         "events/sec",
     );
     freedom_bench::report_counter(&format!("{id}_overhead"), elapsed / wall, "ratio");
+
+    // Resumable row: the same multi-day replay, crash-resumable with
+    // 6 h epochs and every snapshot encoded, as a run that persists its
+    // epochs would. Best-of-N wall, like the telemetry row. The first and
+    // last snapshot sizes show whether snapshots track in-flight work or
+    // the events replayed so far.
+    let id = format!("week_replay/{tag}_resumable");
+    let mut best = f64::INFINITY;
+    let mut encode_ms_per_epoch = f64::INFINITY;
+    let mut sizes = Vec::new();
+    for _ in 0..3 {
+        let mut encode_s = 0.0;
+        sizes.clear();
+        let t0 = std::time::Instant::now();
+        let report = sim
+            .run_stream_resumable(
+                &trace,
+                PlacementStrategy::IdleAware,
+                &config,
+                21_600.0,
+                None,
+                |snap| {
+                    let t = std::time::Instant::now();
+                    let bytes = snap.to_bytes();
+                    encode_s += t.elapsed().as_secs_f64();
+                    sizes.push(bytes.len());
+                    std::hint::black_box(bytes);
+                    Ok(true)
+                },
+            )
+            .expect("resumable replay")
+            .expect("an uninterrupted run returns a report");
+        best = best.min(t0.elapsed().as_secs_f64());
+        encode_ms_per_epoch = encode_ms_per_epoch.min(1e3 * encode_s / sizes.len().max(1) as f64);
+        std::hint::black_box(report);
+    }
+    let (first, last) = (sizes[0], *sizes.last().expect("at least one boundary"));
+    println!(
+        "bench {id}: {:.0} events/sec, {} snapshots from {first} B to {last} B, \
+         {encode_ms_per_epoch:.3} ms encode per epoch",
+        stats.events as f64 / best,
+        sizes.len(),
+    );
+    freedom_bench::report_counter(
+        &format!("{id}_events_per_sec"),
+        stats.events as f64 / best,
+        "events/sec",
+    );
+    freedom_bench::report_counter(&format!("{id}_snapshot_bytes_first"), first as f64, "bytes");
+    freedom_bench::report_counter(&format!("{id}_snapshot_bytes_last"), last as f64, "bytes");
+    freedom_bench::report_counter(
+        &format!("{id}_snapshot_encode_ms_per_epoch"),
+        encode_ms_per_epoch,
+        "ms",
+    );
 }
 
 /// The retry path at week scale: the same multi-day gz trace as

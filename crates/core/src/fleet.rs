@@ -262,6 +262,8 @@ const CLASS_DRAINED: u8 = 6;
 /// records carry this class — a first attempt always lands in one of
 /// the classes above.
 const CLASS_DEAD_LETTERED: u8 = 7;
+/// Number of classes a first attempt can land in (`0..=CLASS_DRAINED`).
+const N_ARRIVAL_CLASSES: usize = CLASS_DEAD_LETTERED as usize;
 
 /// [`RetryRecord`] flag bit: the activation was shed by brownout mode.
 const RETRY_FLAG_SHED: u8 = 1;
@@ -410,16 +412,70 @@ pub(crate) struct HedgeRecord {
     inflation_if_won: f64,
 }
 
-/// Per-arrival metering of one window, in arrival order, plus outcome
-/// adjustments keyed by global arrival index (a supply step may re-bill
-/// an invocation admitted in an earlier window) and the control-plane
-/// samples of the ticks the window processed. Per-invocation records —
-/// rather than window-local accumulators — are what make the final
-/// reduction's float-accumulation order independent of the window
-/// partition, and therefore bit-identical between the reference and
-/// windowed engines.
+/// The folded prefix of a metering: accumulators over every settled
+/// invocation `0..next`. They continue the left-to-right sums, counts
+/// and order statistics the final reduction takes, in the same arrival
+/// order, so folding early changes no bit of the report. Fixed-size
+/// apart from `runs`, which grows with the number of *distinct*
+/// inflation values.
+#[derive(Debug, Clone, Default)]
+struct Settled {
+    /// Invocations folded so far.
+    next: u32,
+    /// First-attempt cost, summed in arrival order.
+    cost_usd: f64,
+    /// Final latency inflation, summed in arrival order.
+    inflation: f64,
+    /// First-attempt outcome classes, counted by class code.
+    classes: [u64; N_ARRIVAL_CLASSES],
+    /// Final inflations above `1 + slo_theta`.
+    slo_violations: u64,
+    /// Final inflations as `(value, count)` runs, strictly ascending —
+    /// the multiset the p95 is selected from.
+    runs: Vec<(f64, u64)>,
+}
+
+impl Settled {
+    /// Adds `batch` to the run list. The batch is sorted in place: the
+    /// caller has already summed it in arrival order.
+    fn merge_runs(&mut self, batch: &mut [f64]) {
+        // Inflations are positive and finite (the fold asserts it), so
+        // their raw bits, `<` and `==` all order them exactly as
+        // `f64::total_cmp` does; an integer-keyed sort is about twice as
+        // fast.
+        batch.sort_unstable_by_key(|x| x.to_bits());
+        let mut old = std::mem::take(&mut self.runs).into_iter().peekable();
+        let mut merged = Vec::with_capacity(old.len() + 1);
+        for run in batch.chunk_by(|a, b| a == b) {
+            let (value, mut count) = (run[0], run.len() as u64);
+            while let Some(below) = old.next_if(|&(v, _)| v < value) {
+                merged.push(below);
+            }
+            if let Some((_, c)) = old.next_if(|&(v, _)| v == value) {
+                count += c;
+            }
+            merged.push((value, count));
+        }
+        merged.extend(old);
+        self.runs = merged;
+    }
+}
+
+/// Per-arrival metering, in arrival order, plus outcome adjustments
+/// keyed by global arrival index (a supply step may re-bill an
+/// invocation admitted in an earlier window) and the control-plane
+/// samples of the ticks processed. Per-invocation records — rather than
+/// window-local accumulators — are what make the final reduction's
+/// float-accumulation order independent of the window partition, and
+/// therefore bit-identical between the reference and windowed engines.
+///
+/// The per-invocation arrays cover invocations `settled.next..` only:
+/// [`WindowMetering::fold`] moves settled invocations into the
+/// accumulators, which is what keeps the resumable replay's snapshots
+/// sized by in-flight work rather than history.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WindowMetering {
+    settled: Settled,
     costs: Vec<f64>,
     inflations: Vec<f64>,
     classes: Vec<u8>,
@@ -440,12 +496,26 @@ pub(crate) struct WindowMetering {
 }
 
 impl WindowMetering {
-    /// Serializes the metering into a crash-resume snapshot: the
-    /// per-invocation records, outcome adjustments, and control samples
-    /// of everything simulated so far, floats as bit patterns.
+    /// Serializes the metering into a crash-resume snapshot: the settled
+    /// accumulators, the per-invocation records of the unsettled tail,
+    /// then the outcome adjustments, retry and hedge records, and
+    /// control samples not yet reduced, floats as bit patterns.
     pub(crate) fn save(&self, w: &mut Wire) {
         debug_assert_eq!(self.costs.len(), self.inflations.len());
         debug_assert_eq!(self.costs.len(), self.classes.len());
+        let s = &self.settled;
+        w.u32(s.next);
+        w.f64(s.cost_usd);
+        w.f64(s.inflation);
+        for &count in &s.classes {
+            w.u64(count);
+        }
+        w.u64(s.slo_violations);
+        w.len(s.runs.len());
+        for &(value, count) in &s.runs {
+            w.f64(value);
+            w.u64(count);
+        }
         w.len(self.costs.len());
         for &c in &self.costs {
             w.f64(c);
@@ -486,47 +556,127 @@ impl WindowMetering {
         w.u32(self.notified);
     }
 
-    /// Restores metering serialized with [`WindowMetering::save`].
-    pub(crate) fn load(r: &mut Unwire) -> Result<Self> {
+    /// Restores metering serialized with [`WindowMetering::save`] at a
+    /// boundary where `events_consumed` arrivals had been replayed and
+    /// `carry` crossed. Every invariant the fold and the reduction index
+    /// by is checked here, so a corrupt snapshot whose checksum still
+    /// matches is a clean [`FreedomError::InvalidArgument`], never a
+    /// panic later.
+    pub(crate) fn load(r: &mut Unwire, events_consumed: u64, carry: &Carry) -> Result<Self> {
+        let invalid = |what: &str| Err(FreedomError::InvalidArgument(format!("snapshot: {what}")));
+        let is_inflation = |x: f64| x.is_finite() && x > 0.0;
+        let next = r.u32()?;
+        let cost_usd = r.f64()?;
+        let inflation = r.f64()?;
+        let mut settled_classes = [0u64; N_ARRIVAL_CLASSES];
+        for count in &mut settled_classes {
+            *count = r.u64()?;
+        }
+        let slo_violations = r.u64()?;
+        let n_runs = r.len()?;
+        let mut runs: Vec<(f64, u64)> = Vec::with_capacity(n_runs);
+        for _ in 0..n_runs {
+            let (value, count) = (r.f64()?, r.u64()?);
+            if !is_inflation(value) || count == 0 {
+                return invalid("inflation run with a non-positive value or a zero count");
+            }
+            if runs.last().is_some_and(|&(prev, _)| prev >= value) {
+                return invalid("inflation runs are not strictly ascending");
+            }
+            runs.push((value, count));
+        }
+        let settled = u64::from(next);
+        let class_total = settled_classes
+            .iter()
+            .try_fold(0u64, |acc, &count| acc.checked_add(count));
+        if class_total != Some(settled) {
+            return invalid("settled class counts do not sum to the settled invocations");
+        }
+        let run_total = runs
+            .iter()
+            .try_fold(0u64, |acc, &(_, count)| acc.checked_add(count));
+        if run_total != Some(settled) || slo_violations > settled {
+            return invalid("settled inflation counts do not match the settled invocations");
+        }
         let n = r.len()?;
+        if settled + n as u64 != events_consumed {
+            return invalid("settled plus unsettled invocations differ from the events consumed");
+        }
         let mut costs = Vec::with_capacity(n);
         for _ in 0..n {
             costs.push(r.f64()?);
         }
         let mut inflations = Vec::with_capacity(n);
         for _ in 0..n {
-            inflations.push(r.f64()?);
+            let x = r.f64()?;
+            if !is_inflation(x) {
+                return invalid("non-positive or non-finite inflation");
+            }
+            inflations.push(x);
         }
         let mut classes = Vec::with_capacity(n);
         for _ in 0..n {
-            classes.push(r.u8()?);
+            let class = r.u8()?;
+            if usize::from(class) >= N_ARRIVAL_CLASSES {
+                return invalid("outcome class out of range");
+            }
+            classes.push(class);
+        }
+        let consumed = |idx: u32| u64::from(idx) < events_consumed;
+        // The next fold's watermark is the least index in flight or
+        // pending, so none of those may lie below `next`.
+        let mut live = carry
+            .inflight
+            .iter()
+            .map(|e| e.idx)
+            .chain(carry.retries.iter().map(|p| p.idx));
+        if live.any(|idx| idx < next || !consumed(idx)) {
+            return invalid("in-flight or pending work targets a settled or unreplayed invocation");
         }
         let n_adj = r.len()?;
         let mut adjustments = Vec::with_capacity(n_adj);
         for _ in 0..n_adj {
-            adjustments.push((r.u32()?, r.u8()?, r.u8()?, r.f64()?));
+            let (idx, attempt, class, cost) = (r.u32()?, r.u8()?, r.u8()?, r.f64()?);
+            if usize::from(class) >= N_ARRIVAL_CLASSES {
+                return invalid("adjustment class out of range");
+            }
+            if !consumed(idx) || (attempt <= 1 && idx < next) {
+                return invalid("adjustment targets a settled or unreplayed invocation");
+            }
+            adjustments.push((idx, attempt, class, cost));
         }
         let n_retries = r.len()?;
         let mut retries = Vec::with_capacity(n_retries);
         for _ in 0..n_retries {
-            retries.push(RetryRecord {
+            let record = RetryRecord {
                 idx: r.u32()?,
                 attempt: r.u8()?,
                 class: r.u8()?,
                 flags: r.u8()?,
                 cost_usd: r.f64()?,
                 inflation: r.f64()?,
-            });
+            };
+            if record.class > CLASS_DEAD_LETTERED
+                || !consumed(record.idx)
+                || !is_inflation(record.inflation)
+            {
+                return invalid("malformed retry record");
+            }
+            retries.push(record);
         }
         let n_hedges = r.len()?;
         let mut hedges = Vec::with_capacity(n_hedges);
         for _ in 0..n_hedges {
-            hedges.push(HedgeRecord {
+            let record = HedgeRecord {
                 idx: r.u32()?,
-                won: r.u8()? != 0,
+                won: r.bool()?,
                 cost_usd: r.f64()?,
                 inflation_if_won: r.f64()?,
-            });
+            };
+            if !consumed(record.idx) || !is_inflation(record.inflation_if_won) {
+                return invalid("malformed hedge record");
+            }
+            hedges.push(record);
         }
         let n_samples = r.len()?;
         let mut samples = Vec::with_capacity(n_samples);
@@ -535,6 +685,14 @@ impl WindowMetering {
         }
         let notified = r.u32()?;
         Ok(Self {
+            settled: Settled {
+                next,
+                cost_usd,
+                inflation,
+                classes: settled_classes,
+                slo_violations,
+                runs,
+            },
             costs,
             inflations,
             classes,
@@ -546,10 +704,21 @@ impl WindowMetering {
         })
     }
 
-    /// Folds `other` onto the end of this metering. Concatenation is
-    /// exactly what [`reduce`] does across windows, so a folded prefix
-    /// reduces bit-identically to the window-by-window originals.
+    /// Appends `other` — the metering of the window that follows this
+    /// one — to the unsettled tail. Concatenation is exactly what
+    /// [`reduce`] does across windows, so an absorbed prefix reduces
+    /// bit-identically to the window-by-window originals.
     fn absorb(&mut self, other: &WindowMetering) {
+        debug_assert!(other.settled.next == 0 && other.settled.runs.is_empty());
+        // The fold's premise: nothing recorded after a fold targets an
+        // invocation it settled.
+        let next = self.settled.next;
+        debug_assert!(
+            other.adjustments.iter().all(|a| a.0 >= next)
+                && other.retries.iter().all(|r| r.idx >= next)
+                && other.hedges.iter().all(|h| h.idx >= next),
+            "a record targets an invocation already folded as settled"
+        );
         self.costs.extend_from_slice(&other.costs);
         self.inflations.extend_from_slice(&other.inflations);
         self.classes.extend_from_slice(&other.classes);
@@ -558,6 +727,79 @@ impl WindowMetering {
         self.hedges.extend_from_slice(&other.hedges);
         self.samples.extend_from_slice(&other.samples);
         self.notified += other.notified;
+    }
+
+    /// Folds invocations `settled.next..watermark` into the settled
+    /// accumulators and drops their records. The caller guarantees they
+    /// are settled: no attempt of theirs is in flight and no retry or
+    /// hedge of theirs is pending, so no later record can target them.
+    /// Retry and hedge records, attempt ≥ 2 adjustments and control
+    /// samples stay whole for [`reduce`].
+    fn fold(&mut self, watermark: u32, slo_threshold: f64) {
+        let lo = self.settled.next;
+        let n = (watermark - lo) as usize;
+        debug_assert!(n <= self.costs.len());
+        if n == 0 {
+            return;
+        }
+        let range = lo..watermark;
+        let costs = &mut self.costs[..n];
+        let inflations = &mut self.inflations[..n];
+        let classes = &mut self.classes[..n];
+        self.adjustments.retain(|&(idx, attempt, class, cost)| {
+            if attempt > 1 || !range.contains(&idx) {
+                return true;
+            }
+            let i = (idx - lo) as usize;
+            if class == CLASS_DRAINED {
+                // A drain annotates an undisturbed admission; a
+                // migrated placement that later drains keeps its
+                // migration record and bill.
+                if classes[i] == CLASS_ADMITTED {
+                    classes[i] = CLASS_DRAINED;
+                }
+            } else {
+                costs[i] = cost;
+                classes[i] = class;
+            }
+            false
+        });
+        // A retry chain's records override the invocation's inflation in
+        // resolution order (the last activation is the one that defines
+        // the end-to-end latency); a winning hedge overrides last of all
+        // (the race resolves after the straggling chain terminated).
+        for r in &self.retries {
+            if range.contains(&r.idx) {
+                inflations[(r.idx - lo) as usize] = r.inflation;
+            }
+        }
+        for h in &self.hedges {
+            if h.won && range.contains(&h.idx) {
+                inflations[(h.idx - lo) as usize] = h.inflation_if_won;
+            }
+        }
+        let s = &mut self.settled;
+        for &c in costs.iter() {
+            s.cost_usd += c;
+        }
+        for &x in inflations.iter() {
+            debug_assert!(x.is_finite() && x > 0.0, "inflation {x}");
+            s.inflation += x;
+            s.slo_violations += u64::from(x > slo_threshold);
+        }
+        for &c in classes.iter() {
+            s.classes[usize::from(c)] += 1;
+        }
+        debug_assert_eq!(
+            s.classes.iter().sum::<u64>(),
+            u64::from(watermark),
+            "folded class counts must partition the folded invocations"
+        );
+        s.merge_runs(inflations);
+        s.next = watermark;
+        self.costs.drain(..n);
+        self.inflations.drain(..n);
+        self.classes.drain(..n);
     }
 }
 
@@ -1304,9 +1546,11 @@ impl FleetSimulator {
     /// Crash-resumable streaming replay: chains exact-carry windows of
     /// `snapshot_secs` sequentially and, at every window (epoch)
     /// boundary, hands `on_snapshot` a versioned [`ReplaySnapshot`] —
-    /// the stream checkpoint, the carried state, and the folded metering
-    /// prefix. Feeding a persisted snapshot back as `resume` replays
-    /// only the remaining windows; the resulting report is
+    /// the stream checkpoint, the carried state, and the metering with
+    /// every settled invocation folded into fixed-size accumulators, so
+    /// a snapshot's size follows in-flight work rather than the events
+    /// replayed so far. Feeding a persisted snapshot back as `resume`
+    /// replays only the remaining windows; the resulting report is
     /// **bit-identical** to [`FleetSimulator::run_stream`] (and the
     /// whole determinism lattice) no matter where the run was killed.
     ///
@@ -1419,10 +1663,19 @@ impl FleetSimulator {
             prefix.absorb(&outcome.metering);
             k += 1;
             if k < n {
+                // Below the watermark no attempt is in flight and no
+                // retry or hedge is pending, so nothing can touch those
+                // invocations again: fold them out of the metering, and
+                // the snapshot holds only the unsettled tail.
+                let watermark = carry
+                    .inflight
+                    .iter()
+                    .map(|e| e.idx)
+                    .chain(carry.retries.iter().map(|p| p.idx))
+                    .fold(consumed as u32, u32::min);
+                prefix.fold(watermark, 1.0 + config.slo_theta);
                 // Lend the running prefix to the snapshot rather than
-                // cloning it: it holds every per-invocation record so
-                // far, and a week-scale replay snapshots dozens of
-                // times over millions of events.
+                // cloning it: its control samples grow with the ticks.
                 let snap = ReplaySnapshot {
                     version: SNAPSHOT_VERSION,
                     fingerprint,
@@ -2716,11 +2969,7 @@ fn simulate_window<R: Recorder>(
             costs: Vec::with_capacity(n_events),
             inflations: Vec::with_capacity(n_events),
             classes: Vec::with_capacity(n_events),
-            adjustments: Vec::new(),
-            retries: Vec::new(),
-            hedges: Vec::new(),
-            samples: Vec::new(),
-            notified: 0,
+            ..WindowMetering::default()
         },
     };
     sim.next_break = sim.compute_next_break();
@@ -2788,12 +3037,15 @@ fn simulate_window<R: Recorder>(
     }
 }
 
-/// Reduces per-window metering into the fleet report. Per-invocation
-/// records are concatenated in window (= global arrival) order, demotion
-/// adjustments are applied by global index, and every float accumulation
-/// then runs in arrival order — the same sequence regardless of how many
-/// windows (or threads) produced the records, which is what makes the
-/// windowed engine bit-identical to the reference.
+/// Reduces per-window metering into the fleet report: the windows'
+/// records are concatenated in window (= global arrival) order, and the
+/// whole remainder is folded ([`WindowMetering::fold`]) — the same
+/// arrival-order fold whether one window, many windows or a resumable
+/// run's already-folded prefix produced the records, which is what
+/// makes every engine bit-identical to the reference. Retry and hedge
+/// records then finish the reduction: attempt ≥ 2 adjustments re-bill
+/// their retry records, and their costs add after every first-attempt
+/// cost.
 fn reduce(
     strategy: PlacementStrategy,
     slo_theta: f64,
@@ -2801,76 +3053,32 @@ fn reduce(
     meterings: Vec<WindowMetering>,
     controller: &'static str,
 ) -> FleetReport {
-    // A single metering (the whole-trace replay, or a resumable run's
-    // absorbed prefix) hands its arrays over wholesale: at week scale
-    // they hold tens of millions of records, and copying them would
-    // dominate the reduction.
-    let mut meterings = meterings;
-    let adjustments: Vec<(u32, u8, u8, f64)>;
-    let (mut costs, mut inflations, mut classes, control, notified, mut retries, hedges) =
-        if meterings.len() == 1 {
-            let m = meterings.pop().expect("one metering");
-            adjustments = m.adjustments;
-            (
-                m.costs,
-                m.inflations,
-                m.classes,
-                m.samples,
-                m.notified as usize,
-                m.retries,
-                m.hedges,
-            )
-        } else {
-            let mut costs = Vec::with_capacity(invocations);
-            let mut inflations = Vec::with_capacity(invocations);
-            let mut classes = Vec::with_capacity(invocations);
-            let mut control = Vec::new();
-            let mut adj = Vec::new();
-            let mut retries = Vec::new();
-            let mut hedges = Vec::new();
-            let mut notified = 0usize;
-            for m in &meterings {
-                costs.extend_from_slice(&m.costs);
-                inflations.extend_from_slice(&m.inflations);
-                classes.extend_from_slice(&m.classes);
-                // Samples concatenate in window order = tick (time) order.
-                control.extend_from_slice(&m.samples);
-                adj.extend_from_slice(&m.adjustments);
-                // Retry and hedge records concatenate in window order =
-                // resolution (time) order, which the inflation-override
-                // pass below relies on (last record wins).
-                retries.extend_from_slice(&m.retries);
-                hedges.extend_from_slice(&m.hedges);
-                notified += m.notified as usize;
-            }
-            adjustments = adj;
-            (
-                costs, inflations, classes, control, notified, retries, hedges,
-            )
-        };
-    debug_assert_eq!(costs.len(), invocations);
-    // Adjustments on attempt 1 target the per-invocation arrays;
-    // attempts >= 2 target the matching retry record (a later window
-    // may re-bill a retry placed in an earlier one).
+    let mut windows = meterings.into_iter();
+    let mut m = windows.next().unwrap_or_default();
+    for w in windows {
+        m.absorb(&w);
+    }
+    m.fold(invocations as u32, 1.0 + slo_theta);
+    debug_assert!(m.costs.is_empty());
+    let WindowMetering {
+        settled: s,
+        adjustments,
+        mut retries,
+        hedges,
+        samples: control,
+        notified,
+        ..
+    } = m;
+    // Only attempt >= 2 adjustments survive the fold; each targets the
+    // matching retry record (a later window may re-bill a retry placed
+    // in an earlier one).
     let retry_pos: HashMap<(u32, u8), usize> = retries
         .iter()
         .enumerate()
         .map(|(i, r)| ((r.idx, r.attempt), i))
         .collect();
     for &(idx, attempt, class, cost) in &adjustments {
-        if attempt <= 1 {
-            if class == CLASS_DRAINED {
-                // A drain annotates an undisturbed admission; a
-                // migrated placement that later drains keeps its
-                // migration record and bill.
-                if classes[idx as usize] == CLASS_ADMITTED {
-                    classes[idx as usize] = CLASS_DRAINED;
-                }
-            } else {
-                costs[idx as usize] = cost;
-                classes[idx as usize] = class;
-            }
-        } else if let Some(&at) = retry_pos.get(&(idx, attempt)) {
+        if let Some(&at) = retry_pos.get(&(idx, attempt)) {
             let r = &mut retries[at];
             if class == CLASS_DRAINED {
                 if r.class == CLASS_ADMITTED {
@@ -2882,45 +3090,28 @@ fn reduce(
             }
         }
     }
-    // A retry chain's records override the invocation's inflation in
-    // resolution order (the last activation is the one that defines the
-    // end-to-end latency); a winning hedge overrides last of all (the
-    // race resolves after the straggling chain terminated).
-    for r in &retries {
-        inflations[r.idx as usize] = r.inflation;
-    }
-    for h in &hedges {
-        if h.won {
-            inflations[h.idx as usize] = h.inflation_if_won;
-        }
-    }
-    let mut total_cost = 0.0;
-    for &c in &costs {
-        total_cost += c;
-    }
+    let mut total_cost = s.cost_usd;
     for r in &retries {
         total_cost += r.cost_usd;
     }
     for h in &hedges {
         total_cost += h.cost_usd;
     }
-    // One pass over the class arrays instead of one filter pass per
-    // outcome class. Retry records extend the partition: every
-    // activation contributes exactly one class, so the by-class sum is
-    // `invocations + retried`.
-    let mut by_class = [0usize; 256];
-    for &c in &classes {
-        by_class[c as usize] += 1;
+    // Retry records extend the partition: every activation contributes
+    // exactly one class, so the by-class sum is `invocations + retried`.
+    let mut by_class = [0usize; CLASS_DEAD_LETTERED as usize + 1];
+    for (total, &count) in by_class.iter_mut().zip(&s.classes) {
+        *total = count as usize;
     }
     for r in &retries {
         by_class[r.class as usize] += 1;
     }
-    let threshold = 1.0 + slo_theta;
-    let slo_violations = inflations.iter().filter(|&&x| x > threshold).count();
-    let mean_latency_inflation = stats::mean(&inflations).unwrap_or(1.0);
-    // Selection, not a sort: `inflations`' order is disposable here, and
-    // the full sort is the week-scale replay's single largest cost.
-    let p95_latency_inflation = stats::quantile_in_place(&mut inflations, 0.95).unwrap_or(1.0);
+    let mean_latency_inflation = if invocations == 0 {
+        1.0
+    } else {
+        s.inflation / invocations as f64
+    };
+    let p95_latency_inflation = stats::quantile_of_runs(&s.runs, 0.95).unwrap_or(1.0);
     FleetReport {
         strategy,
         invocations,
@@ -2931,7 +3122,7 @@ fn reduce(
         drained: by_class[CLASS_DRAINED as usize],
         migrated: by_class[CLASS_MIGRATED as usize],
         spot_demoted: by_class[CLASS_DEMOTED as usize],
-        notified,
+        notified: notified as usize,
         rejected: by_class[CLASS_ON_DEMAND as usize]
             + by_class[CLASS_CAPACITY_MISS as usize]
             + by_class[CLASS_POLICY_REJECT as usize],
@@ -2944,7 +3135,7 @@ fn reduce(
             .count(),
         policy_rejections: by_class[CLASS_POLICY_REJECT as usize],
         capacity_misses: by_class[CLASS_CAPACITY_MISS as usize],
-        slo_violations,
+        slo_violations: s.slo_violations as usize,
         controller,
         control,
     }
@@ -3453,6 +3644,205 @@ mod tests {
             err.is_err(),
             "a re-windowed replay must reject the snapshot"
         );
+    }
+
+    /// Snapshots fold settled invocations away, so apart from the
+    /// per-tick control samples (report output) a snapshot's size follows
+    /// in-flight work and distinct inflation values — not the events
+    /// replayed, whose per-invocation records take 17 bytes each.
+    #[test]
+    fn snapshots_stay_sized_by_in_flight_work() {
+        /// Allowed growth over epoch 1's snapshot, in bytes: room for
+        /// the unsettled tail behind the oldest in-flight invocation
+        /// (≈ 600 records of 17 B here) and for new inflation runs.
+        const BOUND: usize = 16 << 10;
+        let sim = FleetSimulator::new(make_plans(5)).unwrap();
+        let config = FleetConfig {
+            control: ControlConfig {
+                cadence_secs: 5.0,
+                controller: ControllerConfig::HeadroomPid(PidConfig::default()),
+            },
+            ..zoned_config(3, 3.0)
+        };
+        let lazy = StreamTrace::generate(
+            TraceSource::Poisson {
+                rps_per_function: 2.0,
+            },
+            FunctionKind::ALL.len(),
+            1200.0,
+            3,
+        )
+        .unwrap();
+        let reference = sim
+            .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
+            .unwrap();
+        assert!(reference.drained + reference.migrated + reference.spot_demoted > 0);
+        // (events consumed, snapshot bytes without the control samples)
+        let mut sizes: Vec<(u64, usize)> = Vec::new();
+        let full = sim
+            .run_stream_resumable(
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                25.0,
+                None,
+                |s| {
+                    let mut samples = Wire::new();
+                    for sample in &s.metering.samples {
+                        sample.save(&mut samples);
+                    }
+                    let bytes = s.to_bytes().len() - samples.into_bytes().len();
+                    sizes.push((s.events_consumed(), bytes));
+                    Ok(true)
+                },
+            )
+            .unwrap()
+            .expect("an uninterrupted run returns a report");
+        assert_eq!(format!("{reference:?}"), format!("{full:?}"));
+        assert!(sizes.len() >= 20, "want ≥ 20 epochs, got {}", sizes.len());
+        let (first_events, first_bytes) = sizes[0];
+        let (last_events, _) = *sizes.last().unwrap();
+        assert!(
+            17 * (last_events - first_events) as usize > 10 * BOUND,
+            "the trace must be long enough that per-invocation records would overshoot the bound"
+        );
+        for &(events, bytes) in &sizes {
+            assert!(
+                bytes <= first_bytes + BOUND,
+                "after {events} events the snapshot holds {bytes} B, \
+                 epoch 1's held {first_bytes} B"
+            );
+        }
+    }
+
+    /// Every invariant the fold and the reduction index by is checked at
+    /// decode: each field of a real mid-run snapshot, corrupted and
+    /// re-sealed so the checksum still matches, is a clean error — as is
+    /// every truncation and the previous format version.
+    #[test]
+    fn corrupt_v4_metering_is_rejected_at_decode() {
+        use crate::snapshot::tests::sealed;
+        let sim = FleetSimulator::new(make_plans(5)).unwrap();
+        let lazy = StreamTrace::generate(
+            TraceSource::Poisson {
+                rps_per_function: 2.0,
+            },
+            FunctionKind::ALL.len(),
+            300.0,
+            3,
+        )
+        .unwrap();
+        // The first boundary with settled runs, an unsettled tail, an
+        // attempt-1 adjustment still aimed at the tail, and work in
+        // flight.
+        let mut found = None;
+        sim.run_stream_resumable(
+            &lazy,
+            PlacementStrategy::IdleAware,
+            &zoned_config(3, 3.0),
+            25.0,
+            None,
+            |s| {
+                let m = &s.metering;
+                let ready = m.settled.next > 0
+                    && m.settled.runs.len() >= 2
+                    && !m.costs.is_empty()
+                    && m.adjustments.iter().any(|a| a.1 <= 1)
+                    && !s.carry.inflight.is_empty();
+                if ready {
+                    found = Some(s.clone());
+                }
+                Ok(!ready)
+            },
+        )
+        .unwrap();
+        let snap = found.expect("a boundary with runs, a tail, an adjustment and work in flight");
+        let m = &snap.metering;
+        let bytes = snap.to_bytes();
+        let body = bytes[..bytes.len() - 8].to_vec();
+        assert!(ReplaySnapshot::from_bytes(&sealed(body.clone())).is_ok());
+
+        // Offsets, per `ReplaySnapshot::to_bytes`, `Carry::save` and
+        // `WindowMetering::save`.
+        const EVENTS_CONSUMED: usize = 32;
+        let mut checkpoint = Wire::new();
+        snap.checkpoint.save(&mut checkpoint);
+        let first_inflight_idx = 40 + checkpoint.into_bytes().len() + 8 + 12;
+        let mut section = Wire::new();
+        m.save(&mut section);
+        let at = body.len() - section.into_bytes().len();
+        let class_count = |c: usize| at + 20 + 8 * c;
+        let runs = class_count(N_ARRIVAL_CLASSES) + 16;
+        let run_value = |i: usize| runs + 16 * i;
+        let run_count = |i: usize| runs + 16 * i + 8;
+        let tail = run_value(m.settled.runs.len()) + 8;
+        let tail_class = tail + 16 * m.costs.len();
+        let adjustments = tail_class + m.costs.len() + 8;
+        let live = m.adjustments.iter().position(|a| a.1 <= 1).unwrap();
+        let adjustment = adjustments + 14 * live;
+
+        let get = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let put =
+            |b: &mut Vec<u8>, at: usize, v: u64| b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        let reject = |what: &str, patch: &dyn Fn(&mut Vec<u8>)| {
+            let mut corrupt = body.clone();
+            patch(&mut corrupt);
+            let err = ReplaySnapshot::from_bytes(&sealed(corrupt)).expect_err(what);
+            assert!(!format!("{err}").contains("checksum"), "{what}: {err}");
+        };
+        reject("runs out of order", &|b| {
+            let first = get(b, run_value(0));
+            put(b, run_value(1), first);
+        });
+        reject("zero run count", &|b| {
+            let moved = get(b, run_count(0)) + get(b, run_count(1));
+            put(b, run_count(0), 0);
+            put(b, run_count(1), moved);
+        });
+        for bad in [f64::NAN, f64::NEG_INFINITY, -1.0, 0.0] {
+            reject("non-positive or non-finite run", &|b| {
+                put(b, run_value(0), bad.to_bits())
+            });
+        }
+        reject("infinite run", &|b| {
+            put(
+                b,
+                run_value(m.settled.runs.len() - 1),
+                f64::INFINITY.to_bits(),
+            )
+        });
+        reject("tail class out of range", &|b| {
+            b[tail_class] = N_ARRIVAL_CLASSES as u8
+        });
+        reject("adjustment class out of range", &|b| {
+            b[adjustment + 5] = 200
+        });
+        reject("tail length off the events consumed", &|b| {
+            let consumed = get(b, EVENTS_CONSUMED);
+            put(b, EVENTS_CONSUMED, consumed + 1);
+        });
+        reject("class counts off the settled invocations", &|b| {
+            let count = get(b, class_count(0));
+            put(b, class_count(0), count + 1);
+        });
+        for bad in [m.settled.next - 1, u32::MAX] {
+            reject("in-flight work off the unsettled tail", &|b| {
+                b[first_inflight_idx..first_inflight_idx + 4].copy_from_slice(&bad.to_le_bytes())
+            });
+        }
+        reject("adjustment below the watermark", &|b| {
+            b[adjustment..adjustment + 4].copy_from_slice(&(m.settled.next - 1).to_le_bytes())
+        });
+        for len in 0..body.len() {
+            assert!(
+                ReplaySnapshot::from_bytes(&sealed(body[..len].to_vec())).is_err(),
+                "a body truncated to {len} bytes decoded"
+            );
+        }
+        let mut v3 = body.clone();
+        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+        let err = ReplaySnapshot::from_bytes(&sealed(v3)).expect_err("a v3 file");
+        assert!(format!("{err}").contains("version 3"), "{err}");
     }
 
     #[test]

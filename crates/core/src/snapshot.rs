@@ -5,11 +5,33 @@
 //! a [`ReplaySnapshot`]: the trace stream's resumable position
 //! ([`crate::stream::StreamCheckpoint`]), the carried simulation state
 //! (in-flight ledger, controller state, partial observation epoch), and
-//! the concatenated per-invocation metering prefix. Feeding the
-//! snapshot back as the `resume` argument replays the remaining windows
-//! and produces a [`crate::fleet::FleetReport`] **bit-identical** to an
-//! uninterrupted run — kill the process at any epoch, reload the last
-//! snapshot, and the report cannot tell.
+//! the metering of everything replayed so far. Feeding the snapshot back
+//! as the `resume` argument replays the remaining windows and produces a
+//! [`crate::fleet::FleetReport`] **bit-identical** to an uninterrupted
+//! run — kill the process at any epoch, reload the last snapshot, and
+//! the report cannot tell.
+//!
+//! # What a version-4 snapshot holds
+//!
+//! An invocation is *settled* at a boundary when it lies below the
+//! watermark `min(in-flight indices, pending retry/hedge indices,
+//! events consumed)`: no attempt of it is in flight and no retry or
+//! hedge of it is pending, so nothing later can re-bill, reclassify or
+//! re-time it. The metering holds settled invocations only as fixed-size
+//! accumulators — arrival-order sums of cost and latency inflation,
+//! class counts, SLO violations — plus the sorted `(inflation, count)`
+//! runs the p95 is selected from, one entry per distinct value. Beside
+//! them it keeps the per-invocation records of the short unsettled tail,
+//! the outcome adjustments still aimed at that tail, every retry and
+//! hedge record and attempt ≥ 2 adjustment (their costs add after all
+//! first-attempt costs, so they wait for the final reduction), and the
+//! per-tick control samples (report output). A snapshot therefore grows
+//! with in-flight work, distinct inflation values, ticks, and retry and
+//! hedge records, not with the events replayed. Decoding checks every
+//! invariant the fold relies on — ascending positive runs, class codes,
+//! counts that add up to the settled invocations, tail length, and the
+//! indices adjustments and in-flight or pending work target — so a
+//! corrupt file is an error, never a panic.
 //!
 //! # Wire format
 //!
@@ -35,8 +57,10 @@ use crate::{FreedomError, Result};
 /// decoders reject other versions rather than guessing. Version 2 added
 /// the file index to CSV stream checkpoints (multi-file traces); version
 /// 3 added the pending-retry heap and retry-budget carry state plus the
-/// trailing FNV-64 integrity checksum.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// trailing FNV-64 integrity checksum; version 4 replaced the
+/// per-invocation metering prefix with the settled accumulators plus
+/// the unsettled tail.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// File magic: "FDSN" little-endian.
 const MAGIC: u32 = u32::from_le_bytes(*b"FDSN");
@@ -78,7 +102,10 @@ pub struct ReplaySnapshot {
     /// Everything crossing the boundary: in-flight ledger, controller
     /// state, partial observation epoch.
     pub(crate) carry: Carry,
-    /// Concatenated per-invocation metering of windows `0..epoch`.
+    /// Metering of windows `0..epoch`: settled invocations folded into
+    /// fixed-size accumulators plus inflation runs, the unsettled tail
+    /// as per-invocation records, and the retry/hedge records, attempt
+    /// ≥ 2 adjustments and control samples the final reduction needs.
     pub(crate) metering: WindowMetering,
 }
 
@@ -148,15 +175,20 @@ impl ReplaySnapshot {
                 "snapshot: version {version} is not the supported {SNAPSHOT_VERSION}"
             )));
         }
+        let (fingerprint, epoch, window_nanos) = (r.u64()?, r.u64()?, r.u64()?);
+        let events_consumed = r.u64()?;
+        let checkpoint = StreamCheckpoint::load(&mut r)?;
+        let carry = Carry::load(&mut r)?;
+        let metering = WindowMetering::load(&mut r, events_consumed, &carry)?;
         let snap = Self {
             version,
-            fingerprint: r.u64()?,
-            epoch: r.u64()?,
-            window_nanos: r.u64()?,
-            events_consumed: r.u64()?,
-            checkpoint: StreamCheckpoint::load(&mut r)?,
-            carry: Carry::load(&mut r)?,
-            metering: WindowMetering::load(&mut r)?,
+            fingerprint,
+            epoch,
+            window_nanos,
+            events_consumed,
+            checkpoint,
+            carry,
+            metering,
         };
         r.finish()?;
         Ok(snap)
@@ -310,7 +342,7 @@ impl<'a> Unwire<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -351,7 +383,7 @@ mod tests {
 
     /// Seals a raw body with the trailing checksum the decoder expects,
     /// so header-validation tests get past the integrity layer.
-    fn sealed(body: Vec<u8>) -> Vec<u8> {
+    pub(crate) fn sealed(body: Vec<u8>) -> Vec<u8> {
         let mut bytes = body;
         let checksum = fnv64(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());

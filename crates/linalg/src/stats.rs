@@ -54,8 +54,7 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
 /// and allocation-free, at the price of permuting `xs`. Returns the
 /// same value as `quantile` for NaN-free input (the interpolated order
 /// statistics are well-defined regardless of how ties are arranged);
-/// use it when the slice is large and its order is disposable — e.g.
-/// the fleet replay's per-invocation latency array at week scale.
+/// use it when the slice is large and its order is disposable.
 pub fn quantile_in_place(xs: &mut [f64], q: f64) -> Option<f64> {
     if xs.is_empty() || !(0.0..=1.0).contains(&q) {
         return None;
@@ -73,6 +72,49 @@ pub fn quantile_in_place(xs: &mut [f64], q: f64) -> Option<f64> {
         // of everything partitioned to the right of `lo`.
         rest.iter().copied().fold(f64::INFINITY, f64::min)
     };
+    Some(lo_val * (1.0 - frac) + hi_val * frac)
+}
+
+/// [`quantile_in_place`] of a multiset held as `(value, count)` runs in
+/// strictly ascending value order, every count positive: `O(runs)`, and
+/// bit-identical to expanding the runs and calling `quantile_in_place`
+/// — the same two order statistics under the same `lo`/`hi`/`frac`
+/// interpolation. Returns `None` for an empty multiset or out-of-range
+/// `q`.
+///
+/// # Examples
+///
+/// ```
+/// use freedom_linalg::stats::{quantile_in_place, quantile_of_runs};
+///
+/// let runs = [(1.0, 3), (2.5, 1), (4.0, 2)];
+/// let mut flat = [1.0, 1.0, 1.0, 2.5, 4.0, 4.0];
+/// assert_eq!(quantile_of_runs(&runs, 0.5), quantile_in_place(&mut flat, 0.5));
+/// assert_eq!(quantile_of_runs(&[], 0.5), None);
+/// ```
+pub fn quantile_of_runs(runs: &[(f64, u64)], q: f64) -> Option<f64> {
+    let n: u64 = runs.iter().map(|&(_, count)| count).sum();
+    if n == 0 || !(0.0..=1.0).contains(&q) {
+        return None;
+    }
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as u64;
+    let hi = pos.ceil() as u64;
+    let frac = pos - lo as f64;
+    // The k-th order statistic (0-based) is the value of the run that
+    // covers position k.
+    let nth = |k: u64| {
+        let mut covered = 0;
+        runs.iter()
+            .find(|&&(_, count)| {
+                covered += count;
+                k < covered
+            })
+            .expect("positions below the total count lie in some run")
+            .0
+    };
+    let lo_val = nth(lo);
+    let hi_val = if hi == lo { lo_val } else { nth(hi) };
     Some(lo_val * (1.0 - frac) + hi_val * frac)
 }
 
@@ -207,6 +249,42 @@ mod tests {
                 let expect = quantile(&xs, q).unwrap();
                 let got = quantile_in_place(&mut xs.clone(), q).unwrap();
                 assert_eq!(got.to_bits(), expect.to_bits(), "n={n}, q={q}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_of_runs_matches_quantile_in_place() {
+        assert_eq!(quantile_of_runs(&[], 0.5), None);
+        assert_eq!(quantile_of_runs(&[(1.0, 2)], 1.5), None);
+        // Seeded random multisets drawn from few distinct values, so runs
+        // are long and the interpolated order statistics often straddle
+        // a run boundary.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        for n in (1usize..=40).chain([97, 256, 1000]) {
+            for distinct in [1u64, 2, 5, 50] {
+                let xs: Vec<f64> = (0..n).map(|_| 1.0 + draw(distinct) as f64 / 7.0).collect();
+                let mut sorted = xs.clone();
+                sorted.sort_by(f64::total_cmp);
+                let runs: Vec<(f64, u64)> = sorted
+                    .chunk_by(|a, b| a == b)
+                    .map(|run| (run[0], run.len() as u64))
+                    .collect();
+                for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
+                    let expect = quantile_in_place(&mut xs.clone(), q).unwrap();
+                    let got = quantile_of_runs(&runs, q).unwrap();
+                    assert_eq!(
+                        got.to_bits(),
+                        expect.to_bits(),
+                        "n={n}, distinct={distinct}, q={q}"
+                    );
+                }
             }
         }
     }

@@ -14,8 +14,8 @@
 //! structures (e.g. the adjustments list).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use faas_freedom::core::fleet::{FleetConfig, FleetSimulator, PlacementStrategy, StreamTrace};
 use freedom_experiments::fleet_simulation::synthetic_plans;
@@ -26,22 +26,35 @@ use freedom_experiments::fleet_simulation::synthetic_plans;
 /// count isolates *how often* the replay touches the allocator.
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation events of the current thread. The test harness runs
+    /// the tests below on parallel threads, and every replay they
+    /// measure runs sequentially on its test's thread, so a per-thread
+    /// count sees exactly that test's replay. `const` initialization
+    /// and a drop-free `Cell` keep the slot itself off the allocator.
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_event() {
+    // The slot is gone while the thread tears down its thread-locals;
+    // allocations made then are not part of any measurement.
+    let _ = ALLOC_EVENTS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_event();
         System.alloc_zeroed(layout)
     }
 }
@@ -62,8 +75,9 @@ fn csv_trace(per_minute: u32) -> StreamTrace {
     StreamTrace::from_csv(&s).unwrap()
 }
 
+/// Allocation events of the calling thread so far.
 fn alloc_events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
+    ALLOC_EVENTS.with(Cell::get)
 }
 
 /// Allocation growth must be bounded by pool warm-up and logarithmic
