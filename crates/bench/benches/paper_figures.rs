@@ -97,15 +97,9 @@ fn bench_parallel_vs_sequential(c: &mut Criterion) {
 
 /// Shared-spot-market replay at Azure-trace scale: an hour-long
 /// heavy-tail trace over 120 functions contending for one fluctuating
-/// market, replayed with the sequential reference engine and the
-/// windowed engine (60 s windows, boundary reconciliation) at 1/4/8
-/// workers — bit-identical outputs, see `crates/core/README.md`.
-/// `sequential` vs `windowed_8` is the headline fleet-scale speedup; it
-/// needs a ≥4-core machine to show up in wall clock, and `windowed_1`
-/// tracks the reconciliation overhead the speculation pays on one core.
-/// Included in the quick-bench `BENCH_pr.json` artifact like every other
-/// bench here, so the perf trajectory records fleet-scale numbers per
-/// PR.
+/// market, replayed by the sequential engine. Included in the
+/// quick-bench `BENCH_pr.json` artifact like every other bench here, so
+/// the perf trajectory records fleet-scale numbers per PR.
 fn bench_spot_market(c: &mut Criterion) {
     use exp::fleet_simulation::{market_config, market_tightness, synthetic_plans};
     use freedom::fleet::{
@@ -133,14 +127,6 @@ fn bench_spot_market(c: &mut Criterion) {
                 .expect("replay")
         })
     });
-    for threads in [1usize, 4, 8] {
-        group.bench_function(format!("hour_120fn_windowed_{threads}"), |b| {
-            b.iter(|| {
-                sim.run_windowed(&trace, PlacementStrategy::IdleAware, &config, threads, 60.0)
-                    .expect("replay")
-            })
-        });
-    }
     group.finish();
 }
 
@@ -150,9 +136,8 @@ fn bench_spot_market(c: &mut Criterion) {
 /// `static` prices the tick machinery itself (observation accumulation
 /// and no-op ticks over the open-loop engine), `pid` adds the feedback
 /// arithmetic, and `right_sizer` adds the per-function surrogate refits
-/// and batched re-planning. `windowed_pid_4` tracks the controller
-/// state crossing window boundaries under reconciliation. Feeds the
-/// quick-bench `BENCH_pr.json` artifact like every other group here.
+/// and batched re-planning. Feeds the quick-bench `BENCH_pr.json`
+/// artifact like every other group here.
 ///
 /// Right-sizer tick amortization (batch the epoch's fresh observations
 /// into one warm-start `fit_update` per function instead of one per
@@ -205,13 +190,6 @@ fn bench_control_loop(c: &mut Criterion) {
             })
         });
     }
-    let pid = config(ControllerConfig::HeadroomPid(PidConfig::default()));
-    group.bench_function("hour_120fn_windowed_pid_4", |b| {
-        b.iter(|| {
-            sim.run_windowed(&trace, PlacementStrategy::IdleAware, &pid, 4, 60.0)
-                .expect("replay")
-        })
-    });
     group.finish();
 }
 
@@ -336,49 +314,6 @@ fn bench_streaming_replay(c: &mut Criterion) {
         stats.peak_resident_events() as f64,
         "events",
     );
-
-    // The day-scale threads sweep: windowed streaming replay across
-    // threads × window sizes, each row reporting events/sec and the
-    // overhead ratio against the single-threaded `run_stream` pass
-    // timed above. On multi-core CI runners the 4- and 8-thread rows
-    // are the near-linear-scaling acceptance evidence; the ratio also
-    // pins the windowed engine's overhead (speculation + checkpoint
-    // ladder) at 1 thread. In quick/--fast mode the sweep shrinks to a
-    // single smoke cell so CI still validates the counter plumbing.
-    let t1 = started.elapsed().as_secs_f64();
-    let (threads_sweep, windows_sweep): (&[usize], &[f64]) = if criterion::is_quick() {
-        (&[2], &[60.0])
-    } else {
-        (&[1, 2, 4, 8], &[10.0, 60.0])
-    };
-    for &window_secs in windows_sweep {
-        for &threads in threads_sweep {
-            let t0 = std::time::Instant::now();
-            let report = day_sim
-                .run_stream_windowed(
-                    &day,
-                    PlacementStrategy::IdleAware,
-                    &config,
-                    threads,
-                    window_secs,
-                )
-                .expect("windowed replay");
-            let elapsed = t0.elapsed().as_secs_f64();
-            std::hint::black_box(report);
-            let id = format!("streaming_replay/day_1200fn_windowed_t{threads}_w{window_secs:.0}s");
-            println!(
-                "bench {id}: {:.0} events/sec, {:.2}x of single-thread streaming",
-                stats.events as f64 / elapsed,
-                elapsed / t1,
-            );
-            freedom_bench::report_counter(
-                &format!("{id}_events_per_sec"),
-                stats.events as f64 / elapsed,
-                "events/sec",
-            );
-            freedom_bench::report_counter(&format!("{id}_overhead"), elapsed / t1, "ratio");
-        }
-    }
 }
 
 /// The failure-domain replay at Azure-trace scale: the hour-long
@@ -493,10 +428,9 @@ fn bench_zone_outage(c: &mut Criterion) {
 /// Counters reported into `BENCH_pr.json`: events/sec, ns/event, peak
 /// resident events, and decompress MB/s (compressed input over replay
 /// wall clock — the streaming reader inflates every byte it replays),
-/// plus a windowed row whose overhead ratio prices the speculation +
-/// reconciliation machinery at week scale, and a resumable row (6 h
-/// epochs, every snapshot encoded) reporting events/sec, the first and
-/// last snapshot sizes, and encode ms per epoch.
+/// plus a resumable row (6 h epochs, every snapshot encoded) reporting
+/// events/sec, the first and last snapshot sizes, and encode ms per
+/// epoch.
 ///
 /// A one-day anchor row with the same functions, market, and trace
 /// generator rides along: it is the day-scale baseline at *identical*
@@ -542,7 +476,6 @@ fn bench_week_replay(c: &mut Criterion) {
     // The instrumented passes behind the headline counters: the one-day
     // anchor first, then the multi-day trace.
     let anchor_spec = WeekTraceSpec { days: 1, ..spec };
-    let mut wall = 0.0;
     let mut stats = None;
     for day_spec in [&anchor_spec, &spec] {
         let day_tag = day_spec.tag();
@@ -592,7 +525,6 @@ fn bench_week_replay(c: &mut Criterion) {
             day_gz_bytes as f64 / 1e6 / day_wall,
             "MB/s",
         );
-        wall = day_wall;
         stats = Some(s);
     }
     let stats = stats.expect("instrumented pass ran");
@@ -648,34 +580,6 @@ fn bench_week_replay(c: &mut Criterion) {
             "ratio",
         );
     }
-
-    // Windowed row: hour-long windows across the whole span, overhead
-    // priced against the single-pass streaming wall clock above.
-    let threads = if criterion::is_quick() { 2 } else { 8 };
-    let t0 = std::time::Instant::now();
-    let report = sim
-        .run_stream_windowed(
-            &trace,
-            PlacementStrategy::IdleAware,
-            &config,
-            threads,
-            3600.0,
-        )
-        .expect("windowed replay");
-    let elapsed = t0.elapsed().as_secs_f64();
-    std::hint::black_box(report);
-    let id = format!("week_replay/{tag}_windowed_t{threads}_w3600s");
-    println!(
-        "bench {id}: {:.0} events/sec, {:.2}x of single-pass streaming",
-        stats.events as f64 / elapsed,
-        elapsed / wall,
-    );
-    freedom_bench::report_counter(
-        &format!("{id}_events_per_sec"),
-        stats.events as f64 / elapsed,
-        "events/sec",
-    );
-    freedom_bench::report_counter(&format!("{id}_overhead"), elapsed / wall, "ratio");
 
     // Resumable row: the same multi-day replay, crash-resumable with
     // 6 h epochs and every snapshot encoded, as a run that persists its

@@ -38,21 +38,19 @@
 //! # Determinism
 //!
 //! Controllers are **pure state machines**: the controller object
-//! itself is immutable configuration (shared across replay threads),
-//! and every piece of evolving state lives in a [`ControlState`] that
-//! the windowed engine carries across window boundaries next to the
-//! in-flight ledger. Ticks fire at fixed instants of *simulated* time
-//! (multiples of the cadence, capped at the trace horizon), so the
-//! sequence of `(state, observation) → state'` transitions — and
-//! therefore every admission decision and placement revision — is a
-//! pure function of the trace, never of the window partition or thread
-//! schedule. [`control_state_eq`] compares two states bit-exactly; it
-//! is part of the windowed replay's reconciliation check. The
-//! right-sizer's surrogates are *derived* state: they are rebuilt from
-//! the carried observation log by replaying the canonical
-//! `fit`/`fit_update` call sequence, so a window reconstructing
-//! mid-trace holds the same model, bit for bit, as the sequential
-//! engine that grew it incrementally.
+//! itself is immutable configuration, and every piece of evolving state
+//! lives in a [`ControlState`] that the resumable replay carries across
+//! epoch boundaries (and into snapshots) next to the in-flight ledger.
+//! Ticks fire at fixed instants of *simulated* time (multiples of the
+//! cadence, capped at the trace horizon), so the sequence of
+//! `(state, observation) → state'` transitions — and therefore every
+//! admission decision and placement revision — is a pure function of
+//! the trace, never of the epoch partition. [`control_state_eq`]
+//! compares two states bit-exactly. The right-sizer's surrogates are
+//! *derived* state: they are rebuilt from the carried observation log by
+//! replaying the canonical `fit`/`fit_update` call sequence, so an epoch
+//! reconstructing them mid-trace — after a resume — holds the same
+//! model, bit for bit, as the single pass that grew it incrementally.
 
 use freedom_surrogates::{Surrogate, SurrogateKind};
 
@@ -249,8 +247,9 @@ impl RightSizerConfig {
 }
 
 /// Per-epoch counters the engine accumulates between ticks. Part of the
-/// windowed replay's carried state: an epoch routinely spans a window
-/// boundary, so the partial sums must travel with the in-flight ledger.
+/// resumable replay's carried state: a control epoch routinely spans a
+/// snapshot boundary, so the partial sums must travel with the in-flight
+/// ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsAccum {
     /// Invocations that arrived this epoch.
@@ -413,9 +412,8 @@ pub struct FunctionView {
     pub alt_inflations: Vec<f64>,
 }
 
-/// Everything a controller evolves, carried across replay-window
-/// boundaries next to the in-flight ledger and compared bit-exactly by
-/// the reconciliation loop.
+/// Everything a controller evolves, carried across epoch boundaries (and
+/// into snapshots) next to the in-flight ledger.
 #[derive(Debug, Clone)]
 pub struct ControlState {
     /// Admission policy currently in force (starts at the market's
@@ -576,8 +574,7 @@ fn admission_bits(policy: &AdmissionPolicy) -> (u8, u64) {
 }
 
 /// Bit-exact equality of two carried controller states — every float by
-/// bit pattern, every log and order element-wise. Part of the windowed
-/// replay's carry comparison.
+/// bit pattern, every log and order element-wise.
 pub fn control_state_eq(a: &ControlState, b: &ControlState) -> bool {
     admission_bits(&a.admission) == admission_bits(&b.admission)
         && a.integral.to_bits() == b.integral.to_bits()
@@ -586,55 +583,6 @@ pub fn control_state_eq(a: &ControlState, b: &ControlState) -> bool {
         && a.observed_batches == b.observed_batches
         && a.orders == b.orders
         && a.brownout == b.brownout
-}
-
-/// Hashes exactly the fields [`control_state_eq`] compares, in the same
-/// order, into the carry fingerprint. Nested byte logs are
-/// length-prefixed and `orders` entries tagged, so distinct structures
-/// cannot collide by concatenation.
-pub(crate) fn hash_control_state(h: &mut crate::market::Fnv64, s: &ControlState) {
-    let (tag, bits) = admission_bits(&s.admission);
-    h.write(u64::from(tag));
-    h.write(bits);
-    h.write(s.integral.to_bits());
-    h.write(s.prev_error.to_bits());
-    let hash_log = |h: &mut crate::market::Fnv64, log: &[Vec<u8>]| {
-        h.write(log.len() as u64);
-        for entries in log {
-            h.write(entries.len() as u64);
-            for &e in entries {
-                h.write(u64::from(e));
-            }
-        }
-    };
-    hash_log(h, &s.observed);
-    hash_log(h, &s.observed_batches);
-    h.write(u64::from(s.brownout));
-    h.write(s.orders.len() as u64);
-    for order in &s.orders {
-        match order {
-            None => h.write(u64::MAX),
-            Some(entries) => {
-                h.write(entries.len() as u64);
-                for &e in entries {
-                    h.write(u64::from(e));
-                }
-            }
-        }
-    }
-}
-
-/// Hashes an [`ObsAccum`] field-for-field into the carry fingerprint
-/// (its `==` is already structural, so every field participates).
-pub(crate) fn hash_obs_accum(h: &mut crate::market::Fnv64, a: &ObsAccum) {
-    h.write(u64::from(a.arrivals) | (u64::from(a.spot_admitted) << 32));
-    h.write(u64::from(a.spot_demoted) | (u64::from(a.policy_rejected) << 32));
-    h.write(u64::from(a.capacity_missed) | (u64::from(a.migrated) << 32));
-    h.write(u64::from(a.notified) | (u64::from(a.retried) << 32));
-    h.write(a.per_function.len() as u64);
-    for &c in &a.per_function {
-        h.write(u64::from(c));
-    }
 }
 
 /// Advances the brownout state machine at a controller tick.
@@ -749,8 +697,8 @@ impl ControlSample {
 /// Implementations must be pure: `tick` may read only its arguments and
 /// the immutable `self`, and must evolve nothing but the passed
 /// [`ControlState`] (plus derived caches in [`ControlScratch`]). The
-/// windowed replay relies on that purity to carry, compare, and
-/// reconstruct controller state at window boundaries.
+/// resumable replay relies on that purity to carry, snapshot, and
+/// reconstruct controller state at epoch boundaries.
 pub trait Controller: Send + Sync {
     /// Stable label for reports.
     fn name(&self) -> &'static str;
@@ -1189,7 +1137,7 @@ mod tests {
     fn right_sizer_model_reconstruction_matches_incremental_growth() {
         // Observing alternates over two ticks (incremental fit_update)
         // must leave the same state as a fresh scratch replaying the
-        // carried log in one go — the property windowed reconstruction
+        // carried log in one go — the property resumed reconstruction
         // rests on.
         let view = FunctionView {
             best_encoding: vec![0.5, 0.5],

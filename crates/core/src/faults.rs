@@ -6,11 +6,11 @@
 //! clock callbacks or out-of-band mutations: the plan expands into a
 //! [`FaultTimeline`] of simulated-time intervals that
 //! [`crate::market::SupplySchedule::generate`] composes into the same
-//! precomputed supply timeline every replay engine walks. Because the
-//! composed schedule is immutable state shared by `run()` and every
-//! windowed/streaming engine, the determinism lattice (sequential ≡
-//! windowed ≡ streaming, bit-identical for every thread count × window
-//! size × controller) holds with faults enabled by construction.
+//! precomputed supply timeline every replay walks. Because the composed
+//! schedule is immutable state shared by `run()`, the streaming replay
+//! and every epoch of a resumable one, the determinism lattice
+//! (materialized ≡ streaming ≡ epoch chain, bit-identical for every
+//! epoch size × controller) holds with faults enabled by construction.
 //!
 //! Per-invocation *transient* faults (crash-on-start, mid-flight abort,
 //! straggler slowdown) ride the same contract from the other direction:
@@ -18,7 +18,7 @@
 //! draws its fault as a stateless hash of `(seed, function, arrival
 //! index, attempt)` — see [`FaultPlan::fault_for`] — so the retry layer
 //! in [`crate::fleet`] replays the identical failure script no matter
-//! how the windowed engines partition the trace.
+//! how a resumable replay partitions the trace into epochs.
 
 use crate::{FreedomError, Result};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -33,9 +33,9 @@ pub(crate) const NOTICE_DROP_SALT: u64 = 0xa076_1d64_78bd_642f;
 
 /// Seed salt for the per-invocation transient-fault stream. Transient
 /// faults are drawn *statelessly* — a hash of `(seed, function, arrival
-/// index, attempt)` rather than a sequential RNG walk — so a windowed
-/// replay that sees arrivals partitioned across windows draws the exact
-/// same fault for every attempt as the sequential engine.
+/// index, attempt)` rather than a sequential RNG walk — so a replay that
+/// sees arrivals partitioned across epochs draws the exact same fault
+/// for every attempt as the single pass.
 pub(crate) const TRANSIENT_SALT: u64 = 0x2545_f491_4f6c_dd1d;
 
 /// A seeded description of the failure events to inject into a replay.
@@ -152,9 +152,9 @@ impl FaultPlan {
     ///
     /// Stateless and pure in `(seed, function, idx, attempt)`: the draw
     /// hashes the attempt's identity instead of consuming a sequential
-    /// RNG stream, so the windowed engines — which interleave attempts
-    /// in a different order than the sequential walk — reproduce every
-    /// draw exactly. `attempt` is 1-based; a retried invocation rolls a
+    /// RNG stream, so the draw depends on nothing but the attempt — not
+    /// on the order attempts are drawn in, nor on where an epoch
+    /// boundary falls. `attempt` is 1-based; a retried invocation rolls a
     /// fresh, independent fault on each attempt.
     ///
     /// The identity packs into one word — `idx` in the low 32 bits,

@@ -23,35 +23,29 @@
 //!   violations, and the admission ledger (admitted / demoted /
 //!   rejected).
 //!
-//! # Windowed replay and determinism
+//! # One sequential engine
 //!
-//! The shared ledger couples every function, so the old per-function
-//! sharding no longer decomposes the fleet. Instead the replay is
-//! **time-windowed with boundary reconciliation**: the merged event
-//! stream splits into fixed epochs ([`Trace::window_bounds`]), windows
-//! simulate speculatively in parallel, and the in-flight ledger state
-//! crossing each boundary is reconciled — a window whose speculative
-//! starting state turns out wrong is re-run with the true carry-over
-//! until the chain reaches a fixed point. [`run`](FleetSimulator::run)
-//! is the sequential reference engine (one window spanning the whole
-//! trace); [`run_windowed`](FleetSimulator::run_windowed) is
-//! bit-identical to it for every thread count and window size (guarded
-//! by `tests/determinism.rs`). See `crates/core/README.md` for the full
-//! contract.
+//! The shared ledger couples every function, so the fleet does not
+//! decompose per function: the replay is one sequential event loop over
+//! the merged arrival stream, `simulate_window`. Every entry point
+//! drives that loop:
 //!
-//! Every engine pulls events through the same iterator interface, so
-//! the trace may be a materialized [`Trace`] or a lazy [`StreamTrace`]:
-//! [`run_stream`](FleetSimulator::run_stream) and
-//! [`run_stream_windowed`](FleetSimulator::run_stream_windowed) replay
-//! with peak memory O(functions + in-flight placements) instead of
-//! O(total arrivals) — windows re-seek their events by epoch through
-//! cursor checkpoints ([`crate::stream`], "streaming cursor contract"
-//! in the README) — and stay bit-identical to the materialized
-//! reference.
+//! - [`run`](FleetSimulator::run) over a materialized [`Trace`], and
+//!   [`run_stream`](FleetSimulator::run_stream) over a lazy
+//!   [`StreamTrace`] with peak memory O(functions + in-flight
+//!   placements) instead of O(total arrivals) — one window spanning the
+//!   whole trace;
+//! - [`run_stream_resumable`](FleetSimulator::run_stream_resumable),
+//!   which chains the loop over fixed epochs, carries the canonical
+//!   state across each boundary, and snapshots it so a killed replay
+//!   resumes.
+//!
+//! All of them are bit-identical for every epoch size and every kill
+//! point (guarded by `tests/determinism.rs` and `tests/crash_resume.rs`).
+//! See `crates/core/README.md` for the epoch-chaining contract.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use freedom_faas::PerfTable;
 use freedom_linalg::stats;
@@ -60,21 +54,20 @@ use freedom_telemetry as tel;
 use freedom_workloads::FunctionKind;
 
 use crate::controller::{
-    admission_ceiling, control_state_eq, hash_control_state, hash_obs_accum, update_brownout,
-    ControlSample, ControlScratch, ControlState, Controller, FunctionView, ObsAccum, Observation,
-    MAX_TICKS,
+    admission_ceiling, update_brownout, ControlSample, ControlScratch, ControlState, Controller,
+    FunctionView, ObsAccum, Observation, MAX_TICKS,
 };
 pub use crate::faults::FaultPlan;
 use crate::faults::TransientFault;
 use crate::market::{
-    carry_eq, family_index, hash_inflight, Fnv64, InFlight, MarketConfig, SpotLedger,
-    SupplySchedule, N_MARKET_FAMILIES, RUN_ABORT, RUN_HEDGE, RUN_NORMAL,
+    family_index, Fnv64, InFlight, MarketConfig, SpotLedger, SupplySchedule, N_MARKET_FAMILIES,
+    RUN_ABORT, RUN_HEDGE, RUN_NORMAL,
 };
 use crate::provider::PlannedPlacement;
 use crate::retry::{PendingRetry, RetryBudget, KIND_HEDGE, KIND_RETRY};
 use crate::snapshot::{ReplaySnapshot, Unwire, Wire, SNAPSHOT_VERSION};
 use crate::trace::{event_nanos, MAX_WINDOWS};
-use crate::wheel::CompletionQueue;
+use crate::wheel::TimerWheel;
 use crate::{FreedomError, Result};
 
 pub use crate::controller::{ControlConfig, ControllerConfig, PidConfig, RightSizerConfig};
@@ -83,7 +76,6 @@ pub use crate::retry::{BrownoutConfig, RetryPolicy};
 pub use crate::snapshot::SNAPSHOT_VERSION as REPLAY_SNAPSHOT_VERSION;
 pub use crate::stream::{EventStream, StreamCheckpoint, StreamTrace};
 pub use crate::trace::{Trace, TraceEvent, TraceSource};
-pub use crate::wheel::CompletionQueueKind;
 pub use freedom_telemetry::{NoopRecorder, Recorder, Telemetry};
 
 /// How the provider places each invocation.
@@ -268,41 +260,6 @@ const N_ARRIVAL_CLASSES: usize = CLASS_DEAD_LETTERED as usize;
 /// [`RetryRecord`] flag bit: the activation was shed by brownout mode.
 const RETRY_FLAG_SHED: u8 = 1;
 
-/// Engine knobs of the windowed replay — none of them observable in the
-/// [`FleetReport`], which stays bit-identical to the sequential
-/// reference for every setting. The plain `run_windowed` /
-/// `run_stream_windowed` entry points use [`ReplayConfig::default`];
-/// the `_with` variants take an explicit config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayConfig {
-    /// Speculative-round cap: after this many rounds the reconciliation
-    /// loop bails out to chaining the remaining stale windows
-    /// sequentially with exact carry-ins, bounding total work at
-    /// `O(rounds + windows)` window simulations even when the market is
-    /// so contended that speculation never converges. `0` forces the
-    /// sequential fallback after the first speculative round.
-    pub max_speculative_rounds: usize,
-    /// Stall margin of the adaptive bail-out: a round that shrinks the
-    /// stale set by fewer than this many windows is judged to be
-    /// churning, and the loop bails out early rather than burn another
-    /// round. `0` disables the stall check (only the round cap bails
-    /// out).
-    pub stall_margin: usize,
-    /// Which completion-queue implementation windows drive events with;
-    /// both orders are bit-identical (see [`CompletionQueueKind`]).
-    pub completion_queue: CompletionQueueKind,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        Self {
-            max_speculative_rounds: 8,
-            stall_margin: 2,
-            completion_queue: CompletionQueueKind::TimerWheel,
-        }
-    }
-}
-
 /// An accepted alternate placement resolved to plain numbers, so the hot
 /// loop does no table lookups or config math.
 #[derive(Debug, Clone, Copy)]
@@ -318,8 +275,7 @@ struct ResolvedAlternate {
     inflation: f64,
 }
 
-/// Everything a window simulation reads: immutable and shared across
-/// worker threads.
+/// Everything a window simulation reads: immutable for the whole replay.
 struct ReplayCtx {
     /// Per-function list-price cost of the best configuration.
     best_costs: Vec<f64>,
@@ -338,9 +294,9 @@ struct ReplayCtx {
     /// The control loop: immutable controller configuration (state lives
     /// in the carry), tick cadence in integer nanoseconds, and the trace
     /// horizon ticks are capped at — like supply steps, no tick fires
-    /// after the last arrival, so the reference engine (which never
-    /// advances past it) and the windowed engine (whose last window
-    /// does) agree on the tick sequence.
+    /// after the last arrival, so the single pass (which never advances
+    /// past it) and the epoch chain (whose last epoch does) agree on the
+    /// tick sequence.
     controller: Box<dyn Controller>,
     controller_label: &'static str,
     cadence_nanos: u64,
@@ -350,9 +306,6 @@ struct ReplayCtx {
     /// `obs_offsets[f]..obs_offsets[f + 1]`, one slot per accepted
     /// alternate plus a trailing on-demand slot.
     obs_offsets: Vec<u32>,
-    /// Completion-queue implementation windows simulate with
-    /// ([`ReplayConfig::completion_queue`]; both orders bit-identical).
-    queue: CompletionQueueKind,
     /// The fault plan, kept past schedule generation for the
     /// per-invocation transient draws ([`FaultPlan::fault_for`]).
     faults: FaultPlan,
@@ -463,11 +416,11 @@ impl Settled {
 
 /// Per-arrival metering, in arrival order, plus outcome adjustments
 /// keyed by global arrival index (a supply step may re-bill an
-/// invocation admitted in an earlier window) and the control-plane
+/// invocation admitted in an earlier epoch) and the control-plane
 /// samples of the ticks processed. Per-invocation records — rather than
-/// window-local accumulators — are what make the final reduction's
-/// float-accumulation order independent of the window partition, and
-/// therefore bit-identical between the reference and windowed engines.
+/// epoch-local accumulators — are what make the final reduction's
+/// float-accumulation order independent of the epoch partition, and
+/// therefore bit-identical between the single pass and the epoch chain.
 ///
 /// The per-invocation arrays cover invocations `settled.next..` only:
 /// [`WindowMetering::fold`] moves settled invocations into the
@@ -486,12 +439,12 @@ pub(crate) struct WindowMetering {
     /// the per-invocation record, attempts >= 2 the matching
     /// [`RetryRecord`].
     adjustments: Vec<(u32, u8, u8, f64)>,
-    /// Retry activations resolved this window, in resolution order.
+    /// Retry activations resolved so far, in resolution order.
     retries: Vec<RetryRecord>,
-    /// Hedged re-issues placed this window, in placement order.
+    /// Hedged re-issues placed so far, in placement order.
     hedges: Vec<HedgeRecord>,
     samples: Vec<ControlSample>,
-    /// In-flight placements notified this window (telemetry sum).
+    /// In-flight placements notified so far (telemetry sum).
     notified: u32,
 }
 
@@ -704,11 +657,11 @@ impl WindowMetering {
         })
     }
 
-    /// Appends `other` — the metering of the window that follows this
-    /// one — to the unsettled tail. Concatenation is exactly what
-    /// [`reduce`] does across windows, so an absorbed prefix reduces
-    /// bit-identically to the window-by-window originals.
-    fn absorb(&mut self, other: &WindowMetering) {
+    /// Appends `other` — the metering of the epoch that follows this
+    /// one — to the unsettled tail. The concatenation is in global
+    /// arrival order, so the chained metering reduces bit-identically
+    /// to one window's over the whole trace.
+    fn append(&mut self, other: &WindowMetering) {
         debug_assert!(other.settled.next == 0 && other.settled.runs.is_empty());
         // The fold's premise: nothing recorded after a fold targets an
         // invocation it settled.
@@ -803,10 +756,10 @@ impl WindowMetering {
     }
 }
 
-/// Everything that crosses a window boundary: the canonical
-/// (heap-drain-ordered) in-flight ledger state, the controller state,
-/// and the partial observation epoch. The reconciliation chain compares
-/// all three bit-exactly — see `crates/core/README.md`.
+/// Everything that crosses an epoch boundary: the canonical
+/// (queue-drain-ordered) in-flight ledger state, the pending retries and
+/// budgets, the controller state, and the partial observation epoch —
+/// see `crates/core/README.md`.
 #[derive(Debug, Clone)]
 pub(crate) struct Carry {
     inflight: Vec<InFlight>,
@@ -872,8 +825,8 @@ impl Carry {
         self.accum.save(w);
     }
 
-    /// Restores a carry serialized with [`Carry::save`], bit-identical
-    /// under [`carry_state_eq`].
+    /// Restores a carry serialized with [`Carry::save`], field for
+    /// field.
     pub(crate) fn load(r: &mut Unwire) -> Result<Self> {
         let n = r.len()?;
         let mut inflight = Vec::with_capacity(n);
@@ -923,18 +876,62 @@ impl Carry {
             accum: ObsAccum::load(r)?,
         })
     }
-}
 
-/// Whether two carried states are identical — the speculation check of
-/// the windowed replay. Every component exact: in-flight entries down to
-/// cost bits, pending retries and budget buckets by value, controller
-/// floats by bit pattern, epoch counters by value.
-fn carry_state_eq(a: &Carry, b: &Carry) -> bool {
-    carry_eq(&a.inflight, &b.inflight)
-        && a.retries == b.retries
-        && a.budget == b.budget
-        && control_state_eq(&a.control, &b.control)
-        && a.accum == b.accum
+    /// Checks a decoded carry against the replay it is resuming at
+    /// `boundary`: every in-flight entry completes at or after the
+    /// boundary on a slot the market has at that instant, with room for
+    /// its reservation; every pending retry or hedge fires at or after
+    /// the boundary for a function and family of this fleet; and the
+    /// budget, observation and controller state are sized for it.
+    /// Decoding alone cannot know any of these, and each one would
+    /// otherwise surface as an out-of-range index mid-replay.
+    fn check(&self, ctx: &ReplayCtx, boundary: u64) -> Result<()> {
+        let invalid = |what: &str| Err(FreedomError::InvalidArgument(format!("snapshot: {what}")));
+        let mut ledger = SpotLedger::new(&ctx.market, ctx.schedule.start_state(boundary).caps);
+        for e in &self.inflight {
+            if e.completion_nanos < boundary || !ledger.try_restore(e) {
+                return invalid("in-flight work does not fit the market at the resume boundary");
+            }
+        }
+        let n_functions = ctx.best_costs.len();
+        for p in &self.retries {
+            if p.at_nanos < boundary
+                || p.function as usize >= n_functions
+                || usize::from(p.family) >= N_MARKET_FAMILIES
+                || !matches!(p.kind, KIND_RETRY | KIND_HEDGE)
+                || p.attempt > ctx.retry.max_attempts
+            {
+                return invalid("pending retry does not fit this fleet at the resume boundary");
+            }
+        }
+        // The controller's logs and orders are shaped like its initial
+        // state, and every alternate they name exists in the plan.
+        let n_alts = |f: usize| (ctx.alt_offsets[f + 1] - ctx.alt_offsets[f]) as usize;
+        let names_alts = |f: usize, alts: &[u8]| alts.iter().all(|&a| usize::from(a) < n_alts(f));
+        let c = &self.control;
+        let init = ctx.controller.init(ctx.market.admission, n_functions);
+        let fits =
+            c.observed.len() == init.observed.len()
+                && c.observed_batches.len() == init.observed_batches.len()
+                && c.orders.len() == init.orders.len()
+                && c.observed.iter().zip(&c.observed_batches).enumerate().all(
+                    |(f, (log, batches))| {
+                        names_alts(f, log)
+                            && batches.iter().map(|&b| usize::from(b)).sum::<usize>() == log.len()
+                    },
+                )
+                && c.orders
+                    .iter()
+                    .enumerate()
+                    .all(|(f, order)| order.as_deref().is_none_or(|o| names_alts(f, o)));
+        if !fits
+            || self.budget.tokens.len() != N_MARKET_FAMILIES
+            || self.accum.per_function.len() != *ctx.obs_offsets.last().expect("offsets") as usize
+        {
+            return invalid("carried control state does not fit this fleet");
+        }
+        Ok(())
+    }
 }
 
 /// A window's result: metering plus the carried state crossing into the
@@ -942,7 +939,7 @@ fn carry_state_eq(a: &Carry, b: &Carry) -> bool {
 struct WindowOutcome {
     metering: WindowMetering,
     carry_out: Carry,
-    /// Most in-flight placements the completion heap ever held.
+    /// Most in-flight placements the completion queue ever held.
     peak_inflight: usize,
 }
 
@@ -960,19 +957,6 @@ pub struct ReplayStats {
     /// function (synthetic) or the open rows of the CSV lookahead
     /// window.
     pub peak_cursor_resident: usize,
-    /// Anchor checkpoints the windowed pre-pass held — the ladder's
-    /// O(√W) term, each O(functions) in size. 0 for non-windowed
-    /// replays (no pre-pass).
-    pub ladder_anchors: usize,
-    /// Events re-drained when windows derived their boundary positions
-    /// from the nearest ladder anchor (each bounded by one anchor
-    /// stride's worth of events). 0 for non-windowed replays.
-    pub ladder_redrain_events: usize,
-    /// Windows the reconciliation loop re-ran via the sequential
-    /// exact-carry fallback after bailing out of speculation
-    /// ([`ReplayConfig::max_speculative_rounds`] /
-    /// [`ReplayConfig::stall_margin`]). 0 for non-windowed replays.
-    pub fallback_windows: usize,
 }
 
 impl ReplayStats {
@@ -1009,31 +993,15 @@ impl FleetSimulator {
         Ok(Self { plans })
     }
 
-    /// Replays the trace under a strategy with the **sequential reference
-    /// engine**: one simulation window spanning the whole trace, no
-    /// speculation, no carry-over. The engine pulls events through the
-    /// same iterator interface as the streaming replay; here the
-    /// iterator happens to walk a materialized slice.
+    /// Replays a materialized trace under a strategy: one simulation
+    /// window spanning the whole trace. The engine pulls events through
+    /// the same iterator interface as the streaming replay; here the
+    /// iterator happens to walk a slice.
     pub fn run(
         &self,
         trace: &Trace,
         strategy: PlacementStrategy,
         config: &FleetConfig,
-    ) -> Result<FleetReport> {
-        self.run_traced(trace, strategy, config, &mut NoopRecorder)
-    }
-
-    /// [`FleetSimulator::run`] with a telemetry [`Recorder`] attached.
-    /// Telemetry is strictly observational: the report is bit-identical
-    /// to the untraced run for every recorder (the determinism lattice
-    /// pins this), and with [`NoopRecorder`] the instrumentation
-    /// monomorphizes away entirely.
-    pub fn run_traced<R: Recorder>(
-        &self,
-        trace: &Trace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        rec: &mut R,
     ) -> Result<FleetReport> {
         let horizon = trace
             .events()
@@ -1050,23 +1018,22 @@ impl FleetSimulator {
             &Carry::initial(&ctx),
             0,
             u64::MAX,
-            rec,
+            &mut NoopRecorder,
         );
-        rec.add(tel::Counter::WindowsSimulated, 1);
         Ok(reduce(
             strategy,
             config.slo_theta,
             events.len(),
-            vec![outcome.metering],
+            outcome.metering,
             ctx.controller_label,
         ))
     }
 
-    /// Replays a [`StreamTrace`] with the sequential reference engine,
-    /// producing events lazily and consuming each exactly once: peak
-    /// memory is O(functions + in-flight placements) instead of O(total
-    /// arrivals). Bit-identical to [`FleetSimulator::run`] on the
-    /// materialized equivalent ([`StreamTrace::materialize`]).
+    /// Replays a [`StreamTrace`], producing events lazily and consuming
+    /// each exactly once: peak memory is O(functions + in-flight
+    /// placements) instead of O(total arrivals). Bit-identical to
+    /// [`FleetSimulator::run`] on the materialized equivalent
+    /// ([`StreamTrace::materialize`]).
     pub fn run_stream(
         &self,
         trace: &StreamTrace,
@@ -1078,9 +1045,8 @@ impl FleetSimulator {
 
     /// [`FleetSimulator::run_stream`] plus the replay's peak-memory
     /// telemetry. The stats are measurement, not output: they stay out
-    /// of the [`FleetReport`] because peak heap depth depends on the
-    /// engine (windowed replays speculate), while the report is
-    /// bit-identical across engines.
+    /// of the [`FleetReport`], which is bit-identical across entry
+    /// points and epoch sizes.
     pub fn run_stream_with_stats(
         &self,
         trace: &StreamTrace,
@@ -1091,9 +1057,10 @@ impl FleetSimulator {
     }
 
     /// [`FleetSimulator::run_stream_with_stats`] with a telemetry
-    /// [`Recorder`] attached. Strictly observational — the report is
-    /// bit-identical to the untraced streaming replay for every
-    /// recorder.
+    /// [`Recorder`] attached. Telemetry is strictly observational: the
+    /// report is bit-identical to the untraced replay for every recorder
+    /// (the determinism lattice pins this), and with [`NoopRecorder`]
+    /// the instrumentation monomorphizes away entirely.
     pub fn run_stream_traced<R: Recorder>(
         &self,
         trace: &StreamTrace,
@@ -1113,431 +1080,18 @@ impl FleetSimulator {
             u64::MAX,
             rec,
         );
+        stream.fault()?;
         rec.add(tel::Counter::WindowsSimulated, 1);
         let stats = ReplayStats {
             events: trace.len(),
             peak_inflight: outcome.peak_inflight,
             peak_cursor_resident: stream.peak_resident(),
-            ladder_anchors: 0,
-            ladder_redrain_events: 0,
-            fallback_windows: 0,
         };
         let report = reduce(
             strategy,
             config.slo_theta,
             trace.len(),
-            vec![outcome.metering],
-            ctx.controller_label,
-        );
-        Ok((report, stats))
-    }
-
-    /// Replays the trace as time windows of `window_secs`, simulated
-    /// speculatively in parallel over `threads` workers and reconciled at
-    /// the boundaries until the carried ledger state reaches a fixed
-    /// point. Bit-identical to [`FleetSimulator::run`] for every thread
-    /// count and window size; the windowed machinery runs even at
-    /// `threads = 1`, so the determinism guard exercises reconciliation
-    /// itself, not a sequential dispatch.
-    ///
-    /// Speculation starts every window from an empty market; each round
-    /// re-runs exactly the windows whose carry-in guess changed, and each
-    /// round extends the verified prefix by at least one window, so the
-    /// loop terminates. After [`ReplayConfig::max_speculative_rounds`]
-    /// rounds — or earlier, when a round stalls — the remaining stale
-    /// suffix is chained sequentially instead.
-    pub fn run_windowed(
-        &self,
-        trace: &Trace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        threads: usize,
-        window_secs: f64,
-    ) -> Result<FleetReport> {
-        self.run_windowed_with(
-            trace,
-            strategy,
-            config,
-            &ReplayConfig::default(),
-            threads,
-            window_secs,
-        )
-    }
-
-    /// [`FleetSimulator::run_windowed`] with explicit [`ReplayConfig`]
-    /// engine knobs. The report is bit-identical for every setting.
-    pub fn run_windowed_with(
-        &self,
-        trace: &Trace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        replay: &ReplayConfig,
-        threads: usize,
-        window_secs: f64,
-    ) -> Result<FleetReport> {
-        self.run_windowed_traced(
-            trace,
-            strategy,
-            config,
-            replay,
-            threads,
-            window_secs,
-            &mut NoopRecorder,
-        )
-    }
-
-    /// [`FleetSimulator::run_windowed_with`] with a telemetry
-    /// [`Recorder`] attached. Each parallel window records into a fork
-    /// of `rec`; the fork of a window's final accepted run is absorbed
-    /// back in window order, so every sim-derived observation is
-    /// deterministic for any thread count. Strictly observational.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_windowed_traced<R: Recorder + Sync>(
-        &self,
-        trace: &Trace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        replay: &ReplayConfig,
-        threads: usize,
-        window_secs: f64,
-        rec: &mut R,
-    ) -> Result<FleetReport> {
-        let horizon = trace
-            .events()
-            .last()
-            .map(|e| event_nanos(e.at_secs))
-            .unwrap_or(0);
-        let window_nanos = validate_window(horizon, window_secs)?;
-        let mut ctx = self.prepare(trace.n_functions(), horizon, strategy, config)?;
-        ctx.queue = replay.completion_queue;
-        let events = trace.events();
-        if events.is_empty() {
-            return Ok(reduce(
-                strategy,
-                config.slo_theta,
-                0,
-                Vec::new(),
-                ctx.controller_label,
-            ));
-        }
-        let bounds = trace.window_bounds(window_nanos);
-        let tmpl = rec.fork();
-        let run_one = |k: usize, carry: &Carry, wrec: &mut R| {
-            let (start, end) = window_span(k, window_nanos);
-            simulate_window(
-                &ctx,
-                events[bounds[k].clone()].iter().copied(),
-                bounds[k].len(),
-                bounds[k].start as u32,
-                carry,
-                start,
-                end,
-                wrec,
-            )
-        };
-        // Materialized windows position in O(1) (binary-searched
-        // slices), so a round is a plain fan-out and the fallback chain
-        // needs no walker state: clean windows are free to pass over.
-        let run_round = |pending: &[(usize, Carry, u64)]| {
-            freedom_parallel::par_run(pending.len(), threads, |i| {
-                let mut wrec = tmpl.fork();
-                let out = run_one(pending[i].0, &pending[i].1, &mut wrec);
-                let fp = carry_fingerprint(&out.carry_out);
-                (out, fp, wrec)
-            })
-        };
-        let (meterings, _) =
-            reconcile_windows(&ctx, bounds.len(), replay, rec, run_round, |k, carry| {
-                carry.map(|c| {
-                    let mut wrec = tmpl.fork();
-                    let out = run_one(k, c, &mut wrec);
-                    (out, wrec)
-                })
-            });
-        Ok(reduce(
-            strategy,
-            config.slo_theta,
-            events.len(),
-            meterings,
-            ctx.controller_label,
-        ))
-    }
-
-    /// Windowed replay of a [`StreamTrace`]: the same speculative
-    /// engine as [`FleetSimulator::run_windowed`], but windows re-seek
-    /// their events **by epoch** through the checkpoint ladder — a
-    /// sharded pre-pass takes O(√windows) anchor checkpoints
-    /// ([`StreamTrace::checkpoints_at`]), and each window re-derives
-    /// its boundary position from the nearest anchor by a bounded
-    /// forward drain, so pre-pass seek state is O(√W × functions)
-    /// instead of O(W × functions). Reconciliation re-runs a stale
-    /// window by rewinding to the same anchor. Bit-identical to
-    /// [`FleetSimulator::run_stream`] — and to the materialized engines
-    /// — for every thread count and window size.
-    pub fn run_stream_windowed(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        threads: usize,
-        window_secs: f64,
-    ) -> Result<FleetReport> {
-        self.run_stream_windowed_with(
-            trace,
-            strategy,
-            config,
-            &ReplayConfig::default(),
-            threads,
-            window_secs,
-        )
-    }
-
-    /// [`FleetSimulator::run_stream_windowed`] with explicit
-    /// [`ReplayConfig`] engine knobs. The report is bit-identical for
-    /// every setting.
-    pub fn run_stream_windowed_with(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        replay: &ReplayConfig,
-        threads: usize,
-        window_secs: f64,
-    ) -> Result<FleetReport> {
-        Ok(self
-            .run_stream_windowed_with_stats(trace, strategy, config, replay, threads, window_secs)?
-            .0)
-    }
-
-    /// [`FleetSimulator::run_stream_windowed_with`] plus the replay's
-    /// telemetry: peak in-flight and cursor residency, the ladder's
-    /// anchor count and re-drained events, and how many windows the
-    /// reconciliation loop re-ran via the sequential fallback.
-    pub fn run_stream_windowed_with_stats(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        replay: &ReplayConfig,
-        threads: usize,
-        window_secs: f64,
-    ) -> Result<(FleetReport, ReplayStats)> {
-        self.run_stream_windowed_traced(
-            trace,
-            strategy,
-            config,
-            replay,
-            threads,
-            window_secs,
-            &mut NoopRecorder,
-        )
-    }
-
-    /// [`FleetSimulator::run_stream_windowed_with_stats`] with a
-    /// telemetry [`Recorder`] attached: per-window forks merged back in
-    /// window order (see [`FleetSimulator::run_windowed_traced`]), plus
-    /// wall spans for the ladder pre-pass, each speculative round, and
-    /// the fallback walk. Strictly observational.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_stream_windowed_traced<R: Recorder + Sync>(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        replay: &ReplayConfig,
-        threads: usize,
-        window_secs: f64,
-        rec: &mut R,
-    ) -> Result<(FleetReport, ReplayStats)> {
-        let horizon = trace.horizon_nanos();
-        let window_nanos = validate_window(horizon, window_secs)?;
-        let mut ctx = self.prepare(trace.n_functions(), horizon, strategy, config)?;
-        ctx.queue = replay.completion_queue;
-        if trace.is_empty() {
-            let report = reduce(
-                strategy,
-                config.slo_theta,
-                0,
-                Vec::new(),
-                ctx.controller_label,
-            );
-            let stats = ReplayStats {
-                events: 0,
-                peak_inflight: 0,
-                peak_cursor_resident: 0,
-                ladder_anchors: 0,
-                ladder_redrain_events: 0,
-                fallback_windows: 0,
-            };
-            return Ok((report, stats));
-        }
-        // Checkpoint-ladder pre-pass: anchor checkpoints every `stride`
-        // window boundaries (stride ≈ √windows), derived sharded, then
-        // one parallel counting drain over the anchor segments records
-        // each window's event count. Seek state: O(√W) anchors ×
-        // O(functions) each.
-        let prepass_wall = rec.now_nanos();
-        let n = (horizon / window_nanos) as usize + 1;
-        let stride = isqrt_ceil(n);
-        let n_anchors = n.div_ceil(stride);
-        let anchor_bounds: Vec<u64> = (0..n_anchors)
-            .map(|a| (a * stride) as u64 * window_nanos)
-            .collect();
-        let anchors = trace.checkpoints_at(&anchor_bounds, threads)?;
-        let segments = freedom_parallel::par_run(n_anchors, threads, |a| {
-            let mut s = trace
-                .open_at(&anchors[a])
-                .expect("re-seeking a ladder anchor the pre-pass took");
-            let lo = a * stride;
-            let hi = ((a + 1) * stride).min(n);
-            let mut counts = Vec::with_capacity(hi - lo);
-            for k in lo..hi {
-                let end = (k as u64 + 1).saturating_mul(window_nanos);
-                let mut c = 0u32;
-                while s.peek().is_some_and(|e| event_nanos(e.at_secs) < end) {
-                    s.next();
-                    c += 1;
-                }
-                counts.push(c);
-            }
-            (counts, s.peak_resident())
-        });
-        let mut base = Vec::with_capacity(n + 1);
-        base.push(0u32);
-        let mut consumed = 0u32;
-        let mut peak_prepass = 0usize;
-        for (counts, peak) in &segments {
-            peak_prepass = peak_prepass.max(*peak);
-            for &c in counts {
-                consumed += c;
-                base.push(consumed);
-            }
-        }
-        debug_assert_eq!(consumed as usize, trace.len());
-        rec.span_wall(tel::Span::CountPrePass, prepass_wall, anchors.len() as u64);
-        rec.add(tel::Counter::LadderAnchors, anchors.len() as u64);
-        if R::ENABLED {
-            for a in 0..n_anchors {
-                let lo = (a * stride) as u64 * window_nanos;
-                let hi = (((a + 1) * stride).min(n) as u64)
-                    .saturating_mul(window_nanos)
-                    .min(horizon);
-                rec.span_sim(tel::Span::LadderSegment, lo, hi, a as u64);
-            }
-        }
-        let redrained = AtomicUsize::new(0);
-        let peak_stream = AtomicUsize::new(peak_prepass);
-        let tmpl = rec.fork();
-        // Simulates window `k` from an already-positioned stream (the
-        // cursor must sit on the window's first event).
-        let sim_at = |s: &mut crate::stream::EventStream, k: usize, carry: &Carry, wrec: &mut R| {
-            let (start, end) = window_span(k, window_nanos);
-            let n_events = (base[k + 1] - base[k]) as usize;
-            let events = std::iter::from_fn(|| s.next()).take(n_events);
-            simulate_window(&ctx, events, n_events, base[k], carry, start, end, wrec)
-        };
-        // A speculative round walks each ladder segment's stream at
-        // most once: pending windows (ascending) are grouped by their
-        // anchor segment, and a group re-seeks its anchor, then drains
-        // forward — skipping the events of windows the round does not
-        // touch — so the bounded re-drain is paid per *group*, not per
-        // window. Round 0 (every window pending) is therefore exactly
-        // one sharded pass over the trace with zero re-drained events.
-        let run_round = |pending: &[(usize, Carry, u64)]| {
-            let mut groups: Vec<std::ops::Range<usize>> = Vec::new();
-            for i in 0..pending.len() {
-                match groups.last_mut() {
-                    Some(g) if pending[g.start].0 / stride == pending[i].0 / stride => {
-                        g.end = i + 1;
-                    }
-                    _ => groups.push(i..i + 1),
-                }
-            }
-            let per_group = freedom_parallel::par_run(groups.len(), threads, |gi| {
-                let group = &pending[groups[gi].clone()];
-                let a = group[0].0 / stride;
-                let mut s = trace
-                    .open_at(&anchors[a])
-                    .expect("re-seeking a ladder anchor the pre-pass took");
-                let mut pos = base[a * stride];
-                let mut outs = Vec::with_capacity(group.len());
-                for (k, carry, _) in group {
-                    let skip = (base[*k] - pos) as usize;
-                    for _ in 0..skip {
-                        s.next();
-                    }
-                    redrained.fetch_add(skip, Ordering::Relaxed);
-                    let mut wrec = tmpl.fork();
-                    let out = sim_at(&mut s, *k, carry, &mut wrec);
-                    pos = base[*k + 1];
-                    let fp = carry_fingerprint(&out.carry_out);
-                    outs.push((out, fp, wrec));
-                }
-                peak_stream.fetch_max(s.peak_resident(), Ordering::Relaxed);
-                outs
-            });
-            per_group.into_iter().flatten().collect()
-        };
-        // The sequential fallback chain is one forward walk of the
-        // stream: clean windows drain their (counted) events without
-        // simulating, stale windows simulate in place, and the walker
-        // only re-seeks an anchor when it starts.
-        let mut walker = None;
-        let run_suffix = |k: usize, carry: Option<&Carry>| {
-            let stale = match &walker {
-                Some((_, pos)) => *pos > base[k],
-                None => true,
-            };
-            if stale {
-                let a = k / stride;
-                let s = trace
-                    .open_at(&anchors[a])
-                    .expect("re-seeking a ladder anchor the pre-pass took");
-                walker = Some((s, base[a * stride]));
-            }
-            let (s, pos) = walker.as_mut().expect("walker just seeded");
-            let skip = (base[k] - *pos) as usize;
-            for _ in 0..skip {
-                s.next();
-            }
-            let out = match carry {
-                Some(c) => {
-                    let mut wrec = tmpl.fork();
-                    let o = sim_at(s, k, c, &mut wrec);
-                    Some((o, wrec))
-                }
-                None => {
-                    let n_events = (base[k + 1] - base[k]) as usize;
-                    for _ in 0..n_events {
-                        s.next();
-                    }
-                    redrained.fetch_add(n_events, Ordering::Relaxed);
-                    None
-                }
-            };
-            redrained.fetch_add(skip, Ordering::Relaxed);
-            *pos = base[k + 1];
-            peak_stream.fetch_max(s.peak_resident(), Ordering::Relaxed);
-            out
-        };
-        let (meterings, telemetry) = reconcile_windows(&ctx, n, replay, rec, run_round, run_suffix);
-        let stats = ReplayStats {
-            events: trace.len(),
-            peak_inflight: telemetry.peak_inflight,
-            peak_cursor_resident: peak_stream.into_inner(),
-            ladder_anchors: anchors.len(),
-            ladder_redrain_events: redrained.into_inner(),
-            fallback_windows: telemetry.fallback_windows,
-        };
-        rec.add(
-            tel::Counter::RedrainedEvents,
-            stats.ladder_redrain_events as u64,
-        );
-        let report = reduce(
-            strategy,
-            config.slo_theta,
-            trace.len(),
-            meterings,
+            outcome.metering,
             ctx.controller_label,
         );
         Ok((report, stats))
@@ -1552,7 +1106,8 @@ impl FleetSimulator {
     /// replayed so far. Feeding a persisted snapshot back as `resume`
     /// replays only the remaining windows; the resulting report is
     /// **bit-identical** to [`FleetSimulator::run_stream`] (and the
-    /// whole determinism lattice) no matter where the run was killed.
+    /// whole determinism lattice) for every epoch size, no matter where
+    /// the run was killed.
     ///
     /// `on_snapshot` returns `Ok(true)` to continue or `Ok(false)` to
     /// stop (the simulated crash of the kill/resume tests); a stopped
@@ -1560,7 +1115,9 @@ impl FleetSimulator {
     /// [`FreedomError::InvalidArgument`] when their fingerprint —
     /// strategy, config, fleet and trace shape, snapshot cadence — does
     /// not match this replay, so a stale file cannot silently resume a
-    /// different simulation.
+    /// different simulation, and when their state does not fit this
+    /// trace and fleet (see [`StreamTrace::open_at`]), so a corrupt
+    /// file whose checksum still matches is an error, never a panic.
     pub fn run_stream_resumable(
         &self,
         trace: &StreamTrace,
@@ -1606,7 +1163,7 @@ impl FleetSimulator {
                 strategy,
                 config.slo_theta,
                 0,
-                Vec::new(),
+                WindowMetering::default(),
                 ctx.controller_label,
             )));
         }
@@ -1627,6 +1184,7 @@ impl FleetSimulator {
                         snap.epoch
                     )));
                 }
+                snap.carry.check(&ctx, snap.epoch * window_nanos)?;
                 (
                     snap.epoch as usize,
                     snap.carry.clone(),
@@ -1643,24 +1201,39 @@ impl FleetSimulator {
                 0,
             ),
         };
+        let total = trace.len() as u64;
         while k < n {
             let (start, end) = window_span(k, window_nanos);
             let mut count = 0u64;
+            let mut stray = false;
             let outcome = {
+                // Only a corrupt resume position can yield an event
+                // before the epoch or past the trace's length; stop
+                // there and fail below rather than replay it.
                 let events = std::iter::from_fn(|| {
-                    if stream.peek().is_some_and(|e| event_nanos(e.at_secs) < end) {
-                        count += 1;
-                        stream.next()
-                    } else {
-                        None
+                    let at = event_nanos(stream.peek()?.at_secs);
+                    if at >= end {
+                        return None;
                     }
+                    if at < start || consumed + count >= total {
+                        stray = true;
+                        return None;
+                    }
+                    count += 1;
+                    stream.next()
                 });
                 simulate_window(&ctx, events, 0, consumed as u32, &carry, start, end, rec)
             };
+            stream.fault()?;
+            if stray {
+                return Err(FreedomError::InvalidArgument(format!(
+                    "resumed trace stream strays outside epoch {k} or past its {total} events"
+                )));
+            }
             rec.add(tel::Counter::WindowsSimulated, 1);
             consumed += count;
             carry = outcome.carry_out;
-            prefix.absorb(&outcome.metering);
+            prefix.append(&outcome.metering);
             k += 1;
             if k < n {
                 // Below the watermark no attempt is in flight and no
@@ -1698,12 +1271,16 @@ impl FleetSimulator {
                 }
             }
         }
-        debug_assert_eq!(consumed as usize, trace.len());
+        if consumed != total {
+            return Err(FreedomError::InvalidArgument(format!(
+                "resumed trace stream ended after {consumed} of its {total} events"
+            )));
+        }
         Ok(Some(reduce(
             strategy,
             config.slo_theta,
             trace.len(),
-            vec![prefix],
+            prefix,
             ctx.controller_label,
         )))
     }
@@ -1809,7 +1386,6 @@ impl FleetSimulator {
             cadence_nanos,
             horizon_nanos: horizon,
             obs_offsets,
-            queue: CompletionQueueKind::default(),
             faults: config.faults,
             retry: config.retry,
             transient_active: config.faults.has_transient(),
@@ -1819,34 +1395,19 @@ impl FleetSimulator {
     }
 }
 
-/// Ceiling integer square root — the ladder stride: `isqrt_ceil(n)`
-/// anchors spaced `isqrt_ceil(n)` windows apart cover `n` windows with
-/// O(√n) checkpoints and O(√n)-bounded re-drains.
-fn isqrt_ceil(n: usize) -> usize {
-    let mut r = (n as f64).sqrt() as usize;
-    while r.saturating_mul(r) < n {
-        r += 1;
-    }
-    while r > 1 && (r - 1) * (r - 1) >= n {
-        r -= 1;
-    }
-    r.max(1)
-}
-
 /// One window's live simulation state: the market ledger and completion
 /// queue, the supply and tick cursors, the controller state it carries
 /// forward, and the epoch accumulator feeding the next tick.
 struct WindowSim<'a, R: Recorder> {
     ctx: &'a ReplayCtx,
-    /// The window's telemetry sink: the parent recorder in sequential
-    /// engines, a per-window fork in windowed ones. Strictly
-    /// observational — nothing in the simulation reads it back.
+    /// The replay's telemetry sink. Strictly observational — nothing in
+    /// the simulation reads it back.
     rec: &'a mut R,
     /// Simulated instant of the previous arrival ([`u64::MAX`] before
     /// the first), feeding the arrival-gap histogram.
     prev_arrival: u64,
     ledger: SpotLedger,
-    queue: CompletionQueue,
+    queue: TimerWheel,
     /// Most entries the completion queue ever held — the in-flight term
     /// of the replay's peak-memory bound ([`ReplayStats`]).
     peak_inflight: usize,
@@ -1869,8 +1430,9 @@ struct WindowSim<'a, R: Recorder> {
     /// Pending retry and hedge events, ordered by
     /// [`PendingRetry::key`]. Scheduling always happens at admission
     /// time (an arrival or a firing retry), never at a completion pop —
-    /// the reference engine never pops completions after the last
-    /// arrival, so completion-time scheduling would diverge the two.
+    /// the single pass never pops completions after the last arrival
+    /// while the epoch chain's last epoch does, so completion-time
+    /// scheduling would diverge the two.
     retries: BinaryHeap<Reverse<PendingRetry>>,
     /// Per-family retry token buckets, charged at fire time.
     budget: RetryBudget,
@@ -2646,8 +2208,8 @@ impl<R: Recorder> WindowSim<'_, R> {
     }
 }
 
-/// Shared windowed-replay argument validation; returns the window size
-/// in integer nanoseconds.
+/// Validates a resumable replay's epoch size; returns it in integer
+/// nanoseconds.
 fn validate_window(horizon_nanos: u64, window_secs: f64) -> Result<u64> {
     if !window_secs.is_finite() || window_secs <= 0.0 {
         return Err(FreedomError::InvalidArgument(format!(
@@ -2670,32 +2232,6 @@ fn window_span(k: usize, window_nanos: u64) -> (u64, u64) {
         k as u64 * window_nanos,
         (k as u64 + 1).saturating_mul(window_nanos),
     )
-}
-
-/// Structural fingerprint of a carried state: hashes exactly the fields
-/// [`carry_state_eq`] compares. Equal states always produce equal
-/// fingerprints, so a fingerprint mismatch proves the states differ in
-/// O(1); on a match the reconciliation walk accepts the window as clean
-/// without the O(|carry|) field walk. Computed once per window run,
-/// inside the parallel section.
-fn carry_fingerprint(c: &Carry) -> u64 {
-    let mut h = Fnv64::new();
-    hash_inflight(&mut h, &c.inflight);
-    h.write(c.retries.len() as u64);
-    for p in &c.retries {
-        h.write(p.at_nanos);
-        h.write(u64::from(p.idx) | (u64::from(p.function) << 32));
-        h.write(u64::from(p.attempt) | (u64::from(p.kind) << 8) | (u64::from(p.family) << 16));
-        h.write(p.arrival_nanos);
-        h.write(p.orig_completion_nanos);
-    }
-    for (&t, &r) in c.budget.tokens.iter().zip(&c.budget.last_refill) {
-        h.write(t);
-        h.write(r);
-    }
-    hash_control_state(&mut h, &c.control);
-    hash_obs_accum(&mut h, &c.accum);
-    h.finish()
 }
 
 /// Fingerprint of a resumable replay's identity: strategy and config
@@ -2725,181 +2261,11 @@ fn replay_fingerprint(
     h.finish()
 }
 
-/// What [`reconcile_windows`] measured while converging, surfaced
-/// through [`ReplayStats`].
-struct ReconcileTelemetry {
-    peak_inflight: usize,
-    fallback_windows: usize,
-}
-
-/// The speculate/verify/re-run loop shared by both windowed engines.
-/// The engine supplies how windows actually simulate:
-///
-/// - `run_round(pending)` simulates one speculative round — the stale
-///   `(window, carry guess, carry fingerprint)` set in ascending window
-///   order — and returns each window's outcome plus its carry-out
-///   fingerprint. The engine owns the fan-out, so it can schedule the
-///   round to fit its event source: the materialized engine fans the
-///   windows straight through [`freedom_parallel::par_run`] (whose
-///   shared atomic index counter is the work queue — an idle worker
-///   claims the next stale window the moment it finishes one,
-///   work-stealing style), while the streaming engine first groups the
-///   set by checkpoint-ladder segment so each group walks its cursor
-///   stream once.
-/// - `run_suffix(k, carry)` drives the sequential exact-carry fallback:
-///   it is called for every window from the first unverified one in
-///   ascending order, with `Some(carry)` to simulate a stale window or
-///   `None` to pass over a clean one — the streaming engine uses the
-///   `None` calls to drain the passed-over events and keep its walker
-///   positioned, so the whole fallback chain is one forward pass.
-///
-/// The reconciliation chain re-runs exactly the windows whose
-/// speculative carry-in proved wrong, falling back to the sequential
-/// chain when speculation stops paying. Verification is O(1) per clean
-/// window: carry fingerprints ([`carry_fingerprint`]) are compared
-/// first, and the bit-exact [`carry_state_eq`] walk runs only on
-/// fingerprint mismatch, while an already-verified prefix is never
-/// re-walked.
-fn reconcile_windows<B, S, R>(
-    ctx: &ReplayCtx,
-    n: usize,
-    replay: &ReplayConfig,
-    rec: &mut R,
-    run_round: B,
-    mut run_suffix: S,
-) -> (Vec<WindowMetering>, ReconcileTelemetry)
-where
-    R: Recorder,
-    B: Fn(&[(usize, Carry, u64)]) -> Vec<(WindowOutcome, u64, R)>,
-    S: FnMut(usize, Option<&Carry>) -> Option<(WindowOutcome, R)>,
-{
-    let init = Carry::initial(ctx);
-    let init_fp = carry_fingerprint(&init);
-    let mut outs: Vec<Option<WindowOutcome>> = (0..n).map(|_| None).collect();
-    // Each window's recorder fork from its latest (= final accepted)
-    // run; absorbed into `rec` in window order at the end, which is
-    // what makes merged sim-side telemetry thread-count independent.
-    let mut recs: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    // Fingerprints of each window's carry-out (`out_fp`) and of the
-    // carry it actually ran with (`used_fp`); `used` keeps the full
-    // carry for the bit-exact fallback compare.
-    let mut out_fp = vec![0u64; n];
-    let mut used: Vec<Carry> = (0..n).map(|_| init.clone()).collect();
-    let mut used_fp = vec![init_fp; n];
-    // Round 0 speculates every window from an empty market and the
-    // controller's initial state.
-    let mut pending: Vec<(usize, Carry, u64)> =
-        (0..n).map(|k| (k, init.clone(), init_fp)).collect();
-    let mut telemetry = ReconcileTelemetry {
-        peak_inflight: 0,
-        fallback_windows: 0,
-    };
-    let mut rounds = 0usize;
-    let mut prev_stale = usize::MAX;
-    let mut verified = 0usize;
-    loop {
-        let round_wall = rec.now_nanos();
-        let results = run_round(&pending);
-        rec.add(tel::Counter::SpeculativeRounds, 1);
-        rec.add(tel::Counter::WindowsSimulated, results.len() as u64);
-        rec.span_wall(tel::Span::Round, round_wall, rounds as u64);
-        for ((k, carry, carry_fp), (out, fp, wrec)) in pending.drain(..).zip(results) {
-            telemetry.peak_inflight = telemetry.peak_inflight.max(out.peak_inflight);
-            used[k] = carry;
-            used_fp[k] = carry_fp;
-            outs[k] = Some(out);
-            out_fp[k] = fp;
-            recs[k] = Some(wrec);
-        }
-        // Verification walk from the verified prefix: chain the carried
-        // states in window order; any window that ran with a different
-        // carry-in than the chain now implies is stale and re-runs next
-        // round with the chain's current guess.
-        let mut next: Vec<(usize, Carry, u64)> = Vec::new();
-        // `verified` grows for the *next* round's walk; this round's
-        // range is fixed at the prefix it started from.
-        let prefix = verified;
-        for k in prefix..n {
-            let (chain_ref, chain_fp) = if k == 0 {
-                (&init, init_fp)
-            } else {
-                let prev = outs[k - 1].as_ref().expect("window simulated");
-                (&prev.carry_out, out_fp[k - 1])
-            };
-            let clean = used_fp[k] == chain_fp || carry_state_eq(&used[k], chain_ref);
-            if clean {
-                if next.is_empty() {
-                    verified = k + 1;
-                }
-            } else {
-                next.push((k, chain_ref.clone(), chain_fp));
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        rounds += 1;
-        // Speculation pays only while rounds resolve windows in bulk
-        // (markets that drain — idle gaps, tight supply — reach the
-        // same carried state from many guesses). When a round barely
-        // shrinks the stale set, every remaining guess is churning
-        // and re-running it is waste: chain the stale suffix
-        // sequentially with exact carry-ins instead. The round cap
-        // backstops pathological oscillation.
-        let stalled = replay.stall_margin > 0 && next.len() + replay.stall_margin >= prev_stale;
-        prev_stale = next.len();
-        if stalled || rounds > replay.max_speculative_rounds {
-            let fallback_wall = rec.now_nanos();
-            let first = next[0].0;
-            let mut chain = next[0].1.clone();
-            let mut chain_fp = next[0].2;
-            for k in first..n {
-                let clean = used_fp[k] == chain_fp || carry_state_eq(&used[k], &chain);
-                if clean {
-                    run_suffix(k, None);
-                } else {
-                    let (out, wrec) = run_suffix(k, Some(&chain))
-                        .expect("the suffix walker simulates stale windows");
-                    telemetry.peak_inflight = telemetry.peak_inflight.max(out.peak_inflight);
-                    telemetry.fallback_windows += 1;
-                    rec.add(tel::Counter::WindowsSimulated, 1);
-                    out_fp[k] = carry_fingerprint(&out.carry_out);
-                    outs[k] = Some(out);
-                    recs[k] = Some(wrec);
-                    used[k].clone_from(&chain);
-                    used_fp[k] = chain_fp;
-                }
-                chain.clone_from(&outs[k].as_ref().expect("window simulated").carry_out);
-                chain_fp = out_fp[k];
-            }
-            rec.span_wall(
-                tel::Span::FallbackWalk,
-                fallback_wall,
-                telemetry.fallback_windows as u64,
-            );
-            break;
-        }
-        pending = next;
-    }
-    rec.add(
-        tel::Counter::FallbackWindows,
-        telemetry.fallback_windows as u64,
-    );
-    for wrec in recs.into_iter().flatten() {
-        rec.absorb(wrec);
-    }
-    let meterings = outs
-        .into_iter()
-        .map(|o| o.expect("every window simulated").metering)
-        .collect();
-    (meterings, telemetry)
-}
-
 thread_local! {
     /// Per-thread window-close drain buffer. Every window drains its
     /// completion queue once at close; the buffer keeps its high-water
-    /// capacity across windows (like the wheel pool in
-    /// [`crate::wheel`]), so a steady-state window close is
+    /// capacity across epochs (like the wheel pool in
+    /// [`crate::wheel`]), so a steady-state epoch close is
     /// allocation-free apart from the owned carry vector
     /// (`tests/alloc_steady_state.rs` pins this).
     static DRAIN_POOL: std::cell::RefCell<Vec<InFlight>> =
@@ -2911,8 +2277,8 @@ thread_local! {
 /// state (in-flight ledger, controller, partial epoch). Events arrive
 /// through an iterator and are consumed exactly once — a materialized
 /// slice and a lazy cursor merge replay identically. `n_events` is the
-/// metering pre-size hint. The sequential reference engine is the
-/// degenerate call: all events, the initial carry, an unbounded window.
+/// metering pre-size hint. The single pass is the degenerate call: all
+/// events, the initial carry, an unbounded window.
 #[allow(clippy::too_many_arguments)]
 fn simulate_window<R: Recorder>(
     ctx: &ReplayCtx,
@@ -2929,17 +2295,12 @@ fn simulate_window<R: Recorder>(
     let mut ledger = SpotLedger::new(&ctx.market, start.caps);
     // A notice that fired before this window for a step still ahead:
     // re-mark its slots so the window starts under the same pending
-    // notice the sequential engine would be carrying (the notified
-    // placements were already counted when the notice fired).
+    // notice the single pass would be carrying (the notified placements
+    // were already counted when the notice fired).
     if let Some(next_caps) = start.notified_next {
         ledger.mark_notified(next_caps);
     }
-    let mut queue = CompletionQueue::new(
-        ctx.queue,
-        carry_in.inflight.len() + 64,
-        start_nanos,
-        end_nanos,
-    );
+    let mut queue = TimerWheel::acquire(start_nanos, end_nanos);
     for entry in &carry_in.inflight {
         let mut e = *entry;
         e.epoch = ledger.epoch(e.slot);
@@ -2981,7 +2342,7 @@ fn simulate_window<R: Recorder>(
     }
 
     // Close the window: completions, supply steps, and ticks strictly
-    // before the boundary still belong to it (the reference engine's
+    // before the boundary still belong to it (the single pass's
     // unbounded window skips this — no steps or ticks outlive the last
     // arrival).
     if end_nanos != u64::MAX {
@@ -2989,17 +2350,16 @@ fn simulate_window<R: Recorder>(
     }
 
     // Drain: live entries become the canonical carry-over (ascending
-    // key order — identical for both queue kinds). Ghost entries —
-    // their slot withdrawn since placement — drop silently: their fate
-    // was resolved and metered at the withdrawal step. The drain lands
-    // in a thread-pooled buffer that keeps its capacity across windows
-    // (the carry vector itself must be owned — it travels in the
-    // outcome — but the typically much larger ghost-laden drain does
-    // not).
+    // key order). Ghost entries — their slot withdrawn since placement
+    // — drop silently: their fate was resolved and metered at the
+    // withdrawal step. The drain lands in a thread-pooled buffer that
+    // keeps its capacity across epochs (the carry vector itself must be
+    // owned — it travels in the outcome — but the typically much larger
+    // ghost-laden drain does not).
     let inflight = DRAIN_POOL.with(|pool| {
         let mut remaining = pool.borrow_mut();
         remaining.clear();
-        std::mem::take(&mut sim.queue).drain_into(&mut remaining);
+        sim.queue.drain_into(&mut remaining);
         let mut inflight = Vec::with_capacity(remaining.len());
         for &e in remaining.iter() {
             if sim.ledger.is_live(&e) {
@@ -3037,27 +2397,20 @@ fn simulate_window<R: Recorder>(
     }
 }
 
-/// Reduces per-window metering into the fleet report: the windows'
-/// records are concatenated in window (= global arrival) order, and the
-/// whole remainder is folded ([`WindowMetering::fold`]) — the same
-/// arrival-order fold whether one window, many windows or a resumable
-/// run's already-folded prefix produced the records, which is what
-/// makes every engine bit-identical to the reference. Retry and hedge
-/// records then finish the reduction: attempt ≥ 2 adjustments re-bill
-/// their retry records, and their costs add after every first-attempt
-/// cost.
+/// Reduces the replay's metering into the fleet report: the whole
+/// remainder is folded ([`WindowMetering::fold`]) — the same
+/// arrival-order fold whether one window or a resumable run's
+/// already-folded prefix produced the records, which is what makes the
+/// epoch chain bit-identical to the single pass. Retry and hedge records
+/// then finish the reduction: attempt ≥ 2 adjustments re-bill their
+/// retry records, and their costs add after every first-attempt cost.
 fn reduce(
     strategy: PlacementStrategy,
     slo_theta: f64,
     invocations: usize,
-    meterings: Vec<WindowMetering>,
+    mut m: WindowMetering,
     controller: &'static str,
 ) -> FleetReport {
-    let mut windows = meterings.into_iter();
-    let mut m = windows.next().unwrap_or_default();
-    for w in windows {
-        m.absorb(&w);
-    }
     m.fold(invocations as u32, 1.0 + slo_theta);
     debug_assert!(m.costs.is_empty());
     let WindowMetering {
@@ -3070,8 +2423,8 @@ fn reduce(
         ..
     } = m;
     // Only attempt >= 2 adjustments survive the fold; each targets the
-    // matching retry record (a later window may re-bill a retry placed
-    // in an earlier one).
+    // matching retry record (a later step may re-bill a retry placed
+    // long before).
     let retry_pos: HashMap<(u32, u8), usize> = retries
         .iter()
         .enumerate()
@@ -3171,6 +2524,28 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// The lazy and materialized views of one generated six-function
+    /// trace.
+    fn traces(source: TraceSource, duration_secs: f64, seed: u64) -> (StreamTrace, Trace) {
+        let lazy =
+            StreamTrace::generate(source, FunctionKind::ALL.len(), duration_secs, seed).unwrap();
+        let full = lazy.materialize().unwrap();
+        (lazy, full)
+    }
+
+    /// The resumable epoch chain at `epoch_secs` epochs, uninterrupted.
+    fn chained(
+        sim: &FleetSimulator,
+        lazy: &StreamTrace,
+        strategy: PlacementStrategy,
+        config: &FleetConfig,
+        epoch_secs: f64,
+    ) -> FleetReport {
+        sim.run_stream_resumable(lazy, strategy, config, epoch_secs, None, |_| Ok(true))
+            .unwrap()
+            .expect("an uninterrupted run returns a report")
     }
 
     fn accounting_is_total(report: &FleetReport) {
@@ -3385,11 +2760,13 @@ mod tests {
     fn fault_plans_perturb_the_market_reproducibly() {
         let plans = make_plans(5);
         let sim = FleetSimulator::new(plans).unwrap();
-        let trace = TraceSource::Poisson {
-            rps_per_function: 4.0,
-        }
-        .generate(FunctionKind::ALL.len(), 60.0, 5)
-        .unwrap();
+        let (lazy, trace) = traces(
+            TraceSource::Poisson {
+                rps_per_function: 4.0,
+            },
+            60.0,
+            5,
+        );
         let calm = zoned_config(3, 3.0);
         let faulted = FleetConfig {
             faults: FaultPlan {
@@ -3435,19 +2812,17 @@ mod tests {
             .run(&trace, PlacementStrategy::IdleAware, &reseeded)
             .unwrap();
         assert_ne!(format!("{hit:?}"), format!("{other:?}"));
-        // The determinism lattice holds with faults enabled: windowed
-        // replay of the faulted market stays bit-identical.
-        for (threads, window_secs) in [(1, 3.0), (8, 17.0)] {
-            let windowed = sim
-                .run_windowed(
-                    &trace,
-                    PlacementStrategy::IdleAware,
-                    &faulted,
-                    threads,
-                    window_secs,
-                )
-                .unwrap();
-            assert_eq!(format!("{hit:?}"), format!("{windowed:?}"));
+        // The determinism lattice holds with faults enabled: the epoch
+        // chain over the faulted market stays bit-identical.
+        for epoch_secs in [3.0, 17.0] {
+            let epochs = chained(
+                &sim,
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &faulted,
+                epoch_secs,
+            );
+            assert_eq!(format!("{hit:?}"), format!("{epochs:?}"));
         }
     }
 
@@ -3457,11 +2832,10 @@ mod tests {
         // notice < tick — by aligning every recurring instant on the
         // same lattice: supply steps every 5 s, notices 5 s ahead (so
         // each notice clamps onto the previous step), controller ticks
-        // every 5 s, and window boundaries at 5 s and 2.5 s. Every step,
-        // notice, and tick lands exactly ON a window boundary, so each
-        // must be owned by exactly one window; any double-count or
-        // ordering drift breaks bit-identity with the sequential
-        // reference.
+        // every 5 s, and epoch boundaries at 5 s and 2.5 s. Every step,
+        // notice, and tick lands exactly ON an epoch boundary, so each
+        // must be owned by exactly one epoch; any double-count or
+        // ordering drift breaks bit-identity with the single pass.
         let plans = make_plans(5);
         let sim = FleetSimulator::new(plans).unwrap();
         let config = FleetConfig {
@@ -3486,33 +2860,31 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let trace = TraceSource::Poisson {
-            rps_per_function: 4.0,
-        }
-        .generate(FunctionKind::ALL.len(), 60.0, 5)
-        .unwrap();
+        let (lazy, trace) = traces(
+            TraceSource::Poisson {
+                rps_per_function: 4.0,
+            },
+            60.0,
+            5,
+        );
         let reference = sim
             .run(&trace, PlacementStrategy::IdleAware, &config)
             .unwrap();
         accounting_is_total(&reference);
         assert!(reference.notified > 0, "{reference:?}");
-        for threads in [1, 4] {
-            for window_secs in [2.5, 5.0] {
-                let windowed = sim
-                    .run_windowed(
-                        &trace,
-                        PlacementStrategy::IdleAware,
-                        &config,
-                        threads,
-                        window_secs,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    format!("{reference:?}"),
-                    format!("{windowed:?}"),
-                    "threads={threads} window={window_secs}"
-                );
-            }
+        for epoch_secs in [2.5, 5.0] {
+            let epochs = chained(
+                &sim,
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                epoch_secs,
+            );
+            assert_eq!(
+                format!("{reference:?}"),
+                format!("{epochs:?}"),
+                "epoch={epoch_secs}"
+            );
         }
     }
 
@@ -3642,7 +3014,7 @@ mod tests {
         );
         assert!(
             err.is_err(),
-            "a re-windowed replay must reject the snapshot"
+            "a replay at another cadence must reject the snapshot"
         );
     }
 
@@ -3845,6 +3217,152 @@ mod tests {
         assert!(format!("{err}").contains("version 3"), "{err}");
     }
 
+    /// A snapshot whose checksum matches can still carry a state that
+    /// does not fit the trace or fleet it resumes. Each case below
+    /// corrupts one field of a real mid-run snapshot, re-seals it, and
+    /// must make the resume return `Err` — never panic, and never
+    /// allocate without bound.
+    #[test]
+    fn corrupt_snapshots_fail_the_resume_instead_of_panicking() {
+        use crate::snapshot::tests::sealed;
+        const EPOCH_SECS: f64 = 25.0;
+        /// Snapshot header bytes before the stream checkpoint.
+        const HEADER: usize = 40;
+        let sim = FleetSimulator::new(make_plans(5)).unwrap();
+        let config = FleetConfig {
+            control: ControlConfig {
+                cadence_secs: 10.0,
+                controller: ControllerConfig::SurrogateRightSizer(RightSizerConfig::default()),
+            },
+            ..zoned_config(3, 3.0)
+        };
+        let mut rows = String::from("app,func,minute,count\n");
+        // Longer than the reader's lookahead, so it is mid-file at the
+        // first boundaries.
+        for minute in 0..20 {
+            for f in 0..FunctionKind::ALL.len() {
+                rows.push_str(&format!("app,f{f},{minute},{}\n", 20 + 7 * f));
+            }
+        }
+        let csv = StreamTrace::from_csv(&rows).unwrap();
+        let generated = traces(
+            TraceSource::Poisson {
+                rps_per_function: 2.0,
+            },
+            300.0,
+            3,
+        )
+        .0;
+        // The first boundary with work in flight and, for CSV, open
+        // rows in the reader's lookahead window; returned as the body
+        // (checksum stripped) and the checkpoint section's length.
+        let snapshot_of = |lazy: &StreamTrace| {
+            let mut found = None;
+            sim.run_stream_resumable(
+                lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                EPOCH_SECS,
+                None,
+                |s| {
+                    let mut cp = Wire::new();
+                    s.checkpoint.save(&mut cp);
+                    let cp = cp.into_bytes();
+                    let open_rows = cp[0] == 0 || cp[30..38] != [0; 8];
+                    let ready = open_rows && !s.carry.inflight.is_empty();
+                    if ready {
+                        let bytes = s.to_bytes();
+                        found = Some((bytes[..bytes.len() - 8].to_vec(), cp.len()));
+                    }
+                    Ok(!ready)
+                },
+            )
+            .unwrap();
+            found.expect("a boundary with work in flight")
+        };
+        let resume = |lazy: &StreamTrace, body: &[u8], patch: &dyn Fn(&mut Vec<u8>)| {
+            let mut corrupt = body.to_vec();
+            patch(&mut corrupt);
+            let snap = ReplaySnapshot::from_bytes(&sealed(corrupt))?;
+            sim.run_stream_resumable(
+                lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                EPOCH_SECS,
+                Some(&snap),
+                |_| Ok(true),
+            )
+        };
+        let put = |b: &mut Vec<u8>, at: usize, v: &[u8]| b[at..at + v.len()].copy_from_slice(v);
+        for (lazy, kind) in [(&csv, "csv"), (&generated, "generated")] {
+            let (body, cp_len) = snapshot_of(lazy);
+            let reference = sim
+                .run_stream(lazy, PlacementStrategy::IdleAware, &config)
+                .unwrap();
+            let intact = resume(lazy, &body, &|_| {}).unwrap().unwrap();
+            assert_eq!(format!("{reference:?}"), format!("{intact:?}"), "{kind}");
+            let boundary = u64::from_le_bytes(body[16..24].try_into().unwrap())
+                * u64::from_le_bytes(body[24..32].try_into().unwrap());
+            let first_inflight = HEADER + cp_len + 8;
+            let reject = |what: &str, patch: &dyn Fn(&mut Vec<u8>)| {
+                assert!(
+                    resume(lazy, &body, patch).is_err(),
+                    "{kind}: {what} resumed"
+                );
+            };
+            reject("carried completion before the boundary", &|b| {
+                put(b, first_inflight, &(boundary - 1).to_le_bytes())
+            });
+            reject("placement order naming an unknown alternate", &|b| {
+                let mut snap = ReplaySnapshot::from_bytes(&sealed(b.clone())).unwrap();
+                let order = snap.carry.control.orders.iter_mut().flatten().next();
+                order.expect("the right-sizer revised an order")[0] = u8::MAX;
+                let bytes = snap.to_bytes();
+                *b = bytes[..bytes.len() - 8].to_vec();
+            });
+            if kind == "csv" {
+                // Checkpoint layout: tag, file u32, offset u64, lineno
+                // u64, m_max u64, exhausted, row count u64, then rows of
+                // (next bits u64, function u32, minute u64, count u32,
+                // j u32).
+                let row = HEADER + 38;
+                reject("open row of an unknown function", &|b| {
+                    put(b, row + 8, &u32::MAX.to_le_bytes())
+                });
+                reject("line number past the scanned file", &|b| {
+                    put(b, HEADER + 13, &u64::MAX.to_le_bytes())
+                });
+                reject("reader exhausted before the events consumed", &|b| {
+                    b[HEADER + 29] = 1
+                });
+                reject("arrival before the boundary", &|b| {
+                    put(b, row, &1.0f64.to_bits().to_le_bytes())
+                });
+            } else {
+                // Checkpoint layout: tag, cursor count u64, then per
+                // cursor four RNG words, the clock and the horizon (66
+                // bytes for a Poisson cursor), then one tagged pending
+                // arrival per cursor.
+                const CURSOR: usize = 66;
+                let clock = HEADER + 9 + 32;
+                reject("cursor clock set to 0xFF", &|b| b[clock + 7] = 0xFF);
+                reject("cursor horizon set to 0xFF", &|b| b[clock + 15] = 0xFF);
+                reject("cursor count off the fleet", &|b| {
+                    let n = u64::from_le_bytes(b[HEADER + 1..HEADER + 9].try_into().unwrap());
+                    let pending = HEADER + 9 + CURSOR * n as usize;
+                    let (mut last, mut end) = (pending, pending);
+                    for _ in 0..n {
+                        last = end;
+                        end += if b[end] == 1 { 9 } else { 1 };
+                    }
+                    b.drain(last..end);
+                    b.drain(pending - CURSOR..pending);
+                    put(b, HEADER + 1, &(n - 1).to_le_bytes());
+                });
+            }
+        }
+    }
+
     #[test]
     fn admission_policy_gates_the_market() {
         let plans = make_plans(5);
@@ -3880,11 +3398,11 @@ mod tests {
     }
 
     #[test]
-    fn windowed_replay_is_bit_identical_to_sequential() {
+    fn epoch_chain_is_bit_identical_to_the_single_pass() {
         let plans = make_plans(5);
         let sim = FleetSimulator::new(plans).unwrap();
-        // A fluctuating, tightish market exercises demotion and
-        // reconciliation, not just happy-path speculation.
+        // A fluctuating, tightish market: demotions and admission
+        // control cross epoch boundaries, not just idle gaps.
         let config = FleetConfig {
             market: MarketConfig {
                 vms_per_family: 2,
@@ -3900,27 +3418,25 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let trace = TraceSource::Bursty {
-            calm_rps: 0.2,
-            burst_rps: 3.0,
-            mean_calm_secs: 30.0,
-            mean_burst_secs: 6.0,
-        }
-        .generate(FunctionKind::ALL.len(), 120.0, 5)
-        .unwrap();
+        let (lazy, trace) = traces(
+            TraceSource::Bursty {
+                calm_rps: 0.2,
+                burst_rps: 3.0,
+                mean_calm_secs: 30.0,
+                mean_burst_secs: 6.0,
+            },
+            120.0,
+            5,
+        );
         for strategy in PlacementStrategy::ALL {
             let seq = sim.run(&trace, strategy, &config).unwrap();
-            for threads in [1, 2, 8] {
-                for window_secs in [3.0, 17.0, 120.0] {
-                    let windowed = sim
-                        .run_windowed(&trace, strategy, &config, threads, window_secs)
-                        .unwrap();
-                    assert_eq!(
-                        format!("{seq:?}"),
-                        format!("{windowed:?}"),
-                        "{strategy:?} diverged at {threads} threads, {window_secs}s windows"
-                    );
-                }
+            for epoch_secs in [1.0, 3.0, 17.0, 120.0] {
+                let epochs = chained(&sim, &lazy, strategy, &config, epoch_secs);
+                assert_eq!(
+                    format!("{seq:?}"),
+                    format!("{epochs:?}"),
+                    "{strategy:?} diverged at {epoch_secs}s epochs"
+                );
             }
         }
     }
@@ -4087,17 +3603,19 @@ mod tests {
     }
 
     #[test]
-    fn every_controller_is_windowed_bit_identical() {
+    fn every_controller_is_epoch_chain_bit_identical() {
         let plans = make_plans(5);
         let sim = FleetSimulator::new(plans).unwrap();
-        let trace = TraceSource::Bursty {
-            calm_rps: 0.3,
-            burst_rps: 3.0,
-            mean_calm_secs: 25.0,
-            mean_burst_secs: 6.0,
-        }
-        .generate(FunctionKind::ALL.len(), 180.0, 9)
-        .unwrap();
+        let (lazy, trace) = traces(
+            TraceSource::Bursty {
+                calm_rps: 0.3,
+                burst_rps: 3.0,
+                mean_calm_secs: 25.0,
+                mean_burst_secs: 6.0,
+            },
+            180.0,
+            9,
+        );
         for controller in [
             ControllerConfig::Static,
             ControllerConfig::HeadroomPid(PidConfig::default()),
@@ -4107,26 +3625,23 @@ mod tests {
             let seq = sim
                 .run(&trace, PlacementStrategy::IdleAware, &config)
                 .unwrap();
-            for threads in [1, 4] {
-                // 7 s windows split every 10 s control epoch across
-                // boundaries, so carried accumulators and controller
-                // state really get exercised.
-                for window_secs in [7.0, 45.0] {
-                    let windowed = sim
-                        .run_windowed(
-                            &trace,
-                            PlacementStrategy::IdleAware,
-                            &config,
-                            threads,
-                            window_secs,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        format!("{seq:?}"),
-                        format!("{windowed:?}"),
-                        "{controller:?} diverged at {threads} threads, {window_secs}s windows"
-                    );
-                }
+            // 7 s epochs split every 10 s control epoch across
+            // boundaries, so carried accumulators and controller state
+            // really get exercised; 5 s epochs put every tick exactly on
+            // a boundary.
+            for epoch_secs in [5.0, 7.0, 45.0] {
+                let epochs = chained(
+                    &sim,
+                    &lazy,
+                    PlacementStrategy::IdleAware,
+                    &config,
+                    epoch_secs,
+                );
+                assert_eq!(
+                    format!("{seq:?}"),
+                    format!("{epochs:?}"),
+                    "{controller:?} diverged at {epoch_secs}s epochs"
+                );
             }
         }
     }
@@ -4171,149 +3686,34 @@ mod tests {
                 stats.peak_resident_events(),
                 full.len()
             );
-            for threads in [1, 4] {
-                for window_secs in [3.0, 45.0] {
-                    let windowed = sim
-                        .run_stream_windowed(&lazy, strategy, &config, threads, window_secs)
-                        .unwrap();
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{windowed:?}"),
-                        "{strategy:?} diverged at {threads} threads, {window_secs}s windows"
-                    );
-                }
+            for epoch_secs in [3.0, 45.0] {
+                let epochs = chained(&sim, &lazy, strategy, &config, epoch_secs);
+                assert_eq!(
+                    format!("{reference:?}"),
+                    format!("{epochs:?}"),
+                    "{strategy:?} diverged at {epoch_secs}s epochs"
+                );
             }
         }
-        // The streaming engines reject the same degenerate windows.
-        assert!(sim
-            .run_stream_windowed(&lazy, PlacementStrategy::IdleAware, &config, 2, 0.0)
-            .is_err());
-        assert!(sim
-            .run_stream_windowed(&lazy, PlacementStrategy::IdleAware, &config, 2, 1e-9)
-            .is_err());
+        // Degenerate epochs are rejected: zero, and one so short the
+        // trace would split into millions of epochs.
+        for epoch_secs in [0.0, 1e-9] {
+            assert!(sim
+                .run_stream_resumable(
+                    &lazy,
+                    PlacementStrategy::IdleAware,
+                    &config,
+                    epoch_secs,
+                    None,
+                    |_| Ok(true)
+                )
+                .is_err());
+        }
         // A mis-sized fleet is rejected identically.
         let small = StreamTrace::generate(source, 3, 30.0, 1).unwrap();
         assert!(sim
             .run_stream(&small, PlacementStrategy::IdleAware, &config)
             .is_err());
-    }
-
-    #[test]
-    fn replay_config_knobs_stay_bit_identical_and_force_the_fallback() {
-        let plans = make_plans(5);
-        let sim = FleetSimulator::new(plans).unwrap();
-        // A volatile market under feedback control: carried state is
-        // never trivially empty, so speculation genuinely has to work.
-        let config = volatile_config(ControllerConfig::HeadroomPid(PidConfig::default()));
-        let lazy = StreamTrace::generate(
-            TraceSource::HeavyTail {
-                mean_rps: 2.0,
-                alpha: 1.5,
-            },
-            FunctionKind::ALL.len(),
-            300.0,
-            5,
-        )
-        .unwrap();
-        let reference = sim
-            .run(
-                &lazy.materialize().unwrap(),
-                PlacementStrategy::IdleAware,
-                &config,
-            )
-            .unwrap();
-        // The sorted-drain queue is the wheel's reference order: same
-        // report, bit for bit.
-        let sorted = sim
-            .run_stream_windowed_with(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                &ReplayConfig {
-                    completion_queue: CompletionQueueKind::SortedDrain,
-                    ..ReplayConfig::default()
-                },
-                4,
-                7.0,
-            )
-            .unwrap();
-        assert_eq!(format!("{reference:?}"), format!("{sorted:?}"));
-        // A zero round budget bails out after the first speculative
-        // round, forcing the sequential exact-carry fallback — still
-        // bit-identical, and the stats prove the fallback actually ran.
-        let (report, stats) = sim
-            .run_stream_windowed_with_stats(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                &ReplayConfig {
-                    max_speculative_rounds: 0,
-                    stall_margin: 0,
-                    ..ReplayConfig::default()
-                },
-                4,
-                7.0,
-            )
-            .unwrap();
-        assert_eq!(format!("{reference:?}"), format!("{report:?}"));
-        assert!(
-            stats.fallback_windows > 0,
-            "a zero round budget must re-run stale windows sequentially"
-        );
-    }
-
-    #[test]
-    fn ladder_memory_stays_sqrt_of_windows() {
-        let plans = make_plans(5);
-        let sim = FleetSimulator::new(plans).unwrap();
-        let config = FleetConfig::default();
-        // 1 s windows over a 10-minute trace: enough boundaries that
-        // O(W) and O(√W) pre-pass memory are an order of magnitude
-        // apart.
-        let lazy = StreamTrace::generate(
-            TraceSource::Poisson {
-                rps_per_function: 1.0,
-            },
-            FunctionKind::ALL.len(),
-            600.0,
-            7,
-        )
-        .unwrap();
-        let (report, stats) = sim
-            .run_stream_windowed_with_stats(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                &ReplayConfig::default(),
-                4,
-                1.0,
-            )
-            .unwrap();
-        let reference = sim
-            .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
-            .unwrap();
-        assert_eq!(format!("{reference:?}"), format!("{report:?}"));
-        let n = (lazy.horizon_nanos() / 1_000_000_000) as usize + 1;
-        assert!(n > 500, "the trace must split into many windows, got {n}");
-        let stride = isqrt_ceil(n);
-        // The pre-pass held O(√W) anchors — far below one checkpoint
-        // per boundary — each O(functions) in size.
-        assert_eq!(stats.ladder_anchors, n.div_ceil(stride));
-        assert!(
-            stats.ladder_anchors <= stride,
-            "{} anchors exceed √{n}",
-            stats.ladder_anchors
-        );
-        assert!(stats.ladder_anchors < n / 4);
-        assert_eq!(stats.peak_cursor_resident, FunctionKind::ALL.len());
-        // Re-derived boundaries cost bounded forward drains: each
-        // derivation skips fewer than one stride's worth of the trace,
-        // so a full pass over the windows re-drains at most
-        // (stride − 1) × events, and a window runs at most once per
-        // speculative round plus the fallback pass.
-        let max_passes = ReplayConfig::default().max_speculative_rounds + 2;
-        assert!(stats.ladder_redrain_events > 0);
-        assert!(stats.ladder_redrain_events <= max_passes * (stride - 1) * stats.events);
     }
 
     #[test]
@@ -4338,28 +3738,27 @@ mod tests {
             ),
             Err(FreedomError::InvalidArgument(_))
         ));
-        let ok = Trace::poisson(10.0, 0.5, 1).unwrap();
-        // Bad window, SLO theta, and market parameters.
-        assert!(sim
-            .run_windowed(
-                &ok,
-                PlacementStrategy::IdleAware,
-                &FleetConfig::default(),
-                2,
-                0.0
-            )
-            .is_err());
-        // A window absurdly small for the trace span is rejected before
-        // any per-window bookkeeping is allocated.
-        assert!(sim
-            .run_windowed(
-                &ok,
-                PlacementStrategy::IdleAware,
-                &FleetConfig::default(),
-                2,
-                1e-9
-            )
-            .is_err());
+        let (lazy, ok) = traces(
+            TraceSource::Poisson {
+                rps_per_function: 0.5,
+            },
+            10.0,
+            1,
+        );
+        // Bad epoch, SLO theta, and market parameters. An epoch absurdly
+        // small for the trace span is rejected before any epoch runs.
+        for epoch_secs in [0.0, f64::NAN, 1e-9] {
+            assert!(sim
+                .run_stream_resumable(
+                    &lazy,
+                    PlacementStrategy::IdleAware,
+                    &FleetConfig::default(),
+                    epoch_secs,
+                    None,
+                    |_| Ok(true)
+                )
+                .is_err());
+        }
         assert!(sim
             .run(
                 &ok,

@@ -18,7 +18,7 @@
 //!   emitting both placements and a market admission policy;
 //! - [`market`] and [`fleet`]: the shared cross-function spot market
 //!   (supply process, capacity ledger, admission control) and the
-//!   windowed trace replay that simulates a whole fleet against it;
+//!   sequential trace replay that simulates a whole fleet against it;
 //! - [`stream`]: the constant-memory trace pipeline — resumable
 //!   per-function event cursors ([`stream::StreamTrace`]) replayed by
 //!   `FleetSimulator::run_stream` with peak memory O(functions +
@@ -35,7 +35,7 @@
 //!   brownout mode that sheds retries before fresh arrivals under
 //!   retry-pressure overload;
 //! - [`snapshot`]: versioned crash-resume snapshots — the stream
-//!   checkpoint plus the windowed carry serialized at epoch boundaries
+//!   checkpoint plus the carried state serialized at epoch boundaries
 //!   so a killed replay resumes bit-identically;
 //! - [`telemetry`]: the zero-allocation observability layer — the
 //!   replay engines are generic over a

@@ -599,28 +599,9 @@ impl Ord for InFlight {
     }
 }
 
-/// Whether two carry-over states are identical — the speculation check of
-/// the windowed replay. Entries are canonically sorted (queue-drain
-/// order), so element-wise comparison suffices; every field participates,
-/// costs bit-for-bit.
-pub(crate) fn carry_eq(a: &[InFlight], b: &[InFlight]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.key() == y.key()
-                && x.milli == y.milli
-                && x.mib == y.mib
-                && x.list_cost_usd.to_bits() == y.list_cost_usd.to_bits()
-                && x.meta == y.meta
-        })
-}
-
 /// Word-wise FNV-1a with a splitmix64 finisher — the structural hash
-/// behind carry fingerprinting. Reconciliation compares fingerprints
-/// first and only falls back to the field-by-field `carry_eq` /
-/// `control_state_eq` walk on mismatch, so clean windows verify in
-/// O(1). The hash covers exactly the fields those comparators read
-/// (notably *excluding* `InFlight::epoch`), keeping `fp(a) == fp(b)`
-/// whenever the bit-exact compare would say equal.
+/// behind the resumable replay's fingerprint, which a snapshot carries
+/// so it cannot resume a different replay.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv64(u64);
 
@@ -643,20 +624,6 @@ impl Fnv64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
-    }
-}
-
-/// Hashes a canonically sorted in-flight ledger, field-for-field what
-/// [`carry_eq`] compares: length, then per entry the key triple plus
-/// reservation and cost bits, epoch excluded.
-pub(crate) fn hash_inflight(h: &mut Fnv64, entries: &[InFlight]) {
-    h.write(entries.len() as u64);
-    for e in entries {
-        h.write(e.completion_nanos);
-        h.write((u64::from(e.slot) << 32) | u64::from(e.idx));
-        h.write((u64::from(e.milli) << 32) | u64::from(e.mib));
-        h.write(e.list_cost_usd.to_bits());
-        h.write(u64::from(e.meta));
     }
 }
 
@@ -757,6 +724,25 @@ impl SpotLedger {
         slot.free_mib -= entry.mib;
         Self::insert_resident(&mut self.residents[entry.slot as usize], entry);
         self.occupied_milli += entry.milli as u64;
+    }
+
+    /// [`SpotLedger::restore`] for an entry from outside the replay — a
+    /// decoded snapshot's carry: restores it only when its slot exists,
+    /// is available under the current caps, and has room for the
+    /// reservation, and reports whether it did.
+    pub fn try_restore(&mut self, entry: &InFlight) -> bool {
+        let flat = entry.slot as usize;
+        let vms = self.vms_per_family as usize;
+        let fits = self
+            .avail
+            .get(flat / vms)
+            .is_some_and(|&avail| flat % vms < avail as usize)
+            && self.slots[flat].free_milli >= entry.milli
+            && self.slots[flat].free_mib >= entry.mib;
+        if fits {
+            self.restore(entry);
+        }
+        fits
     }
 
     /// Records a resident with an O(1) append. Resident order is not
@@ -1506,28 +1492,5 @@ mod tests {
             .is_err());
         }
         assert!(MarketConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn carry_equality_is_exact() {
-        let entry = InFlight {
-            completion_nanos: 10,
-            slot: 1,
-            idx: 0,
-            epoch: 3,
-            milli: 500,
-            mib: 256,
-            list_cost_usd: 0.25,
-            meta: InFlight::meta_of(RUN_NORMAL, 1),
-        };
-        let mut other = entry;
-        other.epoch = 0; // epoch is not part of the carried identity
-        assert!(carry_eq(&[entry], &[other]));
-        other.list_cost_usd = 0.26;
-        assert!(!carry_eq(&[entry], &[other]));
-        assert!(!carry_eq(&[entry], &[]));
-        let mut other = entry;
-        other.meta = InFlight::meta_of(RUN_ABORT, 2);
-        assert!(!carry_eq(&[entry], &[other]), "meta is carried identity");
     }
 }

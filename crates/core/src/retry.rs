@@ -6,21 +6,21 @@
 //! half of that machinery: [`RetryPolicy`] names the backoff curve,
 //! attempt cap, per-family retry budget, hedging delay, and brownout
 //! thresholds as plain data, and [`RetryBudget`] / [`PendingRetry`] are
-//! the carried state the replay engines thread through the windowed
-//! carry. Everything here is a pure function of `(policy, invocation
-//! identity, simulated time)`:
+//! the carried state the replay threads across epoch boundaries.
+//! Everything here is a pure function of `(policy, invocation identity,
+//! simulated time)`:
 //!
 //! - **Backoff** is exponential with *seeded* jitter: the delay before
 //!   attempt `k` is `base * 2^(k-2)` capped at `backoff_cap_secs`, then
 //!   scaled by a deterministic per-`(seed, idx, attempt)` hash draw —
-//!   never a wall-clock or shared-RNG quantity, so the windowed engines
-//!   schedule the identical retry instant.
+//!   never a wall-clock or shared-RNG quantity, so a resumed replay
+//!   schedules the identical retry instant.
 //! - **Budgets** are token buckets *in simulated time*: each instance
 //!   family refills at `budget_per_sec` up to `budget_burst`, and every
 //!   retry admission spends one token. Refill is lazy fixed-point
 //!   integer math on the bucket's own last-refill timestamp, so the
 //!   token sequence depends only on the (deterministic) sequence of
-//!   spend instants — not on window boundaries.
+//!   spend instants — not on epoch boundaries.
 //! - **Hedging** re-issues a straggler's work after `hedge_delay_secs`
 //!   and lets the copies race; the winner defines the invocation's
 //!   latency. Hedges spend no retry budget and never fault.
@@ -217,9 +217,9 @@ impl Default for RetryPolicy {
 ///
 /// These are first-class events in the replay: within one instant the
 /// engines order event classes `completion < step < notice < retry <
-/// tick`, and pending entries that outlive a window are carried — sorted
-/// by [`PendingRetry::key`] — into the next one, so windowed replay
-/// fires them bit-identically to the sequential walk.
+/// tick`, and pending entries that outlive an epoch are carried — sorted
+/// by [`PendingRetry::key`] — into the next one, so the epoch chain
+/// fires them bit-identically to the single pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PendingRetry {
     /// Fire instant, simulated nanoseconds.

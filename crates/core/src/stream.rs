@@ -19,14 +19,16 @@
 //!   drain the same [`GenCursor`](crate::trace)); the CSV reader shares
 //!   the materialized parser's row grammar and spread formula, and its
 //!   bounded-lookahead merge is exact for every file it accepts.
-//! - **Checkpoint / rewind.** [`EventStream::checkpoint`] captures the
+//! - **Checkpoint / resume.** [`EventStream::checkpoint`] captures the
 //!   stream's position (per-function generator states and pending
 //!   events; for CSV, the file index and decompressed byte offset plus
 //!   open rows); [`StreamTrace::open_at`] reopens the stream there,
-//!   replaying the identical suffix. This is how the windowed fleet
-//!   replay re-seeks a window by epoch — and re-runs it during
-//!   reconciliation by rewinding to the same checkpoint — without ever
-//!   holding the merged view.
+//!   replaying the identical suffix. The resumable fleet replay stores
+//!   one in every snapshot and resumes from it without ever holding the
+//!   merged view. `open_at` rejects a checkpoint that does not fit the
+//!   trace, and a CSV stream that meets bytes its scan did not see ends
+//!   early and reports why ([`EventStream::fault`]) instead of
+//!   panicking.
 //! - **CSV lookahead.** Rows may arrive out of minute order by at most
 //!   [`CSV_LOOKAHEAD_MINUTES`]; the reader buffers the open rows of that
 //!   sliding window (its only super-constant state) and rejects files
@@ -83,7 +85,7 @@ pub const READAHEAD_CHUNK: usize = 256 * 1024;
 pub const READAHEAD_DEPTH: usize = 4;
 
 /// Where the CSV bytes live. `Mem` shares the buffer across reopened
-/// streams; `File` reopens and seeks, so parallel windows each hold one
+/// streams; `File` reopens and seeks, so a reopened stream holds one
 /// descriptor and a chunk — never the file.
 #[derive(Debug, Clone)]
 enum CsvBytes {
@@ -699,6 +701,7 @@ impl StreamTrace {
                     m_max: 0,
                     exhausted: false,
                     peak_open: 0,
+                    fault: None,
                 }),
             }),
         }
@@ -706,14 +709,42 @@ impl StreamTrace {
 
     /// Reopens the stream at a checkpoint previously taken from one of
     /// this trace's streams, replaying the identical suffix — the
-    /// windowed replay's epoch re-seek. Returns
+    /// resumable replay's restart position. Returns
     /// [`FreedomError::InvalidArgument`] when the checkpoint belongs to
-    /// the other stream kind.
+    /// the other stream kind or does not fit this trace: a cursor count
+    /// other than the function count, a generator whose parameters or
+    /// clock are not this trace's, or a CSV position past the scanned
+    /// lines or holding a row of an unknown function.
     pub fn open_at(&self, cp: &StreamCheckpoint) -> Result<EventStream<'_>> {
+        let misfit = || {
+            Err(FreedomError::InvalidArgument(
+                "stream checkpoint does not fit this trace".into(),
+            ))
+        };
         match (&self.spec, &cp.imp) {
-            (StreamSpec::Synthetic { .. }, CpImp::Merge { cursors, pending }) => Ok(EventStream {
-                imp: StreamImp::Merge(MergeStream::new(cursors.clone(), pending.clone())),
-            }),
+            (
+                StreamSpec::Synthetic {
+                    source,
+                    duration_secs,
+                    seed,
+                },
+                CpImp::Merge { cursors, pending },
+            ) => {
+                let fits = cursors.len() == self.n_functions
+                    && cursors.iter().enumerate().all(|(f, c)| {
+                        c.fits(&GenCursor::new(
+                            source,
+                            *duration_secs,
+                            stream_seed(*seed, f),
+                        ))
+                    });
+                if !fits {
+                    return misfit();
+                }
+                Ok(EventStream {
+                    imp: StreamImp::Merge(MergeStream::new(cursors.clone(), pending.clone())),
+                })
+            }
             (
                 StreamSpec::Csv {
                     files,
@@ -721,93 +752,38 @@ impl StreamTrace {
                     chunk,
                 },
                 CpImp::Csv(state),
-            ) => Ok(EventStream {
-                imp: StreamImp::Csv(CsvStream {
-                    reader: MultiFileLines::open_at(
-                        files,
-                        state.file as usize,
-                        state.offset,
-                        state.lineno,
-                        *chunk,
-                    )?,
-                    row_fn,
-                    heap: state.rows.iter().cloned().map(Reverse).collect(),
-                    m_max: state.m_max,
-                    exhausted: state.exhausted,
-                    peak_open: state.rows.len(),
-                }),
-            }),
+            ) => {
+                let fits = row_fn
+                    .get(state.file as usize)
+                    .is_some_and(|lines| state.lineno <= lines.len())
+                    && state
+                        .rows
+                        .iter()
+                        .all(|r| (r.function as usize) < self.n_functions);
+                if !fits {
+                    return misfit();
+                }
+                Ok(EventStream {
+                    imp: StreamImp::Csv(CsvStream {
+                        reader: MultiFileLines::open_at(
+                            files,
+                            state.file as usize,
+                            state.offset,
+                            state.lineno,
+                            *chunk,
+                        )?,
+                        row_fn,
+                        heap: state.rows.iter().cloned().map(Reverse).collect(),
+                        m_max: state.m_max,
+                        exhausted: state.exhausted,
+                        peak_open: state.rows.len(),
+                        fault: None,
+                    }),
+                })
+            }
             _ => Err(FreedomError::InvalidArgument(
                 "stream checkpoint does not belong to this trace kind".into(),
             )),
-        }
-    }
-
-    /// Checkpoints positioned at each of `boundaries` (integer
-    /// nanoseconds, non-decreasing): checkpoint `i` resumes at the first
-    /// event with `event_nanos(at_secs) >= boundaries[i]` — exactly the
-    /// position a sequential drain-to-boundary walk of `open()` reaches.
-    /// This is the windowed replay's **checkpoint ladder** anchor pass.
-    ///
-    /// Synthetic traces derive all anchors sharded over `threads`
-    /// workers: which arrivals a function has consumed at a time
-    /// boundary depends only on that function's own stream, never on
-    /// the merge interleaving, so per-function cursor walks compose
-    /// into checkpoints bit-identical to the sequential walk's. CSV
-    /// traces fall back to one sequential drain (the reader's lookahead
-    /// window is inherently serial).
-    pub fn checkpoints_at(
-        &self,
-        boundaries: &[u64],
-        threads: usize,
-    ) -> Result<Vec<StreamCheckpoint>> {
-        debug_assert!(
-            boundaries.windows(2).all(|w| w[0] <= w[1]),
-            "ladder boundaries must be non-decreasing"
-        );
-        match &self.spec {
-            StreamSpec::Synthetic {
-                source,
-                duration_secs,
-                seed,
-            } => {
-                let per_fn = freedom_parallel::par_run(self.n_functions, threads, |f| {
-                    let mut c = GenCursor::new(source, *duration_secs, stream_seed(*seed, f));
-                    let mut pending = c.next_arrival();
-                    let mut states = Vec::with_capacity(boundaries.len());
-                    for &t in boundaries {
-                        while pending.is_some_and(|p| event_nanos(p) < t) {
-                            pending = c.next_arrival();
-                        }
-                        states.push((c.clone(), pending));
-                    }
-                    states
-                });
-                Ok((0..boundaries.len())
-                    .map(|b| {
-                        let mut cursors = Vec::with_capacity(self.n_functions);
-                        let mut pending = Vec::with_capacity(self.n_functions);
-                        for states in &per_fn {
-                            cursors.push(states[b].0.clone());
-                            pending.push(states[b].1);
-                        }
-                        StreamCheckpoint {
-                            imp: CpImp::Merge { cursors, pending },
-                        }
-                    })
-                    .collect())
-            }
-            StreamSpec::Csv { .. } => {
-                let mut stream = self.open()?;
-                let mut out = Vec::with_capacity(boundaries.len());
-                for &t in boundaries {
-                    while stream.peek().is_some_and(|e| event_nanos(e.at_secs) < t) {
-                        stream.next();
-                    }
-                    out.push(stream.checkpoint());
-                }
-                Ok(out)
-            }
         }
     }
 
@@ -1064,6 +1040,17 @@ impl<'a> EventStream<'a> {
         }
     }
 
+    /// The error that ended this stream early, if any — the CSV bytes
+    /// changed between scan and replay, or the stream was reopened at a
+    /// checkpoint that does not match them. A faulted stream yields no
+    /// further events; a replay checks this once it stops pulling.
+    pub fn fault(&mut self) -> Result<()> {
+        match &mut self.imp {
+            StreamImp::Csv(c) => c.fault.take().map_or(Ok(()), Err),
+            StreamImp::Merge(_) => Ok(()),
+        }
+    }
+
     /// Draining iterator over the remaining events.
     pub fn events<'s>(&'s mut self) -> impl Iterator<Item = TraceEvent> + use<'s, 'a> {
         std::iter::from_fn(move || self.next())
@@ -1217,6 +1204,8 @@ struct CsvStream<'a> {
     m_max: u64,
     exhausted: bool,
     peak_open: usize,
+    /// Why the stream ended early ([`EventStream::fault`]).
+    fault: Option<FreedomError>,
 }
 
 impl CsvStream<'_> {
@@ -1262,51 +1251,49 @@ impl CsvStream<'_> {
     }
 
     /// Reads one more row into the lookahead window. The scan pass
-    /// already validated the whole input, so a failure here means the
-    /// bytes changed between scan and replay — an environment error the
-    /// replay cannot recover from mid-simulation.
+    /// already validated the whole input, so a row that fails to read,
+    /// parse, respect the lookahead bound or match the scan's line table
+    /// means the bytes changed between scan and replay, or the stream
+    /// was reopened at a position the scan never produced: the reader
+    /// records the fault and ends the stream.
     fn read_row(&mut self) {
-        let line = self
-            .reader
-            .next_line()
-            .expect("trace CSV changed between scan and replay");
-        let Some((lineno, line)) = line else {
-            self.exhausted = true;
-            return;
+        let (lineno, line) = match self.reader.next_line() {
+            Ok(Some(next)) => next,
+            Ok(None) => {
+                self.exhausted = true;
+                return;
+            }
+            Err(e) => return self.fail(e),
         };
         // The replay only needs the numeric columns — the function index
         // comes from the scan's dense table — so parse `minute,count`
         // straight off the last two comma-separated fields. Anything the
         // fast path cannot read numerically (the header, blank lines)
         // goes through the shared validating parser, which classifies it
-        // exactly as the scan pass did or panics on changed bytes.
+        // exactly as the scan pass did.
         let (minute, count) = match fast_minute_count(line.as_bytes()) {
             Some(mc) => mc,
-            None => {
-                let Some(row) =
-                    parse_csv_row(line, lineno).expect("trace CSV validated at scan time")
-                else {
-                    return;
-                };
-                (row.minute, row.count)
-            }
+            None => match parse_csv_row(line, lineno) {
+                Ok(Some(row)) => (row.minute, row.count),
+                Ok(None) => return,
+                Err(e) => return self.fail(e),
+            },
         };
-        assert!(
-            minute.saturating_add(CSV_LOOKAHEAD_MINUTES) >= self.m_max,
-            "trace CSV changed between scan and replay: line {} breaks the lookahead bound",
-            lineno + 1
-        );
+        let function = self.row_fn[self.reader.file_idx()]
+            .get(lineno)
+            .copied()
+            .unwrap_or(u32::MAX);
+        if function == u32::MAX || minute.saturating_add(CSV_LOOKAHEAD_MINUTES) < self.m_max {
+            return self.fail(FreedomError::InvalidArgument(format!(
+                "trace CSV line {} does not match the scan: the bytes changed or the \
+                 stream was reopened at a position the scan never produced",
+                lineno + 1
+            )));
+        }
         self.m_max = self.m_max.max(minute);
         if count == 0 {
             return;
         }
-        let function = self.row_fn[self.reader.file_idx()][lineno];
-        debug_assert_ne!(
-            function,
-            u32::MAX,
-            "trace CSV validated at scan time: line {} is a data row",
-            lineno + 1
-        );
         self.heap.push(Reverse(OpenRow {
             next_bits: minute_event(minute, 0, count).to_bits(),
             function,
@@ -1315,6 +1302,14 @@ impl CsvStream<'_> {
             j: 0,
         }));
         self.peak_open = self.peak_open.max(self.heap.len());
+    }
+
+    /// Ends the stream on a fault: no further row is read and no open
+    /// row is emitted.
+    fn fail(&mut self, e: FreedomError) {
+        self.fault = Some(e);
+        self.heap.clear();
+        self.exhausted = true;
     }
 }
 
@@ -1824,37 +1819,54 @@ mod tests {
     }
 
     #[test]
-    fn sharded_boundary_checkpoints_match_the_sequential_walk() {
-        // The ladder pass (`checkpoints_at`) must produce checkpoints
-        // whose suffixes are bit-identical to those of a sequential
-        // drain-to-boundary walk — for synthetic shards and the serial
-        // CSV fallback alike.
-        let window = event_nanos(25.0);
+    fn boundary_checkpoints_reopen_onto_their_epoch() {
+        // A resumable replay checkpoints the stream at every epoch
+        // boundary by draining up to it; reopening each checkpoint must
+        // replay exactly the suffix of the merged view from the
+        // boundary's first arrival — for synthetic cursors and the CSV
+        // reader's lookahead window alike.
+        let epoch = event_nanos(25.0);
         let traces = [
             StreamTrace::generate(SOURCES[1], 6, 120.0, 9).unwrap(),
             StreamTrace::from_csv(AZURE_FIXTURE).unwrap(),
         ];
         for lazy in traces {
-            let boundaries: Vec<u64> = (0..6).map(|k| k * window).collect();
-            // Reference: one sequential walk over the merged stream.
+            let all = drain(&mut lazy.open().unwrap());
             let mut stream = lazy.open().unwrap();
-            let mut reference = Vec::new();
-            for &t in &boundaries {
-                while stream.peek().is_some_and(|e| event_nanos(e.at_secs) < t) {
+            for k in 0..6u64 {
+                let boundary = k * epoch;
+                while stream
+                    .peek()
+                    .is_some_and(|e| event_nanos(e.at_secs) < boundary)
+                {
                     stream.next();
                 }
-                reference.push(stream.checkpoint());
-            }
-            for threads in [1, 4] {
-                let ladder = lazy.checkpoints_at(&boundaries, threads).unwrap();
-                assert_eq!(ladder.len(), reference.len());
-                for (k, (a, b)) in ladder.iter().zip(&reference).enumerate() {
-                    let ours = drain(&mut lazy.open_at(a).unwrap());
-                    let theirs = drain(&mut lazy.open_at(b).unwrap());
-                    assert_eq!(ours, theirs, "boundary {k}, threads {threads}");
-                }
+                let first = all.partition_point(|e| event_nanos(e.at_secs) < boundary);
+                let suffix = drain(&mut lazy.open_at(&stream.checkpoint()).unwrap());
+                assert_eq!(suffix.as_slice(), &all[first..], "boundary {k}");
             }
         }
+    }
+
+    #[test]
+    fn misfit_checkpoints_are_rejected() {
+        // A checkpoint from a trace with a different fleet size or
+        // generator does not fit, and neither does a CSV position past
+        // the scanned lines.
+        let lazy = StreamTrace::generate(SOURCES[0], 6, 60.0, 1).unwrap();
+        for other in [
+            StreamTrace::generate(SOURCES[0], 5, 60.0, 1).unwrap(),
+            StreamTrace::generate(SOURCES[3], 6, 60.0, 1).unwrap(),
+            StreamTrace::generate(SOURCES[0], 6, 90.0, 1).unwrap(),
+        ] {
+            let cp = other.open().unwrap().checkpoint();
+            assert!(lazy.open_at(&cp).is_err());
+        }
+        let csv = StreamTrace::from_csv("a,f,0,2\nb,g,1,3\n").unwrap();
+        let short = StreamTrace::from_csv("a,f,0,2\n").unwrap();
+        let mut stream = csv.open().unwrap();
+        while stream.next().is_some() {}
+        assert!(short.open_at(&stream.checkpoint()).is_err());
     }
 
     #[test]

@@ -125,51 +125,11 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Epoch cursors over the merged view: splits the event stream into
-    /// consecutive time windows of `window_nanos` each, returning one
-    /// index range per window (possibly empty for idle windows). The
-    /// ranges partition `0..len()`, cover `[0, last_arrival]`, and are
-    /// found by successive `partition_point` binary searches — the input
-    /// the windowed fleet replay fans out over.
-    ///
-    /// Returns an empty vector for an empty trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `window_nanos` is zero, or when the window is so far
-    /// below the trace's span that it would cut more than
-    /// [`MAX_WINDOWS`] windows (the per-window bookkeeping would dwarf
-    /// the trace itself). `FleetSimulator::run_windowed` pre-checks both
-    /// and returns an error instead.
-    pub fn window_bounds(&self, window_nanos: u64) -> Vec<std::ops::Range<usize>> {
-        assert!(window_nanos > 0, "window must be non-empty");
-        let Some(last) = self.events.last() else {
-            return Vec::new();
-        };
-        assert!(
-            event_nanos(last.at_secs) / window_nanos < MAX_WINDOWS,
-            "window of {window_nanos}ns cuts this trace into more than {MAX_WINDOWS} windows"
-        );
-        let n_windows = (event_nanos(last.at_secs) / window_nanos) as usize + 1;
-        let mut bounds = Vec::with_capacity(n_windows);
-        let mut start = 0usize;
-        for k in 1..=n_windows as u64 {
-            let boundary = k.saturating_mul(window_nanos);
-            let end =
-                start + self.events[start..].partition_point(|e| event_nanos(e.at_secs) < boundary);
-            bounds.push(start..end);
-            start = end;
-        }
-        debug_assert_eq!(start, self.events.len());
-        bounds
-    }
 }
 
-/// Upper bound on the number of replay windows [`Trace::window_bounds`]
-/// will cut: a window size far below the trace's span would otherwise
-/// allocate per-window bookkeeping for billions of (almost all empty)
-/// windows before simulating anything.
+/// Upper bound on the number of epochs a resumable replay cuts a trace
+/// into: an epoch far below the trace's span would otherwise spend the
+/// replay on billions of (almost all empty) epochs and snapshots.
 pub const MAX_WINDOWS: u64 = 1 << 22;
 
 /// An arrival time in the integer nanoseconds the fleet simulator orders
@@ -392,13 +352,11 @@ impl TraceSource {
 ///
 /// A cursor is a pure function of `(source, duration, seed)`: cloning it
 /// checkpoints the stream at its current position, and restoring the
-/// clone replays the identical suffix — the property the windowed
-/// replay's checkpoint ladder ([`crate::stream::StreamCheckpoint`],
-/// one anchor every ⌈√W⌉ window boundaries) rests on: an anchor is a
-/// snapshot of every function's cursor, and any window between two
-/// anchors is reached by a bounded forward drain from the earlier one.
-/// [`TraceSource::stream`] drains a fresh cursor into a `Vec`, so
-/// the materialized and streaming representations never diverge.
+/// clone replays the identical suffix — the property a resumable
+/// replay's stream checkpoint ([`crate::stream::StreamCheckpoint`], one
+/// cursor per function) rests on. [`TraceSource::stream`] drains a
+/// fresh cursor into a `Vec`, so the materialized and streaming
+/// representations never diverge.
 #[derive(Debug, Clone)]
 pub(crate) struct GenCursor {
     rng: StdRng,
@@ -615,6 +573,73 @@ impl GenCursor {
             mode,
             rate_hint,
         })
+    }
+
+    /// Whether a restored cursor belongs to the stream `fresh` starts:
+    /// the same horizon, variant and rate parameters, and — unless it is
+    /// exhausted — a clock inside the horizon (and a burst switch not
+    /// behind it). A corrupt checkpoint that passes cannot park the
+    /// generator in a state that never advances.
+    pub(crate) fn fits(&self, fresh: &GenCursor) -> bool {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        let (params, clock) = match (&self.mode, &fresh.mode) {
+            (GenMode::Poisson { rate }, GenMode::Poisson { rate: r }) => (same(*rate, *r), true),
+            (
+                GenMode::Bursty {
+                    calm_rps,
+                    burst_rps,
+                    mean_calm_secs,
+                    mean_burst_secs,
+                    switch_at,
+                    ..
+                },
+                GenMode::Bursty {
+                    calm_rps: c,
+                    burst_rps: b,
+                    mean_calm_secs: mc,
+                    mean_burst_secs: mb,
+                    ..
+                },
+            ) => (
+                same(*calm_rps, *c)
+                    && same(*burst_rps, *b)
+                    && same(*mean_calm_secs, *mc)
+                    && same(*mean_burst_secs, *mb),
+                *switch_at >= self.t,
+            ),
+            (
+                GenMode::Diurnal {
+                    mean_rps,
+                    amp,
+                    rate_max,
+                    period_secs,
+                },
+                GenMode::Diurnal {
+                    mean_rps: m,
+                    amp: a,
+                    rate_max: r,
+                    period_secs: p,
+                },
+            ) => (
+                same(*mean_rps, *m)
+                    && same(*amp, *a)
+                    && same(*rate_max, *r)
+                    && same(*period_secs, *p),
+                true,
+            ),
+            (
+                GenMode::HeavyTail { alpha, scale },
+                GenMode::HeavyTail {
+                    alpha: a,
+                    scale: sc,
+                },
+            ) => (same(*alpha, *a) && same(*scale, *sc), true),
+            _ => (false, false),
+        };
+        params
+            && same(self.duration, fresh.duration)
+            && same(self.rate_hint, fresh.rate_hint)
+            && (self.done || (clock && self.t >= 0.0 && self.t < self.duration))
     }
 
     /// The next arrival strictly inside `(0, duration)`, or `None`
@@ -930,38 +955,6 @@ mod tests {
         assert!(p.generate(0, 100.0, 1).is_err());
         assert!(p.generate(4, -5.0, 1).is_err());
         assert!(p.generate(4, f64::NAN, 1).is_err());
-    }
-
-    #[test]
-    fn window_bounds_partition_the_merged_view() {
-        let trace = TraceSource::Bursty {
-            calm_rps: 0.3,
-            burst_rps: 3.0,
-            mean_calm_secs: 20.0,
-            mean_burst_secs: 5.0,
-        }
-        .generate(8, 120.0, 3)
-        .unwrap();
-        for window_secs in [1u64, 7, 10, 60, 1000] {
-            let window_nanos = window_secs * 1_000_000_000;
-            let bounds = trace.window_bounds(window_nanos);
-            // Consecutive, disjoint, and covering.
-            let mut expected_start = 0;
-            for (k, range) in bounds.iter().enumerate() {
-                assert_eq!(range.start, expected_start);
-                expected_start = range.end;
-                for e in &trace.events()[range.clone()] {
-                    let nanos = event_nanos(e.at_secs);
-                    assert!(nanos / window_nanos == k as u64, "event outside window {k}");
-                }
-            }
-            assert_eq!(expected_start, trace.len());
-            // The last window holds the last event.
-            assert!(!bounds.last().unwrap().is_empty());
-        }
-        // Empty traces have no windows.
-        let empty = Trace::from_streams(vec![Vec::new(), Vec::new()]);
-        assert!(empty.window_bounds(1_000_000_000).is_empty());
     }
 
     const AZURE_FIXTURE: &str = include_str!("../testdata/azure_sample.csv");

@@ -1,6 +1,5 @@
 //! The completion queue of the replay's event core: a hierarchical
-//! timer wheel keyed on integer completion nanoseconds, with a
-//! binary-heap sorted-drain fallback.
+//! timer wheel keyed on integer completion nanoseconds.
 //!
 //! Every arrival pushes one [`InFlight`] completion and every advance
 //! pops the due ones back out in `(completion_nanos, slot, idx)` order.
@@ -11,14 +10,12 @@
 //!
 //! # Completion-order guarantee
 //!
-//! Both [`CompletionQueue`] variants surface entries in **exactly** the
-//! total order [`InFlight`] defines — time, then slot, then arrival
-//! index. Two entries due at the same nanosecond land in the same finest
-//! bucket, and buckets are drained sorted, so the wheel's pop sequence is
-//! bit-identical to the heap's. That makes the queue choice an engine
-//! knob ([`crate::fleet::ReplayConfig`]), never an observable: the
-//! determinism lattice pins `Wheel ≡ Sorted` alongside `windowed ≡
-//! sequential`.
+//! The wheel surfaces entries in **exactly** the total order
+//! [`InFlight`] defines — time, then slot, then arrival index — the
+//! order a binary min-heap pops them in. Two entries due at the same
+//! nanosecond land in the same finest bucket, and buckets are drained
+//! sorted, so the wheel's pop sequence is bit-identical to the heap's;
+//! the model tests below pin it against a `BinaryHeap` oracle.
 //!
 //! The one contract the wheel adds over a heap: time may not run
 //! backwards. [`TimerWheel::next_due`] advances the internal cursor at
@@ -37,9 +34,6 @@
 //! its old slot and is filtered by the ledger's epoch check when it
 //! pops, and same-instant entries across zones drain in the usual
 //! `(time, slot, idx)` order.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::market::InFlight;
 
@@ -60,113 +54,6 @@ const LEVELS: usize = 8;
 
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 
-/// Which completion-queue implementation the replay engines drive
-/// events with. The two are bit-identical in completion order (see the
-/// module docs); the wheel is the fast default, the sorted drain the
-/// reference fallback the determinism lattice compares it against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CompletionQueueKind {
-    /// Hierarchical timer wheel: `O(1)` amortized push/pop.
-    #[default]
-    TimerWheel,
-    /// Binary min-heap: `O(log n)` per event, the reference order.
-    SortedDrain,
-}
-
-/// The completion queue behind [`crate::fleet`]'s window simulation.
-pub(crate) enum CompletionQueue {
-    Wheel(TimerWheel),
-    Sorted(BinaryHeap<Reverse<InFlight>>),
-}
-
-impl Default for CompletionQueue {
-    fn default() -> Self {
-        CompletionQueue::Sorted(BinaryHeap::new())
-    }
-}
-
-impl CompletionQueue {
-    /// An empty queue expecting roughly `capacity` entries, none of them
-    /// completing before `start` (the window's start instant — the
-    /// wheel's cursor begins there) and none of them popped at or after
-    /// `horizon` (the window's end — completions beyond it bypass the
-    /// wheel's buckets entirely, see [`TimerWheel`]).
-    pub fn new(kind: CompletionQueueKind, capacity: usize, start: u64, horizon: u64) -> Self {
-        match kind {
-            CompletionQueueKind::TimerWheel => {
-                CompletionQueue::Wheel(TimerWheel::acquire(start, horizon))
-            }
-            CompletionQueueKind::SortedDrain => {
-                CompletionQueue::Sorted(BinaryHeap::with_capacity(capacity))
-            }
-        }
-    }
-
-    /// Entries currently queued.
-    pub fn len(&self) -> usize {
-        match self {
-            CompletionQueue::Wheel(w) => w.len(),
-            CompletionQueue::Sorted(h) => h.len(),
-        }
-    }
-
-    pub fn push(&mut self, entry: InFlight) {
-        match self {
-            CompletionQueue::Wheel(w) => w.push(entry),
-            CompletionQueue::Sorted(h) => h.push(Reverse(entry)),
-        }
-    }
-
-    /// Completion instant of the earliest entry due at or before
-    /// `limit`, without consuming it.
-    pub fn next_due(&mut self, limit: u64) -> Option<u64> {
-        match self {
-            CompletionQueue::Wheel(w) => w.next_due(limit),
-            CompletionQueue::Sorted(h) => h
-                .peek()
-                .map(|Reverse(e)| e.completion_nanos)
-                .filter(|&v| v <= limit),
-        }
-    }
-
-    /// Pops the entry a preceding [`CompletionQueue::next_due`] surfaced.
-    pub fn pop_due(&mut self) -> InFlight {
-        match self {
-            CompletionQueue::Wheel(w) => w.pop_due(),
-            CompletionQueue::Sorted(h) => h.pop().expect("next_due surfaced an entry").0,
-        }
-    }
-
-    /// Consumes the queue, returning every remaining entry in ascending
-    /// `(completion_nanos, slot, idx)` order — the window-close drain.
-    #[cfg(test)]
-    pub fn into_sorted(self) -> Vec<InFlight> {
-        let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
-    }
-
-    /// The window-close drain without the per-window allocation:
-    /// consumes the queue and appends every remaining entry to `out` in
-    /// ascending `(completion_nanos, slot, idx)` order. The replay
-    /// passes a pooled buffer that keeps its capacity across windows, so
-    /// a steady-state window drains allocation-free.
-    pub fn drain_into(self, out: &mut Vec<InFlight>) {
-        match self {
-            CompletionQueue::Wheel(mut w) => {
-                w.drain_sorted_into(out);
-                w.release();
-            }
-            CompletionQueue::Sorted(mut h) => {
-                out.reserve(h.len());
-                while let Some(Reverse(e)) = h.pop() {
-                    out.push(e);
-                }
-            }
-        }
-    }
-}
-
 /// Hierarchical timer wheel over integer completion nanoseconds.
 ///
 /// `levels[l][s]` buckets entries whose completion time shares the
@@ -178,11 +65,11 @@ pub(crate) struct TimerWheel {
     levels: Box<[[Vec<InFlight>; SLOTS]; LEVELS]>,
     /// Completions at or beyond `horizon` in arrival order. A window
     /// never advances past its own end, so boundary-crossing
-    /// completions — roughly the whole in-flight carry, half of all
-    /// pushes at 10-second windows — can never pop during the window.
-    /// Bucketing them would pay placement plus a cascade per level the
-    /// cursor crosses, only to drain them at close anyway; a flat list
-    /// sorted once at [`TimerWheel::into_sorted`] pays one push.
+    /// completions — roughly the whole in-flight carry at short epochs
+    /// — can never pop during the window. Bucketing them would pay
+    /// placement plus a cascade per level the cursor crosses, only to
+    /// drain them at close anyway; a flat list sorted once at the
+    /// close ([`TimerWheel::drain_into`]) pays one push.
     overflow: Vec<InFlight>,
     /// Exclusive upper bound on every `limit` passed to
     /// [`TimerWheel::next_due`]: the window's end instant.
@@ -371,24 +258,24 @@ impl TimerWheel {
         e
     }
 
-    /// Drains the wheel, returning every entry in ascending key order
-    /// and leaving it empty.
+    /// Drains the wheel, returning every entry in ascending key order.
     #[cfg(test)]
-    pub fn into_sorted(mut self) -> Vec<InFlight> {
+    pub fn into_sorted(self) -> Vec<InFlight> {
         let mut out = Vec::new();
-        self.drain_sorted_into(&mut out);
-        self.release();
+        self.drain_into(&mut out);
         out
     }
 
-    /// Appends every queued entry to `out` in ascending key order and
-    /// leaves the wheel empty. The occupancy bitmaps make this walk only
-    /// the non-empty buckets; emptied buckets — the overflow list
-    /// included — keep their capacity, so a recycled wheel
-    /// ([`TimerWheel::acquire`]) simulates its next window
-    /// allocation-free. The sort covers only the appended suffix, so the
-    /// caller's buffer may carry unrelated prior contents.
-    fn drain_sorted_into(&mut self, out: &mut Vec<InFlight>) {
+    /// The window-close drain: consumes the wheel, appends every queued
+    /// entry to `out` in ascending `(completion_nanos, slot, idx)` order,
+    /// and hands the emptied wheel back to this thread's pool. The
+    /// occupancy bitmaps make this walk only the non-empty buckets;
+    /// emptied buckets — the overflow list included — keep their
+    /// capacity, so a recycled wheel ([`TimerWheel::acquire`]) simulates
+    /// its next window allocation-free. The sort covers only the
+    /// appended suffix, so the caller's buffer may carry unrelated prior
+    /// contents.
+    pub fn drain_into(mut self, out: &mut Vec<InFlight>) {
         let from = out.len();
         out.reserve(self.len + self.overflow.len());
         out.append(&mut self.overflow);
@@ -404,25 +291,16 @@ impl TimerWheel {
         }
         out[from..].sort_unstable_by_key(|e| (e.completion_nanos, e.slot, e.idx));
         self.len = 0;
-    }
-
-    /// Hands a drained wheel back to the thread-local pool for the next
-    /// window on this thread.
-    fn release(self) {
-        debug_assert!(
-            self.len == 0 && self.overflow.is_empty(),
-            "released wheels must be drained"
-        );
         POOL.with(|pool| *pool.borrow_mut() = Some(self));
     }
 
     /// A wheel with its cursor at `start`, recycled from this thread's
-    /// pool when a previous window returned one. A day-scale windowed
-    /// replay opens one wheel per window; constructing each from scratch
-    /// pays a 512-`Vec` zeroing plus fresh bucket allocations per
-    /// window, which at 10-second windows costs more than the event
-    /// loop itself. The pooled wheel is already empty (every drain path
-    /// clears it) and its buckets keep their capacities warm.
+    /// pool when a previous window returned one. A resumable replay
+    /// opens one wheel per epoch; constructing each from scratch pays a
+    /// 512-`Vec` zeroing plus fresh bucket allocations per epoch, which
+    /// at short epochs costs more than the event loop itself. The pooled
+    /// wheel is already empty (every drain path clears it) and its
+    /// buckets keep their capacities warm.
     pub fn acquire(start: u64, horizon: u64) -> Self {
         match POOL.with(|pool| pool.borrow_mut().take()) {
             Some(mut wheel) => {
@@ -438,7 +316,7 @@ impl TimerWheel {
 thread_local! {
     /// Per-thread wheel cache backing [`TimerWheel::acquire`]. One slot
     /// suffices: each window simulation holds exactly one wheel at a
-    /// time, and replay worker threads simulate windows sequentially.
+    /// time, and a thread simulates its windows one after another.
     static POOL: std::cell::RefCell<Option<TimerWheel>> = const { std::cell::RefCell::new(None) };
 }
 
@@ -447,6 +325,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn entry(t: u64, slot: u32, idx: u32) -> InFlight {
         InFlight {
@@ -607,33 +487,5 @@ mod tests {
             assert_eq!(wheel.pop_due().idx, i as u32);
         }
         assert_eq!(wheel.next_due(u64::MAX), None);
-    }
-
-    #[test]
-    fn queue_kinds_agree_end_to_end() {
-        let mut rng = StdRng::seed_from_u64(42);
-        for kind in [
-            CompletionQueueKind::TimerWheel,
-            CompletionQueueKind::SortedDrain,
-        ] {
-            let mut q = CompletionQueue::new(kind, 8, 0, u64::MAX);
-            let mut clock = 0u64;
-            let mut popped = Vec::new();
-            for i in 0..200u32 {
-                clock += rng.gen_range(0..1u64 << 22);
-                q.push(entry(clock + rng.gen_range(0..1u64 << 24), 0, i));
-                while let Some(due) = q.next_due(clock) {
-                    let e = q.pop_due();
-                    assert_eq!(e.completion_nanos, due);
-                    popped.push(e.key());
-                }
-            }
-            popped.extend(q.into_sorted().iter().map(|e| e.key()));
-            assert_eq!(popped.len(), 200);
-            assert!(popped.windows(2).all(|w| w[0] <= w[1]), "{kind:?}");
-            // The schedule is deterministic, so both kinds pop the
-            // exact same sequence.
-            rng = StdRng::seed_from_u64(42);
-        }
     }
 }

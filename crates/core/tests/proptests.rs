@@ -1,8 +1,8 @@
 //! Property-based tests for the framework-level invariants.
 
 use freedom::fleet::{
-    AdmissionPolicy, BrownoutConfig, FaultPlan, FleetConfig, FleetSimulator, FunctionPlan,
-    PlacementStrategy, RetryPolicy, SupplyProcess, Trace, TraceSource, ZoneConfig,
+    AdmissionPolicy, BrownoutConfig, FaultPlan, FleetConfig, FleetReport, FleetSimulator,
+    FunctionPlan, PlacementStrategy, RetryPolicy, SupplyProcess, Trace, TraceSource, ZoneConfig,
 };
 use freedom::interfaces::hierarchical_ideal;
 use freedom::market::MarketConfig;
@@ -240,12 +240,12 @@ fn nanos(at_secs: f64) -> u64 {
 
 /// The streaming pipeline's ground truth: a lazily-opened stream must
 /// yield exactly the materialized trace's events (same bits, same
-/// order), and the checkpoint-per-epoch re-seek the windowed replay
-/// performs must partition the stream exactly like
-/// `Trace::window_bounds` partitions the merged view.
+/// order), and a checkpoint taken at every epoch boundary — what the
+/// resumable replay snapshots — must reopen onto exactly the slice of
+/// the merged view whose arrivals fall in that epoch.
 fn check_stream_matches_materialized(
     lazy: &StreamTrace,
-    window_nanos: u64,
+    epoch_nanos: u64,
 ) -> Result<(), proptest::TestCaseError> {
     let full = lazy.materialize().expect("materialize");
     prop_assert_eq!(lazy.n_functions(), full.n_functions());
@@ -270,26 +270,31 @@ fn check_stream_matches_materialized(
         nanos(full.events().last().unwrap().at_secs)
     );
     // Epoch partition: walk the stream once, checkpointing at each
-    // window boundary (the engine's pre-pass); re-opening checkpoint k
-    // must replay exactly the `window_bounds` slice of window k.
-    let bounds = full.window_bounds(window_nanos);
+    // epoch boundary; re-opening checkpoint k must replay exactly the
+    // slice of the merged view that epoch k's arrivals occupy.
+    let events = full.events();
+    let n_epochs = nanos(events.last().unwrap().at_secs) / epoch_nanos + 1;
     let mut walk = lazy.open().expect("open");
-    for (k, range) in bounds.iter().enumerate() {
+    let mut lo = 0usize;
+    for k in 0..n_epochs {
+        let end = (k + 1).saturating_mul(epoch_nanos);
+        let hi = lo + events[lo..].partition_point(|e| nanos(e.at_secs) < end);
         let cp = walk.checkpoint();
-        let end = (k as u64 + 1).saturating_mul(window_nanos);
         let mut count = 0usize;
         while walk.peek().is_some_and(|e| nanos(e.at_secs) < end) {
             walk.next();
             count += 1;
         }
-        prop_assert_eq!(count, range.len(), "window {} miscounted", k);
-        let mut window = lazy.open_at(&cp).expect("re-seek");
-        for expect in &full.events()[range.clone()] {
-            let got = window.next().expect("window ended early");
+        prop_assert_eq!(count, hi - lo, "epoch {} miscounted", k);
+        let mut epoch = lazy.open_at(&cp).expect("re-seek");
+        for expect in &events[lo..hi] {
+            let got = epoch.next().expect("epoch ended early");
             prop_assert_eq!(got.at_secs.to_bits(), expect.at_secs.to_bits());
             prop_assert_eq!(got.function, expect.function);
         }
+        lo = hi;
     }
+    prop_assert_eq!(lo, events.len(), "epochs left arrivals uncovered");
     Ok(())
 }
 
@@ -297,7 +302,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Streaming ≡ materialize-then-sort for every generator family
-    /// under random parameters, fleet sizes, seeds, and window sizes.
+    /// under random parameters, fleet sizes, seeds, and epoch sizes.
     #[test]
     fn streaming_generators_match_materialized(
         rate in 0.1f64..2.0,
@@ -307,7 +312,7 @@ proptest! {
         alpha in 1.1f64..3.0,
         n in 1usize..12,
         seed in 0u64..1_000_000,
-        window_secs in 1u64..40,
+        epoch_secs in 1u64..40,
     ) {
         let duration = 90.0;
         let sources = [
@@ -327,7 +332,7 @@ proptest! {
         ];
         for source in sources {
             let lazy = StreamTrace::generate(source, n, duration, seed).expect("valid parameters");
-            check_stream_matches_materialized(&lazy, window_secs * 1_000_000_000)?;
+            check_stream_matches_materialized(&lazy, epoch_secs * 1_000_000_000)?;
             // The scan fans out bit-identically.
             let sharded = StreamTrace::generate_sharded(source, n, duration, seed, 8)
                 .expect("valid parameters");
@@ -347,7 +352,7 @@ proptest! {
             1..25,
         ),
         chunk in 1usize..64,
-        window_secs in 1u64..10,
+        epoch_secs in 1u64..10,
     ) {
         // Minutes follow a non-decreasing base walk with backward jitter
         // capped below the streaming reader's lookahead bound.
@@ -359,16 +364,16 @@ proptest! {
             csv.push_str(&format!("app{app},f{func},{minute},{count}\n"));
         }
         let lazy = StreamTrace::from_csv_chunked(&csv, chunk).expect("within lookahead bound");
-        check_stream_matches_materialized(&lazy, window_secs * 1_000_000_000)?;
+        check_stream_matches_materialized(&lazy, epoch_secs * 1_000_000_000)?;
     }
 
     /// Multi-file ingestion ≡ the concatenated single file: a random row
     /// soup cut at arbitrary line boundaries into 2–5 files — cuts land
     /// mid-minute, backward jitter straddles the seams, a random subset
     /// of the files is gzip'd, and empty files are legal — must replay
-    /// the exact event bits of the uncut CSV, partition identically
-    /// under `window_bounds`, and `checkpoint()`/`open_at()` re-seeks
-    /// must land correctly in whichever file a window starts in.
+    /// the exact event bits of the uncut CSV, and `checkpoint()` /
+    /// `open_at()` re-seeks must land correctly in whichever file an
+    /// epoch starts in.
     #[test]
     fn multi_file_csv_ingestion_matches_single_file(
         rows in prop::collection::vec(
@@ -378,7 +383,7 @@ proptest! {
         raw_cuts in prop::collection::vec(0usize..1000, 1..5),
         gz_mask in 0u8..64,
         chunk in 1usize..64,
-        window_secs in 1u64..10,
+        epoch_secs in 1u64..10,
     ) {
         let mut lines: Vec<String> = Vec::new();
         let mut base = 0u64;
@@ -424,154 +429,103 @@ proptest! {
         }
         prop_assert!(stream.next().is_none(), "multi-file stream yielded extra events");
 
-        // window_bounds partitions and checkpoint re-seeks across files.
-        check_stream_matches_materialized(&lazy, window_secs * 1_000_000_000)?;
+        // Epoch partitions and checkpoint re-seeks across files.
+        check_stream_matches_materialized(&lazy, epoch_secs * 1_000_000_000)?;
     }
-}
 
-/// Emulates the engine's sqrt-spaced checkpoint ladder over a stream
-/// and checks that every window replayed from a ladder anchor (anchor
-/// checkpoint + bounded forward drain to the boundary) is bit-identical
-/// to a direct `checkpoint()`-per-boundary walk and to the materialized
-/// `window_bounds` slice — including zero-length windows (no arrivals
-/// between boundaries) and the final partial window.
-fn check_ladder_matches_direct(
-    lazy: &StreamTrace,
-    window_nanos: u64,
-    threads: usize,
-) -> Result<(), proptest::TestCaseError> {
-    let full = lazy.materialize().expect("materialize");
-    if full.is_empty() {
-        return Ok(());
-    }
-    let bounds = full.window_bounds(window_nanos);
-    let n = bounds.len();
-    // Direct reference: one sequential walk, checkpointing at every
-    // boundary — the engine's pre-PR-6 pre-pass.
-    let mut walk = lazy.open().expect("open");
-    let mut direct = Vec::with_capacity(n);
-    for k in 0..n {
-        direct.push(walk.checkpoint());
-        let end = (k as u64 + 1).saturating_mul(window_nanos);
-        while walk.peek().is_some_and(|e| nanos(e.at_secs) < end) {
-            walk.next();
-        }
-    }
-    // The ladder: O(sqrt(windows)) anchors derived in one sharded pass,
-    // intermediate boundaries re-derived by bounded forward drains.
-    let stride = (1usize..).find(|s| s * s >= n).expect("sqrt exists");
-    let anchor_bounds: Vec<u64> = (0..n)
-        .step_by(stride)
-        .map(|k| (k as u64).saturating_mul(window_nanos))
-        .collect();
-    let anchors = lazy
-        .checkpoints_at(&anchor_bounds, threads)
-        .expect("ladder pre-pass");
-    prop_assert_eq!(anchors.len(), anchor_bounds.len());
-    for (k, range) in bounds.iter().enumerate() {
-        let start = (k as u64).saturating_mul(window_nanos);
-        let end = (k as u64 + 1).saturating_mul(window_nanos);
-        let mut derived = lazy.open_at(&anchors[k / stride]).expect("re-seek anchor");
-        while derived.peek().is_some_and(|e| nanos(e.at_secs) < start) {
-            derived.next();
-        }
-        let mut reference = lazy.open_at(&direct[k]).expect("re-seek direct");
-        for expect in &full.events()[range.clone()] {
-            let via_ladder = derived.next().expect("ladder window ended early");
-            let via_direct = reference.next().expect("direct window ended early");
-            prop_assert_eq!(
-                via_ladder.at_secs.to_bits(),
-                expect.at_secs.to_bits(),
-                "window {} diverged via the ladder",
-                k
-            );
-            prop_assert_eq!(via_ladder.function, expect.function, "window {}", k);
-            prop_assert_eq!(
-                via_direct.at_secs.to_bits(),
-                expect.at_secs.to_bits(),
-                "window {} diverged via direct checkpoints",
-                k
-            );
-            prop_assert_eq!(via_direct.function, expect.function, "window {}", k);
-        }
-        // Both cursors must now sit exactly on boundary k+1 (or the
-        // stream's end), so the partition has no leaks between windows.
-        match (derived.peek(), reference.peek()) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.at_secs.to_bits(), b.at_secs.to_bits());
-                prop_assert_eq!(a.function, b.function);
-                prop_assert!(nanos(a.at_secs) >= end, "window {} leaked an event", k);
-            }
-            (None, None) => {}
-            _ => prop_assert!(false, "cursors disagree past window {}", k),
-        }
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Ladder-derived boundary checkpoints replay every window suffix
-    /// bit-identically to direct checkpoint-per-boundary walks for all
-    /// four synthetic generators under random parameters, fleet sizes,
-    /// seeds, window sizes (including windows larger than the whole
-    /// trace), and shard counts.
+    /// Arbitrary ingest bytes never panic: a valid multi-file row soup —
+    /// a random subset of the parts gzip'd — has bytes flipped,
+    /// overwritten and cut off anywhere, headers and gzip members
+    /// included. Construction must either fail with an error or accept
+    /// the bytes, and an accepted trace must drain cleanly: exactly its
+    /// scanned event count, no reader fault.
     #[test]
-    fn ladder_checkpoints_match_direct_for_every_generator(
-        rate in 0.1f64..2.0,
-        alpha in 1.1f64..3.0,
-        ratio in 1.0f64..6.0,
-        n in 1usize..12,
-        seed in 0u64..1_000_000,
-        window_secs in 1u64..120,
-        threads in 1usize..5,
-    ) {
-        let duration = 90.0;
-        let sources = [
-            TraceSource::Poisson { rps_per_function: rate },
-            TraceSource::Bursty {
-                calm_rps: 0.05,
-                burst_rps: 2.0,
-                mean_calm_secs: 30.0,
-                mean_burst_secs: 6.0,
-            },
-            TraceSource::Diurnal {
-                mean_rps: rate,
-                peak_to_trough: ratio,
-                period_secs: 120.0,
-            },
-            TraceSource::HeavyTail { mean_rps: rate, alpha },
-        ];
-        for source in sources {
-            let lazy = StreamTrace::generate(source, n, duration, seed).expect("valid parameters");
-            check_ladder_matches_direct(&lazy, window_secs * 1_000_000_000, threads)?;
-        }
-    }
-
-    /// The same ladder-vs-direct equivalence for streamed CSV ingestion,
-    /// where checkpoint derivation has to respect the chunked reader's
-    /// lookahead window instead of a per-function generator cursor.
-    #[test]
-    fn ladder_checkpoints_match_direct_for_csv_streams(
+    fn corrupted_ingest_bytes_error_or_drain_cleanly(
         rows in prop::collection::vec(
-            (0u8..3, 0u8..3, 0u64..3, 0u64..5, 0u64..40),
-            1..25,
+            (0u8..3, 0u8..4, 0u64..3, 0u64..5, 0u64..40),
+            1..30,
         ),
-        chunk in 1usize..64,
-        window_secs in 1u64..10,
-        threads in 1usize..5,
+        n_parts in 1usize..4,
+        gz_mask in 0u8..8,
+        edits in prop::collection::vec((0usize..3, 0usize..4096, 0u8..3, 0u8..=255), 1..6),
     ) {
-        let mut csv = String::new();
+        let mut lines: Vec<String> = vec!["app,func,minute,count\n".to_string()];
         let mut base = 0u64;
         for &(app, func, advance, back, count) in &rows {
             base += advance;
             let minute = base.saturating_sub(back);
-            csv.push_str(&format!("app{app},f{func},{minute},{count}\n"));
+            lines.push(format!("app{app},f{func},{minute},{count}\n"));
         }
-        let lazy = StreamTrace::from_csv_chunked(&csv, chunk).expect("within lookahead bound");
-        check_ladder_matches_direct(&lazy, window_secs * 1_000_000_000, threads)?;
+        let per_part = lines.len().div_ceil(n_parts);
+        let mut parts: Vec<Vec<u8>> = lines
+            .chunks(per_part)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let text = chunk.concat();
+                if gz_mask & (1 << i) != 0 {
+                    flate::gzip_compress(text.as_bytes(), flate::CompressMode::FixedHuffman)
+                } else {
+                    text.into_bytes()
+                }
+            })
+            .collect();
+        for &(part, pos, op, value) in &edits {
+            let n = parts.len();
+            let bytes = &mut parts[part % n];
+            if bytes.is_empty() {
+                continue;
+            }
+            let at = pos % bytes.len();
+            match op {
+                0 => bytes[at] ^= 1 << (value % 8),
+                1 => bytes[at] = value,
+                _ => bytes.truncate(at),
+            }
+        }
+        let refs: Vec<&[u8]> = parts.iter().map(|p| p.as_slice()).collect();
+        if let Ok(trace) = StreamTrace::from_csv_parts(&refs) {
+            let mut stream = trace.open().expect("a scanned trace opens");
+            let drained = stream.events().count();
+            prop_assert!(stream.fault().is_ok(), "scanned bytes faulted on replay");
+            prop_assert_eq!(drained, trace.len(), "drain disagrees with the scan");
+        }
     }
+}
+
+/// The ten-function heavy-tail trace the market proptests replay, lazy
+/// and materialized.
+fn market_trace(seed: u64) -> (StreamTrace, Trace) {
+    let lazy = StreamTrace::generate(
+        TraceSource::HeavyTail {
+            mean_rps: 1.0,
+            alpha: 1.4,
+        },
+        10,
+        60.0,
+        seed,
+    )
+    .expect("valid parameters");
+    let full = lazy.materialize().expect("materialize");
+    (lazy, full)
+}
+
+/// Epoch sizes the market proptests chain at: most divide the default
+/// 30 s control cadence, so ticks land exactly on epoch boundaries; 7 s
+/// and 17 s never do.
+const EPOCHS: [f64; 7] = [1.0, 2.5, 5.0, 7.0, 10.0, 17.0, 60.0];
+
+/// Replays `lazy` through the resumable epoch chain at `epoch_secs`
+/// epochs, uninterrupted.
+fn chained(
+    sim: &FleetSimulator,
+    lazy: &StreamTrace,
+    strategy: PlacementStrategy,
+    config: &FleetConfig,
+    epoch_secs: f64,
+) -> FleetReport {
+    sim.run_stream_resumable(lazy, strategy, config, epoch_secs, None, |_| Ok(true))
+        .expect("replay")
+        .expect("an uninterrupted run returns a report")
 }
 
 /// A cheap ten-function fleet for market proptests (the six benchmark
@@ -622,9 +576,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The admission ledger is total for any supply process, market
-    /// size, admission policy, and window partition: every request ends
-    /// as exactly one of admitted / demoted / rejected, and the windowed
-    /// engine agrees with the sequential reference bit for bit.
+    /// size, admission policy, and epoch partition: every request ends
+    /// as exactly one of admitted / demoted / rejected, and the
+    /// resumable epoch chain agrees with the single pass bit for bit.
     #[test]
     fn market_accounting_is_total_for_random_supplies(
         trace_seed in 0u64..10_000,
@@ -634,13 +588,11 @@ proptest! {
         vms_per_family in 1usize..5,
         max_utilization in 0.0f64..1.0,
         greedy in 0u32..2,
-        window_secs in 1.0f64..90.0,
+        epoch_secs in prop::sample::select(EPOCHS.to_vec()),
     ) {
         let plans = market_fixture();
         let sim = FleetSimulator::new(plans.clone()).expect("non-empty fleet");
-        let trace = TraceSource::HeavyTail { mean_rps: 1.0, alpha: 1.4 }
-            .generate(10, 60.0, trace_seed)
-            .expect("valid parameters");
+        let (lazy, trace) = market_trace(trace_seed);
         let config = FleetConfig {
             market: MarketConfig {
                 vms_per_family,
@@ -665,13 +617,11 @@ proptest! {
             prop_assert!(report.policy_rejections + report.capacity_misses <= report.rejected);
             prop_assert!(report.total_cost_usd > 0.0 || trace.is_empty());
             prop_assert!(report.spot_share() <= 1.0);
-            let windowed = sim
-                .run_windowed(&trace, strategy, &config, 4, window_secs)
-                .expect("replay");
+            let epochs = chained(&sim, &lazy, strategy, &config, epoch_secs);
             prop_assert_eq!(
                 format!("{:?}", report),
-                format!("{:?}", windowed),
-                "windowed engine diverged"
+                format!("{:?}", epochs),
+                "epoch chain diverged"
             );
         }
     }
@@ -681,7 +631,7 @@ proptest! {
     /// dropped notice deliveries, every request still ends in exactly
     /// one of the five terminal classes — admitted, drained, migrated,
     /// demoted, rejected — notices only ever hit outstanding spot
-    /// placements, and the windowed engine stays bit-identical.
+    /// placements, and the resumable epoch chain stays bit-identical.
     #[test]
     fn fault_injected_markets_keep_total_accounting(
         trace_seed in 0u64..10_000,
@@ -695,13 +645,11 @@ proptest! {
         notice_drop_fraction in 0.0f64..1.0,
         burst_rate in 0.0f64..120.0,
         burst_severity in 0.0f64..1.0,
-        window_secs in 1.0f64..90.0,
+        epoch_secs in prop::sample::select(EPOCHS.to_vec()),
     ) {
         let plans = market_fixture();
         let sim = FleetSimulator::new(plans.clone()).expect("non-empty fleet");
-        let trace = TraceSource::HeavyTail { mean_rps: 1.0, alpha: 1.4 }
-            .generate(10, 60.0, trace_seed)
-            .expect("valid parameters");
+        let (lazy, trace) = market_trace(trace_seed);
         let config = FleetConfig {
             market: MarketConfig {
                 vms_per_family: 2,
@@ -765,13 +713,11 @@ proptest! {
             if n_zones == 1 {
                 prop_assert_eq!(report.migrated, 0);
             }
-            let windowed = sim
-                .run_windowed(&trace, strategy, &config, 4, window_secs)
-                .expect("replay");
+            let epochs = chained(&sim, &lazy, strategy, &config, epoch_secs);
             prop_assert_eq!(
                 format!("{:?}", report),
-                format!("{:?}", windowed),
-                "windowed engine diverged under faults"
+                format!("{:?}", epochs),
+                "epoch chain diverged under faults"
             );
         }
     }
@@ -781,7 +727,8 @@ proptest! {
     /// excluded as pure duplicates — ends in exactly one of the six
     /// terminal classes (admitted, drained, migrated, demoted, rejected,
     /// dead-lettered), retries never appear without transients to cause
-    /// them, and the windowed engine stays bit-identical for every seed.
+    /// them, and the resumable epoch chain stays bit-identical for every
+    /// seed.
     #[test]
     fn transient_faults_keep_retry_accounting_total(
         trace_seed in 0u64..10_000,
@@ -798,13 +745,11 @@ proptest! {
         budget_burst in 0.5f64..16.0,
         hedge_delay_secs in 0.0f64..6.0,
         brownout_on in 0u32..2,
-        window_secs in 1.0f64..90.0,
+        epoch_secs in prop::sample::select(EPOCHS.to_vec()),
     ) {
         let plans = market_fixture();
         let sim = FleetSimulator::new(plans.clone()).expect("non-empty fleet");
-        let trace = TraceSource::HeavyTail { mean_rps: 1.0, alpha: 1.4 }
-            .generate(10, 60.0, trace_seed)
-            .expect("valid parameters");
+        let (lazy, trace) = market_trace(trace_seed);
         let config = FleetConfig {
             market: MarketConfig {
                 vms_per_family: 2,
@@ -871,13 +816,11 @@ proptest! {
             if brownout_on == 0 {
                 prop_assert_eq!(report.shed_retries, 0, "shed without brownout");
             }
-            let windowed = sim
-                .run_windowed(&trace, strategy, &config, 4, window_secs)
-                .expect("replay");
+            let epochs = chained(&sim, &lazy, strategy, &config, epoch_secs);
             prop_assert_eq!(
                 format!("{:?}", report),
-                format!("{:?}", windowed),
-                "windowed engine diverged under transient faults"
+                format!("{:?}", epochs),
+                "epoch chain diverged under transient faults"
             );
         }
     }

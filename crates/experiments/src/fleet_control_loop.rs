@@ -24,8 +24,7 @@
 
 use freedom::fleet::{
     AdmissionPolicy, ControlConfig, ControllerConfig, FleetConfig, FleetReport, FleetSimulator,
-    PidConfig, PlacementStrategy, ReplayConfig, ReplayStats, RightSizerConfig, StreamTrace,
-    Telemetry,
+    PidConfig, PlacementStrategy, ReplayStats, RightSizerConfig, StreamTrace, Telemetry,
 };
 
 use crate::context::{par_map, ExperimentOpts};
@@ -33,9 +32,6 @@ use crate::fleet_simulation::{
     fleet_scale, market_config, market_tightness, trace_sources, tuned_base_plans,
 };
 use crate::report::{fmt_f, TextTable};
-
-/// Replay window used by the windowed engine throughout the sweep.
-const WINDOW_SECS: f64 = 60.0;
 
 /// Controller tick cadence: three revisions per supply step of the
 /// fleet sweep's markets (60 s), so feedback reacts between drops.
@@ -95,8 +91,7 @@ pub fn controller_presets(headroom: AdmissionPolicy) -> [ControllerPreset; 4] {
 /// One sweep data point.
 ///
 /// `Debug` deliberately covers only the *result* fields: `stats` and
-/// `telemetry` are replay-engine diagnostics (effort counters differ
-/// between the sequential and windowed engines, and the digest carries
+/// `telemetry` are replay-engine diagnostics (the digest carries
 /// sampled wall-clock timings), so they are excluded from the
 /// bit-equality surface the determinism tests compare.
 #[derive(Clone)]
@@ -118,8 +113,8 @@ pub struct ControlRow {
     pub final_ceiling: f64,
     /// Placement revisions the controller issued over the trace.
     pub replans: u32,
-    /// Replay-engine effort and peak-memory stats of the closed-loop
-    /// replay (peak in-flight, ladder anchors, fallback windows).
+    /// Peak-memory stats of the closed-loop replay (peak in-flight,
+    /// peak resident events).
     pub stats: ReplayStats,
     /// One-line telemetry counter digest of the replay
     /// ([`Telemetry::brief`]).
@@ -262,8 +257,6 @@ impl ControlLoopResult {
             "replans",
             "peak_inflight",
             "peak_resident_events",
-            "ladder_anchors",
-            "fallback_windows",
         ]);
         for r in &self.rows {
             t.row(vec![
@@ -287,8 +280,6 @@ impl ControlLoopResult {
                 r.replans.to_string(),
                 r.stats.peak_inflight.to_string(),
                 r.stats.peak_resident_events().to_string(),
-                r.stats.ladder_anchors.to_string(),
-                r.stats.fallback_windows.to_string(),
             ]);
         }
         t.write_csv("fleet_control_loop.csv")
@@ -296,7 +287,8 @@ impl ControlLoopResult {
 }
 
 /// Runs the sweep: every trace source × market tightness × controller
-/// preset, replayed windowed across `opts.effective_threads()` workers.
+/// preset, the cells fanned out across `opts.effective_threads()`
+/// workers.
 pub fn run(opts: &ExperimentOpts) -> freedom::Result<ControlLoopResult> {
     let (base_plans, planner) = tuned_base_plans(opts)?;
     let (duration_secs, n_functions) = fleet_scale(opts);
@@ -333,19 +325,7 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<ControlLoopResult> {
     // this).
     let replay = |trace: &StreamTrace, strategy, config: &FleetConfig| {
         let mut tel = Telemetry::with_capacity(4096);
-        let (report, stats) = if threads <= 1 {
-            sim.run_stream_traced(trace, strategy, config, &mut tel)?
-        } else {
-            sim.run_stream_windowed_traced(
-                trace,
-                strategy,
-                config,
-                &ReplayConfig::default(),
-                threads,
-                WINDOW_SECS,
-                &mut tel,
-            )?
-        };
+        let (report, stats) = sim.run_stream_traced(trace, strategy, config, &mut tel)?;
         Ok::<_, freedom::FreedomError>((report, stats, tel.brief()))
     };
 

@@ -32,9 +32,6 @@ use crate::context::{par_map, ExperimentOpts};
 use crate::fleet_simulation::{fleet_scale, market_config, market_tightness, tuned_base_plans};
 use crate::report::{fmt_f, TextTable};
 
-/// Replay window used by the windowed engine throughout the sweep.
-const WINDOW_SECS: f64 = 60.0;
-
 /// Controller tick cadence: brownout pressure is measured per control
 /// epoch, so the storm needs epochs to toggle in.
 const CADENCE_SECS: f64 = 20.0;
@@ -302,7 +299,7 @@ impl RetryStormResult {
 }
 
 /// Runs the sweep: every transient preset × retry policy over one
-/// heavy-tail trace on the tight market, replayed windowed across
+/// heavy-tail trace on the tight market, the cells fanned out across
 /// `opts.effective_threads()` workers, then the mid-storm kill/resume
 /// chaos check under two fault seeds.
 pub fn run(opts: &ExperimentOpts) -> freedom::Result<RetryStormResult> {
@@ -346,19 +343,8 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<RetryStormResult> {
         retry: policy,
         ..FleetConfig::default()
     };
-    let replay = |config: &FleetConfig| {
-        if threads <= 1 {
-            sim.run_stream(&trace, PlacementStrategy::IdleAware, config)
-        } else {
-            sim.run_stream_windowed(
-                &trace,
-                PlacementStrategy::IdleAware,
-                config,
-                threads,
-                WINDOW_SECS,
-            )
-        }
-    };
+    let replay =
+        |config: &FleetConfig| sim.run_stream(&trace, PlacementStrategy::IdleAware, config);
 
     let faults = transient_presets();
     let policies = policy_presets();

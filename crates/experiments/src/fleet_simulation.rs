@@ -12,8 +12,8 @@
 //! replayed through [`TraceSource::from_csv`]) × market tightness (how
 //! much warm capacity exists and how hard its supply fluctuates) ×
 //! admission policy (greedy vs. the planner-emitted headroom
-//! controller). Replay is time-windowed across cores
-//! ([`FleetSimulator::run_windowed`]); at default settings the fleet is
+//! controller). Each cell replays sequentially ([`FleetSimulator::run`])
+//! and the cells fan out across cores; at default settings the fleet is
 //! 120 functions under an hour of traffic, at `--fast` a 12-function,
 //! two-minute smoke of the same code paths.
 
@@ -32,9 +32,6 @@ use freedom_workloads::FunctionKind;
 
 use crate::context::{ground_truth_default, par_map, ExperimentOpts};
 use crate::report::{fmt_f, TextTable};
-
-/// Replay window used by the windowed engine throughout the sweep.
-const WINDOW_SECS: f64 = 60.0;
 
 /// The checked-in Azure-Functions-style trace fixture
 /// (`crates/core/testdata/azure_sample.csv`), replayed as the sweep's
@@ -358,8 +355,8 @@ pub fn fleet_scale(opts: &ExperimentOpts) -> (f64, usize) {
 }
 
 /// Runs the sweep: every trace source (four synthetic shapes plus the
-/// Azure CSV fixture) × market tightness × admission policy, replayed
-/// windowed across `opts.effective_threads()` workers.
+/// Azure CSV fixture) × market tightness × admission policy, the cells
+/// fanned out across `opts.effective_threads()` workers.
 pub fn run(opts: &ExperimentOpts) -> freedom::Result<FleetSimResult> {
     // Build plans once per benchmark function; the six tuning runs are
     // independent and fan out. The planner also emits the headroom
@@ -399,8 +396,7 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<FleetSimResult> {
     let n_sources = traces.len() + 1;
 
     // Each sweep cell replays its trace twice (baseline + idle-aware);
-    // the cells are independent, so they fan out on top of the windowed
-    // parallelism inside each replay.
+    // the cells are independent, so they fan out across workers.
     let tightness = market_tightness();
     let points: Vec<(usize, usize, usize)> = (0..n_sources)
         .flat_map(|s| {
@@ -413,18 +409,11 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<FleetSimResult> {
             market: market_config(&tightness[tight_idx], admission),
             ..FleetConfig::default()
         };
-        // The engines are bit-identical, so each cell picks whichever
-        // fits: the windowed machinery only when workers would share the
-        // replay, the streaming engine for the CSV source.
+        // The synthetic sources replay materialized, the CSV source
+        // through the streaming engine; both are bit-identical.
         let (source_label, functions, baseline, idle_aware) =
             if let Some((source_label, trace)) = traces.get(source_idx) {
-                let replay = |strategy| {
-                    if threads <= 1 {
-                        sim.run(trace, strategy, &config)
-                    } else {
-                        sim.run_windowed(trace, strategy, &config, threads, WINDOW_SECS)
-                    }
-                };
+                let replay = |strategy| sim.run(trace, strategy, &config);
                 (
                     *source_label,
                     trace.n_functions(),
@@ -432,19 +421,7 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<FleetSimResult> {
                     replay(PlacementStrategy::IdleAware)?,
                 )
             } else {
-                let replay = |strategy| {
-                    if threads <= 1 {
-                        azure_sim.run_stream(&azure_trace, strategy, &config)
-                    } else {
-                        azure_sim.run_stream_windowed(
-                            &azure_trace,
-                            strategy,
-                            &config,
-                            threads,
-                            WINDOW_SECS,
-                        )
-                    }
-                };
+                let replay = |strategy| azure_sim.run_stream(&azure_trace, strategy, &config);
                 (
                     "azure",
                     azure_trace.n_functions(),

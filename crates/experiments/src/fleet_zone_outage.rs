@@ -21,16 +21,13 @@
 
 use freedom::fleet::{
     AdmissionPolicy, ControlConfig, ControllerConfig, FaultPlan, FleetConfig, FleetReport,
-    FleetSimulator, PidConfig, PlacementStrategy, ReplayConfig, ReplayStats, RightSizerConfig,
-    StreamTrace, Telemetry, TraceSource, ZoneConfig,
+    FleetSimulator, PidConfig, PlacementStrategy, ReplayStats, RightSizerConfig, StreamTrace,
+    Telemetry, TraceSource, ZoneConfig,
 };
 
 use crate::context::{par_map, ExperimentOpts};
 use crate::fleet_simulation::{fleet_scale, market_config, market_tightness, tuned_base_plans};
 use crate::report::{fmt_f, TextTable};
-
-/// Replay window used by the windowed engine throughout the sweep.
-const WINDOW_SECS: f64 = 60.0;
 
 /// Controller tick cadence (matches the control-loop sweep).
 const CADENCE_SECS: f64 = 20.0;
@@ -95,8 +92,7 @@ pub fn fault_presets() -> [FaultPreset; 3] {
 /// One sweep data point.
 ///
 /// `Debug` deliberately covers only the *result* fields: `stats` and
-/// `telemetry` are replay-engine diagnostics (effort counters differ
-/// between the sequential and windowed engines, and the digest carries
+/// `telemetry` are replay-engine diagnostics (the digest carries
 /// sampled wall-clock timings), so they are excluded from the
 /// bit-equality surface the determinism tests compare.
 #[derive(Clone)]
@@ -109,8 +105,8 @@ pub struct OutageRow {
     pub baseline_cost_usd: f64,
     /// The idle-aware replay over the faulted multi-zone market.
     pub report: FleetReport,
-    /// Replay-engine effort and peak-memory stats of the replay
-    /// (peak in-flight, ladder anchors, fallback windows).
+    /// Peak-memory stats of the replay (peak in-flight, peak resident
+    /// events).
     pub stats: ReplayStats,
     /// One-line telemetry counter digest of the replay
     /// ([`Telemetry::brief`]).
@@ -230,8 +226,6 @@ impl ZoneOutageResult {
             "p95_latency_inflation",
             "peak_inflight",
             "peak_resident_events",
-            "ladder_anchors",
-            "fallback_windows",
         ]);
         for r in &self.rows {
             t.row(vec![
@@ -253,8 +247,6 @@ impl ZoneOutageResult {
                 r.report.p95_latency_inflation.to_string(),
                 r.stats.peak_inflight.to_string(),
                 r.stats.peak_resident_events().to_string(),
-                r.stats.ladder_anchors.to_string(),
-                r.stats.fallback_windows.to_string(),
             ]);
         }
         t.write_csv("fleet_zone_outage.csv")
@@ -262,7 +254,7 @@ impl ZoneOutageResult {
 }
 
 /// Runs the sweep: every fault preset × controller over one heavy-tail
-/// trace on the tight three-zone market, replayed windowed across
+/// trace on the tight three-zone market, the cells fanned out across
 /// `opts.effective_threads()` workers.
 pub fn run(opts: &ExperimentOpts) -> freedom::Result<ZoneOutageResult> {
     let (base_plans, planner) = tuned_base_plans(opts)?;
@@ -320,19 +312,7 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<ZoneOutageResult> {
     // this).
     let replay = |strategy, config: &FleetConfig| {
         let mut tel = Telemetry::with_capacity(4096);
-        let (report, stats) = if threads <= 1 {
-            sim.run_stream_traced(&trace, strategy, config, &mut tel)?
-        } else {
-            sim.run_stream_windowed_traced(
-                &trace,
-                strategy,
-                config,
-                &ReplayConfig::default(),
-                threads,
-                WINDOW_SECS,
-                &mut tel,
-            )?
-        };
+        let (report, stats) = sim.run_stream_traced(&trace, strategy, config, &mut tel)?;
         Ok::<_, freedom::FreedomError>((report, stats, tel.brief()))
     };
 

@@ -242,7 +242,7 @@ impl BayesianOptimizer {
             }
             let trial = evaluator.evaluate(&config)?;
             tried.insert(config);
-            sliced_away += self.absorb_failure(&mut space, &trial);
+            sliced_away += self.slice_on_failure(&mut space, &trial);
             trials.push(trial);
         }
 
@@ -312,7 +312,7 @@ impl BayesianOptimizer {
 
             let trial = evaluator.evaluate(&next)?;
             tried.insert(next);
-            let removed = self.absorb_failure(&mut space, &trial);
+            let removed = self.slice_on_failure(&mut space, &trial);
             if removed > 0 {
                 sliced_away += removed;
                 encoded = space.configs().iter().map(SearchSpace::encode).collect();
@@ -394,7 +394,7 @@ impl BayesianOptimizer {
     }
 
     /// Applies failure feedback; returns how many configs were sliced.
-    fn absorb_failure(&self, space: &mut SearchSpace, trial: &Trial) -> usize {
+    fn slice_on_failure(&self, space: &mut SearchSpace, trial: &Trial) -> usize {
         if trial.failed && matches!(self.config.failure_handling, FailureHandling::Slice) {
             space.slice_failed_memory(trial.config.memory_mib())
         } else {

@@ -12,11 +12,9 @@
 //!
 //! Two clocks coexist. *Simulated-time* spans carry replay-clock
 //! nanoseconds (window bounds, controller ticks, supply steps) and are
-//! deterministic: the same replay produces the same spans regardless of
-//! thread count, because parallel windows record into forked recorders
-//! that are [`Recorder::absorb`]ed back in window order. *Wall-time*
+//! deterministic: the same replay produces the same spans. *Wall-time*
 //! spans carry nanoseconds since the recorder's origin `Instant`
-//! (scan, speculative rounds, fallback walks) and describe the host,
+//! (scan, window simulation, snapshot writes) and describe the host,
 //! not the replay — they are excluded from determinism guarantees.
 //!
 //! Exports: [`Telemetry::jsonl_snapshot`] (one JSON line per epoch),
@@ -30,8 +28,7 @@ use std::time::Instant;
 /// Monotonic event counters, preallocated as one flat array.
 ///
 /// Sim-derived counters (everything except the span/export plumbing)
-/// are deterministic for a given replay: merged parallel recorders
-/// equal the sequential recorder.
+/// are deterministic for a given replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum Counter {
@@ -67,16 +64,9 @@ pub enum Counter {
     ControllerTicks,
     /// Per-function placement revisions the controller issued at ticks.
     Replans,
-    /// Windows simulated (including speculative re-runs).
+    /// Windows simulated: one per replay, or one per epoch of a
+    /// resumable replay.
     WindowsSimulated,
-    /// Speculative reconciliation rounds executed.
-    SpeculativeRounds,
-    /// Windows resolved by the sequential exact-carry fallback.
-    FallbackWindows,
-    /// Checkpoint-ladder anchors built for streaming windowed replay.
-    LadderAnchors,
-    /// Events re-drained from gz sources during ladder re-anchoring.
-    RedrainedEvents,
     /// Resumable-replay snapshots handed to the snapshot callback.
     SnapshotsWritten,
     /// Transient per-invocation faults drawn on spot attempts
@@ -97,7 +87,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters; length of [`Counter::ALL`].
-    pub const COUNT: usize = 26;
+    pub const COUNT: usize = 22;
 
     /// Every counter, in declaration (= export) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -117,10 +107,6 @@ impl Counter {
         Counter::ControllerTicks,
         Counter::Replans,
         Counter::WindowsSimulated,
-        Counter::SpeculativeRounds,
-        Counter::FallbackWindows,
-        Counter::LadderAnchors,
-        Counter::RedrainedEvents,
         Counter::SnapshotsWritten,
         Counter::TransientFaults,
         Counter::Retried,
@@ -148,10 +134,6 @@ impl Counter {
             Counter::ControllerTicks => "controller_ticks",
             Counter::Replans => "replans",
             Counter::WindowsSimulated => "windows_simulated",
-            Counter::SpeculativeRounds => "speculative_rounds",
-            Counter::FallbackWindows => "fallback_windows",
-            Counter::LadderAnchors => "ladder_anchors",
-            Counter::RedrainedEvents => "redrained_events",
             Counter::SnapshotsWritten => "snapshots_written",
             Counter::TransientFaults => "transient_faults",
             Counter::Retried => "retried",
@@ -209,14 +191,9 @@ impl Hist {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum Span {
-    /// One replay window over simulated time (arg = window index).
+    /// One replay window over simulated time (arg = first event
+    /// index).
     Window,
-    /// One speculative reconciliation round (sim extent of the pending
-    /// windows on the sim track; wall duration on the wall track;
-    /// arg = round number).
-    Round,
-    /// One checkpoint-ladder segment (arg = anchor index).
-    LadderSegment,
     /// One controller cadence interval ending at a tick (arg = tick
     /// count so far).
     ControllerTick,
@@ -233,32 +210,23 @@ pub enum Span {
     /// Wall time decompressing + scanning one gzip member (arg =
     /// source index).
     GzDecompress,
-    /// Wall time of the ladder count pre-pass (arg = anchors).
-    CountPrePass,
-    /// Wall time of the sequential exact-carry fallback walk (arg =
-    /// windows resolved).
-    FallbackWalk,
     /// Wall time simulating one window (arg = first event index).
     WindowSim,
 }
 
 impl Span {
     /// Number of span kinds; length of [`Span::ALL`].
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 8;
 
     /// Every span kind, in declaration (= track id) order.
     pub const ALL: [Span; Span::COUNT] = [
         Span::Window,
-        Span::Round,
-        Span::LadderSegment,
         Span::ControllerTick,
         Span::SupplyStep,
         Span::Notice,
         Span::SnapshotEpoch,
         Span::Scan,
         Span::GzDecompress,
-        Span::CountPrePass,
-        Span::FallbackWalk,
         Span::WindowSim,
     ];
 
@@ -266,16 +234,12 @@ impl Span {
     pub fn name(self) -> &'static str {
         match self {
             Span::Window => "window",
-            Span::Round => "round",
-            Span::LadderSegment => "ladder_segment",
             Span::ControllerTick => "controller_tick",
             Span::SupplyStep => "supply_step",
             Span::Notice => "notice",
             Span::SnapshotEpoch => "snapshot_epoch",
             Span::Scan => "scan",
             Span::GzDecompress => "gz_decompress",
-            Span::CountPrePass => "count_pre_pass",
-            Span::FallbackWalk => "fallback_walk",
             Span::WindowSim => "window_sim",
         }
     }
@@ -285,9 +249,7 @@ impl Span {
 ///
 /// Bucket `i` holds values whose bit length is `i`: bucket 0 is the
 /// value 0, bucket 1 is {1}, bucket 2 is {2,3}, …, bucket 64 covers the
-/// top half of `u64`. Merging adds bucket-wise, so merge is associative
-/// and commutative and the merged quantiles equal the quantiles of the
-/// concatenated observations (at bucket resolution).
+/// top half of `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
@@ -332,17 +294,6 @@ impl Histogram {
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.buckets[Histogram::bucket_of(value)] += 1;
-    }
-
-    /// Fold another histogram into this one (bucket-wise addition).
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += *o;
-        }
     }
 
     /// Number of observations.
@@ -484,25 +435,12 @@ impl SpanRing {
 
 /// The replay engine's telemetry sink. Implemented by [`NoopRecorder`]
 /// (compiles to nothing) and [`Telemetry`] (preallocated live
-/// recorder). The engine forks one recorder per parallel window and
-/// absorbs the forks back **in window order**, which makes every
-/// sim-derived observation deterministic under any thread count.
-pub trait Recorder: Send {
+/// recorder). The replay runs on one thread and records into one
+/// recorder, in simulation order.
+pub trait Recorder {
     /// `false` only for the noop recorder; lets the hot loop guard
     /// sampling work behind a compile-time constant.
     const ENABLED: bool;
-
-    /// An empty recorder sharing this one's origin and configuration,
-    /// for a parallel window.
-    fn fork(&self) -> Self
-    where
-        Self: Sized;
-
-    /// Fold a forked recorder back in. Callers must absorb forks in
-    /// window order to keep span order deterministic.
-    fn absorb(&mut self, other: Self)
-    where
-        Self: Sized;
 
     /// Increment a counter.
     fn add(&mut self, counter: Counter, delta: u64);
@@ -539,12 +477,6 @@ impl Recorder for NoopRecorder {
     const ENABLED: bool = false;
 
     #[inline(always)]
-    fn fork(&self) -> Self {
-        NoopRecorder
-    }
-    #[inline(always)]
-    fn absorb(&mut self, _other: Self) {}
-    #[inline(always)]
     fn add(&mut self, _counter: Counter, _delta: u64) {}
     #[inline(always)]
     fn observe(&mut self, _hist: Hist, _value: u64) {}
@@ -572,8 +504,7 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 16_384;
 const SAMPLE_MASK: u32 = 63;
 
 /// The live recorder: one flat counter array, fixed histograms, and a
-/// span ring, all preallocated at construction. Forks share the wall
-/// origin so wall spans from parallel windows land on one timeline.
+/// span ring, all preallocated at construction.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     origin: Instant,
@@ -631,11 +562,9 @@ impl Telemetry {
     pub fn brief(&self) -> String {
         let adm = self.hist(Hist::AdmissionNanos);
         format!(
-            "ticks {} steps {} rounds {} fallback {} admission p99 {}ns spans {} (dropped {})",
+            "ticks {} steps {} admission p99 {}ns spans {} (dropped {})",
             self.counter(Counter::ControllerTicks),
             self.counter(Counter::SupplySteps),
-            self.counter(Counter::SpeculativeRounds),
-            self.counter(Counter::FallbackWindows),
             adm.quantile(0.99),
             self.spans.len(),
             self.spans.dropped(),
@@ -796,29 +725,6 @@ impl Telemetry {
 impl Recorder for Telemetry {
     const ENABLED: bool = true;
 
-    fn fork(&self) -> Self {
-        Telemetry {
-            origin: self.origin,
-            sample_ctr: 0,
-            counters: [0; Counter::COUNT],
-            hists: [Histogram::default(); Hist::COUNT],
-            spans: SpanRing::new(self.spans.capacity()),
-        }
-    }
-
-    fn absorb(&mut self, other: Self) {
-        for (i, v) in other.counters.iter().enumerate() {
-            self.counters[i] += *v;
-        }
-        for (h, o) in self.hists.iter_mut().zip(other.hists.iter()) {
-            h.merge(o);
-        }
-        self.spans.dropped += other.spans.dropped;
-        for rec in other.spans.iter() {
-            self.spans.push(*rec);
-        }
-    }
-
     #[inline]
     fn add(&mut self, counter: Counter, delta: u64) {
         self.counters[counter as usize] += delta;
@@ -882,12 +788,6 @@ mod tests {
         h
     }
 
-    fn merged(a: &Histogram, b: &Histogram) -> Histogram {
-        let mut m = *a;
-        m.merge(b);
-        m
-    }
-
     #[test]
     fn histogram_buckets_by_bit_length() {
         let mut h = Histogram::new();
@@ -907,27 +807,6 @@ mod tests {
         assert_eq!(h.buckets[10], 1);
         assert_eq!(h.buckets[11], 1);
         assert_eq!(h.buckets[64], 1);
-    }
-
-    #[test]
-    fn histogram_merge_is_commutative_and_associative() {
-        let a = hist_of(&[1, 5, 9, 200, 4096]);
-        let b = hist_of(&[0, 0, 17, 1_000_000]);
-        let c = hist_of(&[u64::MAX, 3, 64]);
-
-        assert_eq!(merged(&a, &b), merged(&b, &a));
-        assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)));
-
-        // Merging equals observing the concatenation.
-        let all = hist_of(&[1, 5, 9, 200, 4096, 0, 0, 17, 1_000_000, u64::MAX, 3, 64]);
-        assert_eq!(merged(&merged(&a, &b), &c), all);
-    }
-
-    #[test]
-    fn histogram_merge_identity_is_empty() {
-        let a = hist_of(&[7, 13, 21]);
-        assert_eq!(merged(&a, &Histogram::new()), a);
-        assert_eq!(merged(&Histogram::new(), &a), a);
     }
 
     #[test]
@@ -976,26 +855,6 @@ mod tests {
         assert_eq!(ring.dropped(), 0);
         let args: Vec<u64> = ring.iter().map(|r| r.arg).collect();
         assert_eq!(args, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn telemetry_absorb_merges_counters_hists_and_spans_in_order() {
-        let mut parent = Telemetry::with_capacity(16);
-        parent.add(Counter::Arrivals, 10);
-        parent.observe(Hist::InflightDepth, 4);
-        parent.span_sim(Span::Window, 0, 100, 0);
-
-        let mut child = parent.fork();
-        assert_eq!(child.counter(Counter::Arrivals), 0, "forks start empty");
-        child.add(Counter::Arrivals, 5);
-        child.observe(Hist::InflightDepth, 9);
-        child.span_sim(Span::Window, 100, 200, 1);
-
-        parent.absorb(child);
-        assert_eq!(parent.counter(Counter::Arrivals), 15);
-        assert_eq!(parent.hist(Hist::InflightDepth).count(), 2);
-        let args: Vec<u64> = parent.spans().map(|r| r.arg).collect();
-        assert_eq!(args, vec![0, 1], "absorbed spans append after parent spans");
     }
 
     #[test]

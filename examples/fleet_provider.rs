@@ -71,16 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..FleetConfig::default()
     };
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let baseline = sim.run_windowed(
-        &trace,
-        PlacementStrategy::BestConfigOnly,
-        &config,
-        threads,
-        60.0,
-    )?;
-    let idle_aware =
-        sim.run_windowed(&trace, PlacementStrategy::IdleAware, &config, threads, 60.0)?;
+    let baseline = sim.run(&trace, PlacementStrategy::BestConfigOnly, &config)?;
+    let idle_aware = sim.run(&trace, PlacementStrategy::IdleAware, &config)?;
 
     println!(
         "\nbaseline  : ${:.4} total, latency inflation 1.000 (by definition)",
@@ -116,13 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..config
     };
-    let closed = sim.run_windowed(
-        &trace,
-        PlacementStrategy::IdleAware,
-        &closed_config,
-        threads,
-        60.0,
-    )?;
+    let closed = sim.run(&trace, PlacementStrategy::IdleAware, &closed_config)?;
     let final_ceiling = closed
         .control
         .last()

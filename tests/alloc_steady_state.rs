@@ -3,7 +3,7 @@
 //! replaying more events must not allocate more. Every per-event path —
 //! CSV row parse into the scratch key, wheel push/pop, ledger
 //! place/release, metering pushes into exact-capacity vectors — is
-//! allocation-free; only per-run and per-window structures (context,
+//! allocation-free; only per-run and per-epoch structures (context,
 //! metering headers, the carry itself) allocate, and their *count* is
 //! independent of the event count.
 //!
@@ -130,27 +130,36 @@ fn steady_state_replay_allocations_are_event_count_independent() {
         small_cost,
     );
 
-    // The windowed engine reuses the same pools across windows: two
-    // identical warm runs must allocate the same number of times (the
-    // work is deterministic, so any drift would mean a pool failed to
-    // retain capacity).
-    let windowed = |trace: &StreamTrace| {
-        sim.run_stream_windowed(trace, PlacementStrategy::IdleAware, &config, 1, 60.0)
-            .unwrap()
+    // The resumable epoch chain reuses the same pools across epochs:
+    // two identical warm runs must allocate the same number of times
+    // (the work is deterministic, so any drift would mean a pool failed
+    // to retain capacity).
+    let chained = |trace: &StreamTrace| {
+        sim.run_stream_resumable(
+            trace,
+            PlacementStrategy::IdleAware,
+            &config,
+            60.0,
+            None,
+            |_| Ok(true),
+        )
+        .unwrap()
+        .unwrap()
     };
-    let warm_windowed = windowed(&large);
+    let warm_chained = chained(&large);
     let before_first = alloc_events();
-    let first = windowed(&large);
+    let first = chained(&large);
     let first_cost = alloc_events() - before_first;
     let before_second = alloc_events();
-    let second = windowed(&large);
+    let second = chained(&large);
     let second_cost = alloc_events() - before_second;
-    assert_eq!(format!("{warm_windowed:?}"), format!("{first:?}"));
+    assert_eq!(format!("{warm_chained:?}"), format!("{first:?}"));
     assert_eq!(format!("{first:?}"), format!("{second:?}"));
+    assert_eq!(format!("{warm:?}"), format!("{first:?}"));
     assert!(
         second_cost <= first_cost + SLACK / 8,
-        "identical warm windowed runs allocated {first_cost} then \
-         {second_cost} times: window scratch is not being reused"
+        "identical warm epoch chains allocated {first_cost} then \
+         {second_cost} times: epoch scratch is not being reused"
     );
 }
 

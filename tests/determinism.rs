@@ -146,18 +146,33 @@ fn every_experiment_is_bit_identical_parallel_vs_sequential() {
     });
 }
 
-/// The windowed fleet replay must be bit-identical to the sequential
-/// reference engine on the 120-function heavy-tail fleet for every
-/// placement strategy, thread count, and window size — including window
-/// sizes small enough that in-flight placements routinely cross
-/// boundaries and supply steps land mid-window, so speculative windows
-/// really do get reconciled. Trace generation itself must not depend on
-/// how many threads generated the streams. `{:?}` formatting round-trips
-/// `f64`s exactly, so string equality is bit equality.
+/// Replays `lazy` through the resumable epoch chain at `epoch_secs`
+/// epochs, uninterrupted.
+fn chained(
+    sim: &faas_freedom::core::fleet::FleetSimulator,
+    lazy: &faas_freedom::core::fleet::StreamTrace,
+    strategy: faas_freedom::core::fleet::PlacementStrategy,
+    config: &faas_freedom::core::fleet::FleetConfig,
+    epoch_secs: f64,
+) -> faas_freedom::core::fleet::FleetReport {
+    sim.run_stream_resumable(lazy, strategy, config, epoch_secs, None, |_| Ok(true))
+        .unwrap()
+        .expect("an uninterrupted run returns a report")
+}
+
+/// The resumable epoch chain must be bit-identical to the single pass on
+/// the 120-function heavy-tail fleet for every placement strategy and
+/// epoch size — including epochs short enough that in-flight placements
+/// routinely cross boundaries and supply steps land mid-epoch, so the
+/// carried state really does get exercised. Trace generation itself
+/// must not depend on how many threads generated the streams. `{:?}`
+/// formatting round-trips `f64`s exactly, so string equality is bit
+/// equality.
 #[test]
-fn fleet_windowed_replay_matches_sequential() {
+fn fleet_epoch_chain_matches_the_single_pass() {
     use faas_freedom::core::fleet::{
-        AdmissionPolicy, FleetConfig, FleetSimulator, PlacementStrategy, SupplyProcess, TraceSource,
+        AdmissionPolicy, FleetConfig, FleetSimulator, PlacementStrategy, StreamTrace,
+        SupplyProcess, TraceSource,
     };
     use faas_freedom::core::market::MarketConfig;
     use freedom_experiments::fleet_simulation::synthetic_plans;
@@ -168,7 +183,8 @@ fn fleet_windowed_replay_matches_sequential() {
         mean_rps: 0.5,
         alpha: 1.5,
     };
-    let trace = source.generate(n_functions, duration, 11).unwrap();
+    let lazy = StreamTrace::generate_sharded(source, n_functions, duration, 11, 8).unwrap();
+    let trace = lazy.materialize().unwrap();
     let sharded_trace = source
         .generate_sharded(n_functions, duration, 11, 8)
         .unwrap();
@@ -181,7 +197,7 @@ fn fleet_windowed_replay_matches_sequential() {
     let plans = synthetic_plans(n_functions, 4).unwrap();
     let sim = FleetSimulator::new(plans).unwrap();
     // A scarce, fluctuating market under admission control: carry-over
-    // state, demotions, and policy rejections all cross window
+    // state, demotions, and policy rejections all cross epoch
     // boundaries.
     let config = FleetConfig {
         market: MarketConfig {
@@ -200,70 +216,69 @@ fn fleet_windowed_replay_matches_sequential() {
     };
     for strategy in PlacementStrategy::ALL {
         let sequential = sim.run(&trace, strategy, &config).unwrap();
-        for threads in [1, 8] {
-            for window_secs in [1.0, 10.0, 60.0] {
-                let windowed = sim
-                    .run_windowed(&trace, strategy, &config, threads, window_secs)
-                    .unwrap();
-                assert_eq!(
-                    format!("{sequential:?}"),
-                    format!("{windowed:?}"),
-                    "{strategy:?} diverged at {threads} threads, {window_secs}s windows"
-                );
-            }
+        for epoch_secs in [1.0, 10.0, 60.0] {
+            let epochs = chained(&sim, &lazy, strategy, &config, epoch_secs);
+            assert_eq!(
+                format!("{sequential:?}"),
+                format!("{epochs:?}"),
+                "{strategy:?} diverged at {epoch_secs}s epochs"
+            );
         }
     }
 
-    // The other workload shapes stress reconciliation differently
-    // (bursty and diurnal traffic drain the market and let speculation
-    // bulk-verify; steady Poisson keeps boundaries dense): every
-    // generator gets a windowed-vs-sequential bit-identity check too.
+    // The other workload shapes stress the carry differently (bursty
+    // and diurnal traffic drain the market between bursts; steady
+    // Poisson keeps boundaries dense): every generator gets an
+    // epoch-chain-vs-single-pass bit-identity check too.
     for (name, source) in freedom_experiments::fleet_simulation::trace_sources(duration) {
         if name == "heavy_tail" {
             continue; // covered exhaustively above
         }
-        let trace = source.generate(n_functions, duration, 11).unwrap();
+        let lazy = StreamTrace::generate_sharded(source, n_functions, duration, 11, 8).unwrap();
+        let trace = lazy.materialize().unwrap();
         for strategy in PlacementStrategy::ALL {
             let sequential = sim.run(&trace, strategy, &config).unwrap();
-            for window_secs in [10.0, 60.0] {
-                let windowed = sim
-                    .run_windowed(&trace, strategy, &config, 8, window_secs)
-                    .unwrap();
+            for epoch_secs in [10.0, 60.0] {
+                let epochs = chained(&sim, &lazy, strategy, &config, epoch_secs);
                 assert_eq!(
                     format!("{sequential:?}"),
-                    format!("{windowed:?}"),
-                    "{name}/{strategy:?} diverged at {window_secs}s windows"
+                    format!("{epochs:?}"),
+                    "{name}/{strategy:?} diverged at {epoch_secs}s epochs"
                 );
             }
         }
     }
 }
 
-/// The closed control loop must not break windowed determinism: with any
-/// controller evolving admission and placements mid-replay, the windowed
-/// engine stays bit-identical to the sequential reference for every
-/// thread count and window size — including 1 s windows that slice every
-/// 15 s control epoch across many boundaries, so carried controller
-/// state, partial observation epochs, and mid-window ticks all get
-/// exercised, and the right-sizer's surrogates are reconstructed from
-/// the carried observation log over and over.
+/// The closed control loop must not break epoch-chain determinism: with
+/// any controller evolving admission and placements mid-replay, the
+/// resumable epoch chain stays bit-identical to the single pass for
+/// every epoch size — including 1 s epochs that slice every 15 s control
+/// epoch across many boundaries and 1 / 2.5 / 5 s epochs that put every
+/// tick exactly on a boundary, so carried controller state, partial
+/// observation epochs, and boundary-owned ticks all get exercised.
 #[test]
-fn fleet_control_loop_is_windowed_bit_identical() {
+fn fleet_control_loop_is_epoch_chain_bit_identical() {
     use faas_freedom::core::fleet::{
         AdmissionPolicy, ControlConfig, ControllerConfig, FleetConfig, FleetSimulator, PidConfig,
-        PlacementStrategy, RightSizerConfig, SupplyProcess, TraceSource,
+        PlacementStrategy, RightSizerConfig, StreamTrace, SupplyProcess, TraceSource,
     };
     use faas_freedom::core::market::MarketConfig;
     use freedom_experiments::fleet_simulation::synthetic_plans;
 
     let n_functions = 120;
     let duration = 300.0;
-    let trace = TraceSource::HeavyTail {
-        mean_rps: 0.5,
-        alpha: 1.5,
-    }
-    .generate(n_functions, duration, 11)
+    let lazy = StreamTrace::generate(
+        TraceSource::HeavyTail {
+            mean_rps: 0.5,
+            alpha: 1.5,
+        },
+        n_functions,
+        duration,
+        11,
+    )
     .unwrap();
+    let trace = lazy.materialize().unwrap();
     let plans = synthetic_plans(n_functions, 4).unwrap();
     let sim = FleetSimulator::new(plans).unwrap();
     for controller in [
@@ -297,23 +312,19 @@ fn fleet_control_loop_is_windowed_bit_identical() {
             !sequential.control.is_empty(),
             "{controller:?} must tick over a 300 s trace"
         );
-        for threads in [1, 8] {
-            for window_secs in [1.0, 10.0, 60.0] {
-                let windowed = sim
-                    .run_windowed(
-                        &trace,
-                        PlacementStrategy::IdleAware,
-                        &config,
-                        threads,
-                        window_secs,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    format!("{sequential:?}"),
-                    format!("{windowed:?}"),
-                    "{controller:?} diverged at {threads} threads, {window_secs}s windows"
-                );
-            }
+        for epoch_secs in [1.0, 2.5, 5.0, 10.0, 60.0] {
+            let epochs = chained(
+                &sim,
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                epoch_secs,
+            );
+            assert_eq!(
+                format!("{sequential:?}"),
+                format!("{epochs:?}"),
+                "{controller:?} diverged at {epoch_secs}s epochs"
+            );
         }
     }
 }
@@ -321,23 +332,17 @@ fn fleet_control_loop_is_windowed_bit_identical() {
 /// The streaming pipeline's acceptance guard: for every trace source —
 /// the four synthetic generators plus the Azure CSV fixture streamed
 /// through the chunked reader — and every controller, the streaming
-/// engines (`run_stream`, `run_stream_windowed`) replay bit-identically
-/// to the materialized reference at threads {1, 8} × windows
-/// {1, 10, 60} s. The 1 s windows make the epoch re-seek table dense
-/// (hundreds of cursor checkpoints) and slice every control epoch
-/// across many boundaries, so checkpoint rewind, carried controller
-/// state, and the CSV reader's lookahead window all get exercised
-/// together. On top of the default engine (timer wheel + checkpoint
-/// ladder), every (source, controller) pair also replays through the
-/// sorted-drain completion queue and through a config that forces the
-/// sequential exact-carry fallback, pinning both alternate code paths
-/// to the same bit-identity contract.
+/// replays (`run_stream`, and the resumable epoch chain at epochs
+/// {1, 10, 60} s) are bit-identical to the materialized reference. The
+/// 1 s epochs checkpoint the stream hundreds of times and slice every
+/// control epoch across many boundaries, so cursor checkpoints, carried
+/// controller state, and the CSV reader's lookahead window all get
+/// exercised together.
 #[test]
 fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
     use faas_freedom::core::fleet::{
-        AdmissionPolicy, CompletionQueueKind, ControlConfig, ControllerConfig, FleetConfig,
-        FleetSimulator, PidConfig, PlacementStrategy, ReplayConfig, RightSizerConfig, StreamTrace,
-        SupplyProcess,
+        AdmissionPolicy, ControlConfig, ControllerConfig, FleetConfig, FleetSimulator, PidConfig,
+        PlacementStrategy, RightSizerConfig, StreamTrace, SupplyProcess,
     };
     use faas_freedom::core::market::MarketConfig;
     use freedom_experiments::fleet_simulation::{synthetic_plans, trace_sources, AZURE_FIXTURE};
@@ -395,60 +400,18 @@ fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
                 format!("{streamed:?}"),
                 "{name}/{controller:?}: streaming diverged from materialized"
             );
-            for threads in [1, 8] {
-                for window_secs in [1.0, 10.0, 60.0] {
-                    let windowed = sim
-                        .run_stream_windowed(
-                            lazy,
-                            PlacementStrategy::IdleAware,
-                            &config,
-                            threads,
-                            window_secs,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{windowed:?}"),
-                        "{name}/{controller:?} diverged at {threads} threads, \
-                         {window_secs}s windows"
-                    );
-                }
-            }
-            // The alternate engine paths: the sorted-drain completion
-            // queue (the timer wheel's fallback twin) and a config that
-            // disables speculation entirely, forcing the sequential
-            // exact-carry fallback through the checkpoint ladder.
-            for (label, replay) in [
-                (
-                    "sorted-drain",
-                    ReplayConfig {
-                        completion_queue: CompletionQueueKind::SortedDrain,
-                        ..ReplayConfig::default()
-                    },
-                ),
-                (
-                    "forced-fallback",
-                    ReplayConfig {
-                        max_speculative_rounds: 0,
-                        stall_margin: 0,
-                        ..ReplayConfig::default()
-                    },
-                ),
-            ] {
-                let windowed = sim
-                    .run_stream_windowed_with(
-                        lazy,
-                        PlacementStrategy::IdleAware,
-                        &config,
-                        &replay,
-                        8,
-                        10.0,
-                    )
-                    .unwrap();
+            for epoch_secs in [1.0, 10.0, 60.0] {
+                let epochs = chained(
+                    &sim,
+                    lazy,
+                    PlacementStrategy::IdleAware,
+                    &config,
+                    epoch_secs,
+                );
                 assert_eq!(
                     format!("{reference:?}"),
-                    format!("{windowed:?}"),
-                    "{name}/{controller:?} diverged on the {label} replay path"
+                    format!("{epochs:?}"),
+                    "{name}/{controller:?} diverged at {epoch_secs}s epochs"
                 );
             }
         }
@@ -459,10 +422,10 @@ fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
 /// zone outages, supply-shock bursts, and dropped notice deliveries over
 /// a three-zone market with preemption notices — the determinism lattice
 /// must keep holding. For two fault seeds and every controller, the
-/// streaming engines replay bit-identically to the materialized
-/// sequential reference at threads {1, 8} × windows {1, 60} s. Faults
-/// are precomputed simulated-time events, so nothing about injection may
-/// depend on which engine, thread, or window boundary observes it.
+/// streaming replays (single pass, and the epoch chain at {1, 60} s
+/// epochs) are bit-identical to the materialized reference. Faults are
+/// precomputed simulated-time events, so nothing about injection may
+/// depend on which entry point or epoch boundary observes it.
 #[test]
 fn fault_injection_preserves_the_determinism_lattice() {
     use faas_freedom::core::fleet::{
@@ -549,24 +512,19 @@ fn fault_injection_preserves_the_determinism_lattice() {
                 format!("{streamed:?}"),
                 "seed {fault_seed}/{controller:?}: streaming diverged from materialized"
             );
-            for threads in [1, 8] {
-                for window_secs in [1.0, 60.0] {
-                    let windowed = sim
-                        .run_stream_windowed(
-                            &lazy,
-                            PlacementStrategy::IdleAware,
-                            &config,
-                            threads,
-                            window_secs,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{windowed:?}"),
-                        "seed {fault_seed}/{controller:?} diverged at {threads} threads, \
-                         {window_secs}s windows"
-                    );
-                }
+            for epoch_secs in [1.0, 60.0] {
+                let epochs = chained(
+                    &sim,
+                    &lazy,
+                    PlacementStrategy::IdleAware,
+                    &config,
+                    epoch_secs,
+                );
+                assert_eq!(
+                    format!("{reference:?}"),
+                    format!("{epochs:?}"),
+                    "seed {fault_seed}/{controller:?} diverged at {epoch_secs}s epochs"
+                );
             }
         }
     }
@@ -577,12 +535,13 @@ fn fault_injection_preserves_the_determinism_lattice() {
 /// stack — seeded backoff, hedged re-issue, per-family budgets,
 /// brownout — layered on top of the zone-outage fault plan, the
 /// determinism lattice must keep holding. For two fault seeds and every
-/// controller, the streaming engines replay bit-identically to the
-/// materialized sequential reference at threads {1, 8} × windows
-/// {1, 60} s. Retries are ordinary simulated-time events (`completion <
-/// step < notice < retry < tick`), so nothing about scheduling a
-/// backoff, racing a hedge, or draining a budget may depend on which
-/// engine, thread, or window boundary observes it.
+/// controller, the streaming replays (single pass and epoch chain) are
+/// bit-identical to the
+/// materialized reference at {1, 60} s epochs. Retries are ordinary
+/// simulated-time events (`completion < step < notice < retry < tick`),
+/// so nothing about scheduling a backoff, racing a hedge, or draining a
+/// budget may depend on which entry point or epoch boundary observes
+/// it.
 #[test]
 fn retries_and_hedging_preserve_the_determinism_lattice() {
     use faas_freedom::core::fleet::{
@@ -683,24 +642,19 @@ fn retries_and_hedging_preserve_the_determinism_lattice() {
                 format!("{streamed:?}"),
                 "seed {fault_seed}/{controller:?}: streaming diverged from materialized"
             );
-            for threads in [1, 8] {
-                for window_secs in [1.0, 60.0] {
-                    let windowed = sim
-                        .run_stream_windowed(
-                            &lazy,
-                            PlacementStrategy::IdleAware,
-                            &config,
-                            threads,
-                            window_secs,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{windowed:?}"),
-                        "seed {fault_seed}/{controller:?} diverged at {threads} threads, \
-                         {window_secs}s windows"
-                    );
-                }
+            for epoch_secs in [1.0, 60.0] {
+                let epochs = chained(
+                    &sim,
+                    &lazy,
+                    PlacementStrategy::IdleAware,
+                    &config,
+                    epoch_secs,
+                );
+                assert_eq!(
+                    format!("{reference:?}"),
+                    format!("{epochs:?}"),
+                    "seed {fault_seed}/{controller:?} diverged at {epoch_secs}s epochs"
+                );
             }
         }
     }
@@ -764,9 +718,9 @@ fn interfaces_replay_identically() {
 /// The ingestion acceptance row: one trace served three ways — the
 /// materialized reference, a single plain CSV, and gzip'd multi-file
 /// parts split mid-minute with bounded seam disorder — must replay
-/// bit-identically for every controller at threads {1, 8} × windows
-/// {1, 60} s, and a crash/resume over the gz multi-file stream must
-/// reproduce the uninterrupted report. This is the lattice the
+/// bit-identically for every controller, in one pass and as an epoch
+/// chain at {1, 60} s epochs, and a crash/resume over the gz multi-file
+/// stream must reproduce the uninterrupted report. This is the lattice the
 /// week-scale bench leans on: streaming-over-gz ≡ streaming-over-plain
 /// ≡ materialized, regardless of how the bytes were sliced into files.
 #[test]
@@ -877,24 +831,19 @@ fn gz_multi_file_ingestion_preserves_the_determinism_lattice() {
                 format!("{streamed:?}"),
                 "{label}/{controller:?}: streaming diverged from materialized"
             );
-            for threads in [1, 8] {
-                for window_secs in [1.0, 60.0] {
-                    let windowed = sim
-                        .run_stream_windowed(
-                            lazy,
-                            PlacementStrategy::IdleAware,
-                            &config,
-                            threads,
-                            window_secs,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{windowed:?}"),
-                        "{label}/{controller:?} diverged at {threads} threads, \
-                         {window_secs}s windows"
-                    );
-                }
+            for epoch_secs in [1.0, 60.0] {
+                let epochs = chained(
+                    &sim,
+                    lazy,
+                    PlacementStrategy::IdleAware,
+                    &config,
+                    epoch_secs,
+                );
+                assert_eq!(
+                    format!("{reference:?}"),
+                    format!("{epochs:?}"),
+                    "{label}/{controller:?} diverged at {epoch_secs}s epochs"
+                );
             }
         }
 
@@ -956,22 +905,19 @@ fn gz_multi_file_ingestion_preserves_the_determinism_lattice() {
 
 /// The observability acceptance row: attaching a live telemetry
 /// recorder must not move a single bit of the replay. For every
-/// controller, the streaming and windowed engines replay with
-/// `Telemetry` attached at threads {1, 8} × windows {1, 60} s and the
-/// `FleetReport` must be bit-identical to the recorder-free run of the
-/// same engine — telemetry is strictly observational. On top of the
-/// report identity, the counters the recorder collected are
-/// cross-checked against the report's own ledger (arrivals,
-/// policy rejections, capacity misses), and the windowed engine's
-/// counter set must be independent of the thread count: per-window
-/// recorder forks merge back in window order, so what was measured
-/// cannot depend on who measured it.
+/// controller, the single pass and the epoch chain at {1, 60} s epochs
+/// replay with `Telemetry` attached, and the `FleetReport` must be
+/// bit-identical to the recorder-free run — telemetry is strictly
+/// observational. On top of the report identity, the counters the
+/// recorder collected are cross-checked against the report's own
+/// ledger (arrivals, policy rejections, capacity misses) and the
+/// chain's own shape (one window per epoch, one snapshot per interior
+/// boundary).
 #[test]
 fn telemetry_recording_preserves_the_determinism_lattice() {
     use faas_freedom::core::fleet::{
         AdmissionPolicy, ControlConfig, ControllerConfig, FleetConfig, FleetSimulator, PidConfig,
-        PlacementStrategy, ReplayConfig, RightSizerConfig, StreamTrace, SupplyProcess, Telemetry,
-        TraceSource,
+        PlacementStrategy, RightSizerConfig, StreamTrace, SupplyProcess, Telemetry, TraceSource,
     };
     use faas_freedom::core::market::MarketConfig;
     use faas_freedom::core::telemetry::Counter;
@@ -1017,7 +963,7 @@ fn telemetry_recording_preserves_the_determinism_lattice() {
             ..FleetConfig::default()
         };
 
-        // Sequential streaming engine: telemetry-off vs telemetry-on.
+        // Single pass: telemetry-off vs telemetry-on.
         let off = sim
             .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
             .unwrap();
@@ -1047,58 +993,51 @@ fn telemetry_recording_preserves_the_determinism_lattice() {
             "no controller ticks"
         );
 
-        // Windowed engine: telemetry-off vs telemetry-on at every
-        // lattice point, plus thread-count independence of the
-        // recorded counters.
-        for window_secs in [1.0, 60.0] {
-            let mut counters_by_threads = Vec::new();
-            for threads in [1, 8] {
-                let woff = sim
-                    .run_stream_windowed(
-                        &lazy,
-                        PlacementStrategy::IdleAware,
-                        &config,
-                        threads,
-                        window_secs,
-                    )
-                    .unwrap();
-                let mut wtel = Telemetry::new();
-                let (won, _) = sim
-                    .run_stream_windowed_traced(
-                        &lazy,
-                        PlacementStrategy::IdleAware,
-                        &config,
-                        &ReplayConfig::default(),
-                        threads,
-                        window_secs,
-                        &mut wtel,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    format!("{woff:?}"),
-                    format!("{won:?}"),
-                    "{controller:?}: a live recorder moved the windowed report \
-                     at {threads} threads, {window_secs}s windows"
-                );
-                assert_eq!(
-                    format!("{off:?}"),
-                    format!("{won:?}"),
-                    "{controller:?}: traced windowed diverged from sequential \
-                     at {threads} threads, {window_secs}s windows"
-                );
-                assert_eq!(wtel.counter(Counter::Arrivals), won.invocations as u64);
-                counters_by_threads.push(
-                    Counter::ALL
-                        .iter()
-                        .map(|&c| (c.name(), wtel.counter(c)))
-                        .collect::<Vec<_>>(),
-                );
-            }
+        // Epoch chain: telemetry-off vs telemetry-on at every epoch size.
+        for epoch_secs in [1.0, 60.0] {
+            let coff = sim
+                .run_stream_resumable(
+                    &lazy,
+                    PlacementStrategy::IdleAware,
+                    &config,
+                    epoch_secs,
+                    None,
+                    |_| Ok(true),
+                )
+                .unwrap()
+                .expect("an uninterrupted run returns a report");
+            let mut ctel = Telemetry::new();
+            let mut snapshots = 0u64;
+            let con = sim
+                .run_stream_resumable_traced(
+                    &lazy,
+                    PlacementStrategy::IdleAware,
+                    &config,
+                    epoch_secs,
+                    None,
+                    &mut ctel,
+                    |_, _| {
+                        snapshots += 1;
+                        Ok(true)
+                    },
+                )
+                .unwrap()
+                .expect("an uninterrupted run returns a report");
             assert_eq!(
-                counters_by_threads[0], counters_by_threads[1],
-                "{controller:?}: recorded counters depend on the thread count \
-                 at {window_secs}s windows"
+                format!("{coff:?}"),
+                format!("{con:?}"),
+                "{controller:?}: a live recorder moved the chained report \
+                 at {epoch_secs}s epochs"
             );
+            assert_eq!(
+                format!("{off:?}"),
+                format!("{con:?}"),
+                "{controller:?}: the traced chain diverged from the single pass \
+                 at {epoch_secs}s epochs"
+            );
+            assert_eq!(ctel.counter(Counter::Arrivals), con.invocations as u64);
+            assert_eq!(ctel.counter(Counter::SnapshotsWritten), snapshots);
+            assert_eq!(ctel.counter(Counter::WindowsSimulated), snapshots + 1);
         }
     }
 }
