@@ -67,11 +67,43 @@ fn incremental_set(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     (x, y)
 }
 
+/// The online right-sizer's training set for one function: the anchor
+/// (its best configuration, at inflation 1.0) plus `alternates` observed
+/// alternates, as 6-dim Table 1 encodings.
+fn right_sizer_set(alternates: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let space = SearchSpace::table1();
+    let x: Vec<Vec<f64>> = space
+        .configs()
+        .iter()
+        .skip(40)
+        .step_by(23)
+        .take(alternates + 1)
+        .map(SearchSpace::encode)
+        .collect();
+    let y = [1.0, 1.08, 1.03, 1.15, 0.98, 1.21][..=alternates].to_vec();
+    (x, y)
+}
+
 /// The acceptance target of the incremental engine: at n ≥ 10 training
 /// points, absorbing one more trial via the warm path must beat a
 /// from-scratch candidate search + factorization.
+///
+/// The `fit_scratch_d6_n{2,4,6}` rows are the right-sizer's refit: a full
+/// search over the anchor plus 1, 3 or 5 alternates. Each newly observed
+/// alternate shifts the feature normalization, so nearly every refit of
+/// the `storm` workload's controller layer takes this path.
 fn bench_gp_incremental(c: &mut Criterion) {
     let mut group = c.benchmark_group("gp_refit");
+    for n in [2usize, 4, 6] {
+        let (x, y) = right_sizer_set(n - 1);
+        group.bench_function(format!("fit_scratch_d6_n{n}"), |b| {
+            b.iter(|| {
+                let mut gp = GaussianProcess::new(GpConfig::default(), 7);
+                gp.fit(black_box(&x), black_box(&y)).expect("fit");
+                gp
+            })
+        });
+    }
     for n in [10usize, 20, 40] {
         let (x, y) = incremental_set(n);
         group.bench_function(format!("fit_scratch_n{n}"), |b| {

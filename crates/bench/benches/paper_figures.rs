@@ -191,6 +191,28 @@ fn bench_control_loop(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The right-sizer replay's throughput as a gated counter: events/sec
+    // of the best of three passes, so `scripts/bench_check` sees the
+    // surrogate refits the controller layer pays for.
+    let config = config(ControllerConfig::SurrogateRightSizer(
+        RightSizerConfig::default(),
+    ));
+    let best_secs = (0..3)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            sim.run(&trace, PlacementStrategy::IdleAware, &config)
+                .expect("replay");
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    let events_per_sec = trace.len() as f64 / best_secs;
+    println!("bench control_loop/hour_120fn_right_sizer: {events_per_sec:.0} events/sec");
+    freedom_bench::report_counter(
+        "control_loop/hour_120fn_right_sizer_events_per_sec",
+        events_per_sec,
+        "events/sec",
+    );
 }
 
 /// The streaming event pipeline at full Azure scale: events produced

@@ -59,9 +59,9 @@ use crate::provider::{IdleCapacityPlanner, PlannerConfig};
 use crate::retry::BrownoutConfig;
 use crate::{FreedomError, Result};
 
-/// Upper bound on controller ticks per replay, mirroring
-/// [`crate::trace::MAX_WINDOWS`]: a cadence far below the trace span
-/// would spend the whole replay ticking.
+/// Upper bound on controller ticks per replay, the cadence's counterpart
+/// of the resumable replay's epoch bound [`crate::trace::MAX_WINDOWS`]: a
+/// cadence far below the trace span would spend the whole replay ticking.
 pub const MAX_TICKS: u64 = 1 << 22;
 
 /// Which feedback policy closes the loop, as plain configuration.
@@ -426,15 +426,15 @@ pub struct ControlState {
     /// Right-sizer observation log: per function, the accepted-alternate
     /// indices in first-observed order. The per-function surrogate is a
     /// pure function of this log and its batch partition (see
-    /// [`SurrogateRightSizer`]), which is what lets a window reconstruct
-    /// it mid-trace.
+    /// [`SurrogateRightSizer`]), which is what lets a replay resumed at an
+    /// epoch boundary rebuild it.
     pub observed: Vec<Vec<u8>>,
     /// The log's batch partition: per function, how many entries each
     /// observing tick appended (entries sum to the log's length). Part
     /// of the carried state because the canonical model-fitting sequence
     /// is **one warm-start `fit_update` per batch**, not per entry — a
-    /// reconstructing window must replay the same batching the
-    /// sequential engine performed.
+    /// resumed replay rebuilding the model must repeat the batching the
+    /// uninterrupted run performed.
     pub observed_batches: Vec<Vec<u8>>,
     /// Right-sizer output: per function, the revised placement order
     /// (`None` = the planner's original order).
@@ -443,7 +443,8 @@ pub struct ControlState {
     /// the enter threshold and has not yet recovered below the exit
     /// threshold. While set, retries are shed before fresh arrivals and
     /// fresh admissions face the tightened brownout ceiling. Carried
-    /// state — a window reconstructing mid-trace must agree on the mode.
+    /// state — a replay resumed at an epoch boundary continues in the
+    /// same mode.
     pub brownout: bool,
 }
 
@@ -612,10 +613,10 @@ pub fn admission_ceiling(policy: &AdmissionPolicy) -> f64 {
     }
 }
 
-/// Per-window transient caches — the right-sizer's fitted surrogates.
-/// Never carried or compared: everything here is derived from
-/// [`ControlState`] by a deterministic replay, so a fresh window
-/// rebuilds it on demand.
+/// One replay's transient caches — the right-sizer's fitted surrogates.
+/// Never carried into snapshots or compared: everything here is derived
+/// from [`ControlState`] by a deterministic replay, so a replay resumed
+/// from a snapshot rebuilds it on demand.
 #[derive(Default)]
 pub struct ControlScratch {
     models: Vec<Option<Box<dyn Surrogate>>>,
@@ -817,9 +818,9 @@ impl Controller for HeadroomPid {
 /// is the batch's cumulative end. The sequential engine grows the model
 /// with exactly those calls — a tick that surfaces several alternates
 /// at once absorbs them in **one** `fit_update`, which is what keeps
-/// the tick cost amortized — and a replay window holding only the
-/// carried log replays the same batches from scratch. Same sequence,
-/// same seeds, same model — bit for bit.
+/// the tick cost amortized — and a replay resumed from a snapshot, which
+/// holds only the carried log, replays the same batches from scratch.
+/// Same sequence, same seeds, same model — bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub struct SurrogateRightSizer {
     config: RightSizerConfig,
@@ -853,12 +854,13 @@ impl SurrogateRightSizer {
 
     /// Brings the function's surrogate up to date with its log, whose
     /// batch partition `batches` records how many entries each observing
-    /// tick appended. A window holding no model yet replays the
-    /// canonical batched call sequence from scratch; otherwise only the
-    /// newest batch is absorbed — **one** warm-start `fit_update` per
-    /// tick no matter how many alternates the epoch surfaced, which is
-    /// what amortizes the tick cost. Returns `None` when fitting fails
-    /// (degenerate data) — deterministically, since the inputs are.
+    /// tick appended. A replay holding no model yet (a fresh start, or a
+    /// resume from a snapshot) replays the canonical batched call
+    /// sequence from scratch; otherwise only the newest batch is absorbed
+    /// — **one** warm-start `fit_update` per tick no matter how many
+    /// alternates the epoch surfaced, which is what amortizes the tick
+    /// cost. Returns `None` when fitting fails (degenerate data) —
+    /// deterministically, since the inputs are.
     fn advance_model<'m>(
         &self,
         slot: &'m mut Option<Box<dyn Surrogate>>,
@@ -1168,9 +1170,9 @@ mod tests {
             std::slice::from_ref(&view),
         );
 
-        // Reconstruction: a fresh scratch (as a new replay window would
-        // hold) sees the same second tick after carrying only the state —
-        // the observation log plus its batch partition.
+        // Reconstruction: a fresh scratch (as a replay resumed from a
+        // snapshot holds) sees the same second tick after carrying only
+        // the state — the observation log plus its batch partition.
         let mut carried = ctl.init(AdmissionPolicy::Greedy, 1);
         carried.observed = vec![vec![1]];
         carried.observed_batches = vec![vec![1]];

@@ -1668,6 +1668,7 @@ impl<R: Recorder> WindowSim<'_, R> {
     /// closed epoch's observation, records the telemetry sample, and
     /// opens the next epoch.
     fn fire_tick(&mut self, at: u64) {
+        let wall0 = if R::ENABLED { self.rec.now_nanos() } else { 0 };
         let utilization = self.ledger.utilization();
         let obs = Observation {
             tick: self.next_tick as u32,
@@ -1686,6 +1687,11 @@ impl<R: Recorder> WindowSim<'_, R> {
         if let Some(b) = &self.ctx.retry.brownout {
             update_brownout(&mut self.control, &self.accum, b);
         }
+        let tick_nanos = if R::ENABLED {
+            self.rec.now_nanos().saturating_sub(wall0)
+        } else {
+            0
+        };
         self.m.samples.push(ControlSample {
             at_secs: at as f64 / 1e9,
             utilization,
@@ -1700,6 +1706,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             brownout: self.control.brownout,
         });
         if R::ENABLED {
+            self.rec.observe(tel::Hist::ControllerTickNanos, tick_nanos);
             self.rec.add(tel::Counter::ControllerTicks, 1);
             self.rec.add(tel::Counter::Replans, u64::from(replanned));
             self.rec.observe(

@@ -9,7 +9,7 @@
 //! every inner loop is a contiguous slice dot-product (the Cholesky–Crout
 //! ordering makes both operands row prefixes, which is as cache-friendly
 //! as a blocked layout at the kernel sizes we see, n ≤ a few hundred).
-//! Three additions serve the incremental BO loop:
+//! Four additions serve the incremental BO loop:
 //!
 //! - [`Cholesky::append_row`] extends a factor by one trailing row in
 //!   O(n²), bit-identically to refactorizing from scratch — row-by-row
@@ -19,7 +19,14 @@
 //!   inversion instead of n full solves (the leave-one-out score needs
 //!   exactly this diagonal);
 //! - [`Cholesky::solve_lower_multi`] forward-substitutes many right-hand
-//!   sides in one pass over the factor (batched GP prediction).
+//!   sides in one pass over the factor (batched GP prediction);
+//! - in-place entry points for a caller that scores many matrices in a
+//!   row (the GP's hyperparameter search): [`Cholesky::refactor`]
+//!   factorizes into an existing factor's buffer, and
+//!   [`Cholesky::solve_into`] / [`Cholesky::inv_diag_into`] write into
+//!   caller buffers. [`cholesky`], [`Cholesky::solve`] and
+//!   [`Cholesky::inv_diag`] are thin allocating wrappers over them, so
+//!   both forms produce the same bits.
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -61,7 +68,63 @@ pub struct Cholesky {
     jitter_used: f64,
 }
 
+/// An empty factor of dimension 0: a buffer for [`Cholesky::refactor`].
+impl Default for Cholesky {
+    fn default() -> Self {
+        Self {
+            l: Matrix::zeros(0, 0),
+            jitter_used: 0.0,
+        }
+    }
+}
+
 impl Cholesky {
+    /// Factorizes `a` into this factor's buffer, with the same jitter
+    /// ladder as [`cholesky`] (which is this method on an empty factor).
+    ///
+    /// Nothing of the previous factorization survives: on success every
+    /// entry of the factor and the jitter are rewritten, and on error the
+    /// factor is left empty (dimension 0). The buffer's allocation is
+    /// kept either way, so refactoring same-sized matrices in a loop
+    /// allocates nothing.
+    pub fn refactor(&mut self, a: &Matrix, initial_jitter: f64) -> Result<()> {
+        self.l.reset_zeros(0, 0);
+        self.jitter_used = 0.0;
+        let n = a.rows();
+        if n != a.cols() {
+            return Err(LinalgError::DimensionMismatch {
+                expected: "square matrix".into(),
+                found: format!("{}x{}", a.rows(), a.cols()),
+            });
+        }
+        if n == 0 {
+            return Err(LinalgError::Empty);
+        }
+        let ad = a.as_slice();
+        let mean_diag = (0..n).map(|i| ad[i * n + i].abs()).sum::<f64>() / n as f64;
+        let max_jitter = (1e-2 * mean_diag).max(1e-10);
+        // Zero once: a pass writes each row's lower triangle and diagonal
+        // before any later row reads them, and never touches the upper
+        // triangle, so a failed pass leaves nothing a retry would read.
+        self.l.reset_zeros(n, n);
+        let mut jitter = initial_jitter;
+        loop {
+            match factorize_into(ad, n, jitter, self.l.as_mut_slice()) {
+                Ok(()) => {
+                    self.jitter_used = jitter;
+                    return Ok(());
+                }
+                Err(_) if jitter < max_jitter => {
+                    jitter = if jitter == 0.0 { 1e-10 } else { jitter * 10.0 };
+                }
+                Err(e) => {
+                    self.l.reset_zeros(0, 0);
+                    return Err(e);
+                }
+            }
+        }
+    }
+
     /// The lower-triangular factor.
     pub fn factor(&self) -> &Matrix {
         &self.l
@@ -82,11 +145,17 @@ impl Cholesky {
     /// Returns [`LinalgError::DimensionMismatch`] when `b` has the wrong
     /// length.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut y = vec![0.0; self.l.rows()];
-        self.solve_lower_into(b, &mut y)?;
         let mut x = vec![0.0; self.l.rows()];
-        self.solve_upper_into(&y, &mut x)?;
+        self.solve_into(b, &mut x)?;
         Ok(x)
+    }
+
+    /// [`Cholesky::solve`] into a caller-provided buffer: forward
+    /// substitution into `out`, then backward substitution in place.
+    pub fn solve_into(&self, b: &[f64], out: &mut [f64]) -> Result<()> {
+        self.solve_lower_into(b, out)?;
+        self.back_substitute(out);
+        Ok(())
     }
 
     /// Solves `L y = b` (forward substitution).
@@ -130,17 +199,26 @@ impl Cholesky {
                 found: format!("lengths {} and {}", y.len(), out.len()),
             });
         }
+        out.copy_from_slice(y);
+        self.back_substitute(out);
+        Ok(())
+    }
+
+    /// Solves `Lᵀ x = y` in place (`x` holds `y` on entry). Row i reads
+    /// only `y[i]` and the already-solved `x[i+1..]`, so overwriting `y`
+    /// as it goes is the same arithmetic as a separate output buffer.
+    fn back_substitute(&self, x: &mut [f64]) {
+        let n = self.l.rows();
         let l = self.l.as_slice();
         for i in (0..n).rev() {
-            let mut sum = y[i];
+            let mut sum = x[i];
             // Lᵀ's row i is L's column i: strided access is unavoidable
             // here, but the loop body is a single fused multiply-subtract.
             for j in (i + 1)..n {
-                sum -= l[j * n + i] * out[j];
+                sum -= l[j * n + i] * x[j];
             }
-            out[i] = sum / l[i * n + i];
+            x[i] = sum / l[i * n + i];
         }
-        Ok(())
     }
 
     /// Solves `L Y = Bᵀ` for many right-hand sides at once: each row of
@@ -171,25 +249,43 @@ impl Cholesky {
     /// implementation solved n basis vectors for O(n³) — and is what the
     /// GP's leave-one-out score needs on every candidate fit.
     pub fn inv_diag(&self) -> Vec<f64> {
+        let mut d = vec![0.0; self.l.rows()];
+        self.inv_diag_in_place(&mut d);
+        d
+    }
+
+    /// [`Cholesky::inv_diag`] into a caller-provided buffer of length
+    /// [`Cholesky::dim`].
+    pub fn inv_diag_into(&self, out: &mut [f64]) -> Result<()> {
+        let n = self.l.rows();
+        if out.len() != n {
+            return Err(LinalgError::DimensionMismatch {
+                expected: format!("vector of length {n}"),
+                found: format!("length {}", out.len()),
+            });
+        }
+        self.inv_diag_in_place(out);
+        Ok(())
+    }
+
+    /// `diag(A⁻¹)` with no scratch beyond `out`: column j of `W` needs
+    /// only `W[j..][j]`, which it builds in `out[j..]` — entries no
+    /// earlier column's result occupies — before folding it into `out[j]`.
+    fn inv_diag_in_place(&self, out: &mut [f64]) {
         let n = self.l.rows();
         let l = self.l.as_slice();
-        // W is built column by column; w[k] holds W[j..=k][j] for the
-        // current column j compacted at its natural indices.
-        let mut w = vec![0.0; n * n];
         for j in 0..n {
-            w[j * n + j] = 1.0 / l[j * n + j];
+            out[j] = 1.0 / l[j * n + j];
             for i in (j + 1)..n {
                 // W[i][j] = -(Σ_{k=j..i-1} L[i][k]·W[k][j]) / L[i][i].
                 let mut s = 0.0;
                 for k in j..i {
-                    s += l[i * n + k] * w[k * n + j];
+                    s += l[i * n + k] * out[k];
                 }
-                w[i * n + j] = -s / l[i * n + i];
+                out[i] = -s / l[i * n + i];
             }
+            out[j] = out[j..].iter().map(|w| w * w).sum();
         }
-        (0..n)
-            .map(|i| (i..n).map(|k| w[k * n + i] * w[k * n + i]).sum())
-            .collect()
     }
 
     /// Log-determinant of `A`, i.e. `2 Σ log L[i][i]`.
@@ -254,43 +350,15 @@ impl Cholesky {
 /// routine escalates jitter by ×10 up to `1e-2 · mean(diag)` before
 /// returning [`LinalgError::NotPositiveDefinite`].
 pub fn cholesky(a: &Matrix, initial_jitter: f64) -> Result<Cholesky> {
-    let n = a.rows();
-    if n != a.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            expected: "square matrix".into(),
-            found: format!("{}x{}", a.rows(), a.cols()),
-        });
-    }
-    if n == 0 {
-        return Err(LinalgError::Empty);
-    }
-    let ad = a.as_slice();
-    let mean_diag = (0..n).map(|i| ad[i * n + i].abs()).sum::<f64>() / n as f64;
-    let max_jitter = (1e-2 * mean_diag).max(1e-10);
-    let mut jitter = initial_jitter;
-    loop {
-        match try_factorize(a, jitter) {
-            Ok(l) => {
-                return Ok(Cholesky {
-                    l,
-                    jitter_used: jitter,
-                })
-            }
-            Err(_) if jitter < max_jitter => {
-                jitter = if jitter == 0.0 { 1e-10 } else { jitter * 10.0 };
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    let mut ch = Cholesky::default();
+    ch.refactor(a, initial_jitter)?;
+    Ok(ch)
 }
 
-/// One Cholesky–Crout pass over the flat buffer. Row i is computed from
-/// rows 0..i only (which is what makes [`Cholesky::append_row`] exact).
-fn try_factorize(a: &Matrix, jitter: f64) -> Result<Matrix> {
-    let n = a.rows();
-    let ad = a.as_slice();
-    let mut l = Matrix::zeros(n, n);
-    let ld = l.as_mut_slice();
+/// One Cholesky–Crout pass of the n×n matrix `ad` into `ld`'s lower
+/// triangle. Row i is computed from rows 0..i only (which is what makes
+/// [`Cholesky::append_row`] exact).
+fn factorize_into(ad: &[f64], n: usize, jitter: f64, ld: &mut [f64]) -> Result<()> {
     for i in 0..n {
         // Split so row i is writable while rows 0..i stay readable.
         let (done, current) = ld.split_at_mut(i * n);
@@ -306,7 +374,7 @@ fn try_factorize(a: &Matrix, jitter: f64) -> Result<Matrix> {
         }
         row_i[i] = d.sqrt();
     }
-    Ok(l)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -478,5 +546,88 @@ mod tests {
         let mut out = vec![0.0; 2];
         assert!(ch.solve_lower_into(&[1.0, 2.0, 3.0], &mut out).is_err());
         assert!(ch.solve_upper_into(&[1.0, 2.0], &mut [0.0; 3]).is_err());
+        assert!(ch.solve_into(&[1.0, 2.0, 3.0], &mut out).is_err());
+        assert!(ch.inv_diag_into(&mut out).is_err());
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts a reused factor of `a` holds exactly what the allocating
+    /// entry points compute: every factor entry (the zero upper triangle
+    /// included), the jitter, a solve and the inverse diagonal, bit for
+    /// bit. The output buffers start out holding NaN, so a stale entry
+    /// would show.
+    fn assert_matches_fresh(reused: &Cholesky, a: &Matrix) {
+        let fresh = cholesky(a, 0.0).unwrap();
+        let n = fresh.dim();
+        assert_eq!(reused.dim(), n);
+        assert_eq!(
+            bits(reused.factor().as_slice()),
+            bits(fresh.factor().as_slice())
+        );
+        assert_eq!(
+            reused.jitter_used().to_bits(),
+            fresh.jitter_used().to_bits()
+        );
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 1.5).collect();
+        let mut x = vec![f64::NAN; n];
+        reused.solve_into(&b, &mut x).unwrap();
+        assert_eq!(bits(&x), bits(&fresh.solve(&b).unwrap()));
+        let mut d = vec![f64::NAN; n];
+        reused.inv_diag_into(&mut d).unwrap();
+        assert_eq!(bits(&d), bits(&fresh.inv_diag()));
+    }
+
+    #[test]
+    fn refactor_reuses_one_buffer_bit_identically() {
+        let mut ch = Cholesky::default();
+        assert_eq!(ch.dim(), 0);
+        for n in [6usize, 2, 9] {
+            let a = spd(n);
+            ch.refactor(&a, 0.0).unwrap();
+            assert_matches_fresh(&ch, &a);
+        }
+    }
+
+    #[test]
+    fn refactor_runs_the_jitter_ladder_and_leaves_no_jitter_behind() {
+        // All ones: rank one, positive semi-definite, so it only factors
+        // with jitter.
+        let ones = Matrix::from_vec(4, 4, vec![1.0; 16]).unwrap();
+        let mut ch = cholesky(&spd(9), 0.0).unwrap();
+        ch.refactor(&ones, 0.0).unwrap();
+        assert!(ch.jitter_used() > 0.0);
+        assert_matches_fresh(&ch, &ones);
+        // The next matrix needs none, and gets none.
+        ch.refactor(&spd3(), 0.0).unwrap();
+        assert_eq!(ch.jitter_used(), 0.0);
+        assert_matches_fresh(&ch, &spd3());
+    }
+
+    #[test]
+    fn failed_refactor_leaves_an_empty_factor_and_no_stale_rows() {
+        let mut ch = Cholesky::default();
+        ch.refactor(&spd(9), 0.0).unwrap();
+        // Indefinite at every rung of the ladder: row 3 fails after rows
+        // 0..3 were written, on every pass.
+        let mut bad = spd(5);
+        bad.set(3, 3, -1.0);
+        assert_eq!(
+            ch.refactor(&bad, 0.0).unwrap_err(),
+            LinalgError::NotPositiveDefinite
+        );
+        assert_eq!(ch.dim(), 0);
+        assert!(ch.solve_into(&[1.0; 5], &mut [0.0; 5]).is_err());
+        assert_eq!(ch.inv_diag_into(&mut []), Ok(()));
+        ch.refactor(&spd(5), 0.0).unwrap();
+        assert_matches_fresh(&ch, &spd(5));
+        // Shape errors empty the factor too.
+        assert!(matches!(
+            ch.refactor(&Matrix::zeros(2, 3), 0.0).unwrap_err(),
+            LinalgError::DimensionMismatch { .. }
+        ));
+        assert_eq!(ch.dim(), 0);
     }
 }

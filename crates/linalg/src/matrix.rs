@@ -34,6 +34,16 @@ impl Matrix {
         }
     }
 
+    /// Reshapes to `rows × cols` and fills with zeros, keeping the
+    /// buffer's allocation: [`Matrix::zeros`] for a matrix that is
+    /// refilled in a loop.
+    pub(crate) fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);

@@ -159,11 +159,15 @@ pub enum Hist {
     UtilizationPpm,
     /// Simulated nanoseconds of backoff applied to each scheduled retry.
     RetryBackoffNanos,
+    /// Wall nanoseconds of each controller tick (the controller's
+    /// revision plus the brownout update). Host-dependent; excluded from
+    /// determinism guarantees.
+    ControllerTickNanos,
 }
 
 impl Hist {
     /// Number of histograms; length of [`Hist::ALL`].
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 6;
 
     /// Every histogram, in declaration (= export) order.
     pub const ALL: [Hist; Hist::COUNT] = [
@@ -172,6 +176,7 @@ impl Hist {
         Hist::ArrivalGapNanos,
         Hist::UtilizationPpm,
         Hist::RetryBackoffNanos,
+        Hist::ControllerTickNanos,
     ];
 
     /// Stable snake_case name used in JSONL and summaries.
@@ -182,6 +187,7 @@ impl Hist {
             Hist::ArrivalGapNanos => "arrival_gap_ns",
             Hist::UtilizationPpm => "utilization_ppm",
             Hist::RetryBackoffNanos => "retry_backoff_ns",
+            Hist::ControllerTickNanos => "controller_tick_ns",
         }
     }
 }

@@ -920,7 +920,7 @@ fn telemetry_recording_preserves_the_determinism_lattice() {
         PlacementStrategy, RightSizerConfig, StreamTrace, SupplyProcess, Telemetry, TraceSource,
     };
     use faas_freedom::core::market::MarketConfig;
-    use faas_freedom::core::telemetry::Counter;
+    use faas_freedom::core::telemetry::{Counter, Hist};
     use freedom_experiments::fleet_simulation::synthetic_plans;
 
     let n_functions = 120;
@@ -991,6 +991,12 @@ fn telemetry_recording_preserves_the_determinism_lattice() {
         assert!(
             tel.counter(Counter::ControllerTicks) > 0,
             "no controller ticks"
+        );
+        // Every tick's wall time lands in its histogram; the values are
+        // host time, so only the count is pinned.
+        assert_eq!(
+            tel.hist(Hist::ControllerTickNanos).count(),
+            tel.counter(Counter::ControllerTicks)
         );
 
         // Epoch chain: telemetry-off vs telemetry-on at every epoch size.
