@@ -440,19 +440,19 @@ fn bench_zone_outage(c: &mut Criterion) {
 }
 
 /// The week-scale headline: the 14-day × 10 000-function diurnal trace,
-/// synthesized as one gzip'd CSV per day and streamed through
-/// `from_csv_parts` — decompression, parsing, and replay overlap, and
-/// peak resident events stay bounded by in-flight + lookahead while the
-/// full trace is ~10 M arrivals. In quick/--fast mode the same pipeline
-/// runs at the downscaled 2-day × 2 000-function shape so CI still
-/// exercises the multi-file gz path and the counter plumbing.
+/// synthesized as one gzip'd CSV per day, scanned once by
+/// `from_csv_parts` — the only pass that inflates and parses — and
+/// replayed from the scan's row table, with peak resident events
+/// bounded by in-flight + lookahead while the full trace is ~10 M
+/// arrivals. In quick/--fast mode the same pipeline runs at the
+/// downscaled 2-day × 2 000-function shape so CI still exercises the
+/// multi-file gz path and the counter plumbing.
 ///
-/// Counters reported into `BENCH_pr.json`: events/sec, ns/event, peak
-/// resident events, and decompress MB/s (compressed input over replay
-/// wall clock — the streaming reader inflates every byte it replays),
-/// plus a resumable row (6 h epochs, every snapshot encoded) reporting
-/// events/sec, the first and last snapshot sizes, and encode ms per
-/// epoch.
+/// Counters reported into `BENCH_pr.json`: the replay's events/sec,
+/// ns/event and peak resident events, and the scan's ns/event (min of
+/// 5 scans), plus a resumable row (6 h epochs, every snapshot encoded)
+/// reporting events/sec, the first and last snapshot sizes, and encode
+/// ms per epoch.
 ///
 /// A one-day anchor row with the same functions, market, and trace
 /// generator rides along: it is the day-scale baseline at *identical*
@@ -504,6 +504,15 @@ fn bench_week_replay(c: &mut Criterion) {
         let day_parts = day_spec.gz_parts(8);
         let day_gz_bytes: usize = day_parts.iter().map(|p| p.len()).sum();
         let day_refs: Vec<&[u8]> = day_parts.iter().map(|p| p.as_slice()).collect();
+        let scan_s = (0..5)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                let scanned = StreamTrace::from_csv_parts(&day_refs).expect("scan gz day parts");
+                let secs = t0.elapsed().as_secs_f64();
+                drop(std::hint::black_box(scanned));
+                secs
+            })
+            .fold(f64::INFINITY, f64::min);
         let day_trace = StreamTrace::from_csv_parts(&day_refs).expect("scan gz day parts");
         let started = std::time::Instant::now();
         let (_, s) = sim
@@ -517,15 +526,17 @@ fn bench_week_replay(c: &mut Criterion) {
             s.peak_resident_events(),
             s.events
         );
+        let scan_ns = scan_s * 1e9 / s.events as f64;
         println!(
             "bench week_replay/{day_tag}: {} events over {} gz days, {:.0} events/sec, \
-             {:.0} ns/event, {:.1} MB/s decompressed, peak resident {}",
+             {:.0} ns/event, peak resident {}; scan {scan_ns:.0} ns/event, \
+             {:.1} MB/s gz",
             s.events,
             day_spec.days,
             events_per_sec,
             day_wall * 1e9 / s.events as f64,
-            day_gz_bytes as f64 / 1e6 / day_wall,
             s.peak_resident_events(),
+            day_gz_bytes as f64 / 1e6 / scan_s,
         );
         freedom_bench::report_counter(
             &format!("week_replay/{day_tag}_events_per_sec"),
@@ -543,9 +554,9 @@ fn bench_week_replay(c: &mut Criterion) {
             "events",
         );
         freedom_bench::report_counter(
-            &format!("week_replay/{day_tag}_decompress_mb_per_sec"),
-            day_gz_bytes as f64 / 1e6 / day_wall,
-            "MB/s",
+            &format!("week_replay/{day_tag}_scan_ns_per_event"),
+            scan_ns,
+            "ns/event",
         );
         stats = Some(s);
     }
@@ -665,15 +676,16 @@ fn bench_week_replay(c: &mut Criterion) {
 /// stack (seeded backoff, per-family budgets, hedged re-issue) — next
 /// to a faults-off anchor at identical per-event work.
 ///
-/// Counters reported into `BENCH_pr.json`: the flaky replay's ns/event
-/// (auto-gated by `scripts/bench_check` like every `*_ns_per_event`
-/// row), the faults-off anchor's ns/event, and the retry overhead
-/// ratio between them. The acceptance bar is ≤1.10×: scheduling
-/// backoffs, racing hedges, and draining budgets ride the existing
-/// event loop, so the flaky hot path may not grow per-event cost by
-/// more than 10%. Both variants alternate and compare best-of-N walls,
-/// like the telemetry row — one-shot pass pairs would let scheduler
-/// noise masquerade as retry overhead.
+/// Counters reported into `BENCH_pr.json`: the flaky replay's best
+/// ns/event (auto-gated by `scripts/bench_check` like every
+/// `*_ns_per_event` row), the faults-off anchor's, and the retry
+/// overhead ratio between them. The acceptance bar is ≤1.10×:
+/// scheduling backoffs, racing hedges, and draining budgets ride the
+/// existing event loop, so the flaky hot path may not grow per-event
+/// cost by more than 10%. The ratio is the median over 10 back-to-back
+/// pairs that alternate which replay runs first — one-shot pairs, or
+/// best-of-N walls taken minutes apart, let the machine's drift
+/// masquerade as retry overhead.
 fn bench_retry_storm(c: &mut Criterion) {
     use exp::fleet_simulation::{market_config, market_tightness, synthetic_plans};
     use exp::week_trace::WeekTraceSpec;
@@ -730,63 +742,81 @@ fn bench_retry_storm(c: &mut Criterion) {
     });
     group.finish();
 
-    // The instrumented best-of-N passes behind the overhead counters.
-    // Each run is normalized by the events *it* processes: a retry
-    // activation is a full admission event (policy gate, best-fit,
-    // fresh fault draw), so the flaky denominator is invocations plus
-    // retry activations — otherwise genuine extra work would read as
-    // per-event overhead.
-    let reps = 5;
+    // The instrumented pairs behind the overhead counters. Each pass is
+    // normalized by the events *it* processes: a retry activation is a
+    // full admission event (policy gate, best-fit, fresh fault draw), so
+    // the flaky denominator is invocations plus retry activations —
+    // otherwise genuine extra work would read as per-event overhead.
+    // The two replays of a pair run back to back, alternating which goes
+    // first, and the gate is the median of the per-pair ratios: a slow
+    // stretch of the machine moves one pair, where it would move a ratio
+    // of two best-of-N walls taken at different times.
+    let pairs = 10;
+    let mut ratios = Vec::with_capacity(pairs);
     let mut calm_best = f64::INFINITY;
     let mut flaky_best = f64::INFINITY;
     let mut calm_events = 0usize;
-    let mut flaky_events = 0usize;
     let mut retried = 0usize;
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        let report = sim
-            .run_stream(&trace, PlacementStrategy::IdleAware, &calm)
-            .expect("replay");
-        calm_best = calm_best.min(t0.elapsed().as_secs_f64());
-        calm_events = report.invocations;
-        std::hint::black_box(report);
-
-        let t0 = std::time::Instant::now();
-        let report = sim
-            .run_stream(&trace, PlacementStrategy::IdleAware, &flaky)
-            .expect("replay");
-        flaky_best = flaky_best.min(t0.elapsed().as_secs_f64());
-        retried = report.retried;
-        flaky_events = report.invocations + report.retried;
-        std::hint::black_box(report);
+    for pair in 0..pairs {
+        let (mut calm_ns, mut flaky_ns) = (0.0, 0.0);
+        for flaky_turn in [pair % 2 == 1, pair % 2 == 0] {
+            let t0 = std::time::Instant::now();
+            let report = sim
+                .run_stream(
+                    &trace,
+                    PlacementStrategy::IdleAware,
+                    if flaky_turn { &flaky } else { &calm },
+                )
+                .expect("replay");
+            let wall_ns = t0.elapsed().as_secs_f64() * 1e9;
+            if flaky_turn {
+                retried = report.retried;
+                flaky_ns = wall_ns / (report.invocations + report.retried) as f64;
+            } else {
+                calm_events = report.invocations;
+                calm_ns = wall_ns / report.invocations as f64;
+            }
+            std::hint::black_box(report);
+        }
+        calm_best = calm_best.min(calm_ns);
+        flaky_best = flaky_best.min(flaky_ns);
+        ratios.push(flaky_ns / calm_ns);
     }
     assert!(retried > 0, "the flaky week must actually retry");
-    let calm_ns = calm_best * 1e9 / calm_events as f64;
-    let flaky_ns = flaky_best * 1e9 / flaky_events as f64;
-    let overhead = flaky_ns / calm_ns;
+    ratios.sort_by(f64::total_cmp);
+    let quartile = |q: f64| {
+        let at = q * (pairs - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        ratios[lo] + (ratios[hi] - ratios[lo]) * (at - lo as f64)
+    };
+    let (q1, overhead, q3) = (quartile(0.25), quartile(0.5), quartile(0.75));
     println!(
-        "bench retry_storm/{tag}: {:.0} ns/event flaky vs {:.0} ns/event faults-off, \
-         {overhead:.3}x retry overhead ({retried} retries over {calm_events} invocations)",
-        flaky_ns, calm_ns,
-    );
-    assert!(
-        overhead <= 1.10,
-        "retry path costs {overhead:.3}x per event — over the 1.10x acceptance bar"
+        "bench retry_storm/{tag}: {flaky_best:.0} ns/event flaky vs {calm_best:.0} ns/event \
+         faults-off (best of {pairs}), {overhead:.3}x retry overhead (median of {pairs} \
+         pairs; IQR {:.3} from {q1:.3}x to {q3:.3}x; min-ratio {:.3}x; {retried} retries \
+         over {calm_events} invocations)",
+        q3 - q1,
+        flaky_best / calm_best,
     );
     freedom_bench::report_counter(
         &format!("retry_storm/{tag}_flaky_ns_per_event"),
-        flaky_ns,
+        flaky_best,
         "ns/event",
     );
     freedom_bench::report_counter(
         &format!("retry_storm/{tag}_faults_off_ns_per_event"),
-        calm_ns,
+        calm_best,
         "ns/event",
     );
     freedom_bench::report_counter(
         &format!("retry_storm/{tag}_retry_overhead"),
         overhead,
         "ratio",
+    );
+    // Reported first, so a run over the bar still leaves its numbers.
+    assert!(
+        overhead <= 1.10,
+        "retry path costs {overhead:.3}x per event — over the 1.10x acceptance bar"
     );
 }
 

@@ -881,10 +881,11 @@ impl Carry {
     /// `boundary`: every in-flight entry completes at or after the
     /// boundary on a slot the market has at that instant, with room for
     /// its reservation; every pending retry or hedge fires at or after
-    /// the boundary for a function and family of this fleet; and the
-    /// budget, observation and controller state are sized for it.
-    /// Decoding alone cannot know any of these, and each one would
-    /// otherwise surface as an out-of-range index mid-replay.
+    /// the boundary, for an invocation that arrived before it, of a
+    /// function and family of this fleet; and the budget, observation
+    /// and controller state are sized for it. Decoding alone cannot
+    /// know any of these, and each one would otherwise surface as an
+    /// out-of-range index or a broken invariant mid-replay.
     fn check(&self, ctx: &ReplayCtx, boundary: u64) -> Result<()> {
         let invalid = |what: &str| Err(FreedomError::InvalidArgument(format!("snapshot: {what}")));
         let mut ledger = SpotLedger::new(&ctx.market, ctx.schedule.start_state(boundary).caps);
@@ -896,6 +897,8 @@ impl Carry {
         let n_functions = ctx.best_costs.len();
         for p in &self.retries {
             if p.at_nanos < boundary
+                // The invocation arrived in an epoch already replayed.
+                || p.arrival_nanos >= boundary
                 || p.function as usize >= n_functions
                 || usize::from(p.family) >= N_MARKET_FAMILIES
                 || !matches!(p.kind, KIND_RETRY | KIND_HEDGE)
@@ -3275,7 +3278,7 @@ mod tests {
                     let mut cp = Wire::new();
                     s.checkpoint.save(&mut cp);
                     let cp = cp.into_bytes();
-                    let open_rows = cp[0] == 0 || cp[30..38] != [0; 8];
+                    let open_rows = cp[0] == 0 || cp[18..26] != [0; 8];
                     let ready = open_rows && !s.carry.inflight.is_empty();
                     if ready {
                         let bytes = s.to_bytes();
@@ -3328,19 +3331,18 @@ mod tests {
                 *b = bytes[..bytes.len() - 8].to_vec();
             });
             if kind == "csv" {
-                // Checkpoint layout: tag, file u32, offset u64, lineno
-                // u64, m_max u64, exhausted, row count u64, then rows of
-                // (next bits u64, function u32, minute u64, count u32,
-                // j u32).
-                let row = HEADER + 38;
+                // Checkpoint layout: tag, row cursor u64, m_max u64,
+                // exhausted, row count u64, then rows of (next bits u64,
+                // function u32, minute u64, count u32, j u32).
+                let row = HEADER + 26;
                 reject("open row of an unknown function", &|b| {
                     put(b, row + 8, &u32::MAX.to_le_bytes())
                 });
-                reject("line number past the scanned file", &|b| {
-                    put(b, HEADER + 13, &u64::MAX.to_le_bytes())
+                reject("row cursor past the table", &|b| {
+                    put(b, HEADER + 1, &u64::MAX.to_le_bytes())
                 });
                 reject("reader exhausted before the events consumed", &|b| {
-                    b[HEADER + 29] = 1
+                    b[HEADER + 17] = 1
                 });
                 reject("arrival before the boundary", &|b| {
                     put(b, row, &1.0f64.to_bits().to_le_bytes())
@@ -3368,6 +3370,186 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// What the snapshot fuzz test resumes: a fleet, its replay
+    /// configuration and snapshot cadence, and per trace — a gz
+    /// multi-part CSV trace and a generated one — a real mid-run
+    /// snapshot body (checksum stripped).
+    struct FuzzFixture {
+        sim: FleetSimulator,
+        config: FleetConfig,
+        epoch_secs: f64,
+        cases: Vec<(StreamTrace, Vec<u8>)>,
+    }
+
+    fn fuzz_fixture() -> &'static FuzzFixture {
+        static FIXTURE: std::sync::OnceLock<FuzzFixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let epoch_secs = 25.0;
+            let sim = FleetSimulator::new(make_plans(5)).unwrap();
+            let config = FleetConfig {
+                control: ControlConfig {
+                    cadence_secs: 10.0,
+                    controller: ControllerConfig::SurrogateRightSizer(RightSizerConfig::default()),
+                },
+                retry: RetryPolicy {
+                    max_attempts: 3,
+                    hedge_delay_secs: 2.0,
+                    ..RetryPolicy::DEFAULT
+                },
+                faults: FaultPlan {
+                    seed: 7,
+                    crash_prob: 0.05,
+                    abort_prob: 0.05,
+                    ..FaultPlan::NONE
+                },
+                ..zoned_config(3, 3.0)
+            };
+            // Three day-like parts, the middle one plain: longer than the
+            // reader's lookahead, so a boundary lands mid-member with
+            // rows open.
+            let parts: Vec<Vec<u8>> = (0..3u64)
+                .map(|part| {
+                    let mut csv = String::from("app,func,minute,count\n");
+                    for minute in 7 * part..7 * (part + 1) {
+                        for f in 0..FunctionKind::ALL.len() as u64 {
+                            csv.push_str(&format!(
+                                "app,f{f},{minute},{}\n",
+                                (minute * 5 + f * 7) % 31
+                            ));
+                        }
+                    }
+                    if part == 1 {
+                        csv.into_bytes()
+                    } else {
+                        flate::gzip_compress(csv.as_bytes(), flate::CompressMode::FixedHuffman)
+                    }
+                })
+                .collect();
+            let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+            let csv = StreamTrace::from_csv_parts(&refs).unwrap();
+            let generated = traces(
+                TraceSource::Poisson {
+                    rps_per_function: 2.0,
+                },
+                300.0,
+                3,
+            )
+            .0;
+            let cases = [csv, generated]
+                .into_iter()
+                .map(|trace| {
+                    let mut body = None;
+                    sim.run_stream_resumable(
+                        &trace,
+                        PlacementStrategy::IdleAware,
+                        &config,
+                        epoch_secs,
+                        None,
+                        |s| {
+                            // CSV checkpoint: tag, row cursor, m_max,
+                            // exhausted, then the open-row count.
+                            let mut cp = Wire::new();
+                            s.checkpoint.save(&mut cp);
+                            let cp = cp.into_bytes();
+                            let open_rows = cp[0] == 0 || cp[18..26] != [0; 8];
+                            let ready = open_rows && !s.carry.inflight.is_empty();
+                            if ready {
+                                let bytes = s.to_bytes();
+                                body = Some(bytes[..bytes.len() - 8].to_vec());
+                            }
+                            Ok(!ready)
+                        },
+                    )
+                    .unwrap();
+                    (trace, body.expect("a boundary with work in flight"))
+                })
+                .collect();
+            FuzzFixture {
+                sim,
+                config,
+                epoch_secs,
+                cases,
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Arbitrary snapshot bytes never panic a resume: a real mid-run
+        /// snapshot has bytes flipped, overwritten or cut off anywhere,
+        /// is re-sealed so the checksum passes, and resumes to the end.
+        /// Every case is an error or a report whose accounting partition
+        /// holds over exactly the trace's invocations.
+        #[test]
+        fn fuzzed_snapshots_resume_to_an_error_or_a_total_report(
+            which in 0usize..2,
+            edits in proptest::collection::vec((0usize..1 << 20, 0u8..8, 0u8..=255), 1..4),
+        ) {
+            use crate::snapshot::tests::sealed;
+            let fx = fuzz_fixture();
+            let (trace, body) = &fx.cases[which];
+            let mut bytes = body.clone();
+            for &(pos, op, value) in &edits {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = pos % bytes.len();
+                match op {
+                    0..=3 => bytes[at] ^= 1 << (value % 8),
+                    4..=6 => bytes[at] = value,
+                    _ => bytes.truncate(at),
+                }
+            }
+            let resumed = ReplaySnapshot::from_bytes(&sealed(bytes)).and_then(|snap| {
+                fx.sim.run_stream_resumable(
+                    trace,
+                    PlacementStrategy::IdleAware,
+                    &fx.config,
+                    fx.epoch_secs,
+                    Some(&snap),
+                    |_| Ok(true),
+                )
+            });
+            match resumed {
+                Err(_) => {}
+                Ok(None) => panic!("an uninterrupted resume stopped early"),
+                Ok(Some(report)) => {
+                    proptest::prop_assert_eq!(report.invocations, trace.len());
+                    accounting_is_total(&report);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pending_retry_that_arrives_after_its_boundary_is_rejected() {
+        // Its invocation was replayed before the boundary; an arrival at
+        // or past it would resolve the retry at zero latency inflation.
+        use crate::snapshot::tests::sealed;
+        let fx = fuzz_fixture();
+        let mut retried = 0;
+        for (trace, body) in &fx.cases {
+            let mut snap = ReplaySnapshot::from_bytes(&sealed(body.clone())).unwrap();
+            let boundary = snap.epoch * snap.window_nanos;
+            let Some(pending) = snap.carry.retries.first_mut() else {
+                continue;
+            };
+            pending.arrival_nanos = boundary;
+            retried += 1;
+            let resumed = fx.sim.run_stream_resumable(
+                trace,
+                PlacementStrategy::IdleAware,
+                &fx.config,
+                fx.epoch_secs,
+                Some(&snap),
+                |_| Ok(true),
+            );
+            assert!(resumed.is_err(), "a retry arriving at the boundary resumed");
+        }
+        assert!(retried > 0, "no snapshot carried a pending retry");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! run — kill the process at any epoch, reload the last snapshot, and
 //! the report cannot tell.
 //!
-//! # What a version-4 snapshot holds
+//! # What a version-5 snapshot holds
 //!
 //! An invocation is *settled* at a boundary when it lies below the
 //! watermark `min(in-flight indices, pending retry/hedge indices,
@@ -32,6 +32,11 @@
 //! counts that add up to the settled invocations, tail length, and the
 //! indices adjustments and in-flight or pending work target — so a
 //! corrupt file is an error, never a panic.
+//!
+//! The stream checkpoint of a CSV trace is a cursor into the scan's row
+//! table, the lookahead's highest minute, the exhausted flag and the
+//! open rows, so a resume reads no trace input and costs O(open rows)
+//! wherever it lands, the middle of a gzip member included.
 //!
 //! # Wire format
 //!
@@ -59,8 +64,10 @@ use crate::{FreedomError, Result};
 /// 3 added the pending-retry heap and retry-budget carry state plus the
 /// trailing FNV-64 integrity checksum; version 4 replaced the
 /// per-invocation metering prefix with the settled accumulators plus
-/// the unsettled tail.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// the unsettled tail; version 5 replaced the CSV checkpoint's file
+/// index, byte offset and line number with one cursor into the scan's
+/// row table.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// File magic: "FDSN" little-endian.
 const MAGIC: u32 = u32::from_le_bytes(*b"FDSN");

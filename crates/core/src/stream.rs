@@ -1,62 +1,62 @@
-//! The streaming trace pipeline: constant-memory event production.
+//! The streaming trace pipeline: lazy event production.
 //!
 //! [`Trace`] materializes every arrival up front — per-function `Vec`s
 //! plus a merged event view — which caps replay horizons at what fits in
 //! memory. This module produces the same events *lazily*: a
-//! [`StreamTrace`] holds only the trace's **specification** (generator
-//! parameters, or a CSV key map plus the file list) plus O(functions)
-//! scan metadata, and an [`EventStream`] pulls arrivals one at a time
-//! through the same k-way merge and tie-break contract (time, then
-//! function index) as the materialized view. Peak resident state is
-//! `O(functions)` cursors — one pending event each — instead of
-//! `O(total events)`.
+//! [`StreamTrace`] holds the trace's **specification** plus what one
+//! scan pass recorded — generator parameters and O(functions) metadata,
+//! or for CSV input a packed table of its data rows, 16 bytes each —
+//! and an [`EventStream`] pulls arrivals one at a time through the same
+//! k-way merge and tie-break contract (time, then function index) as the
+//! materialized view. Trace input is therefore O(functions) for
+//! generated traces and O(rows) for CSV ones; the stream itself holds
+//! one pending event per function, or the open rows of the CSV
+//! lookahead window, never `O(total events)`.
 //!
 //! # The streaming cursor contract
 //!
 //! - **Bit-identity.** `StreamTrace::open().events()` yields exactly the
 //!   events of [`StreamTrace::materialize`], same `f64` bits, same
 //!   order. Synthetic sources guarantee it by construction (both paths
-//!   drain the same [`GenCursor`](crate::trace)); the CSV reader shares
-//!   the materialized parser's row grammar and spread formula, and its
-//!   bounded-lookahead merge is exact for every file it accepts.
+//!   drain the same [`GenCursor`](crate::trace)); the CSV scan shares
+//!   the materialized parser's row grammar and spread formula, and the
+//!   reader's bounded-lookahead merge over the scanned rows is exact for
+//!   every file the scan accepts.
 //! - **Checkpoint / resume.** [`EventStream::checkpoint`] captures the
 //!   stream's position (per-function generator states and pending
-//!   events; for CSV, the file index and decompressed byte offset plus
-//!   open rows); [`StreamTrace::open_at`] reopens the stream there,
-//!   replaying the identical suffix. The resumable fleet replay stores
-//!   one in every snapshot and resumes from it without ever holding the
-//!   merged view. `open_at` rejects a checkpoint that does not fit the
-//!   trace, and a CSV stream that meets bytes its scan did not see ends
-//!   early and reports why ([`EventStream::fault`]) instead of
-//!   panicking.
+//!   events; for CSV, a cursor into the row table plus the open rows);
+//!   [`StreamTrace::open_at`] reopens the stream there, replaying the
+//!   identical suffix. The resumable fleet replay stores one in every
+//!   snapshot and resumes from it without ever holding the merged view.
+//!   `open_at` rejects a checkpoint that does not fit the trace, and a
+//!   CSV stream whose checkpoint contradicts the scanned rows ends early
+//!   and reports why ([`EventStream::fault`]) instead of panicking.
 //! - **CSV lookahead.** Rows may arrive out of minute order by at most
 //!   [`CSV_LOOKAHEAD_MINUTES`]; the reader buffers the open rows of that
-//!   sliding window (its only super-constant state) and rejects files
-//!   that exceed the bound with a file- and line-qualified error at scan
-//!   time. The bound is **global across file seams**: the first row of
-//!   file *k+1* may trail the highest minute of files *1..k* by at most
-//!   the same lookahead. The materialized [`TraceSource::from_csv`]
-//!   accepts arbitrary disorder — it is the escape hatch for
-//!   pathological files.
+//!   sliding window and rejects files that exceed the bound with a
+//!   file- and line-qualified error at scan time. The bound is **global
+//!   across file seams**: the first row of file *k+1* may trail the
+//!   highest minute of files *1..k* by at most the same lookahead. The
+//!   materialized [`TraceSource::from_csv`] accepts arbitrary disorder —
+//!   it is the escape hatch for pathological files.
 //! - **Multi-file and gzip inputs.** [`StreamTrace::from_csv_files`]
 //!   replays N per-day files as one logical trace: files are scanned in
 //!   parallel, per-file key lists merge in file order (bit-identical to
 //!   scanning the concatenation), and each file may carry its own header
-//!   row. Files whose first bytes are the gzip magic are decompressed on
-//!   the fly through the vendored [`flate`] inflater; during replay,
-//!   file-backed gzip inputs decompress on a reader thread ahead of the
-//!   parser, bounded to [`READAHEAD_DEPTH`] chunks of
-//!   [`READAHEAD_CHUNK`] bytes. Identical bytes flow either way, so
-//!   gz ≡ plain ≡ materialized, bit for bit.
+//!   row. Files whose first bytes are the gzip magic are decompressed
+//!   through the vendored [`flate`] inflater while the scan reads them.
+//!   Only the scan reads input: a replay or resume reads the row table,
+//!   so gz ≡ plain ≡ materialized, bit for bit, and the files may be
+//!   gone by the time the trace replays.
 //!
-//! Construction performs one **scan pass** (cheap: generation only, no
-//! simulation) recording the event count and horizon per function —
-//! what the fleet engine needs before replay — so `open()` itself is
+//! Construction performs the one **scan pass** (generation or parsing
+//! only, no simulation) recording the event count and horizon — what
+//! the fleet engine needs before replay — so `open()` itself is
 //! allocation-light and replays never re-derive metadata.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -73,20 +73,12 @@ use crate::{FreedomError, Result};
 /// file seams: `max_seen` includes every earlier file of the trace.
 pub const CSV_LOOKAHEAD_MINUTES: u64 = 8;
 
-/// Default chunk size of the CSV byte reader. Tests shrink it to force
-/// records across chunk boundaries.
+/// Default chunk size of the scan's CSV byte reader. Tests shrink it to
+/// force records across chunk boundaries.
 const CSV_CHUNK_BYTES: usize = 64 * 1024;
 
-/// Decompressed bytes per read-ahead chunk for file-backed gzip inputs.
-pub const READAHEAD_CHUNK: usize = 256 * 1024;
-
-/// Maximum in-flight read-ahead chunks: the decompressor runs at most
-/// `READAHEAD_DEPTH × READAHEAD_CHUNK` bytes ahead of the parser.
-pub const READAHEAD_DEPTH: usize = 4;
-
-/// Where the CSV bytes live. `Mem` shares the buffer across reopened
-/// streams; `File` reopens and seeks, so a reopened stream holds one
-/// descriptor and a chunk — never the file.
+/// Where the CSV bytes live: read by the scan, and again only by
+/// [`StreamTrace::materialize`].
 #[derive(Debug, Clone)]
 enum CsvBytes {
     Mem(Arc<[u8]>),
@@ -104,8 +96,8 @@ struct CsvFile {
     label: String,
 }
 
-/// A lazily-evaluated arrival trace: the specification plus O(functions)
-/// scan metadata, never the events.
+/// A lazily-evaluated arrival trace: the specification plus what the
+/// scan pass recorded, never the events.
 #[derive(Debug, Clone)]
 pub struct StreamTrace {
     spec: StreamSpec,
@@ -139,24 +131,31 @@ enum StreamSpec {
     },
     Csv {
         files: Vec<CsvFile>,
-        /// Dense per-file row → function-index tables, indexed by
-        /// 0-based line number (`u32::MAX` for non-data lines: blanks
-        /// and headers). Indices are assigned in order of first
-        /// appearance across the file sequence — the same assignment
-        /// the materialized reader makes over the concatenated text.
-        /// Built once at scan time so the replay hot loop does an array
-        /// load per row instead of re-building and hashing the
-        /// `(app, func)` composite key against a map.
-        row_fn: Arc<Vec<Vec<u32>>>,
-        chunk: usize,
+        /// The scan's packed row table, one `Vec` per file in file
+        /// order: every data row, zero counts included, in line order.
+        /// A replay reads only this; a checkpoint's cursor indexes the
+        /// rows of all files back to back.
+        table: Arc<Vec<Vec<Row>>>,
     },
 }
 
-/// Multiply-xor string hasher for the composite-key maps. The replay
-/// loop probes the key map once per CSV row, and for such short keys
-/// SipHash's setup/finalization dominates the lookup. Not DoS-hardened,
-/// which is acceptable for trace-derived keys; nothing observable
-/// depends on hash order (the maps are probed, never iterated).
+/// One scanned CSV data row, packed into 16 bytes. `function` is the
+/// global index of the row's `(app, func)` key, assigned in order of
+/// first appearance across the file sequence — the same assignment the
+/// materialized reader makes over the concatenated text.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    minute: u64,
+    function: u32,
+    /// At most `MAX_COUNT_PER_MINUTE`, which the scan enforces.
+    count: u32,
+}
+
+/// Multiply-xor string hasher for the scan's composite-key maps: the
+/// scan probes a map once per CSV row, and for such short keys SipHash's
+/// setup/finalization dominates the lookup. Not DoS-hardened, which is
+/// acceptable for trace-derived keys; nothing observable depends on hash
+/// order (the maps are probed, never iterated).
 #[derive(Clone, Default)]
 struct FxHasher {
     hash: u64,
@@ -242,40 +241,37 @@ fn csv_line_prefix(label: &str, lineno: usize) -> String {
 struct FileScan {
     /// Composite keys in first-appearance order within this file.
     keys: Vec<String>,
-    /// Line-number-indexed local key id per line (`u32::MAX` for
-    /// non-data lines); remapped to global indices at merge time.
-    row_fn: Vec<u32>,
+    /// The file's data rows, `function` holding the local key id;
+    /// remapped in place to global indices at merge time.
+    rows: Vec<Row>,
     len: usize,
     last: f64,
-    /// Highest minute seen (meaningful only when `data_rows > 0`).
+    /// Highest minute seen (meaningful only when `rows` is non-empty).
     m_max: u64,
-    data_rows: usize,
     /// Rows whose minute is strictly below every earlier minute of the
-    /// same file, in line order (minutes strictly decreasing). The first
-    /// cross-seam lookahead violation is always one of these, so the
-    /// merge pass attributes it exactly without a second scan.
+    /// same file, as `(line number, minute)` in line order (minutes
+    /// strictly decreasing). The first cross-seam lookahead violation is
+    /// always one of these, so the merge pass attributes it exactly
+    /// without a second scan.
     prefix_mins: Vec<(usize, u64)>,
 }
 
 fn scan_file(file: &CsvFile, chunk: usize) -> Result<FileScan> {
-    let mut reader = ChunkedLines::open(file, 0, 0, chunk, false)?;
+    let mut reader = ChunkedLines::open(file, chunk)?;
     let mut local = KeyMap::default();
     let mut keys = Vec::new();
-    let mut row_fn: Vec<u32> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
     let mut scratch = String::new();
     let mut len = 0usize;
     let mut last = f64::NEG_INFINITY;
     let mut m_max = 0u64;
-    let mut data_rows = 0usize;
     let mut prefix_mins: Vec<(usize, u64)> = Vec::new();
     while let Some((lineno, line)) = reader.next_line()? {
-        debug_assert_eq!(row_fn.len(), lineno, "one row_fn entry per line");
-        row_fn.push(u32::MAX);
         let Some(row) = parse_csv_row(line, lineno).map_err(|e| qualify_err(e, &file.label))?
         else {
             continue;
         };
-        if data_rows > 0 && row.minute.saturating_add(CSV_LOOKAHEAD_MINUTES) < m_max {
+        if !rows.is_empty() && row.minute.saturating_add(CSV_LOOKAHEAD_MINUTES) < m_max {
             return Err(FreedomError::InvalidArgument(format!(
                 "{}: minute {} arrives more than {CSV_LOOKAHEAD_MINUTES} minutes behind \
                  minute {m_max}; the streaming reader's lookahead cannot reorder it (use \
@@ -284,11 +280,10 @@ fn scan_file(file: &CsvFile, chunk: usize) -> Result<FileScan> {
                 row.minute,
             )));
         }
-        if data_rows == 0 || prefix_mins.last().is_some_and(|&(_, m)| row.minute < m) {
+        if rows.is_empty() || prefix_mins.last().is_some_and(|&(_, m)| row.minute < m) {
             prefix_mins.push((lineno, row.minute));
         }
         m_max = m_max.max(row.minute);
-        data_rows += 1;
         composite_key(&mut scratch, row.app, row.func);
         let local_id = match local.get(scratch.as_str()) {
             Some(&id) => id,
@@ -299,19 +294,23 @@ fn scan_file(file: &CsvFile, chunk: usize) -> Result<FileScan> {
                 id
             }
         };
-        *row_fn.last_mut().expect("pushed above") = local_id;
+        rows.push(Row {
+            minute: row.minute,
+            function: local_id,
+            count: row.count as u32,
+        });
         if row.count > 0 {
             len += row.count as usize;
             last = last.max(minute_event(row.minute, row.count - 1, row.count));
         }
     }
+    rows.shrink_to_fit();
     Ok(FileScan {
         keys,
-        row_fn,
+        rows,
         len,
         last,
         m_max,
-        data_rows,
         prefix_mins,
     })
 }
@@ -404,15 +403,16 @@ impl StreamTrace {
     /// Streaming counterpart of [`TraceSource::from_csv`]: scans the
     /// rows once (validating the grammar and the
     /// [`CSV_LOOKAHEAD_MINUTES`] ordering bound, building the
-    /// `(app, func)` key map) and holds the bytes for lazy replay.
+    /// `(app, func)` key map) into the packed row table replays read.
     pub fn from_csv(csv: &str) -> Result<Self> {
         Self::from_csv_chunked(csv, CSV_CHUNK_BYTES)
     }
 
     /// Streaming counterpart of [`TraceSource::from_csv_path`]: the scan
-    /// reads the file once in [`CSV_CHUNK_BYTES`] chunks; replays re-read
-    /// it, so the file must not change while the trace is in use.
-    /// Gzip'd files (by magic bytes) are decompressed transparently.
+    /// reads the file once in [`CSV_CHUNK_BYTES`] chunks. Replays read
+    /// the scanned rows, never the file again; only
+    /// [`StreamTrace::materialize`] does. Gzip'd files (by magic bytes)
+    /// are decompressed transparently.
     pub fn from_csv_path(path: impl AsRef<Path>) -> Result<Self> {
         Self::from_csv_files(&[path])
     }
@@ -518,8 +518,8 @@ impl StreamTrace {
         }
         // Per-file scans are independent (grammar, in-file ordering,
         // first-appearance key list, prefix-min ladder), so they fan out
-        // like the k-way cursor scan; the sequential merge below is
-        // O(files + functions).
+        // like the k-way cursor scan; the sequential merge below touches
+        // each row once, to remap its function in place.
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -533,13 +533,12 @@ impl StreamTrace {
         });
         let mut scan_timings = Vec::with_capacity(files.len());
         let mut keys = KeyMap::default();
-        let mut row_fn: Vec<Vec<u32>> = Vec::with_capacity(files.len());
+        let mut table: Vec<Vec<Row>> = Vec::with_capacity(files.len());
         let mut len = 0usize;
         let mut last = f64::NEG_INFINITY;
-        let mut data_rows = 0usize;
         let mut prior_max: Option<u64> = None;
         for (file, (scan, started, dur)) in files.iter().zip(scans) {
-            let scan = scan?;
+            let mut scan = scan?;
             scan_timings.push(ScanTiming {
                 start_nanos: started,
                 dur_nanos: dur,
@@ -566,33 +565,28 @@ impl StreamTrace {
                     )));
                 }
             }
-            if scan.data_rows > 0 {
+            if !scan.rows.is_empty() {
                 prior_max = Some(prior_max.map_or(scan.m_max, |p| p.max(scan.m_max)));
             }
             // Folding per-file first-appearance lists in file order
             // assigns exactly the indices a scan of the concatenation
             // would: a key's first appearance overall is its first
             // appearance in the first file that contains it. `remap`
-            // carries local → global ids into the file's dense table.
+            // carries local → global ids into the file's rows, in place:
+            // the table is never copied.
             let mut remap = Vec::with_capacity(scan.keys.len());
             for key in scan.keys {
                 let next_index = keys.len() as u32;
                 remap.push(*keys.entry(key).or_insert(next_index));
             }
-            row_fn.push(
-                scan.row_fn
-                    .iter()
-                    .map(|&l| match l {
-                        u32::MAX => u32::MAX,
-                        l => remap[l as usize],
-                    })
-                    .collect(),
-            );
+            for row in &mut scan.rows {
+                row.function = remap[row.function as usize];
+            }
+            table.push(scan.rows);
             len += scan.len;
             last = last.max(scan.last);
-            data_rows += scan.data_rows;
         }
-        if data_rows == 0 {
+        if table.iter().all(Vec::is_empty) {
             return Err(FreedomError::InvalidArgument(
                 "trace CSV has no data rows".into(),
             ));
@@ -604,8 +598,7 @@ impl StreamTrace {
             horizon_nanos,
             spec: StreamSpec::Csv {
                 files,
-                row_fn: Arc::new(row_fn),
-                chunk,
+                table: Arc::new(table),
             },
             scan: Arc::new(scan_timings),
         })
@@ -689,14 +682,11 @@ impl StreamTrace {
                     imp: StreamImp::Merge(MergeStream::new(cursors, pending)),
                 })
             }
-            StreamSpec::Csv {
-                files,
-                row_fn,
-                chunk,
-            } => Ok(EventStream {
+            StreamSpec::Csv { table, .. } => Ok(EventStream {
                 imp: StreamImp::Csv(CsvStream {
-                    reader: MultiFileLines::open_at(files, 0, 0, 0, *chunk)?,
-                    row_fn,
+                    table,
+                    file: 0,
+                    next: 0,
                     heap: BinaryHeap::new(),
                     m_max: 0,
                     exhausted: false,
@@ -713,8 +703,10 @@ impl StreamTrace {
     /// [`FreedomError::InvalidArgument`] when the checkpoint belongs to
     /// the other stream kind or does not fit this trace: a cursor count
     /// other than the function count, a generator whose parameters or
-    /// clock are not this trace's, or a CSV position past the scanned
-    /// lines or holding a row of an unknown function.
+    /// clock are not this trace's, a CSV row cursor past the row table,
+    /// an exhausted reader short of the table's end, or an open row
+    /// whose function, count, progress or next arrival no scanned row
+    /// could have.
     pub fn open_at(&self, cp: &StreamCheckpoint) -> Result<EventStream<'_>> {
         let misfit = || {
             Err(FreedomError::InvalidArgument(
@@ -745,34 +737,25 @@ impl StreamTrace {
                     imp: StreamImp::Merge(MergeStream::new(cursors.clone(), pending.clone())),
                 })
             }
-            (
-                StreamSpec::Csv {
-                    files,
-                    row_fn,
-                    chunk,
-                },
-                CpImp::Csv(state),
-            ) => {
-                let fits = row_fn
-                    .get(state.file as usize)
-                    .is_some_and(|lines| state.lineno <= lines.len())
-                    && state
-                        .rows
-                        .iter()
-                        .all(|r| (r.function as usize) < self.n_functions);
-                if !fits {
+            (StreamSpec::Csv { table, .. }, CpImp::Csv(state)) => {
+                let total: u64 = table.iter().map(|t| t.len() as u64).sum();
+                let open_fits = |r: &OpenRow| {
+                    (r.function as usize) < self.n_functions
+                        && r.j < r.count
+                        && r.next_bits
+                            == minute_event(r.minute, u64::from(r.j), u64::from(r.count)).to_bits()
+                };
+                let Some((file, next)) = locate(table, state.cursor) else {
+                    return misfit();
+                };
+                if (state.exhausted && state.cursor != total) || !state.rows.iter().all(open_fits) {
                     return misfit();
                 }
                 Ok(EventStream {
                     imp: StreamImp::Csv(CsvStream {
-                        reader: MultiFileLines::open_at(
-                            files,
-                            state.file as usize,
-                            state.offset,
-                            state.lineno,
-                            *chunk,
-                        )?,
-                        row_fn,
+                        table,
+                        file,
+                        next,
                         heap: state.rows.iter().cloned().map(Reverse).collect(),
                         m_max: state.m_max,
                         exhausted: state.exhausted,
@@ -790,7 +773,9 @@ impl StreamTrace {
     /// The escape hatch: builds the fully materialized [`Trace`] of the
     /// same specification. Tests diff the streaming pipeline against it;
     /// callers that need random access pay the O(events) memory
-    /// knowingly.
+    /// knowingly. For CSV input this re-reads the original bytes through
+    /// [`TraceSource::from_csv`], independently of the scan, so the
+    /// files must still be there.
     pub fn materialize(&self) -> Result<Trace> {
         match &self.spec {
             StreamSpec::Synthetic {
@@ -850,6 +835,20 @@ impl StreamTrace {
     }
 }
 
+/// The `(file, row within it)` position of global row `cursor` of the
+/// per-file tables, or `None` past the last row. The table's end is a
+/// position too: the one past the last file's last row.
+fn locate(table: &[Vec<Row>], cursor: u64) -> Option<(usize, usize)> {
+    let mut rest = cursor;
+    for (file, rows) in table.iter().enumerate() {
+        if rest <= rows.len() as u64 {
+            return Some((file, rest as usize));
+        }
+        rest -= rows.len() as u64;
+    }
+    None
+}
+
 /// A resumable position in an [`EventStream`] — cheap to clone, `Send`,
 /// and `O(functions)` (synthetic) or `O(open rows)` (CSV) in size.
 #[derive(Debug, Clone)]
@@ -860,10 +859,10 @@ pub struct StreamCheckpoint {
 impl StreamCheckpoint {
     /// Serializes the checkpoint into a crash-resume snapshot
     /// ([`crate::snapshot`]): per-function generator states and pending
-    /// events for synthetic traces, the file index and decompressed
-    /// byte offset plus open rows for CSV ones. [`StreamCheckpoint::load`]
-    /// restores a checkpoint that [`StreamTrace::open_at`] resumes to
-    /// the identical suffix.
+    /// events for synthetic traces, the row cursor, lookahead maximum,
+    /// exhausted flag and open rows for CSV ones.
+    /// [`StreamCheckpoint::load`] restores a checkpoint that
+    /// [`StreamTrace::open_at`] resumes to the identical suffix.
     pub(crate) fn save(&self, w: &mut crate::snapshot::Wire) {
         match &self.imp {
             CpImp::Merge { cursors, pending } => {
@@ -885,9 +884,7 @@ impl StreamCheckpoint {
             }
             CpImp::Csv(s) => {
                 w.u8(1);
-                w.u32(s.file);
-                w.u64(s.offset);
-                w.u64(s.lineno as u64);
+                w.u64(s.cursor);
                 w.u64(s.m_max);
                 w.bool(s.exhausted);
                 w.len(s.rows.len());
@@ -926,9 +923,7 @@ impl StreamCheckpoint {
                 CpImp::Merge { cursors, pending }
             }
             1 => {
-                let file = r.u32()?;
-                let offset = r.u64()?;
-                let lineno = r.u64()? as usize;
+                let cursor = r.u64()?;
                 let m_max = r.u64()?;
                 let exhausted = r.bool()?;
                 let n = r.len()?;
@@ -943,9 +938,7 @@ impl StreamCheckpoint {
                     });
                 }
                 CpImp::Csv(CsvState {
-                    file,
-                    offset,
-                    lineno,
+                    cursor,
                     m_max,
                     rows,
                     exhausted,
@@ -973,12 +966,9 @@ enum CpImp {
 /// The CSV reader's resumable state.
 #[derive(Debug, Clone)]
 struct CsvState {
-    /// Index of the file holding the first unread line.
-    file: u32,
-    /// Decompressed byte offset of that line within its file.
-    offset: u64,
-    /// 0-based index of that line within its file.
-    lineno: usize,
+    /// Index of the first unread row, counting the rows of all files
+    /// back to back.
+    cursor: u64,
     m_max: u64,
     rows: Vec<OpenRow>,
     exhausted: bool,
@@ -990,10 +980,6 @@ pub struct EventStream<'a> {
     imp: StreamImp<'a>,
 }
 
-// One `EventStream` lives per replay, so the size spread between the
-// generator merge and the CSV reader is irrelevant — boxing would only
-// add a pointer hop to the per-event dispatch.
-#[allow(clippy::large_enum_variant)]
 enum StreamImp<'a> {
     Merge(MergeStream),
     Csv(CsvStream<'a>),
@@ -1029,9 +1015,11 @@ impl<'a> EventStream<'a> {
             },
             StreamImp::Csv(c) => StreamCheckpoint {
                 imp: CpImp::Csv(CsvState {
-                    file: c.reader.file_idx() as u32,
-                    offset: c.reader.offset(),
-                    lineno: c.reader.lineno(),
+                    cursor: c.table[..c.file]
+                        .iter()
+                        .map(|t| t.len() as u64)
+                        .sum::<u64>()
+                        + c.next as u64,
                     m_max: c.m_max,
                     rows: c.heap.iter().map(|Reverse(r)| *r).collect(),
                     exhausted: c.exhausted,
@@ -1040,10 +1028,11 @@ impl<'a> EventStream<'a> {
         }
     }
 
-    /// The error that ended this stream early, if any — the CSV bytes
-    /// changed between scan and replay, or the stream was reopened at a
-    /// checkpoint that does not match them. A faulted stream yields no
-    /// further events; a replay checks this once it stops pulling.
+    /// The error that ended this stream early, if any: the stream was
+    /// reopened at a checkpoint whose lookahead maximum the scanned rows
+    /// contradict, so emitting on would break time order. A faulted
+    /// stream yields no further events; a replay checks this once it
+    /// stops pulling.
     pub fn fault(&mut self) -> Result<()> {
         match &mut self.imp {
             StreamImp::Csv(c) => c.fault.take().map_or(Ok(()), Err),
@@ -1136,67 +1125,13 @@ struct OpenRow {
     j: u32,
 }
 
-/// Parses the trailing `,minute,count` of a scan-validated data row
-/// without splitting, trimming, or revalidating the leading string
-/// columns. Returns `None` when either field is not a plain unsigned
-/// integer (header row, blank line) — the caller falls back to the
-/// shared validating parser for those.
-#[inline]
-fn fast_minute_count(bytes: &[u8]) -> Option<(u64, u64)> {
-    let mut last = None;
-    let mut second = None;
-    for i in (0..bytes.len()).rev() {
-        if bytes[i] == b',' {
-            match last {
-                None => last = Some(i),
-                Some(_) => {
-                    second = Some(i);
-                    break;
-                }
-            }
-        }
-    }
-    let (m_start, c_start) = (second?, last?);
-    let minute = parse_u64_trimmed(&bytes[m_start + 1..c_start])?;
-    let count = parse_u64_trimmed(&bytes[c_start + 1..])?;
-    if count > crate::trace::MAX_COUNT_PER_MINUTE {
-        // Scan-validated rows never exceed the cap; route changed bytes
-        // to the validating parser so they fail loudly.
-        return None;
-    }
-    Some((minute, count))
-}
-
-/// `u64` from ASCII digits with surrounding spaces/tabs/CR allowed,
-/// mirroring the `str::trim` + `parse` the validating parser applies
-/// per column; `None` on anything else (including overflow).
-#[inline]
-fn parse_u64_trimmed(mut s: &[u8]) -> Option<u64> {
-    while let [b' ' | b'\t' | b'\r', rest @ ..] = s {
-        s = rest;
-    }
-    while let [rest @ .., b' ' | b'\t' | b'\r'] = s {
-        s = rest;
-    }
-    if s.is_empty() {
-        return None;
-    }
-    let mut v: u64 = 0;
-    for &c in s {
-        if !c.is_ascii_digit() {
-            return None;
-        }
-        v = v.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
-    }
-    Some(v)
-}
-
-/// Line-by-line CSV event source with bounded minute lookahead.
+/// Row-table event source with bounded minute lookahead.
 struct CsvStream<'a> {
-    reader: MultiFileLines<'a>,
-    /// Dense per-file line → function tables from the scan pass: the
-    /// replay resolves a row's function with one array load.
-    row_fn: &'a [Vec<u32>],
+    /// The scan's per-file row tables.
+    table: &'a [Vec<Row>],
+    /// The next unread row: `table[file][next]`.
+    file: usize,
+    next: usize,
     heap: BinaryHeap<Reverse<OpenRow>>,
     /// Highest minute seen so far (across file seams); events before
     /// `60·(m_max − lookahead)` can no longer be preempted by unread
@@ -1250,55 +1185,40 @@ impl CsvStream<'_> {
         Some(event)
     }
 
-    /// Reads one more row into the lookahead window. The scan pass
-    /// already validated the whole input, so a row that fails to read,
-    /// parse, respect the lookahead bound or match the scan's line table
-    /// means the bytes changed between scan and replay, or the stream
-    /// was reopened at a position the scan never produced: the reader
-    /// records the fault and ends the stream.
+    /// Moves the next row of the table into the lookahead window. The
+    /// scan already held every row to the lookahead bound, so a row that
+    /// breaks it here means the stream was reopened at a checkpoint the
+    /// scan never produced: the reader records the fault and ends the
+    /// stream.
     fn read_row(&mut self) {
-        let (lineno, line) = match self.reader.next_line() {
-            Ok(Some(next)) => next,
-            Ok(None) => {
+        let row = loop {
+            if let Some(&row) = self.table[self.file].get(self.next) {
+                self.next += 1;
+                break row;
+            }
+            if self.file + 1 == self.table.len() {
                 self.exhausted = true;
                 return;
             }
-            Err(e) => return self.fail(e),
+            self.file += 1;
+            self.next = 0;
         };
-        // The replay only needs the numeric columns — the function index
-        // comes from the scan's dense table — so parse `minute,count`
-        // straight off the last two comma-separated fields. Anything the
-        // fast path cannot read numerically (the header, blank lines)
-        // goes through the shared validating parser, which classifies it
-        // exactly as the scan pass did.
-        let (minute, count) = match fast_minute_count(line.as_bytes()) {
-            Some(mc) => mc,
-            None => match parse_csv_row(line, lineno) {
-                Ok(Some(row)) => (row.minute, row.count),
-                Ok(None) => return,
-                Err(e) => return self.fail(e),
-            },
-        };
-        let function = self.row_fn[self.reader.file_idx()]
-            .get(lineno)
-            .copied()
-            .unwrap_or(u32::MAX);
-        if function == u32::MAX || minute.saturating_add(CSV_LOOKAHEAD_MINUTES) < self.m_max {
+        if row.minute.saturating_add(CSV_LOOKAHEAD_MINUTES) < self.m_max {
             return self.fail(FreedomError::InvalidArgument(format!(
-                "trace CSV line {} does not match the scan: the bytes changed or the \
-                 stream was reopened at a position the scan never produced",
-                lineno + 1
+                "stream checkpoint does not fit this trace: a row of minute {} trails the \
+                 checkpoint's minute {} by more than the lookahead",
+                row.minute, self.m_max
             )));
         }
-        self.m_max = self.m_max.max(minute);
-        if count == 0 {
+        self.m_max = self.m_max.max(row.minute);
+        if row.count == 0 {
             return;
         }
         self.heap.push(Reverse(OpenRow {
-            next_bits: minute_event(minute, 0, count).to_bits(),
-            function,
-            minute,
-            count: count as u32,
+            next_bits: minute_event(row.minute, 0, u64::from(row.count)).to_bits(),
+            function: row.function,
+            minute: row.minute,
+            count: row.count,
             j: 0,
         }));
         self.peak_open = self.peak_open.max(self.heap.len());
@@ -1313,88 +1233,9 @@ impl CsvStream<'_> {
     }
 }
 
-/// Sequential line reader over a file list: drains one [`ChunkedLines`]
-/// per file, advancing across seams transparently. Line numbers and
-/// byte offsets are per-file, so checkpoints record `(file, offset,
-/// lineno)` and errors attribute the exact file.
-struct MultiFileLines<'a> {
-    files: &'a [CsvFile],
-    chunk: usize,
-    file_idx: usize,
-    cur: ChunkedLines,
-}
-
-impl<'a> MultiFileLines<'a> {
-    fn open_at(
-        files: &'a [CsvFile],
-        file_idx: usize,
-        offset: u64,
-        lineno: usize,
-        chunk: usize,
-    ) -> Result<Self> {
-        let Some(file) = files.get(file_idx) else {
-            return Err(FreedomError::InvalidArgument(format!(
-                "stream checkpoint points at file {file_idx} of a {}-file trace",
-                files.len()
-            )));
-        };
-        Ok(Self {
-            files,
-            chunk,
-            file_idx,
-            cur: ChunkedLines::open(file, offset, lineno, chunk, true)?,
-        })
-    }
-
-    fn file_idx(&self) -> usize {
-        self.file_idx
-    }
-
-    /// Decompressed byte offset of the next unread line in its file.
-    fn offset(&self) -> u64 {
-        self.cur.offset()
-    }
-
-    /// 0-based line number of the next unread line in its file.
-    fn lineno(&self) -> usize {
-        self.cur.lineno()
-    }
-
-    /// The next `(per-file lineno, line)` across all files, or `None`
-    /// after the last line of the last file.
-    fn next_line(&mut self) -> Result<Option<(usize, &str)>> {
-        loop {
-            if self.cur.fill_line()? {
-                break;
-            }
-            if self.file_idx + 1 >= self.files.len() {
-                return Ok(None);
-            }
-            self.file_idx += 1;
-            self.cur = ChunkedLines::open(&self.files[self.file_idx], 0, 0, self.chunk, true)?;
-        }
-        self.cur.take_line().map(Some)
-    }
-}
-
-/// The decompressed-byte feed behind a [`ChunkedLines`].
-enum ChunkSrc {
-    Mem {
-        data: Arc<[u8]>,
-        read: usize,
-    },
-    File(std::fs::File),
-    /// Synchronous gzip decode (in-memory inputs and mid-file resumes).
-    /// Boxed: the inflater's window dwarfs the other variants, and the
-    /// feed is touched once per chunk, not per event.
-    Gz(Box<GzFeed>),
-    /// Gzip decode on a reader thread, bounded by the channel depth —
-    /// decompression overlaps parsing and replay.
-    GzAhead(ReadAhead),
-}
-
-/// Raw (compressed) byte source for the inflater.
-type ByteSrc = Box<dyn FnMut(&mut [u8]) -> std::result::Result<usize, String> + Send>;
+/// Raw (possibly compressed) byte source of the scan: fills the buffer
+/// and returns how many bytes it wrote, 0 at end of input.
+type ByteSrc = Box<dyn FnMut(&mut [u8]) -> std::result::Result<usize, String>>;
 
 fn raw_src(bytes: &CsvBytes) -> Result<ByteSrc> {
     match bytes {
@@ -1422,247 +1263,80 @@ fn raw_src(bytes: &CsvBytes) -> Result<ByteSrc> {
     }
 }
 
-struct GzFeed {
-    reader: flate::GzReader<ByteSrc>,
-    done: bool,
+/// The decompressed-byte feed behind a [`ChunkedLines`].
+enum ChunkSrc {
+    Plain(ByteSrc),
+    /// Boxed: the inflater's window dwarfs the plain source.
+    Gz(Box<flate::GzReader<ByteSrc>>),
 }
 
-impl GzFeed {
-    fn new(bytes: &CsvBytes) -> Result<Self> {
-        Ok(Self {
-            reader: flate::GzReader::new(raw_src(bytes)?),
-            done: false,
-        })
-    }
-
-    /// Decompresses and discards `offset` bytes (a checkpoint re-seek
-    /// into the middle of a gzip member has to re-inflate its prefix);
-    /// returns any decompressed bytes read past the offset.
-    fn skip(&mut self, offset: u64, chunk: usize) -> std::result::Result<Vec<u8>, String> {
-        let mut consumed = 0u64;
-        let mut scratch = Vec::new();
-        while consumed < offset {
-            scratch.clear();
-            let more = self
-                .reader
-                .read_chunk(&mut scratch, chunk)
-                .map_err(|e| e.to_string())?;
-            let got = scratch.len() as u64;
-            if consumed + got > offset {
-                let keep = (consumed + got - offset) as usize;
-                return Ok(scratch.split_off(scratch.len() - keep));
-            }
-            consumed += got;
-            if !more {
-                self.done = true;
-                if consumed < offset {
-                    return Err(format!(
-                        "resume offset {offset} is beyond the decompressed stream \
-                         ({consumed} bytes)"
-                    ));
-                }
-            }
-        }
-        Ok(Vec::new())
-    }
-}
-
-/// Bounded read-ahead: a reader thread inflates the file into a
-/// [`READAHEAD_DEPTH`]-deep channel of decompressed chunks. Dropping
-/// the receiver unblocks and joins the thread.
-struct ReadAhead {
-    rx: Option<std::sync::mpsc::Receiver<std::result::Result<Vec<u8>, String>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ReadAhead {
-    fn spawn(src: ByteSrc) -> Self {
-        let (tx, rx) = std::sync::mpsc::sync_channel(READAHEAD_DEPTH);
-        let handle = std::thread::spawn(move || {
-            let mut reader = flate::GzReader::new(src);
-            loop {
-                let mut out = Vec::with_capacity(READAHEAD_CHUNK + 512);
-                match reader.read_chunk(&mut out, READAHEAD_CHUNK) {
-                    Ok(more) => {
-                        if !out.is_empty() && tx.send(Ok(out)).is_err() {
-                            return;
-                        }
-                        if !more {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(e.to_string()));
-                        return;
-                    }
-                }
-            }
-        });
-        Self {
-            rx: Some(rx),
-            handle: Some(handle),
-        }
-    }
-
-    fn recv(&mut self) -> Option<std::result::Result<Vec<u8>, String>> {
-        self.rx.as_ref().and_then(|rx| rx.recv().ok())
-    }
-}
-
-impl Drop for ReadAhead {
-    fn drop(&mut self) {
-        self.rx.take();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Chunked line reader over in-memory, file-backed, or gzip'd bytes:
+/// The scan's line reader over in-memory, file-backed, or gzip'd bytes:
 /// reads fixed-size chunks, assembles lines across chunk boundaries,
-/// and tracks the (decompressed) byte offset and 0-based line number of
-/// the next unread line so checkpoints can re-seek exactly. Lines are
-/// borrowed from the internal buffer — the steady-state read path
-/// allocates nothing per line.
+/// and numbers them for error attribution. Lines are borrowed from the
+/// internal buffer — the read path allocates nothing per line.
 struct ChunkedLines {
     src: ChunkSrc,
     /// Bytes read but not yet emitted as lines; `buf[..pos]` is
     /// consumed.
     buf: Vec<u8>,
     pos: usize,
-    /// Absolute (decompressed) offset of `buf[pos]`.
-    offset: u64,
+    /// 0-based number of the next line.
     lineno: usize,
     chunk: usize,
     eof: bool,
     label: String,
-    /// Located but unconsumed line: `(end, newline bytes to skip)`.
-    ready: Option<(usize, usize)>,
 }
 
 impl ChunkedLines {
-    fn open(
-        file: &CsvFile,
-        offset: u64,
-        lineno: usize,
-        chunk: usize,
-        read_ahead: bool,
-    ) -> Result<Self> {
-        let mut buf = Vec::new();
-        let src = if file.gz {
-            let file_backed = matches!(file.bytes, CsvBytes::File(_));
-            if offset == 0 && read_ahead && file_backed {
-                ChunkSrc::GzAhead(ReadAhead::spawn(raw_src(&file.bytes)?))
-            } else {
-                let mut feed = GzFeed::new(&file.bytes)?;
-                if offset > 0 {
-                    buf = feed.skip(offset, chunk.max(1)).map_err(|msg| {
-                        FreedomError::InvalidArgument(format!(
-                            "{}: {msg}",
-                            csv_line_prefix(&file.label, lineno)
-                        ))
-                    })?;
-                }
-                ChunkSrc::Gz(Box::new(feed))
-            }
-        } else {
-            match &file.bytes {
-                CsvBytes::Mem(data) => ChunkSrc::Mem {
-                    data: Arc::clone(data),
-                    read: (offset as usize).min(data.len()),
-                },
-                CsvBytes::File(path) => {
-                    let mut f = std::fs::File::open(path).map_err(|e| {
-                        FreedomError::InvalidArgument(format!(
-                            "cannot read trace CSV {}: {e}",
-                            path.display()
-                        ))
-                    })?;
-                    f.seek(SeekFrom::Start(offset)).map_err(|e| {
-                        FreedomError::InvalidArgument(format!(
-                            "cannot seek trace CSV {}: {e}",
-                            path.display()
-                        ))
-                    })?;
-                    ChunkSrc::File(f)
-                }
-            }
-        };
+    fn open(file: &CsvFile, chunk: usize) -> Result<Self> {
+        let src = raw_src(&file.bytes)?;
         Ok(Self {
-            src,
-            buf,
+            src: if file.gz {
+                ChunkSrc::Gz(Box::new(flate::GzReader::new(src)))
+            } else {
+                ChunkSrc::Plain(src)
+            },
+            buf: Vec::new(),
             pos: 0,
-            offset,
-            lineno,
+            lineno: 0,
             chunk: chunk.max(1),
             eof: false,
             label: file.label.clone(),
-            ready: None,
         })
     }
 
-    /// (Decompressed) byte offset of the next unread line.
-    fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// 0-based index of the next unread line.
-    fn lineno(&self) -> usize {
-        self.lineno
-    }
-
-    /// Locates the next line without consuming it; `false` at end of
-    /// input. Idempotent until [`ChunkedLines::take_line`].
-    fn fill_line(&mut self) -> Result<bool> {
-        if self.ready.is_some() {
-            return Ok(true);
-        }
-        loop {
+    /// The next `(0-based line number, line)`, or `None` at end of
+    /// input. The final line may lack a trailing newline, exactly like
+    /// `str::lines`; a `\r` before the newline is stripped.
+    fn next_line(&mut self) -> Result<Option<(usize, &str)>> {
+        let (end, skip) = loop {
             if let Some(nl) = self.buf[self.pos..].iter().position(|&b| b == b'\n') {
-                self.ready = Some((self.pos + nl, 1));
-                return Ok(true);
+                break (self.pos + nl, 1);
             }
             if self.eof {
-                if self.pos < self.buf.len() {
-                    self.ready = Some((self.buf.len(), 0));
-                    return Ok(true);
+                if self.pos == self.buf.len() {
+                    return Ok(None);
                 }
-                return Ok(false);
+                break (self.buf.len(), 0);
             }
             self.refill()?;
-        }
-    }
-
-    /// Consumes the line located by [`ChunkedLines::fill_line`],
-    /// borrowing it from the internal buffer (no per-line allocation).
-    /// The final line may lack a trailing newline, exactly like
-    /// `str::lines`; a `\r` before the newline is stripped.
-    fn take_line(&mut self) -> Result<(usize, &str)> {
-        let (end, skip) = self.ready.take().expect("fill_line located a line");
-        let mut bytes = &self.buf[self.pos..end];
-        if skip > 0 && bytes.last() == Some(&b'\r') {
-            bytes = &bytes[..bytes.len() - 1];
-        }
-        let lineno = self.lineno;
-        self.offset += (end + skip - self.pos) as u64;
+        };
         let start = self.pos;
+        let stop = if skip > 0 && end > start && self.buf[end - 1] == b'\r' {
+            end - 1
+        } else {
+            end
+        };
         self.pos = end + skip;
+        let lineno = self.lineno;
         self.lineno += 1;
-        let line = std::str::from_utf8(&self.buf[start..start + bytes.len()]).map_err(|e| {
+        let line = std::str::from_utf8(&self.buf[start..stop]).map_err(|e| {
             FreedomError::InvalidArgument(format!(
                 "{}: invalid UTF-8: {e}",
                 csv_line_prefix(&self.label, lineno)
             ))
         })?;
-        Ok((lineno, line))
-    }
-
-    /// Convenience for scan loops: locate and consume in one call.
-    fn next_line(&mut self) -> Result<Option<(usize, &str)>> {
-        if !self.fill_line()? {
-            return Ok(None);
-        }
-        self.take_line().map(Some)
+        Ok(Some((lineno, line)))
     }
 
     fn gz_err(&self, msg: &str) -> FreedomError {
@@ -1681,53 +1355,24 @@ impl ChunkedLines {
         // Drop the consumed prefix before growing the carry.
         self.buf.drain(..self.pos);
         self.pos = 0;
-        match &mut self.src {
-            ChunkSrc::Mem { data, read } => {
-                let take = self.chunk.min(data.len() - *read);
-                self.buf.extend_from_slice(&data[*read..*read + take]);
-                *read += take;
-                if take == 0 {
-                    self.eof = true;
-                }
-            }
-            ChunkSrc::File(file) => {
-                let start = self.buf.len();
-                self.buf.resize(start + self.chunk, 0);
-                let n = file
-                    .read(&mut self.buf[start..])
+        let before = self.buf.len();
+        let more = match &mut self.src {
+            ChunkSrc::Plain(src) => {
+                self.buf.resize(before + self.chunk, 0);
+                let n = src(&mut self.buf[before..])
                     .map_err(|e| FreedomError::InvalidArgument(format!("trace CSV read: {e}")))?;
-                self.buf.truncate(start + n);
-                if n == 0 {
-                    self.eof = true;
-                }
+                self.buf.truncate(before + n);
+                n > 0
             }
-            ChunkSrc::Gz(feed) => {
-                if feed.done {
-                    self.eof = true;
-                } else {
-                    let before = self.buf.len();
-                    let chunk = self.chunk;
-                    let more = match feed.reader.read_chunk(&mut self.buf, chunk) {
-                        Ok(more) => more,
-                        Err(e) => {
-                            let msg = e.to_string();
-                            return Err(self.gz_err(&msg));
-                        }
-                    };
-                    if !more {
-                        feed.done = true;
-                        if self.buf.len() == before {
-                            self.eof = true;
-                        }
-                    }
+            ChunkSrc::Gz(reader) => match reader.read_chunk(&mut self.buf, self.chunk) {
+                Ok(more) => more,
+                Err(e) => {
+                    let msg = e.to_string();
+                    return Err(self.gz_err(&msg));
                 }
-            }
-            ChunkSrc::GzAhead(ahead) => match ahead.recv() {
-                None => self.eof = true,
-                Some(Ok(bytes)) => self.buf.extend_from_slice(&bytes),
-                Some(Err(msg)) => return Err(self.gz_err(&msg)),
             },
-        }
+        };
+        self.eof = !more && self.buf.len() == before;
         Ok(())
     }
 }
@@ -1870,6 +1515,70 @@ mod tests {
     }
 
     #[test]
+    fn csv_checkpoints_the_scan_never_produced_do_not_resume() {
+        // A CSV checkpoint is a row cursor plus open rows, checked
+        // against the scanned table: a misfit is rejected up front, and
+        // a lookahead maximum the rows contradict ends the stream with a
+        // fault rather than emitting out of time order.
+        let csv: String = (0..30u64)
+            .flat_map(|minute| (0..4u64).map(move |f| format!("a,f{f},{minute},{}\n", 1 + f)))
+            .collect();
+        let lazy = StreamTrace::from_csv(&csv).unwrap();
+        let StreamSpec::Csv { table, .. } = &lazy.spec else {
+            unreachable!("a CSV trace");
+        };
+        let rows = table.iter().map(Vec::len).sum::<usize>() as u64;
+        let mut stream = lazy.open().unwrap();
+        for _ in 0..40 {
+            stream.next();
+        }
+        let cp = stream.checkpoint();
+        let CpImp::Csv(state) = &cp.imp else {
+            unreachable!("a CSV checkpoint");
+        };
+        assert!(state.cursor < rows && !state.rows.is_empty());
+        let patched = |patch: &dyn Fn(&mut CsvState)| {
+            let mut state = state.clone();
+            patch(&mut state);
+            StreamCheckpoint {
+                imp: CpImp::Csv(state),
+            }
+        };
+        let n = lazy.n_functions() as u32;
+        // Each misfit keeps the open row's next arrival on its spread,
+        // so only the check it names can reject it.
+        let progress = |s: &mut CsvState, count: u32, j: u32| {
+            let r = &mut s.rows[0];
+            (r.count, r.j) = (count, j);
+            r.next_bits = minute_event(r.minute, j.into(), count.into()).to_bits();
+        };
+        type Patch<'a> = &'a dyn Fn(&mut CsvState);
+        let misfits: [(&str, Patch); 6] = [
+            ("row cursor past the table", &|s| s.cursor = rows + 1),
+            ("exhausted short of the table's end", &|s| {
+                s.exhausted = true
+            }),
+            ("open row of an unknown function", &|s| {
+                s.rows[0].function = n
+            }),
+            ("open row past its count", &|s| progress(s, 3, 3)),
+            ("open row of no events", &|s| progress(s, 0, 0)),
+            ("next arrival off the row's spread", &|s| {
+                s.rows[0].next_bits ^= 1
+            }),
+        ];
+        for (what, patch) in misfits {
+            assert!(lazy.open_at(&patched(patch)).is_err(), "{what} resumed");
+        }
+        let mut ahead = lazy.open_at(&patched(&|s| s.m_max += 100)).unwrap();
+        assert!(ahead.events().count() < lazy.len() - 40);
+        assert!(
+            ahead.fault().is_err(),
+            "a contradicted lookahead must fault"
+        );
+    }
+
+    #[test]
     fn csv_stream_matches_materialized_reader() {
         for chunk in [3usize, 17, 64 * 1024] {
             let lazy = StreamTrace::from_csv_chunked(AZURE_FIXTURE, chunk).unwrap();
@@ -1975,6 +1684,43 @@ mod tests {
     }
 
     #[test]
+    fn the_row_table_holds_16_bytes_per_data_row() {
+        // Trace input is O(rows): the scan keeps one packed 16-byte row
+        // per data row, zero counts included, and nothing for headers,
+        // blank lines or events. A multi-part, partly gzip'd input of a
+        // few thousand rows also checks that no part keeps the slack of
+        // a growing table.
+        assert_eq!(std::mem::size_of::<Row>(), 16);
+        let mut parts: Vec<Vec<u8>> = Vec::new();
+        for part in 0..3u64 {
+            let mut csv = String::from("app,func,minute,count\n");
+            for minute in 10 * part..10 * (part + 1) {
+                for f in 0..333 {
+                    csv.push_str(&format!("app,f{f},{minute},{}\n", (minute + f) % 4));
+                }
+                csv.push('\n');
+            }
+            parts.push(if part == 1 {
+                gzip_compress(csv.as_bytes(), CompressMode::FixedHuffman)
+            } else {
+                csv.into_bytes()
+            });
+        }
+        let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+        let trace = StreamTrace::from_csv_parts(&refs).unwrap();
+        let StreamSpec::Csv { table, .. } = &trace.spec else {
+            unreachable!("a CSV trace");
+        };
+        let data_rows: usize = table.iter().map(Vec::len).sum();
+        assert_eq!(data_rows, 3 * 10 * 333);
+        let bytes: usize = table
+            .iter()
+            .map(|rows| rows.capacity() * std::mem::size_of::<Row>())
+            .sum();
+        assert_eq!(bytes, 16 * data_rows);
+    }
+
+    #[test]
     fn checkpoint_kind_mismatch_is_rejected() {
         let synthetic = StreamTrace::generate(SOURCES[0], 3, 30.0, 1).unwrap();
         let csv = StreamTrace::from_csv("a,f,0,2\n").unwrap();
@@ -2021,8 +1767,8 @@ mod tests {
             let plain = StreamTrace::from_csv(AZURE_FIXTURE).unwrap();
             let reference = drain(&mut plain.open().unwrap());
             assert_eq!(drain(&mut gz.open().unwrap()), reference, "{mode:?}");
-            // Checkpoints into the middle of the gzip stream re-seek by
-            // re-inflating the prefix.
+            // Checkpoints into the middle of the gzip stream reopen at
+            // their row cursor.
             let mut stream = gz.open().unwrap();
             for _ in 0..50 {
                 stream.next();
@@ -2225,8 +1971,7 @@ mod tests {
         );
         let events = drain(&mut multi.open().unwrap());
         assert_eq!(events, reference);
-        // A checkpoint inside the gz'd second file reopens exactly
-        // (exercising the decompress-and-skip resume path).
+        // A checkpoint inside the gz'd second file reopens exactly.
         let into_second = events.len() - 10;
         let mut stream = multi.open().unwrap();
         for _ in 0..into_second {

@@ -95,7 +95,7 @@ impl WeekTraceSpec {
         out
     }
 
-    /// One day, gzip'd (stored blocks: the replay's decompression
+    /// One day, gzip'd (stored blocks: the scan's decompression
     /// benchmark measures the inflate path, not a compressor).
     pub fn day_gz(&self, day: u32) -> Vec<u8> {
         flate::gzip_compress(self.day_csv(day).as_bytes(), flate::CompressMode::Stored)

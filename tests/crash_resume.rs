@@ -362,3 +362,92 @@ fn kill_mid_retry_storm_resumes_bit_identically() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The scan is the only reader of a trace's files. A multi-file gz
+/// trace, once scanned, replays and resumes from a snapshot taken in
+/// the middle of a gzip member with every one of its files deleted,
+/// and both runs match the uninterrupted report.
+#[test]
+fn scanned_gz_days_replay_and_resume_after_their_files_are_deleted() {
+    let n = FunctionKind::ALL.len();
+    let plans = freedom_experiments::fleet_simulation::synthetic_plans(n, 4).unwrap();
+    let sim = FleetSimulator::new(plans).unwrap();
+    let config = faulted_config();
+    let snapshot_secs = 300.0;
+
+    // Three 20-minute "days", one gzip member each, zero-count rows
+    // included: 5-minute epochs put every boundary but the seams inside
+    // a member.
+    let dir = std::env::temp_dir().join(format!("freedom-deleted-days-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut lcg: u64 = 0x2545_f491_4f6c_dd1d;
+    let mut paths = Vec::new();
+    for day in 0..3u64 {
+        let mut csv = String::from("app,func,minute,count\n");
+        for minute in 20 * day..20 * (day + 1) {
+            for f in 0..n {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                csv.push_str(&format!("app,f{f},{minute},{}\n", lcg >> 60));
+            }
+        }
+        let path = dir.join(format!("day{day}.csv.gz"));
+        let gz = flate::gzip_compress(csv.as_bytes(), flate::CompressMode::FixedHuffman);
+        std::fs::write(&path, gz).unwrap();
+        paths.push(path);
+    }
+    let trace = StreamTrace::from_csv_files(&paths).unwrap();
+    let reference = sim
+        .run_stream(&trace, PlacementStrategy::IdleAware, &config)
+        .unwrap();
+    assert_eq!(reference.invocations, trace.len());
+
+    // Epoch 5 ends at minute 25: five minutes into the second member.
+    let mut kept = None;
+    let killed = sim
+        .run_stream_resumable(
+            &trace,
+            PlacementStrategy::IdleAware,
+            &config,
+            snapshot_secs,
+            None,
+            |s| {
+                if s.epoch() == 5 {
+                    kept = Some(s.to_bytes());
+                }
+                Ok(s.epoch() < 5)
+            },
+        )
+        .unwrap();
+    assert!(killed.is_none(), "the kill must abort the run");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(paths.iter().all(|p| !p.exists()));
+
+    let replayed = sim
+        .run_stream(&trace, PlacementStrategy::IdleAware, &config)
+        .unwrap();
+    assert_eq!(
+        format!("{reference:?}"),
+        format!("{replayed:?}"),
+        "a replay after the files were deleted diverged"
+    );
+    let snap = ReplaySnapshot::from_bytes(&kept.expect("a snapshot at epoch 5")).unwrap();
+    let resumed = sim
+        .run_stream_resumable(
+            &trace,
+            PlacementStrategy::IdleAware,
+            &config,
+            snapshot_secs,
+            Some(&snap),
+            |_| Ok(true),
+        )
+        .unwrap()
+        .expect("resumed run completes");
+    assert_eq!(
+        format!("{reference:?}"),
+        format!("{resumed:?}"),
+        "a mid-member resume after the files were deleted diverged"
+    );
+}
