@@ -49,6 +49,29 @@ fn bench_surrogates(c: &mut Criterion) {
     group.bench_function("predict_GP", |b| {
         b.iter(|| gp.predict(black_box(&x[3])).expect("predict"))
     });
+    // One BO-shaped run over Table 1: the 3 bootstrap trials, then 17
+    // steps that each append one trial, warm-refit and score all 288
+    // candidate encodings.
+    let candidates: Vec<Vec<f64>> = SearchSpace::table1()
+        .configs()
+        .iter()
+        .map(SearchSpace::encode)
+        .collect();
+    for kind in [SurrogateKind::Rf, SurrogateKind::Et, SurrogateKind::Gbrt] {
+        group.bench_function(format!("bo_run_{}", kind.name()), |b| {
+            b.iter(|| {
+                let mut model = kind.build(7);
+                for step in 0..17 {
+                    let n = 3 + step;
+                    model
+                        .fit_update(black_box(&x[..n]), black_box(&y[..n]), 7 + step as u64)
+                        .expect("fit");
+                    black_box(model.predict_batch_mut(&candidates).expect("predict"));
+                }
+                model
+            })
+        });
+    }
     group.finish();
 }
 

@@ -4,12 +4,19 @@
 //! deviation combines between-tree disagreement and within-leaf spread via
 //! the law of total variance — the same decomposition scikit-optimize uses
 //! to make forests usable under Expected Improvement.
+//!
+//! Batch prediction keeps a [`LeafCache`] across calls: the BO loop scores
+//! the same candidates at every step while a warm update refits only a
+//! quarter of the trees, so a batch re-walks only the trees refit since
+//! the previous one.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::tree::{DecisionTree, SplitMode, TreeConfig};
-use crate::{validate_training_set, Prediction, Surrogate, SurrogateError};
+use crate::tree::{
+    CandidateSet, DecisionTree, GrowScratch, SplitMode, TrainingSetCopy, TreeConfig,
+};
+use crate::{validate_points, validate_training_set, Prediction, Surrogate, SurrogateError};
 
 /// Shared ensemble configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,34 +53,52 @@ struct Ensemble {
     /// Bootstrap index multiset per tree (empty vectors when the
     /// ensemble does not bootstrap).
     indices: Vec<Vec<usize>>,
+    /// The refit stamp each tree was grown under (see [`Forest::refits`]).
+    stamps: Vec<u64>,
     dim: usize,
 }
 
 impl Ensemble {
-    fn fit(x: &[Vec<f64>], y: &[f64], config: &ForestConfig, seed: u64) -> crate::Result<Self> {
+    fn fit(
+        x: &[Vec<f64>],
+        y: &[f64],
+        config: &ForestConfig,
+        seed: u64,
+        stamp: u64,
+    ) -> crate::Result<Self> {
         let dim = validate_training_set(x, y)?;
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = GrowScratch::default();
         let mut trees = Vec::with_capacity(config.n_trees);
         let mut indices = Vec::with_capacity(config.n_trees);
         for _ in 0..config.n_trees {
             if config.bootstrap {
                 let idx: Vec<usize> = (0..x.len()).map(|_| rng.gen_range(0..x.len())).collect();
-                trees.push(DecisionTree::fit_indices(
+                trees.push(DecisionTree::fit_with(
                     x,
                     y,
-                    &idx,
+                    Some(&idx),
                     &config.tree,
                     &mut rng,
+                    &mut scratch,
                 ));
                 indices.push(idx);
             } else {
-                trees.push(DecisionTree::fit(x, y, &config.tree, &mut rng));
+                trees.push(DecisionTree::fit_with(
+                    x,
+                    y,
+                    None,
+                    &config.tree,
+                    &mut rng,
+                    &mut scratch,
+                ));
                 indices.push(Vec::new());
             }
         }
         Ok(Self {
             trees,
             indices,
+            stamps: vec![stamp; config.n_trees],
             dim,
         })
     }
@@ -81,7 +106,8 @@ impl Ensemble {
     /// Warm refit after one appended row: refresh the quarter of the
     /// ensemble starting at `cursor` (wrapping), leaving the other trees
     /// — whose indices reference only the untouched prefix — as they
-    /// are. Returns the next cursor.
+    /// are, and stamp the refreshed trees with `stamp`. Returns the next
+    /// cursor.
     fn warm_refit(
         &mut self,
         x: &[Vec<f64>],
@@ -89,13 +115,15 @@ impl Ensemble {
         config: &ForestConfig,
         cursor: usize,
         rng: &mut StdRng,
+        stamp: u64,
     ) -> usize {
         let n_trees = self.trees.len();
         let refresh = n_trees.div_ceil(4).max(1);
         let n = x.len();
+        let mut scratch = GrowScratch::default();
         for offset in 0..refresh.min(n_trees) {
             let t = (cursor + offset) % n_trees;
-            if config.bootstrap {
+            let indices = if config.bootstrap {
                 // Reservoir-style growth of the bootstrap multiset, one
                 // pass per row this tree has not yet seen (a tree missed
                 // by earlier rotations catches up on all of them): when
@@ -110,113 +138,222 @@ impl Ensemble {
                     }
                     self.indices[t].push(rng.gen_range(0..m));
                 }
-                self.trees[t] =
-                    DecisionTree::fit_indices(x, y, &self.indices[t], &config.tree, rng);
+                Some(&self.indices[t][..])
             } else {
-                self.trees[t] = DecisionTree::fit(x, y, &config.tree, rng);
-            }
+                None
+            };
+            self.trees[t] = DecisionTree::fit_with(x, y, indices, &config.tree, rng, &mut scratch);
+            self.stamps[t] = stamp;
         }
         (cursor + refresh) % n_trees
     }
 
-    fn predict(&self, point: &[f64]) -> crate::Result<Prediction> {
-        if self.trees.is_empty() {
-            return Err(SurrogateError::NotFitted);
+    /// Predictions at `points` (validated), through `cache`: re-walks
+    /// the trees whose stamp differs from the one their cached row was
+    /// walked under — every tree when the candidates changed — then sums
+    /// each candidate's leaf statistics over the trees in order, the
+    /// order a lone point's prediction sums them in. The sums of all
+    /// candidates advance together, one tree row at a time.
+    fn predict_cached(&self, points: &[Vec<f64>], cache: &mut LeafCache) -> Vec<Prediction> {
+        let m = points.len();
+        let trees = self.trees.len();
+        if !cache.points.holds(points, self.dim) || cache.stamps.len() != trees {
+            cache.points.set(points);
+            cache.stamps.clear();
+            cache.stamps.resize(trees, 0);
+            cache.means.resize(trees * m, 0.0);
+            cache.vars.resize(trees * m, 0.0);
         }
-        if point.len() != self.dim {
-            return Err(SurrogateError::DimensionMismatch {
-                expected: format!("point of dimension {}", self.dim),
-                found: format!("point of dimension {}", point.len()),
-            });
+        for (t, (tree, &stamp)) in self.trees.iter().zip(&self.stamps).enumerate() {
+            if cache.stamps[t] == stamp {
+                continue;
+            }
+            let means = &mut cache.means[t * m..(t + 1) * m];
+            let vars = &mut cache.vars[t * m..(t + 1) * m];
+            for ((mean, var), point) in means.iter_mut().zip(vars.iter_mut()).zip(points) {
+                let leaf = tree.leaf_stats(point);
+                *mean = leaf.mean;
+                *var = leaf.var;
+            }
+            cache.stamps[t] = stamp;
         }
         // Law of total variance across trees:
         //   Var = E[leaf var] + Var[leaf mean].
-        let n = self.trees.len() as f64;
-        let stats: Vec<_> = self.trees.iter().map(|t| t.leaf_stats(point)).collect();
-        let mean = stats.iter().map(|s| s.mean).sum::<f64>() / n;
-        let e_var = stats.iter().map(|s| s.var).sum::<f64>() / n;
-        let var_mean = stats.iter().map(|s| (s.mean - mean).powi(2)).sum::<f64>() / n;
-        Ok(Prediction {
+        // Every sum starts at −0.0, as `Iterator::sum` does.
+        let LeafCache {
+            means,
+            vars,
             mean,
-            std: (e_var + var_mean).max(0.0).sqrt(),
-        })
+            e_var,
+            var_mean,
+            ..
+        } = cache;
+        for acc in [&mut *mean, &mut *e_var, &mut *var_mean] {
+            acc.clear();
+            acc.resize(m, -0.0);
+        }
+        let n = trees as f64;
+        for (row_means, row_vars) in means.chunks_exact(m).zip(vars.chunks_exact(m)) {
+            for (acc, v) in mean.iter_mut().zip(row_means) {
+                *acc += v;
+            }
+            for (acc, v) in e_var.iter_mut().zip(row_vars) {
+                *acc += v;
+            }
+        }
+        for acc in mean.iter_mut() {
+            *acc /= n;
+        }
+        for row_means in means.chunks_exact(m) {
+            for ((acc, mu), v) in var_mean.iter_mut().zip(&*mean).zip(row_means) {
+                *acc += (v - mu).powi(2);
+            }
+        }
+        mean.iter()
+            .zip(&*e_var)
+            .zip(&*var_mean)
+            .map(|((&mean, &e_var), &var_mean)| Prediction {
+                mean,
+                std: (e_var / n + var_mean / n).max(0.0).sqrt(),
+            })
+            .collect()
     }
 }
 
-/// Warm-start bookkeeping shared by both forest flavours: the previous
-/// training set (to detect the one-row-appended case), the number of
-/// consecutive warm updates, and the rotation cursor of the next quarter
-/// to refresh.
+/// Leaf statistics per (tree, candidate) from the previous batch
+/// prediction (16 bytes per pair), and per-candidate accumulators.
 #[derive(Debug, Clone, Default)]
-struct WarmState {
-    train: Option<(Vec<Vec<f64>>, Vec<f64>)>,
+struct LeafCache {
+    points: CandidateSet,
+    /// The stamp each tree's row was walked under; 0, which no refit
+    /// hands out, marks a row not yet walked.
+    stamps: Vec<u64>,
+    /// Leaf means, tree-major (row `t` holds tree `t`'s candidates).
+    means: Vec<f64>,
+    /// Leaf variances, laid out like `means`.
+    vars: Vec<f64>,
+    /// Per candidate: the mean of its leaf means.
+    mean: Vec<f64>,
+    /// Per candidate: the sum of its leaf variances.
+    e_var: Vec<f64>,
+    /// Per candidate: the sum of its leaf means' squared deviations.
+    var_mean: Vec<f64>,
+}
+
+/// Everything both forest flavours share: the fitted ensemble, the
+/// warm-start bookkeeping and the batch cache.
+#[derive(Debug, Clone)]
+struct Forest {
+    config: ForestConfig,
+    seed: u64,
+    ensemble: Option<Ensemble>,
+    /// The training set of the last fit, to detect the one-row-appended
+    /// case the warm path accelerates.
+    train: TrainingSetCopy,
+    /// Consecutive warm updates since the last full fit.
     streak: usize,
+    /// Rotation cursor of the next quarter to refresh.
     cursor: usize,
+    /// Refit stamps handed out so far: every fit and warm refit stamps
+    /// the trees it grows with the next value, so a stamp names one refit
+    /// of this model and a [`LeafCache`] row can tell a refit tree from a
+    /// kept one.
+    refits: u64,
+    cache: LeafCache,
 }
 
-impl WarmState {
-    /// Whether `(x, y)` is the previous training set with exactly one row
-    /// appended — the shape the warm path accelerates.
-    fn appended_one_row(&self, ensemble: &Option<Ensemble>, x: &[Vec<f64>], y: &[f64]) -> bool {
-        let (Some((px, py)), Some(ens)) = (self.train.as_ref(), ensemble.as_ref()) else {
-            return false;
-        };
-        x.len() == px.len() + 1
-            && y.len() == py.len() + 1
-            && x.last().is_some_and(|row| row.len() == ens.dim)
-            && x[..px.len()] == px[..]
-            && y[..py.len()] == py[..]
+impl Forest {
+    fn new(config: ForestConfig, seed: u64) -> Self {
+        Self {
+            config,
+            seed,
+            ensemble: None,
+            train: TrainingSetCopy::default(),
+            streak: 0,
+            cursor: 0,
+            refits: 0,
+            cache: LeafCache::default(),
+        }
     }
-}
 
-/// One step of the iterative-fit loop for a forest: the warm path when
-/// exactly one row was appended and the refit cadence allows it, a plain
-/// reseed-and-refit (bit-identical to `reseed` + `fit`) otherwise.
-fn forest_fit_update(
-    config: &ForestConfig,
-    seed: &mut u64,
-    ensemble: &mut Option<Ensemble>,
-    warm: &mut WarmState,
-    x: &[Vec<f64>],
-    y: &[f64],
-    step_seed: u64,
-) -> crate::Result<()> {
-    let take_warm = config.warm_start
-        && warm.streak + 1 < config.warm_refit_every.max(1)
-        && warm.appended_one_row(ensemble, x, y);
-    *seed = step_seed;
-    if !take_warm {
-        warm.streak = 0;
-        warm.cursor = 0;
-        *ensemble = Some(Ensemble::fit(x, y, config, step_seed)?);
-    } else {
-        validate_training_set(x, y)?;
-        let mut rng = StdRng::seed_from_u64(step_seed);
-        let ens = ensemble.as_mut().expect("checked by appended_one_row");
-        warm.cursor = ens.warm_refit(x, y, config, warm.cursor, &mut rng);
-        warm.streak += 1;
+    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> crate::Result<()> {
+        self.refits += 1;
+        self.ensemble = Some(Ensemble::fit(x, y, &self.config, self.seed, self.refits)?);
+        self.train.store(x, y);
+        self.streak = 0;
+        self.cursor = 0;
+        Ok(())
     }
-    warm.train = Some((x.to_vec(), y.to_vec()));
-    Ok(())
+
+    /// One step of the iterative-fit loop: the warm path when exactly one
+    /// row was appended and the refit cadence allows it, a plain
+    /// reseed-and-refit (bit-identical to `reseed` + `fit`) otherwise.
+    fn fit_update(&mut self, x: &[Vec<f64>], y: &[f64], step_seed: u64) -> crate::Result<()> {
+        let take_warm = self.config.warm_start
+            && self.streak + 1 < self.config.warm_refit_every.max(1)
+            && self
+                .ensemble
+                .as_ref()
+                .is_some_and(|ens| self.train.appended_one_row(x, y, ens.dim));
+        self.seed = step_seed;
+        self.refits += 1;
+        if !take_warm {
+            self.streak = 0;
+            self.cursor = 0;
+            self.ensemble = Some(Ensemble::fit(x, y, &self.config, step_seed, self.refits)?);
+        } else {
+            validate_training_set(x, y)?;
+            let mut rng = StdRng::seed_from_u64(step_seed);
+            let ens = self.ensemble.as_mut().expect("checked by appended_one_row");
+            self.cursor = ens.warm_refit(x, y, &self.config, self.cursor, &mut rng, self.refits);
+            self.streak += 1;
+        }
+        self.train.store(x, y);
+        Ok(())
+    }
+
+    /// The one prediction path: `predict` and `predict_batch` pass an
+    /// empty cache, `predict_batch_mut` the model's own.
+    fn predict_with(
+        ensemble: Option<&Ensemble>,
+        points: &[Vec<f64>],
+        cache: &mut LeafCache,
+    ) -> crate::Result<Vec<Prediction>> {
+        if points.is_empty() {
+            return Ok(Vec::new());
+        }
+        let ens = ensemble
+            .filter(|ens| !ens.trees.is_empty())
+            .ok_or(SurrogateError::NotFitted)?;
+        validate_points(points, ens.dim)?;
+        Ok(ens.predict_cached(points, cache))
+    }
+
+    fn predict(&self, point: &[f64]) -> crate::Result<Prediction> {
+        let mut out = self.predict_batch(std::slice::from_ref(&point.to_vec()))?;
+        Ok(out.pop().expect("one point in, one prediction out"))
+    }
+
+    fn predict_batch(&self, points: &[Vec<f64>]) -> crate::Result<Vec<Prediction>> {
+        Self::predict_with(self.ensemble.as_ref(), points, &mut LeafCache::default())
+    }
+
+    fn predict_batch_mut(&mut self, points: &[Vec<f64>]) -> crate::Result<Vec<Prediction>> {
+        Self::predict_with(self.ensemble.as_ref(), points, &mut self.cache)
+    }
 }
 
 /// Bagged CART ensemble (scikit-learn-style random forest regressor).
 #[derive(Debug, Clone)]
 pub struct RandomForest {
-    config: ForestConfig,
-    seed: u64,
-    ensemble: Option<Ensemble>,
-    warm: WarmState,
+    forest: Forest,
 }
 
 impl RandomForest {
     /// Creates a forest with an explicit configuration.
     pub fn new(config: ForestConfig, seed: u64) -> Self {
         Self {
-            config,
-            seed,
-            ensemble: None,
-            warm: WarmState::default(),
+            forest: Forest::new(config, seed),
         }
     }
 
@@ -238,12 +375,7 @@ impl RandomForest {
 
 impl Surrogate for RandomForest {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> crate::Result<()> {
-        self.ensemble = Some(Ensemble::fit(x, y, &self.config, self.seed)?);
-        self.warm = WarmState {
-            train: Some((x.to_vec(), y.to_vec())),
-            ..WarmState::default()
-        };
-        Ok(())
+        self.forest.fit(x, y)
     }
 
     /// Warm-start refit (see [`ForestConfig::warm_start`]): when exactly
@@ -254,26 +386,23 @@ impl Surrogate for RandomForest {
     /// so the result is always a deterministic function of the call
     /// sequence.
     fn fit_update(&mut self, x: &[Vec<f64>], y: &[f64], step_seed: u64) -> crate::Result<()> {
-        forest_fit_update(
-            &self.config,
-            &mut self.seed,
-            &mut self.ensemble,
-            &mut self.warm,
-            x,
-            y,
-            step_seed,
-        )
+        self.forest.fit_update(x, y, step_seed)
     }
 
     fn predict(&self, point: &[f64]) -> crate::Result<Prediction> {
-        self.ensemble
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted)?
-            .predict(point)
+        self.forest.predict(point)
+    }
+
+    fn predict_batch(&self, points: &[Vec<f64>]) -> crate::Result<Vec<Prediction>> {
+        self.forest.predict_batch(points)
+    }
+
+    fn predict_batch_mut(&mut self, points: &[Vec<f64>]) -> crate::Result<Vec<Prediction>> {
+        self.forest.predict_batch_mut(points)
     }
 
     fn reseed(&mut self, seed: u64) {
-        self.seed = seed;
+        self.forest.seed = seed;
     }
 
     fn name(&self) -> &'static str {
@@ -285,20 +414,14 @@ impl Surrogate for RandomForest {
 /// thresholds.
 #[derive(Debug, Clone)]
 pub struct ExtraTrees {
-    config: ForestConfig,
-    seed: u64,
-    ensemble: Option<Ensemble>,
-    warm: WarmState,
+    forest: Forest,
 }
 
 impl ExtraTrees {
     /// Creates an ET ensemble with an explicit configuration.
     pub fn new(config: ForestConfig, seed: u64) -> Self {
         Self {
-            config,
-            seed,
-            ensemble: None,
-            warm: WarmState::default(),
+            forest: Forest::new(config, seed),
         }
     }
 
@@ -323,38 +446,30 @@ impl ExtraTrees {
 
 impl Surrogate for ExtraTrees {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> crate::Result<()> {
-        self.ensemble = Some(Ensemble::fit(x, y, &self.config, self.seed)?);
-        self.warm = WarmState {
-            train: Some((x.to_vec(), y.to_vec())),
-            ..WarmState::default()
-        };
-        Ok(())
+        self.forest.fit(x, y)
     }
 
     /// Warm-start refit: like [`RandomForest::fit_update`] but without
     /// bootstrap bookkeeping — the refreshed quarter simply refits on the
     /// full extended training set.
     fn fit_update(&mut self, x: &[Vec<f64>], y: &[f64], step_seed: u64) -> crate::Result<()> {
-        forest_fit_update(
-            &self.config,
-            &mut self.seed,
-            &mut self.ensemble,
-            &mut self.warm,
-            x,
-            y,
-            step_seed,
-        )
+        self.forest.fit_update(x, y, step_seed)
     }
 
     fn predict(&self, point: &[f64]) -> crate::Result<Prediction> {
-        self.ensemble
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted)?
-            .predict(point)
+        self.forest.predict(point)
+    }
+
+    fn predict_batch(&self, points: &[Vec<f64>]) -> crate::Result<Vec<Prediction>> {
+        self.forest.predict_batch(points)
+    }
+
+    fn predict_batch_mut(&mut self, points: &[Vec<f64>]) -> crate::Result<Vec<Prediction>> {
+        self.forest.predict_batch_mut(points)
     }
 
     fn reseed(&mut self, seed: u64) {
-        self.seed = seed;
+        self.forest.seed = seed;
     }
 
     fn name(&self) -> &'static str {
@@ -510,7 +625,7 @@ mod tests {
         let mut off = RandomForest::new(
             ForestConfig {
                 warm_start: false,
-                ..RandomForest::with_defaults(1).config
+                ..RandomForest::with_defaults(1).forest.config
             },
             1,
         );
@@ -550,7 +665,7 @@ mod tests {
         for k in 31..=33 {
             rf.fit_update(&x[..k], &y[..k], k as u64).unwrap();
         }
-        let ens = rf.ensemble.as_ref().unwrap();
+        let ens = rf.forest.ensemble.as_ref().unwrap();
         assert_eq!(ens.trees.len(), 100);
         for idx in &ens.indices {
             // Every tree's multiset stays within bounds; refreshed trees
@@ -564,7 +679,7 @@ mod tests {
         assert!(ens.indices.iter().any(|idx| idx.len() == 33));
         // The cadence's fourth update rebuilds everything in sync.
         rf.fit_update(&x[..34], &y[..34], 34).unwrap();
-        let ens = rf.ensemble.as_ref().unwrap();
+        let ens = rf.forest.ensemble.as_ref().unwrap();
         assert!(ens.indices.iter().all(|idx| idx.len() == 34));
     }
 

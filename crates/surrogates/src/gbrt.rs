@@ -6,12 +6,16 @@
 //! shallow CART trees fitted to the quantile-loss pseudo-residuals, with
 //! the leaf values replaced by the in-leaf residual quantile (the classic
 //! "line search" step of gradient boosting).
+//!
+//! Batch prediction keeps a [`PrefixCache`] across calls: a warm update
+//! keeps each model's first ¾ of the trees, so a batch after one sums
+//! only the re-boosted tail onto the cached sums of the kept trees.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::tree::{DecisionTree, TreeConfig};
-use crate::{validate_training_set, Prediction, Surrogate, SurrogateError};
+use crate::tree::{CandidateSet, DecisionTree, GrowScratch, TrainingSetCopy, TreeConfig};
+use crate::{validate_points, validate_training_set, Prediction, Surrogate, SurrogateError};
 
 /// Configuration of the boosted ensemble.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,6 +56,13 @@ impl Default for GbrtConfig {
     }
 }
 
+impl GbrtConfig {
+    /// Trees of each quantile model a warm refit keeps.
+    fn kept_trees(&self) -> usize {
+        (self.n_estimators * 3) / 4
+    }
+}
+
 /// One boosted quantile model: an initial constant plus scaled trees whose
 /// leaf "means" hold the in-leaf residual quantile.
 #[derive(Debug, Clone)]
@@ -62,30 +73,56 @@ struct QuantileModel {
     learning_rate: f64,
 }
 
+/// Buffers of one boosting pass, reused across its rounds and models.
+#[derive(Debug, Default)]
+struct BoostScratch {
+    grow: GrowScratch,
+    /// Running predictions at the training rows.
+    pred: Vec<f64>,
+    /// Quantile-loss pseudo-residuals of the current round.
+    grad: Vec<f64>,
+    /// `(leaf key, row)` pairs, sorted to group the rows by key.
+    keys: Vec<(u64, usize)>,
+    /// One group's residuals, sorted for its quantile.
+    residuals: Vec<f64>,
+    /// Per-row leaf values the revalued tree is fitted on.
+    targets: Vec<f64>,
+}
+
 impl QuantileModel {
-    fn fit(x: &[Vec<f64>], y: &[f64], tau: f64, config: &GbrtConfig, rng: &mut StdRng) -> Self {
-        let init = quantile(y, tau);
+    fn fit(
+        x: &[Vec<f64>],
+        y: &[f64],
+        tau: f64,
+        config: &GbrtConfig,
+        rng: &mut StdRng,
+        scratch: &mut BoostScratch,
+    ) -> Self {
+        scratch.residuals.clear();
+        scratch.residuals.extend_from_slice(y);
+        let init = quantile(&mut scratch.residuals, tau);
         let mut model = Self {
             tau,
             init,
             trees: Vec::with_capacity(config.n_estimators),
             learning_rate: config.learning_rate,
         };
-        let mut pred: Vec<f64> = vec![init; y.len()];
-        model.boost(x, y, &mut pred, config.n_estimators, config, rng);
+        scratch.pred.clear();
+        scratch.pred.resize(y.len(), init);
+        model.boost(x, y, config.n_estimators, config, rng, scratch);
         model
     }
 
     /// Appends `rounds` boosted trees, continuing from the running
-    /// predictions `pred` (which it keeps up to date).
+    /// predictions `scratch.pred` (which it keeps up to date).
     fn boost(
         &mut self,
         x: &[Vec<f64>],
         y: &[f64],
-        pred: &mut [f64],
         rounds: usize,
         config: &GbrtConfig,
         rng: &mut StdRng,
+        scratch: &mut BoostScratch,
     ) {
         let tau = self.tau;
         let tree_config = TreeConfig {
@@ -95,17 +132,27 @@ impl QuantileModel {
         };
         for _ in 0..rounds {
             // Quantile-loss pseudo-residuals: tau above, tau-1 below.
-            let grad: Vec<f64> = y
-                .iter()
-                .zip(pred.iter())
-                .map(|(yi, fi)| if yi > fi { tau } else { tau - 1.0 })
-                .collect();
+            scratch.grad.clear();
+            scratch
+                .grad
+                .extend(
+                    y.iter()
+                        .zip(&scratch.pred)
+                        .map(|(yi, fi)| if yi > fi { tau } else { tau - 1.0 }),
+                );
             // Grow the structure on the gradient, then re-value the leaves
             // with the tau-quantile of the actual residuals routed to them.
-            let structure = DecisionTree::fit(x, &grad, &tree_config, rng);
-            let tree = revalue_leaves(&structure, x, y, pred, tau);
-            for (i, xi) in x.iter().enumerate() {
-                pred[i] += config.learning_rate * tree.predict_mean(xi);
+            let structure = DecisionTree::fit_with(
+                x,
+                &scratch.grad,
+                None,
+                &tree_config,
+                rng,
+                &mut scratch.grow,
+            );
+            let tree = revalue_leaves(&structure, x, y, tau, scratch);
+            for (p, xi) in scratch.pred.iter_mut().zip(x) {
+                *p += config.learning_rate * tree.predict_mean(xi);
             }
             self.trees.push(tree);
         }
@@ -122,92 +169,112 @@ impl QuantileModel {
         keep: usize,
         config: &GbrtConfig,
         rng: &mut StdRng,
+        scratch: &mut BoostScratch,
     ) {
         self.trees.truncate(keep);
-        let mut pred: Vec<f64> = x
-            .iter()
-            .map(|xi| {
-                self.init
-                    + self.learning_rate
-                        * self.trees.iter().map(|t| t.predict_mean(xi)).sum::<f64>()
-            })
-            .collect();
+        scratch.pred.clear();
+        scratch.pred.extend(x.iter().map(|xi| {
+            self.init
+                + self.learning_rate * self.trees.iter().map(|t| t.predict_mean(xi)).sum::<f64>()
+        }));
         let rounds = config.n_estimators.saturating_sub(self.trees.len());
-        self.boost(x, y, &mut pred, rounds, config, rng);
-    }
-
-    fn predict(&self, point: &[f64]) -> f64 {
-        self.init
-            + self.learning_rate
-                * self
-                    .trees
-                    .iter()
-                    .map(|t| t.predict_mean(point))
-                    .sum::<f64>()
+        self.boost(x, y, rounds, config, rng, scratch);
     }
 }
 
-/// Rebuilds a tree with the same structure whose leaves hold the
-/// tau-quantile of `y - pred` among the samples each leaf receives.
+/// Rebuilds a tree whose leaves hold the tau-quantile of
+/// `y - scratch.pred` over the training rows grouped with them.
 ///
-/// We keep this simple by refitting a tree on per-sample leaf targets: every
-/// sample's target becomes its leaf's residual quantile, and a deep exact
-/// tree reproduces the partition.
+/// We keep this simple by refitting a tree on per-sample targets: every
+/// row's target becomes its group's residual quantile, and a deep exact
+/// tree fitted on those targets reproduces them at the training rows, up
+/// to its variance floor (rows with equal features fall in one leaf, so
+/// they share a target). Between training rows its thresholds, and so
+/// its predictions, can differ from the structure tree's.
 fn revalue_leaves(
     structure: &DecisionTree,
     x: &[Vec<f64>],
     y: &[f64],
-    pred: &[f64],
     tau: f64,
+    scratch: &mut BoostScratch,
 ) -> DecisionTree {
-    use std::collections::HashMap;
-    // Group samples by the leaf they fall into (keyed by leaf stats bits,
-    // which uniquely identify a leaf in practice since means differ; to be
-    // exact we key by a path-id computed from comparisons).
-    let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, xi) in x.iter().enumerate() {
-        groups
-            .entry(leaf_path_id(structure, xi))
-            .or_default()
-            .push(i);
-    }
-    let mut targets = vec![0.0; x.len()];
-    for idx in groups.values() {
-        let residuals: Vec<f64> = idx.iter().map(|&i| y[i] - pred[i]).collect();
-        let q = quantile(&residuals, tau);
-        for &i in idx {
+    let BoostScratch {
+        grow,
+        pred,
+        keys,
+        residuals,
+        targets,
+        ..
+    } = scratch;
+    // Group the samples by leaf key (see `leaf_path_id`: rows of distinct
+    // leaves can share a key, and then pool their residuals). A group's
+    // quantile does not depend on its rows' order.
+    keys.clear();
+    keys.extend(
+        x.iter()
+            .enumerate()
+            .map(|(i, xi)| (leaf_path_id(structure, xi), i)),
+    );
+    keys.sort_unstable();
+    targets.clear();
+    targets.resize(x.len(), 0.0);
+    for group in keys.chunk_by(|a, b| a.0 == b.0) {
+        residuals.clear();
+        residuals.extend(group.iter().map(|&(_, i)| y[i] - pred[i]));
+        let q = quantile(residuals, tau);
+        for &(_, i) in group {
             targets[i] = q;
         }
     }
-    // A deterministic exact tree on the piecewise-constant targets
-    // reproduces the partition (or a refinement of it, which predicts the
-    // same values).
+    // A deterministic exact tree on the piecewise-constant targets.
     let mut rng = StdRng::seed_from_u64(0);
-    DecisionTree::fit(x, &targets, &TreeConfig::default(), &mut rng)
+    DecisionTree::fit_with(x, targets, None, &TreeConfig::default(), &mut rng, grow)
 }
 
-/// Stable id of the leaf a point falls into (sequence of branch choices).
+/// The key [`revalue_leaves`] groups training rows by: the bits of the
+/// leaf's mean, variance and count, XOR-folded. It is not a leaf's
+/// identity. Distinct leaves with equal statistics share it, which is
+/// common because the structure tree is grown on a two-valued gradient,
+/// and so can leaves whose folded bits collide; their rows then pool
+/// their residuals into one quantile. Keying by leaf would change the
+/// fitted models, so the key stays as it is.
 fn leaf_path_id(tree: &DecisionTree, point: &[f64]) -> u64 {
-    // The public API exposes only leaf stats; combine them into a key.
-    // Collisions would merge leaves with bit-identical (mean, var, count),
-    // which predict identically anyway.
     let stats = tree.leaf_stats(point);
     let mut h = stats.mean.to_bits() ^ stats.var.to_bits().rotate_left(17);
     h ^= (stats.count as u64).rotate_left(33);
     h
 }
 
-fn quantile(values: &[f64], tau: f64) -> f64 {
+/// The linearly interpolated `tau`-quantile of `values`, which it sorts
+/// in place.
+fn quantile(values: &mut [f64], tau: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let pos = tau.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    // `total_cmp` equality is bit equality, so an unstable sort leaves
+    // the same array a stable one would.
+    values.sort_unstable_by(f64::total_cmp);
+    let pos = tau.clamp(0.0, 1.0) * (values.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    values[lo] * (1.0 - frac) + values[hi] * frac
+}
+
+/// Per-candidate tree sums of the three quantile models from the previous
+/// batch prediction.
+#[derive(Debug, Clone, Default)]
+struct PrefixCache {
+    points: CandidateSet,
+    /// The [`GradientBoosting`] fit generation `kept` was summed under;
+    /// 0, which no fit hands out, marks no sums.
+    generation: u64,
+    /// Per model and candidate, the sum over the model's first
+    /// [`GbrtConfig::kept_trees`] trees, model-major.
+    kept: Vec<f64>,
+    /// Per model and candidate, the sum over all trees, laid out like
+    /// `kept`.
+    sums: Vec<f64>,
 }
 
 /// The GBRT surrogate: three quantile ensembles (0.16 / 0.50 / 0.84).
@@ -219,9 +286,14 @@ pub struct GradientBoosting {
     dim: usize,
     /// The training set of the last fit, kept to detect the
     /// one-row-appended case [`GbrtConfig::warm_start`] accelerates.
-    train: Option<(Vec<Vec<f64>>, Vec<f64>)>,
+    train: TrainingSetCopy,
     /// Consecutive warm updates since the last full boost.
     warm_streak: usize,
+    /// Full boosts so far. A warm refit keeps each model's first
+    /// [`GbrtConfig::kept_trees`] trees, so those change only when this
+    /// does.
+    generation: u64,
+    cache: PrefixCache,
 }
 
 impl GradientBoosting {
@@ -232,29 +304,82 @@ impl GradientBoosting {
             seed,
             models: None,
             dim: 0,
-            train: None,
+            train: TrainingSetCopy::default(),
             warm_streak: 0,
+            generation: 0,
+            cache: PrefixCache::default(),
         }
-    }
-
-    /// Whether a [`Surrogate::fit_update`] with `(x, y)` can take the
-    /// warm path: a previous fit exists and exactly one row was appended
-    /// to an otherwise untouched training set.
-    fn appended_one_row(&self, x: &[Vec<f64>], y: &[f64]) -> bool {
-        let Some((px, py)) = self.train.as_ref() else {
-            return false;
-        };
-        self.models.is_some()
-            && x.len() == px.len() + 1
-            && y.len() == py.len() + 1
-            && x.last().is_some_and(|row| row.len() == self.dim)
-            && x[..px.len()] == px[..]
-            && y[..py.len()] == py[..]
     }
 
     /// skopt-flavoured defaults (80 rounds, depth 3, lr 0.1).
     pub fn with_defaults(seed: u64) -> Self {
         Self::new(GbrtConfig::default(), seed)
+    }
+
+    /// The one prediction path: `predict` and `predict_batch` pass an
+    /// empty cache, `predict_batch_mut` the model's own. With sums of the
+    /// current generation's kept trees for these candidates in `cache`,
+    /// only the trees after them are walked. Each candidate's sum adds
+    /// the trees in order, starting from −0.0 as `Iterator::sum` does, so
+    /// a cached sum continued over the tail has the bits of a full one.
+    fn predict_with(
+        &self,
+        points: &[Vec<f64>],
+        cache: &mut PrefixCache,
+    ) -> crate::Result<Vec<Prediction>> {
+        if points.is_empty() {
+            return Ok(Vec::new());
+        }
+        let models = self.models.as_ref().ok_or(SurrogateError::NotFitted)?;
+        validate_points(points, self.dim)?;
+        let m = points.len();
+        let reuse = cache.generation == self.generation && cache.points.holds(points, self.dim);
+        if !reuse {
+            cache.points.set(points);
+            cache.kept.resize(3 * m, 0.0);
+            cache.sums.resize(3 * m, 0.0);
+        }
+        for (k, model) in models.iter().enumerate() {
+            let keep = self.config.kept_trees().min(model.trees.len());
+            let kept = &mut cache.kept[k * m..(k + 1) * m];
+            let sums = &mut cache.sums[k * m..(k + 1) * m];
+            if reuse {
+                sums.copy_from_slice(kept);
+            } else {
+                sums.fill(-0.0);
+                for tree in &model.trees[..keep] {
+                    for (s, p) in sums.iter_mut().zip(points) {
+                        *s += tree.predict_mean(p);
+                    }
+                }
+                kept.copy_from_slice(sums);
+            }
+            for tree in &model.trees[keep..] {
+                for (s, p) in sums.iter_mut().zip(points) {
+                    *s += tree.predict_mean(p);
+                }
+            }
+        }
+        cache.generation = self.generation;
+        debug_assert_eq!(models[0].tau, 0.16);
+        debug_assert_eq!(models[2].tau, 0.84);
+        let (lo, rest) = cache.sums.split_at(m);
+        let (mid, hi) = rest.split_at(m);
+        let value = |model: &QuantileModel, sum: f64| model.init + model.learning_rate * sum;
+        Ok(lo
+            .iter()
+            .zip(mid)
+            .zip(hi)
+            .map(|((&lo, &mid), &hi)| {
+                let lo = value(&models[0], lo);
+                let mid = value(&models[1], mid);
+                let hi = value(&models[2], hi);
+                Prediction {
+                    mean: mid,
+                    std: ((hi - lo) / 2.0).max(0.0),
+                }
+            })
+            .collect())
     }
 }
 
@@ -262,11 +387,13 @@ impl Surrogate for GradientBoosting {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> crate::Result<()> {
         self.dim = validate_training_set(x, y)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let q16 = QuantileModel::fit(x, y, 0.16, &self.config, &mut rng);
-        let q50 = QuantileModel::fit(x, y, 0.50, &self.config, &mut rng);
-        let q84 = QuantileModel::fit(x, y, 0.84, &self.config, &mut rng);
+        let mut scratch = BoostScratch::default();
+        let q16 = QuantileModel::fit(x, y, 0.16, &self.config, &mut rng, &mut scratch);
+        let q50 = QuantileModel::fit(x, y, 0.50, &self.config, &mut rng, &mut scratch);
+        let q84 = QuantileModel::fit(x, y, 0.84, &self.config, &mut rng, &mut scratch);
         self.models = Some([q16, q50, q84]);
-        self.train = Some((x.to_vec(), y.to_vec()));
+        self.generation += 1;
+        self.train.store(x, y);
         // A full boost re-syncs everything: the warm cadence restarts.
         self.warm_streak = 0;
         Ok(())
@@ -281,42 +408,44 @@ impl Surrogate for GradientBoosting {
     fn fit_update(&mut self, x: &[Vec<f64>], y: &[f64], step_seed: u64) -> crate::Result<()> {
         let warm = self.config.warm_start
             && self.warm_streak + 1 < self.config.warm_refit_every.max(1)
-            && self.appended_one_row(x, y);
+            && self.models.is_some()
+            && self.train.appended_one_row(x, y, self.dim);
         if !warm {
             self.warm_streak = 0;
             self.reseed(step_seed);
             return self.fit(x, y);
         }
         validate_training_set(x, y)?;
-        let keep = (self.config.n_estimators * 3) / 4;
+        let keep = self.config.kept_trees();
         let mut rng = StdRng::seed_from_u64(step_seed);
+        let mut scratch = BoostScratch::default();
         let models = self.models.as_mut().expect("checked by appended_one_row");
         for model in models.iter_mut() {
-            model.warm_refit(x, y, keep, &self.config, &mut rng);
+            model.warm_refit(x, y, keep, &self.config, &mut rng, &mut scratch);
         }
         self.warm_streak += 1;
         self.seed = step_seed;
-        self.train = Some((x.to_vec(), y.to_vec()));
+        self.train.store(x, y);
         Ok(())
     }
 
     fn predict(&self, point: &[f64]) -> crate::Result<Prediction> {
-        let models = self.models.as_ref().ok_or(SurrogateError::NotFitted)?;
-        if point.len() != self.dim {
-            return Err(SurrogateError::DimensionMismatch {
-                expected: format!("point of dimension {}", self.dim),
-                found: format!("point of dimension {}", point.len()),
-            });
-        }
-        let lo = models[0].predict(point);
-        let mid = models[1].predict(point);
-        let hi = models[2].predict(point);
-        debug_assert_eq!(models[0].tau, 0.16);
-        debug_assert_eq!(models[2].tau, 0.84);
-        Ok(Prediction {
-            mean: mid,
-            std: ((hi - lo) / 2.0).max(0.0),
-        })
+        let mut out = self.predict_with(
+            std::slice::from_ref(&point.to_vec()),
+            &mut PrefixCache::default(),
+        )?;
+        Ok(out.pop().expect("one point in, one prediction out"))
+    }
+
+    fn predict_batch(&self, points: &[Vec<f64>]) -> crate::Result<Vec<Prediction>> {
+        self.predict_with(points, &mut PrefixCache::default())
+    }
+
+    fn predict_batch_mut(&mut self, points: &[Vec<f64>]) -> crate::Result<Vec<Prediction>> {
+        let mut cache = std::mem::take(&mut self.cache);
+        let predictions = self.predict_with(points, &mut cache);
+        self.cache = cache;
+        predictions
     }
 
     fn reseed(&mut self, seed: u64) {
@@ -349,11 +478,11 @@ mod tests {
 
     #[test]
     fn quantile_helper_matches_interpolation() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&v, 0.0), 1.0);
-        assert_eq!(quantile(&v, 1.0), 4.0);
-        assert_eq!(quantile(&v, 0.5), 2.5);
-        assert_eq!(quantile(&[], 0.5), 0.0);
+        let mut v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(quantile(&mut v, 0.0), 1.0);
+        assert_eq!(quantile(&mut v, 1.0), 4.0);
+        assert_eq!(quantile(&mut v, 0.5), 2.5);
+        assert_eq!(quantile(&mut [], 0.5), 0.0);
     }
 
     #[test]

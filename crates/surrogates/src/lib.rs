@@ -8,7 +8,8 @@
 //! - [`GaussianProcess`]: Matérn-5/2 ARD kernel, hyperparameters selected
 //!   by log-marginal-likelihood over a seeded random search, exact Cholesky
 //!   inference;
-//! - [`DecisionTree`]: CART regression trees (exact or randomized splits);
+//! - [`DecisionTree`]: CART regression trees (exact or randomized splits),
+//!   stored as flat node arrays;
 //! - [`RandomForest`] / [`ExtraTrees`]: bagged ensembles whose predictive
 //!   spread comes from the law of total variance across trees;
 //! - [`GradientBoosting`]: least-squares/quantile boosting; uncertainty
@@ -85,9 +86,13 @@ pub trait Surrogate {
 
     /// Predicts many points in one call.
     ///
-    /// The default loops over [`Surrogate::predict`]; implementations
-    /// with a shared-work fast path (the GP's batched cross-kernel
-    /// solves) override it. Results are identical to per-point calls.
+    /// The default loops over [`Surrogate::predict`]. All four models
+    /// override it with a batched kernel: the GP's batched cross-kernel
+    /// solves, and for RF, ET and GBRT the kernel of
+    /// [`Surrogate::predict_batch_mut`] run with an empty cache. Results
+    /// are identical to per-point calls: an empty batch is `Ok(vec![])`
+    /// even before a fit, and an error is the one the first failing
+    /// point's `predict` returns.
     fn predict_batch(&self, points: &[Vec<f64>]) -> Result<Vec<Prediction>> {
         points.iter().map(|p| self.predict(p)).collect()
     }
@@ -96,9 +101,14 @@ pub trait Surrogate {
     /// implementations can maintain a cross-call cache.
     ///
     /// The BO loop scores the same candidate set every step while the
-    /// training set grows by one row; the GP overrides this to cache its
-    /// cross-kernel matrix and forward-solves between steps, extending
-    /// them by one column per new trial. Results are bit-identical to
+    /// training set grows by one row. All four models override this. The
+    /// GP caches its cross-kernel matrix and forward-solves between
+    /// steps, extending them by one column per new trial. RF and ET keep
+    /// each (tree, candidate) leaf's mean and variance and re-walk only
+    /// the trees refit since the previous call; GBRT keeps each quantile
+    /// model's per-candidate sum over the trees a warm refit keeps and
+    /// walks only the re-boosted tail. A changed candidate set, a `fit`
+    /// or a full refit rebuilds the cache. Results are bit-identical to
     /// [`Surrogate::predict_batch`].
     fn predict_batch_mut(&mut self, points: &[Vec<f64>]) -> Result<Vec<Prediction>> {
         self.predict_batch(points)
@@ -189,6 +199,18 @@ pub(crate) fn validate_training_set(x: &[Vec<f64>], y: &[f64]) -> Result<usize> 
         return Err(SurrogateError::NonFiniteData);
     }
     Ok(dim)
+}
+
+/// Checks that every point has dimension `dim`; the error names the
+/// first that does not.
+pub(crate) fn validate_points(points: &[Vec<f64>], dim: usize) -> Result<()> {
+    match points.iter().find(|p| p.len() != dim) {
+        Some(p) => Err(SurrogateError::DimensionMismatch {
+            expected: format!("point of dimension {dim}"),
+            found: format!("point of dimension {}", p.len()),
+        }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

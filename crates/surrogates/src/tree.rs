@@ -5,6 +5,15 @@
 //! thresholds ([`SplitMode::Random`]), and `GradientBoosting` uses shallow
 //! exact trees. Leaves store mean, variance, and count, so ensembles can
 //! apply the law of total variance.
+//!
+//! A tree is stored flat: one `Vec` of nodes in preorder, so a split's
+//! left child is the node right after it and its right child is named by
+//! a `u32` index. Growing works on one buffer of sample indices in which
+//! every node owns a contiguous range; a split partitions its range in
+//! place, stably (the order `Iterator::partition` gives), through one
+//! spill buffer. The buffers live in a [`GrowScratch`] that the ensembles
+//! reuse across all the trees of a fit, so growing a tree allocates only
+//! its node array.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -43,25 +52,27 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Node {
     Leaf {
         mean: f64,
         var: f64,
-        count: usize,
+        count: u32,
     },
+    /// The left child is the next node; `right` is the right child's
+    /// index.
     Split {
-        feature: usize,
+        feature: u32,
         threshold: f64,
-        left: Box<Node>,
-        right: Box<Node>,
+        right: u32,
     },
 }
 
 /// A fitted regression tree.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
-    root: Node,
+    /// Preorder node array; the root is node 0.
+    nodes: Vec<Node>,
     dim: usize,
 }
 
@@ -76,6 +87,17 @@ pub struct LeafStats {
     pub count: usize,
 }
 
+/// Buffers of tree growth, reused across the trees of an ensemble fit.
+#[derive(Debug, Default)]
+pub(crate) struct GrowScratch {
+    /// Sample indices of the tree being grown; each node owns a range.
+    idx: Vec<usize>,
+    /// The right side of an in-place partition, before it is copied back.
+    spill: Vec<usize>,
+    /// `(feature value, target)` pairs of a `Best`-mode split search.
+    pairs: Vec<(f64, f64)>,
+}
+
 impl DecisionTree {
     /// Fits a tree on `x`/`y` (pre-validated by the caller), using `rng`
     /// for randomized split modes.
@@ -85,9 +107,7 @@ impl DecisionTree {
     /// Panics on empty input — callers validate via
     /// `validate_training_set` first.
     pub fn fit(x: &[Vec<f64>], y: &[f64], config: &TreeConfig, rng: &mut StdRng) -> Self {
-        assert!(!x.is_empty() && x.len() == y.len(), "validated by caller");
-        let indices: Vec<usize> = (0..x.len()).collect();
-        Self::fit_indices(x, y, &indices, config, rng)
+        Self::fit_with(x, y, None, config, rng, &mut GrowScratch::default())
     }
 
     /// Fits a tree on the multiset of rows selected by `indices` (possibly
@@ -104,11 +124,54 @@ impl DecisionTree {
         config: &TreeConfig,
         rng: &mut StdRng,
     ) -> Self {
+        Self::fit_with(
+            x,
+            y,
+            Some(indices),
+            config,
+            rng,
+            &mut GrowScratch::default(),
+        )
+    }
+
+    /// [`Self::fit`] (`indices` = `None`) or [`Self::fit_indices`], grown
+    /// in `scratch`'s buffers.
+    pub(crate) fn fit_with(
+        x: &[Vec<f64>],
+        y: &[f64],
+        indices: Option<&[usize]>,
+        config: &TreeConfig,
+        rng: &mut StdRng,
+        scratch: &mut GrowScratch,
+    ) -> Self {
         assert!(!x.is_empty() && x.len() == y.len(), "validated by caller");
-        assert!(!indices.is_empty(), "validated by caller");
-        let root = Self::grow(x, y, indices, config, rng, 0);
+        scratch.idx.clear();
+        match indices {
+            Some(indices) => scratch.idx.extend_from_slice(indices),
+            None => scratch.idx.extend(0..x.len()),
+        }
+        let n = scratch.idx.len();
+        assert!(n > 0, "validated by caller");
+        // Reserve to the largest size a node's range can need, so the
+        // buffers grow once, not by doubling as the ranges come.
+        scratch.spill.clear();
+        scratch.spill.reserve(n);
+        if config.split_mode == SplitMode::Best {
+            scratch.pairs.clear();
+            scratch.pairs.reserve(n);
+        }
+        let mut grower = Grower {
+            x,
+            y,
+            config,
+            rng,
+            scratch,
+            // A binary tree over n samples has at most 2n − 1 nodes.
+            nodes: Vec::with_capacity(2 * n - 1),
+        };
+        grower.grow(0, n, 0);
         Self {
-            root,
+            nodes: grower.nodes,
             dim: x[0].len(),
         }
     }
@@ -120,24 +183,27 @@ impl DecisionTree {
 
     /// Returns the leaf statistics for a point.
     pub fn leaf_stats(&self, point: &[f64]) -> LeafStats {
-        let mut node = &self.root;
+        let mut i = 0;
         loop {
-            match node {
+            match self.nodes[i] {
                 Node::Leaf { mean, var, count } => {
                     return LeafStats {
-                        mean: *mean,
-                        var: *var,
-                        count: *count,
+                        mean,
+                        var,
+                        count: count as usize,
                     }
                 }
                 Node::Split {
                     feature,
                     threshold,
-                    left,
                     right,
                 } => {
-                    let v = point.get(*feature).copied().unwrap_or(0.0);
-                    node = if v <= *threshold { left } else { right };
+                    let v = point.get(feature as usize).copied().unwrap_or(0.0);
+                    i = if v <= threshold {
+                        i + 1
+                    } else {
+                        right as usize
+                    };
                 }
             }
         }
@@ -150,124 +216,256 @@ impl DecisionTree {
 
     /// Number of leaves (diagnostic).
     pub fn leaf_count(&self) -> usize {
-        fn count(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => count(left) + count(right),
-            }
-        }
-        count(&self.root)
+        self.nodes
+            .iter()
+            .filter(|n| matches!(n, Node::Leaf { .. }))
+            .count()
     }
+}
 
-    fn grow(
-        x: &[Vec<f64>],
-        y: &[f64],
-        indices: &[usize],
-        config: &TreeConfig,
-        rng: &mut StdRng,
-        depth: usize,
-    ) -> Node {
-        let (mean, var) = mean_var(y, indices);
-        let at_depth_limit = config.max_depth.map(|d| depth >= d).unwrap_or(false);
-        if indices.len() < config.min_samples_split || var <= 1e-24 || at_depth_limit {
-            return Node::Leaf {
-                mean,
-                var,
-                count: indices.len(),
-            };
-        }
-        let Some((feature, threshold)) = Self::choose_split(x, y, indices, config, rng) else {
-            return Node::Leaf {
-                mean,
-                var,
-                count: indices.len(),
-            };
+/// One tree's growth: the training data, the buffers, and the node array
+/// being filled.
+struct Grower<'a> {
+    x: &'a [Vec<f64>],
+    y: &'a [f64],
+    config: &'a TreeConfig,
+    rng: &'a mut StdRng,
+    scratch: &'a mut GrowScratch,
+    nodes: Vec<Node>,
+}
+
+impl Grower<'_> {
+    /// Grows the subtree over the samples `scratch.idx[lo..hi]`, left
+    /// subtree first (the order `Random` mode draws thresholds in), and
+    /// returns its root's index.
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> u32 {
+        let at = self.nodes.len();
+        let (mean, var) = mean_var(self.y, &self.scratch.idx[lo..hi]);
+        let leaf = Node::Leaf {
+            mean,
+            var,
+            count: (hi - lo) as u32,
         };
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-            indices.iter().partition(|&&i| x[i][feature] <= threshold);
-        if left_idx.len() < config.min_samples_leaf || right_idx.len() < config.min_samples_leaf {
-            return Node::Leaf {
-                mean,
-                var,
-                count: indices.len(),
-            };
+        let config = self.config;
+        let at_depth_limit = config.max_depth.map(|d| depth >= d).unwrap_or(false);
+        if hi - lo < config.min_samples_split || var <= 1e-24 || at_depth_limit {
+            self.nodes.push(leaf);
+            return at as u32;
         }
-        Node::Split {
-            feature,
+        let Some((feature, threshold)) = choose_split(
+            self.x,
+            self.y,
+            &self.scratch.idx[lo..hi],
+            config,
+            self.rng,
+            &mut self.scratch.pairs,
+        ) else {
+            self.nodes.push(leaf);
+            return at as u32;
+        };
+        let mid = lo
+            + partition(
+                self.x,
+                &mut self.scratch.idx[lo..hi],
+                &mut self.scratch.spill,
+                feature,
+                threshold,
+            );
+        if mid - lo < config.min_samples_leaf || hi - mid < config.min_samples_leaf {
+            self.nodes.push(leaf);
+            return at as u32;
+        }
+        self.nodes.push(Node::Split {
+            feature: feature as u32,
             threshold,
-            left: Box::new(Self::grow(x, y, &left_idx, config, rng, depth + 1)),
-            right: Box::new(Self::grow(x, y, &right_idx, config, rng, depth + 1)),
+            right: 0,
+        });
+        self.grow(lo, mid, depth + 1);
+        let right = self.grow(mid, hi, depth + 1);
+        if let Node::Split { right: slot, .. } = &mut self.nodes[at] {
+            *slot = right;
+        }
+        at as u32
+    }
+}
+
+/// Stably partitions `idx` into the samples with
+/// `x[i][feature] <= threshold` followed by the rest, each side keeping
+/// its order (as `Iterator::partition` would), and returns the left
+/// side's length. The right side passes through `spill`.
+fn partition(
+    x: &[Vec<f64>],
+    idx: &mut [usize],
+    spill: &mut Vec<usize>,
+    feature: usize,
+    threshold: f64,
+) -> usize {
+    spill.clear();
+    let mut left = 0;
+    for k in 0..idx.len() {
+        let i = idx[k];
+        if x[i][feature] <= threshold {
+            idx[left] = i;
+            left += 1;
+        } else {
+            spill.push(i);
         }
     }
+    idx[left..].copy_from_slice(spill);
+    left
+}
 
-    /// Picks (feature, threshold) minimizing the weighted child SSE.
-    ///
-    /// `Best` mode uses the classic CART sweep: sort the node's
-    /// (value, target) pairs once per feature, then walk the candidate
-    /// thresholds left to right maintaining running sums, so scoring all
-    /// thresholds costs O(m log m) instead of the O(m²) of re-partitioning
-    /// per threshold. This is the inner loop of every forest and boosting
-    /// fit in the BO hot path.
-    fn choose_split(
-        x: &[Vec<f64>],
-        y: &[f64],
-        indices: &[usize],
-        config: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> Option<(usize, f64)> {
-        let dim = x[0].len();
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
-        let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(indices.len());
-        for feature in 0..dim {
-            pairs.clear();
-            pairs.extend(indices.iter().map(|&i| (x[i][feature], y[i])));
-            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let lo = pairs[0].0;
-            let hi = pairs[pairs.len() - 1].0;
-            if lo == hi {
-                continue;
-            }
-            match config.split_mode {
-                SplitMode::Best => {
-                    // Totals for the right side start as the node totals.
-                    let n = pairs.len() as f64;
-                    let (mut sr, mut sr2) = (0.0f64, 0.0f64);
-                    for &(_, v) in &pairs {
-                        sr += v;
-                        sr2 += v * v;
+/// Picks (feature, threshold) minimizing the weighted child SSE.
+///
+/// `Best` mode uses the classic CART sweep: sort the node's
+/// (value, target) pairs once per feature, then walk the candidate
+/// thresholds left to right maintaining running sums, so scoring all
+/// thresholds costs O(m log m) instead of the O(m²) of re-partitioning
+/// per threshold. This is the inner loop of every forest and boosting
+/// fit in the BO hot path. `Random` mode needs only each feature's range,
+/// which one min/max scan finds.
+fn choose_split(
+    x: &[Vec<f64>],
+    y: &[f64],
+    indices: &[usize],
+    config: &TreeConfig,
+    rng: &mut StdRng,
+    pairs: &mut Vec<(f64, f64)>,
+) -> Option<(usize, f64)> {
+    let dim = x[0].len();
+    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
+    for feature in 0..dim {
+        match config.split_mode {
+            SplitMode::Best => {
+                pairs.clear();
+                pairs.extend(indices.iter().map(|&i| (x[i][feature], y[i])));
+                // Stable: tied values keep index order, which fixes the
+                // order the running sums below add targets in.
+                pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let lo = pairs[0].0;
+                let hi = pairs[pairs.len() - 1].0;
+                if lo == hi {
+                    continue;
+                }
+                // Totals for the right side start as the node totals.
+                let n = pairs.len() as f64;
+                let (mut sr, mut sr2) = (0.0f64, 0.0f64);
+                for &(_, v) in pairs.iter() {
+                    sr += v;
+                    sr2 += v * v;
+                }
+                let (mut nl, mut sl, mut sl2) = (0.0f64, 0.0f64, 0.0f64);
+                for w in 0..pairs.len() - 1 {
+                    let (value, target) = pairs[w];
+                    nl += 1.0;
+                    sl += target;
+                    sl2 += target * target;
+                    sr -= target;
+                    sr2 -= target * target;
+                    let next = pairs[w + 1].0;
+                    if value == next {
+                        continue; // not a boundary between distinct values
                     }
-                    let (mut nl, mut sl, mut sl2) = (0.0f64, 0.0f64, 0.0f64);
-                    for w in 0..pairs.len() - 1 {
-                        let (value, target) = pairs[w];
-                        nl += 1.0;
-                        sl += target;
-                        sl2 += target * target;
-                        sr -= target;
-                        sr2 -= target * target;
-                        let next = pairs[w + 1].0;
-                        if value == next {
-                            continue; // not a boundary between distinct values
-                        }
-                        let threshold = (value + next) / 2.0;
-                        let sse = (sl2 - sl * sl / nl) + (sr2 - sr * sr / (n - nl));
-                        let better = best.map(|b| sse < b.2).unwrap_or(true);
-                        if better {
-                            best = Some((feature, threshold, sse));
-                        }
+                    let threshold = (value + next) / 2.0;
+                    let sse = (sl2 - sl * sl / nl) + (sr2 - sr * sr / (n - nl));
+                    let better = best.map(|b| sse < b.2).unwrap_or(true);
+                    if better {
+                        best = Some((feature, threshold, sse));
                     }
                 }
-                SplitMode::Random => {
-                    let threshold = rng.gen_range(lo..hi);
-                    if let Some(sse) = split_sse(x, y, indices, feature, threshold) {
-                        let better = best.map(|b| sse < b.2).unwrap_or(true);
-                        if better {
-                            best = Some((feature, threshold, sse));
-                        }
+            }
+            SplitMode::Random => {
+                // The extremes under `total_cmp`, as a sort would put
+                // them first and last.
+                let first = x[indices[0]][feature];
+                let (lo, hi) = indices[1..].iter().fold((first, first), |(lo, hi), &i| {
+                    let v = x[i][feature];
+                    (
+                        if v.total_cmp(&lo).is_lt() { v } else { lo },
+                        if v.total_cmp(&hi).is_gt() { v } else { hi },
+                    )
+                });
+                if lo == hi {
+                    continue;
+                }
+                let threshold = rng.gen_range(lo..hi);
+                if let Some(sse) = split_sse(x, y, indices, feature, threshold) {
+                    let better = best.map(|b| sse < b.2).unwrap_or(true);
+                    if better {
+                        best = Some((feature, threshold, sse));
                     }
                 }
             }
         }
-        best.map(|(f, t, _)| (f, t))
+    }
+    best.map(|(f, t, _)| (f, t))
+}
+
+/// The training set of an ensemble's last fit, flattened into buffers
+/// reused from fit to fit, kept to recognise the one-row-appended update
+/// the warm paths accelerate.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TrainingSetCopy {
+    /// Rows, row-major.
+    x: Vec<f64>,
+    y: Vec<f64>,
+}
+
+impl TrainingSetCopy {
+    /// Replaces the copy with `(x, y)`, a validated training set.
+    pub(crate) fn store(&mut self, x: &[Vec<f64>], y: &[f64]) {
+        self.x.clear();
+        self.x.reserve(x.len() * x[0].len());
+        for row in x {
+            self.x.extend_from_slice(row);
+        }
+        self.y.clear();
+        self.y.extend_from_slice(y);
+    }
+
+    /// Whether `(x, y)` is the stored set with exactly one row of
+    /// dimension `dim` (the stored rows' dimension) appended.
+    pub(crate) fn appended_one_row(&self, x: &[Vec<f64>], y: &[f64], dim: usize) -> bool {
+        let n = self.y.len();
+        x.len() == n + 1
+            && y.len() == n + 1
+            && x.last().is_some_and(|row| row.len() == dim)
+            && x[..n]
+                .iter()
+                .zip(self.x.chunks_exact(dim))
+                .all(|(row, stored)| row[..] == *stored)
+            && y[..n] == self.y[..]
+    }
+}
+
+/// The candidate points a batch-prediction cache was filled for,
+/// flattened, so a call can tell whether it scores the same candidates.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CandidateSet {
+    flat: Vec<f64>,
+    count: usize,
+}
+
+impl CandidateSet {
+    /// Whether `points`, each of dimension `dim`, are the stored
+    /// candidates, compared with `==` (so ±0 match: a tree routes them
+    /// alike).
+    pub(crate) fn holds(&self, points: &[Vec<f64>], dim: usize) -> bool {
+        points.len() == self.count
+            && self.flat.len() == self.count * dim
+            && points
+                .iter()
+                .zip(self.flat.chunks_exact(dim.max(1)))
+                .all(|(p, stored)| p[..] == *stored)
+    }
+
+    /// Replaces the stored candidates with `points`.
+    pub(crate) fn set(&mut self, points: &[Vec<f64>]) {
+        self.flat.clear();
+        for p in points {
+            self.flat.extend_from_slice(p);
+        }
+        self.count = points.len();
     }
 }
 

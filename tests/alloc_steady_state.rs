@@ -12,6 +12,10 @@
 //! steps): the marginal allocations per added event must be zero, up to
 //! a small slack for amortized growth of event-count-logarithmic
 //! structures (e.g. the adjustments list).
+//!
+//! The paper's tree-ensemble surrogates get the same kind of guard: a fit
+//! allocates per tree grown, never per node, split or training row, and a
+//! repeated batch prediction allocates only its output.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,6 +23,8 @@ use std::fmt::Write as _;
 
 use faas_freedom::core::fleet::{FleetConfig, FleetSimulator, PlacementStrategy, StreamTrace};
 use freedom_experiments::fleet_simulation::synthetic_plans;
+use freedom_optimizer::SearchSpace;
+use freedom_surrogates::SurrogateKind;
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) without
 /// changing behavior. Counting events rather than bytes is deliberate:
@@ -225,4 +231,56 @@ fn telemetry_recording_allocates_nothing_in_steady_state() {
         small_report.invocations,
         small_cost,
     );
+}
+
+/// RF, ET and GBRT touch the allocator a fixed number of times per fit,
+/// however many training rows there are: growing a tree partitions one
+/// reused index buffer, so only each tree's node array (and a bootstrap
+/// resample) is allocated. Once a batch prediction over Table 1's 288
+/// candidate encodings has filled the model's cache, repeating it
+/// allocates exactly once, for the returned vector.
+#[test]
+fn tree_ensemble_allocations_are_training_size_independent() {
+    let candidates: Vec<Vec<f64>> = SearchSpace::table1()
+        .configs()
+        .iter()
+        .map(SearchSpace::encode)
+        .collect();
+    let training_set = |n: usize| {
+        let x: Vec<Vec<f64>> = candidates.iter().step_by(13).take(n).cloned().collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|f| 10.0 / f[0] + f[1] * 0.3 + f[2] * 2.0)
+            .collect();
+        (x, y)
+    };
+    for kind in [SurrogateKind::Rf, SurrogateKind::Et, SurrogateKind::Gbrt] {
+        let fit = |n: usize| {
+            let (x, y) = training_set(n);
+            assert_eq!(x.len(), n);
+            let mut model = kind.build(3);
+            let before = alloc_events();
+            model.fit(&x, &y).unwrap();
+            (alloc_events() - before, model)
+        };
+        let (small_cost, _) = fit(8);
+        let (large_cost, mut model) = fit(20);
+        assert_eq!(
+            small_cost, large_cost,
+            "{kind}: a fit on 8 rows allocated {small_cost} times, on 20 rows \
+             {large_cost} times"
+        );
+
+        let first = model.predict_batch_mut(&candidates).unwrap();
+        let before = alloc_events();
+        let again = model.predict_batch_mut(&candidates).unwrap();
+        let batch_cost = alloc_events() - before;
+        assert_eq!(first, again);
+        assert_eq!(
+            batch_cost,
+            1,
+            "{kind}: a repeated batch of {} candidates allocated {batch_cost} times",
+            candidates.len()
+        );
+    }
 }
