@@ -449,10 +449,11 @@ fn bench_zone_outage(c: &mut Criterion) {
 /// multi-file gz path and the counter plumbing.
 ///
 /// Counters reported into `BENCH_pr.json`: the replay's events/sec,
-/// ns/event and peak resident events, and the scan's ns/event (min of
-/// 5 scans), plus a resumable row (6 h epochs, every snapshot encoded)
-/// reporting events/sec, the first and last snapshot sizes, and encode
-/// ms per epoch.
+/// ns/event and peak resident events, the scan's ns/event (min of 5
+/// scans) and the drain's ns/event (min of 5 full drains of `open()`,
+/// the stream alone), plus a resumable row (6 h epochs, every snapshot
+/// encoded) reporting events/sec, the first and last snapshot sizes,
+/// and encode ms per epoch.
 ///
 /// A one-day anchor row with the same functions, market, and trace
 /// generator rides along: it is the day-scale baseline at *identical*
@@ -514,6 +515,19 @@ fn bench_week_replay(c: &mut Criterion) {
             })
             .fold(f64::INFINITY, f64::min);
         let day_trace = StreamTrace::from_csv_parts(&day_refs).expect("scan gz day parts");
+        let drain_s = (0..5)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                let mut stream = day_trace.open().expect("open the row table");
+                let mut acc = 0u64;
+                while let Some(e) = stream.next() {
+                    acc = acc.wrapping_add(e.at_secs.to_bits() ^ e.function as u64);
+                }
+                let secs = t0.elapsed().as_secs_f64();
+                std::hint::black_box(acc);
+                secs
+            })
+            .fold(f64::INFINITY, f64::min);
         let started = std::time::Instant::now();
         let (_, s) = sim
             .run_stream_with_stats(&day_trace, PlacementStrategy::IdleAware, &config)
@@ -527,10 +541,11 @@ fn bench_week_replay(c: &mut Criterion) {
             s.events
         );
         let scan_ns = scan_s * 1e9 / s.events as f64;
+        let drain_ns = drain_s * 1e9 / s.events as f64;
         println!(
             "bench week_replay/{day_tag}: {} events over {} gz days, {:.0} events/sec, \
              {:.0} ns/event, peak resident {}; scan {scan_ns:.0} ns/event, \
-             {:.1} MB/s gz",
+             {:.1} MB/s gz; drain {drain_ns:.1} ns/event",
             s.events,
             day_spec.days,
             events_per_sec,
@@ -556,6 +571,11 @@ fn bench_week_replay(c: &mut Criterion) {
         freedom_bench::report_counter(
             &format!("week_replay/{day_tag}_scan_ns_per_event"),
             scan_ns,
+            "ns/event",
+        );
+        freedom_bench::report_counter(
+            &format!("week_replay/{day_tag}_drain_ns_per_event"),
+            drain_ns,
             "ns/event",
         );
         stats = Some(s);

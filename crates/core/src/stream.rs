@@ -6,12 +6,13 @@
 //! [`StreamTrace`] holds the trace's **specification** plus what one
 //! scan pass recorded — generator parameters and O(functions) metadata,
 //! or for CSV input a packed table of its data rows, 16 bytes each —
-//! and an [`EventStream`] pulls arrivals one at a time through the same
-//! k-way merge and tie-break contract (time, then function index) as the
-//! materialized view. Trace input is therefore O(functions) for
-//! generated traces and O(rows) for CSV ones; the stream itself holds
-//! one pending event per function, or the open rows of the CSV
-//! lookahead window, never `O(total events)`.
+//! and an [`EventStream`] pulls arrivals one at a time in the same order
+//! and tie-break contract (time, then function index) as the
+//! materialized view's k-way merge. Trace input is therefore
+//! O(functions) for generated traces and O(rows) for CSV ones; the
+//! stream itself holds one pending event per function, or the open rows
+//! of the CSV lookahead window plus one capped batch of the minute being
+//! emitted, never `O(total events)`.
 //!
 //! # The streaming cursor contract
 //!
@@ -20,11 +21,13 @@
 //!   order. Synthetic sources guarantee it by construction (both paths
 //!   drain the same [`GenCursor`](crate::trace)); the CSV scan shares
 //!   the materialized parser's row grammar and spread formula, and the
-//!   reader's bounded-lookahead merge over the scanned rows is exact for
-//!   every file the scan accepts.
+//!   reader merges the scanned rows a minute at a time — one sort per
+//!   minute once no unread row can precede it — which is exact for every
+//!   file the scan accepts.
 //! - **Checkpoint / resume.** [`EventStream::checkpoint`] captures the
 //!   stream's position (per-function generator states and pending
-//!   events; for CSV, a cursor into the row table plus the open rows);
+//!   events; for CSV, a cursor into the row table plus the open rows,
+//!   sorted, so equal positions give equal bytes);
 //!   [`StreamTrace::open_at`] reopens the stream there, replaying the
 //!   identical suffix. The resumable fleet replay stores one in every
 //!   snapshot and resumes from it without ever holding the merged view.
@@ -55,14 +58,14 @@
 //! allocation-light and replays never re-derive metadata.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::trace::{
     event_nanos, minute_event, parse_csv_row, stream_seed, GenCursor, Trace, TraceEvent,
-    TraceSource,
+    TraceSource, MAX_COUNT_PER_MINUTE, MAX_MINUTE,
 };
 use crate::{FreedomError, Result};
 
@@ -683,16 +686,7 @@ impl StreamTrace {
                 })
             }
             StreamSpec::Csv { table, .. } => Ok(EventStream {
-                imp: StreamImp::Csv(CsvStream {
-                    table,
-                    file: 0,
-                    next: 0,
-                    heap: BinaryHeap::new(),
-                    m_max: 0,
-                    exhausted: false,
-                    peak_open: 0,
-                    fault: None,
-                }),
+                imp: StreamImp::Csv(CsvStream::new(table, (0, 0), VecDeque::new(), 0, false)),
             }),
         }
     }
@@ -704,9 +698,9 @@ impl StreamTrace {
     /// the other stream kind or does not fit this trace: a cursor count
     /// other than the function count, a generator whose parameters or
     /// clock are not this trace's, a CSV row cursor past the row table,
-    /// an exhausted reader short of the table's end, or an open row
-    /// whose function, count, progress or next arrival no scanned row
-    /// could have.
+    /// an exhausted reader short of the table's end, a lookahead maximum
+    /// past `MAX_MINUTE`, or an open row whose function, minute, count,
+    /// progress or next arrival no scanned row could have.
     pub fn open_at(&self, cp: &StreamCheckpoint) -> Result<EventStream<'_>> {
         let misfit = || {
             Err(FreedomError::InvalidArgument(
@@ -741,27 +735,31 @@ impl StreamTrace {
                 let total: u64 = table.iter().map(|t| t.len() as u64).sum();
                 let open_fits = |r: &OpenRow| {
                     (r.function as usize) < self.n_functions
+                        && r.minute <= MAX_MINUTE
+                        && u64::from(r.count) <= MAX_COUNT_PER_MINUTE
                         && r.j < r.count
                         && r.next_bits
                             == minute_event(r.minute, u64::from(r.j), u64::from(r.count)).to_bits()
                 };
-                let Some((file, next)) = locate(table, state.cursor) else {
+                let Some(at) = locate(table, state.cursor) else {
                     return misfit();
                 };
-                if (state.exhausted && state.cursor != total) || !state.rows.iter().all(open_fits) {
+                if (state.exhausted && state.cursor != total)
+                    || state.m_max > MAX_MINUTE
+                    || !state.rows.iter().all(open_fits)
+                {
                     return misfit();
                 }
+                let mut open = state.rows.clone();
+                open.sort_by_key(|r| r.minute);
                 Ok(EventStream {
-                    imp: StreamImp::Csv(CsvStream {
+                    imp: StreamImp::Csv(CsvStream::new(
                         table,
-                        file,
-                        next,
-                        heap: state.rows.iter().cloned().map(Reverse).collect(),
-                        m_max: state.m_max,
-                        exhausted: state.exhausted,
-                        peak_open: state.rows.len(),
-                        fault: None,
-                    }),
+                        at,
+                        open.into(),
+                        state.m_max,
+                        state.exhausted,
+                    )),
                 })
             }
             _ => Err(FreedomError::InvalidArgument(
@@ -1021,7 +1019,7 @@ impl<'a> EventStream<'a> {
                         .sum::<u64>()
                         + c.next as u64,
                     m_max: c.m_max,
-                    rows: c.heap.iter().map(|Reverse(r)| *r).collect(),
+                    rows: c.open_rows(),
                     exhausted: c.exhausted,
                 }),
             },
@@ -1048,11 +1046,21 @@ impl<'a> EventStream<'a> {
     /// Peak number of events this stream ever held resident: one pending
     /// arrival per cursor (synthetic) or the open rows of the lookahead
     /// window (CSV). The "cursor lookahead" term of the replay's
-    /// peak-memory bound.
+    /// peak-memory bound. A CSV stream also holds the batch of the minute
+    /// it emits, at most 4096 events plus one per row of that minute.
     pub fn peak_resident(&self) -> usize {
         match &self.imp {
             StreamImp::Merge(m) => m.cursors.len(),
             StreamImp::Csv(c) => c.peak_open,
+        }
+    }
+
+    /// Events in the CSV reader's current batch, emitted ones included.
+    #[cfg(test)]
+    fn batch_len(&self) -> usize {
+        match &self.imp {
+            StreamImp::Csv(c) => c.batch.len(),
+            StreamImp::Merge(_) => 0,
         }
     }
 }
@@ -1110,12 +1118,14 @@ impl MergeStream {
     }
 }
 
-/// One partially-emitted CSV row in the reader's lookahead window.
-///
-/// Ordering is by `(next event time bits, function, minute, count,
-/// progress)` — the first two fields reproduce the merge tie-break;
-/// the rest only make the order total (equal-keyed rows emit identical
-/// events, so their relative order is unobservable).
+/// An open CSV row: read from the table, with arrivals `j..count` of its
+/// minute still to emit, the next at `next_bits`. The reader keeps every
+/// row it holds in this form, the batch minute's advanced past the
+/// arrivals it has expanded, and a checkpoint saves every open row in
+/// it, sorted by the derived order so the checkpoint's bytes depend only
+/// on the stream's position. The order's first two keys are the merge's
+/// `(time bits, function)`; rows tied on them emit identical events, and
+/// the rest of the key only makes the order total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct OpenRow {
     next_bits: u64,
@@ -1125,17 +1135,49 @@ struct OpenRow {
     j: u32,
 }
 
-/// Row-table event source with bounded minute lookahead.
+/// Events a batch expands before its minute is cut into time slices.
+const BATCH_EVENTS: u64 = 4096;
+
+/// The end of a slice's chain of rows.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Row-table event source with bounded minute lookahead, merged a minute
+/// at a time.
+///
+/// Every arrival of minute m lies strictly inside `(60m, 60m + 60)`
+/// (`MAX_MINUTE` keeps it so), and an unread row trails the highest
+/// minute read, `m_max`, by at most [`CSV_LOOKAHEAD_MINUTES`]. So once
+/// `m + lookahead < m_max`, or the table is exhausted, no unread row can
+/// precede minute m's events: the reader expands that minute's rows into
+/// one array of `(time bits, function, slot)` keys, sorts it once, and
+/// emits it by index, in the materialized view's order. Rows are read
+/// only while no open minute is settled, so the open rows
+/// ([`EventStream::peak_resident`]) stay within the lookahead window.
 struct CsvStream<'a> {
     /// The scan's per-file row tables.
     table: &'a [Vec<Row>],
     /// The next unread row: `table[file][next]`.
     file: usize,
     next: usize,
-    heap: BinaryHeap<Reverse<OpenRow>>,
-    /// Highest minute seen so far (across file seams); events before
-    /// `60·(m_max − lookahead)` can no longer be preempted by unread
-    /// rows and are safe to emit.
+    /// Read rows not yet expanded, in ascending minute order: a bucket
+    /// of rows per minute, back to back.
+    open: VecDeque<OpenRow>,
+    /// The minute being emitted and its rows, sorted by `(function,
+    /// count)`, each advanced past the arrivals expanded so far.
+    minute: u64,
+    slots: Vec<OpenRow>,
+    /// The minute's time slices, how many are expanded so far, and per
+    /// slice the first row whose next arrival falls in it, the rest
+    /// chained through `chain`: a slice visits only its own rows.
+    slices: u64,
+    slice: u64,
+    wake: Vec<u32>,
+    chain: Vec<u32>,
+    /// The current slice's events as sorted `(time bits, function,
+    /// slot)` keys; `batch[pos..]` are still to emit.
+    batch: Vec<u128>,
+    pos: usize,
+    /// Highest minute seen so far (across file seams).
     m_max: u64,
     exhausted: bool,
     peak_open: usize,
@@ -1143,49 +1185,181 @@ struct CsvStream<'a> {
     fault: Option<FreedomError>,
 }
 
-impl CsvStream<'_> {
-    fn frontier_secs(&self) -> f64 {
-        self.m_max.saturating_sub(CSV_LOOKAHEAD_MINUTES) as f64 * 60.0
+impl<'a> CsvStream<'a> {
+    fn new(
+        table: &'a [Vec<Row>],
+        (file, next): (usize, usize),
+        open: VecDeque<OpenRow>,
+        m_max: u64,
+        exhausted: bool,
+    ) -> Self {
+        Self {
+            table,
+            file,
+            next,
+            peak_open: open.len(),
+            open,
+            minute: 0,
+            slots: Vec::new(),
+            slices: 0,
+            slice: 0,
+            wake: Vec::new(),
+            chain: Vec::new(),
+            batch: Vec::new(),
+            pos: 0,
+            m_max,
+            exhausted,
+            fault: None,
+        }
     }
 
-    /// Reads rows until the heap top is safe to emit (or input ends);
-    /// returns it without consuming.
+    /// Whether no unread row can precede the events of minute `m`.
+    fn settled(&self, m: u64) -> bool {
+        self.exhausted || m + CSV_LOOKAHEAD_MINUTES < self.m_max
+    }
+
+    /// Expands and reads rows until an event is safe to emit (or input
+    /// ends); returns it without consuming.
     fn ready(&mut self) -> Option<TraceEvent> {
-        loop {
-            if let Some(Reverse(top)) = self.heap.peek() {
-                let t = f64::from_bits(top.next_bits);
-                if self.exhausted || t < self.frontier_secs() {
-                    return Some(TraceEvent {
-                        at_secs: t,
-                        function: top.function as usize,
-                    });
-                }
+        while self.pos == self.batch.len() {
+            if self.slice < self.slices {
+                self.expand_slice();
+            } else if self.open.front().is_some_and(|r| self.settled(r.minute)) {
+                self.start_minute();
             } else if self.exhausted {
                 return None;
+            } else {
+                self.read_row();
             }
-            self.read_row();
         }
+        let key = self.batch[self.pos];
+        Some(TraceEvent {
+            at_secs: f64::from_bits((key >> 64) as u64),
+            function: (key >> 32) as u32 as usize,
+        })
     }
 
     fn next(&mut self) -> Option<TraceEvent> {
         let event = self.ready()?;
-        let mut top = self.heap.peek_mut().expect("ready implies a top");
-        let row = &mut top.0;
-        row.j += 1;
-        if row.j < row.count {
-            // Re-key in place: dropping the guard sifts once, versus the
-            // two full heap walks of a pop + push. Emission order cannot
-            // change — the heap's order is total (ties only between
-            // entries that would emit identical events), so the minimum
-            // popped next is the same whichever way the tree rebalances.
-            row.next_bits = minute_event(row.minute, row.j as u64, row.count as u64).to_bits();
-        } else {
-            std::collections::binary_heap::PeekMut::pop(top);
-        }
+        self.pos += 1;
         Some(event)
     }
 
-    /// Moves the next row of the table into the lookahead window. The
+    /// Takes the lowest open minute's rows as the batch minute. A minute
+    /// whose rows hold `n` > [`BATCH_EVENTS`] events in all is cut into
+    /// `⌈n / BATCH_EVENTS⌉` equal time slices. Rows spread their events
+    /// evenly, so a slice holds at most `BATCH_EVENTS` events plus one
+    /// per row. `n` counts whole rows, so the bound holds whatever
+    /// progress the rows bring from a checkpoint.
+    fn start_minute(&mut self) {
+        let minute = self.open[0].minute;
+        let rows = self.open.partition_point(|r| r.minute == minute);
+        self.slots.clear();
+        self.slots.extend(self.open.drain(..rows));
+        // Keys tie on (time bits, function) only between identical events
+        // of rows of one function. Slots in (function, count) order break
+        // such ties as `OpenRow`'s order does, lower count first, so a
+        // checkpoint depends on the position only, not on the order the
+        // rows were read in.
+        self.slots.sort_unstable_by_key(|r| (r.function, r.count));
+        let events: u64 = self.slots.iter().map(|r| u64::from(r.count)).sum();
+        self.minute = minute;
+        self.slices = events.div_ceil(BATCH_EVENTS).max(1);
+        self.slice = 0;
+        self.wake.clear();
+        self.wake.resize(self.slices as usize, NO_SLOT);
+        self.chain.clear();
+        self.chain.resize(self.slots.len(), NO_SLOT);
+        for s in (0..self.slots.len() as u32).rev() {
+            let k = self.slice_of(f64::from_bits(self.slots[s as usize].next_bits));
+            self.wake_at(k, s);
+        }
+    }
+
+    /// Exclusive upper time bound of slice `k`, `60m + 60(k+1)/K` in
+    /// `f64`; the last slice is unbounded.
+    fn slice_end(&self, k: u64) -> f64 {
+        if k + 1 == self.slices {
+            f64::INFINITY
+        } else {
+            (self.minute * 60) as f64 + ((k + 1) * 60) as f64 / self.slices as f64
+        }
+    }
+
+    /// The slice an arrival at `t` belongs to: the first whose end lies
+    /// above `t`. The guess is exact but for rounding, which the two
+    /// walks settle against the bounds themselves.
+    fn slice_of(&self, t: f64) -> u64 {
+        let offset = t - (self.minute * 60) as f64;
+        let mut k = ((offset * self.slices as f64 / 60.0) as u64).min(self.slices - 1);
+        while k > 0 && t < self.slice_end(k - 1) {
+            k -= 1;
+        }
+        while t >= self.slice_end(k) {
+            k += 1;
+        }
+        k
+    }
+
+    /// Chains slot `s` into slice `k`'s rows.
+    fn wake_at(&mut self, k: u64, s: u32) {
+        self.chain[s as usize] = self.wake[k as usize];
+        self.wake[k as usize] = s;
+    }
+
+    /// Expands the batch minute's next time slice and sorts it. Each row
+    /// of the slice expands its arrivals up to the slice's end, then
+    /// chains into the slice of its next arrival, so slices concatenate
+    /// in exact time order.
+    fn expand_slice(&mut self) {
+        let k = self.slice;
+        self.slice += 1;
+        let end = self.slice_end(k);
+        self.batch.clear();
+        self.pos = 0;
+        let mut s = std::mem::replace(&mut self.wake[k as usize], NO_SLOT);
+        while s != NO_SLOT {
+            let after = self.chain[s as usize];
+            let row = &mut self.slots[s as usize];
+            let mut t = f64::from_bits(row.next_bits);
+            while t < end {
+                self.batch.push(
+                    u128::from(t.to_bits()) << 64 | u128::from(row.function) << 32 | u128::from(s),
+                );
+                row.j += 1;
+                if row.j == row.count {
+                    break;
+                }
+                t = minute_event(self.minute, row.j.into(), row.count.into());
+            }
+            row.next_bits = t.to_bits();
+            if row.j < row.count {
+                let next = self.slice_of(t);
+                self.wake_at(next, s);
+            }
+            s = after;
+        }
+        self.batch.sort_unstable();
+    }
+
+    /// The open rows at the current position, sorted: the unexpanded
+    /// rows, plus each row of the batch minute from its first event not
+    /// yet emitted.
+    fn open_rows(&self) -> Vec<OpenRow> {
+        let mut slots = self.slots.clone();
+        for &key in &self.batch[self.pos..] {
+            slots[key as u32 as usize].j -= 1;
+        }
+        let mut rows: Vec<OpenRow> = self.open.iter().copied().collect();
+        for r in slots.into_iter().filter(|r| r.j < r.count) {
+            let next_bits = minute_event(r.minute, r.j.into(), r.count.into()).to_bits();
+            rows.push(OpenRow { next_bits, ..r });
+        }
+        rows.sort_unstable();
+        rows
+    }
+
+    /// Moves the next row of the table into its minute's bucket. The
     /// scan already held every row to the lookahead bound, so a row that
     /// breaks it here means the stream was reopened at a checkpoint the
     /// scan never produced: the reader records the fault and ends the
@@ -1203,7 +1377,7 @@ impl CsvStream<'_> {
             self.file += 1;
             self.next = 0;
         };
-        if row.minute.saturating_add(CSV_LOOKAHEAD_MINUTES) < self.m_max {
+        if row.minute + CSV_LOOKAHEAD_MINUTES < self.m_max {
             return self.fail(FreedomError::InvalidArgument(format!(
                 "stream checkpoint does not fit this trace: a row of minute {} trails the \
                  checkpoint's minute {} by more than the lookahead",
@@ -1214,21 +1388,28 @@ impl CsvStream<'_> {
         if row.count == 0 {
             return;
         }
-        self.heap.push(Reverse(OpenRow {
-            next_bits: minute_event(row.minute, 0, u64::from(row.count)).to_bits(),
+        let open = OpenRow {
+            next_bits: minute_event(row.minute, 0, row.count.into()).to_bits(),
             function: row.function,
             minute: row.minute,
             count: row.count,
             j: 0,
-        }));
-        self.peak_open = self.peak_open.max(self.heap.len());
+        };
+        if self.open.back().is_some_and(|r| r.minute > row.minute) {
+            let at = self.open.partition_point(|r| r.minute <= row.minute);
+            self.open.insert(at, open);
+        } else {
+            self.open.push_back(open);
+        }
+        self.peak_open = self.peak_open.max(self.open.len());
     }
 
     /// Ends the stream on a fault: no further row is read and no open
-    /// row is emitted.
+    /// row is emitted. Rows are read only once the batch minute is fully
+    /// emitted, so the open rows are all unexpanded.
     fn fail(&mut self, e: FreedomError) {
         self.fault = Some(e);
-        self.heap.clear();
+        self.open.clear();
         self.exhausted = true;
     }
 }
@@ -1553,7 +1734,7 @@ mod tests {
             r.next_bits = minute_event(r.minute, j.into(), count.into()).to_bits();
         };
         type Patch<'a> = &'a dyn Fn(&mut CsvState);
-        let misfits: [(&str, Patch); 6] = [
+        let misfits: [(&str, Patch); 9] = [
             ("row cursor past the table", &|s| s.cursor = rows + 1),
             ("exhausted short of the table's end", &|s| {
                 s.exhausted = true
@@ -1566,6 +1747,16 @@ mod tests {
             ("next arrival off the row's spread", &|s| {
                 s.rows[0].next_bits ^= 1
             }),
+            ("open row past the count cap", &|s| {
+                progress(s, 1_000_001, 0)
+            }),
+            ("open row past the minute bound", &|s| {
+                s.rows[0].minute = MAX_MINUTE + 1;
+                progress(s, s.rows[0].count, s.rows[0].j);
+            }),
+            ("lookahead maximum past the minute bound", &|s| {
+                s.m_max = MAX_MINUTE + 1
+            }),
         ];
         for (what, patch) in misfits {
             assert!(lazy.open_at(&patched(patch)).is_err(), "{what} resumed");
@@ -1576,6 +1767,170 @@ mod tests {
             ahead.fault().is_err(),
             "a contradicted lookahead must fault"
         );
+    }
+
+    #[test]
+    fn checkpoints_are_canonical_for_their_position() {
+        // A checkpoint depends only on how many events were emitted,
+        // whether the stream got there uninterrupted or resumed from an
+        // earlier checkpoint, and wherever it falls: mid-minute, inside a
+        // capped minute's slice, or between two identical events of one
+        // function whose rows the resumed reader numbers the other way
+        // round (`t` arrives at 150 s as arrival 0 of 1 and 1 of 3).
+        let csv = "a,f,0,3\na,g,0,2\na,t,2,1\na,t,2,3\na,big,3,9000\na,f,3,5\na,g,12,2\n\
+                   a,f,30,1\n";
+        let lazy = StreamTrace::from_csv(csv).unwrap();
+        let all = drain(&mut lazy.open().unwrap());
+        let tie = all.iter().position(|e| e.at_secs == 150.0).unwrap();
+        assert_eq!(all[tie], all[tie + 1]);
+        let first_at = |secs: f64| all.iter().position(|e| e.at_secs >= secs).unwrap();
+        // Minute 3 holds 9005 events, so it expands in 3 slices of 20 s.
+        let positions = [
+            0,
+            1,
+            4,
+            tie,
+            tie + 1,
+            first_at(180.0) + 1,
+            first_at(190.0),
+            first_at(200.0) - 1,
+            first_at(200.0),
+            first_at(220.0) + 7,
+            all.len() - 1,
+            all.len(),
+        ];
+        let at = |from: Option<&StreamCheckpoint>, skip: usize| {
+            let mut stream = match from {
+                Some(cp) => lazy.open_at(cp).unwrap(),
+                None => lazy.open().unwrap(),
+            };
+            for _ in 0..skip {
+                stream.next().unwrap();
+            }
+            let cp = stream.checkpoint();
+            let mut wire = crate::snapshot::Wire::new();
+            cp.save(&mut wire);
+            (cp, wire.into_bytes())
+        };
+        for (i, &p) in positions.iter().enumerate() {
+            let (cp, bytes) = at(None, p);
+            let CpImp::Csv(state) = &cp.imp else {
+                unreachable!("a CSV checkpoint");
+            };
+            assert!(state.rows.is_sorted(), "position {p}");
+            for &q in &positions[..i] {
+                let (earlier, _) = at(None, q);
+                let (_, resumed) = at(Some(&earlier), p - q);
+                assert_eq!(resumed, bytes, "position {p} resumed from {q}");
+            }
+            assert_eq!(
+                drain(&mut lazy.open_at(&cp).unwrap()),
+                all[p..],
+                "position {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_million_event_minute_drains_in_capped_batches() {
+        // One 1e6-count row would expand to 16 MB of keys in one batch;
+        // the reader cuts its minute into time slices of at most the cap.
+        let lazy = StreamTrace::from_csv("a,f,7,1000000\n").unwrap();
+        let full = lazy.materialize().unwrap();
+        let mut stream = lazy.open().unwrap();
+        let mut largest = 0;
+        for (i, expect) in full.events().iter().enumerate() {
+            let got = stream.next().expect("stream ended early");
+            assert_eq!(got.at_secs.to_bits(), expect.at_secs.to_bits(), "event {i}");
+            assert_eq!(got.function, expect.function, "event {i}");
+            largest = largest.max(stream.batch_len());
+        }
+        assert!(stream.next().is_none());
+        assert!(
+            (1..=BATCH_EVENTS as usize).contains(&largest),
+            "a batch held {largest} events"
+        );
+    }
+
+    #[test]
+    fn slice_of_finds_the_first_slice_ending_above_an_arrival() {
+        // Arrivals on and next to every slice end, where the guess can
+        // round to either neighbour of the slice that holds them.
+        let table: Vec<Vec<Row>> = Vec::new();
+        let mut c = CsvStream::new(&table, (0, 0), VecDeque::new(), 0, true);
+        for minute in [0, 1, 4321, MAX_MINUTE] {
+            for slices in [2, 3, 7, 245, 4097] {
+                c.minute = minute;
+                c.slices = slices;
+                for k in 0..slices - 1 {
+                    let end = c.slice_end(k);
+                    for t in [end.next_down(), end, end.next_up()] {
+                        let (mut lo, mut hi) = (0, slices - 1);
+                        while lo < hi {
+                            let mid = (lo + hi) / 2;
+                            if t < c.slice_end(mid) {
+                                hi = mid;
+                            } else {
+                                lo = mid + 1;
+                            }
+                        }
+                        assert_eq!(c.slice_of(t), lo, "minute {minute}, {slices} slices, {t}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_rows_of_a_sliced_minute_join_only_their_own_slices() {
+        // 100 602 arrivals cut minute 4 into 25 slices. The 300 small
+        // rows hold 1 or 3 arrivals each, so each joins only the slices
+        // its arrivals fall in, and a resume from inside a slice picks
+        // every row up where it stood.
+        let mut csv = String::from("a,big,4,100000\n");
+        for f in 0..300 {
+            csv += &format!("a,f{f},4,{}\n", 1 + 2 * (f % 2));
+        }
+        csv += "a,f7,6,2\n";
+        let lazy = StreamTrace::from_csv(&csv).unwrap();
+        let all = drain(&mut lazy.open().unwrap());
+        assert_eq!(all.as_slice(), lazy.materialize().unwrap().events());
+        let mut stream = lazy.open().unwrap();
+        let mut largest = 0;
+        for i in 0..all.len() {
+            if i % 24_989 == 1 {
+                let cp = stream.checkpoint();
+                assert_eq!(
+                    drain(&mut lazy.open_at(&cp).unwrap()),
+                    all[i..],
+                    "resumed at {i}"
+                );
+            }
+            stream.next().unwrap();
+            largest = largest.max(stream.batch_len());
+        }
+        assert!(
+            largest <= BATCH_EVENTS as usize + 301,
+            "a batch held {largest} events"
+        );
+    }
+
+    #[test]
+    fn a_minute_past_the_bound_fails_both_readers_alike() {
+        let last = format!("a,f,{MAX_MINUTE},3\n");
+        let lazy = StreamTrace::from_csv(&last).unwrap();
+        let full = TraceSource::from_csv(&last).unwrap();
+        assert_eq!(drain(&mut lazy.open().unwrap()).as_slice(), full.events());
+        let past = format!("{last}a,f,{},3\n", MAX_MINUTE + 1);
+        let msg = |res: Result<()>| match res {
+            Err(FreedomError::InvalidArgument(msg)) => msg,
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        };
+        let streamed = msg(StreamTrace::from_csv(&past).map(drop));
+        let materialized = msg(TraceSource::from_csv(&past).map(drop));
+        assert_eq!(streamed, materialized);
+        assert!(streamed.contains("line 2"), "{streamed}");
+        assert!(streamed.contains("minute exceeds"), "{streamed}");
     }
 
     #[test]

@@ -197,11 +197,11 @@ impl TraceSource {
     ///
     /// Expected rows are `app,func,minute,count`: `count` invocations of
     /// function `func` of application `app` during minute `minute`
-    /// (0-based). A leading header row is skipped when its `minute`
-    /// column is not numeric; blank lines are ignored. Functions are
-    /// keyed by `(app, func)` and assigned fleet indices in order of
-    /// first appearance, matching how `FleetSimulator` pairs plans with
-    /// streams positionally.
+    /// (0-based, at most 2³¹ − 1; `count` at most 10⁶). A leading
+    /// header row is skipped when its `minute` column is not numeric;
+    /// blank lines are ignored. Functions are keyed by `(app, func)` and
+    /// assigned fleet indices in order of first appearance, matching how
+    /// `FleetSimulator` pairs plans with streams positionally.
     ///
     /// The trace format carries per-minute counts, not timestamps; the
     /// `count` arrivals of a minute are spread evenly across it
@@ -738,6 +738,12 @@ pub(crate) struct CsvRow<'a> {
 /// become a clean per-line error, not a giant allocation.
 pub(crate) const MAX_COUNT_PER_MINUTE: u64 = 1_000_000;
 
+/// Highest minute a trace row may carry, 2³¹ − 1 (about 4,000 years).
+/// Up to it, every arrival [`minute_event`] spreads over minute `m` lies
+/// strictly inside `(60m, 60m + 60)` in `f64`, so readers can order the
+/// events of whole minutes by comparing integer minutes.
+pub(crate) const MAX_MINUTE: u64 = (1 << 31) - 1;
+
 /// Parses one trace-CSV line (`lineno` 0-based). Returns `Ok(None)` for
 /// blank lines and for a line-0 header (non-numeric `minute` column).
 /// Shared by the materialized reader ([`TraceSource::from_csv`]) and the
@@ -768,6 +774,9 @@ pub(crate) fn parse_csv_row(line: &str, lineno: usize) -> Result<Option<CsvRow<'
         }
         return Err(bad("minute must be a non-negative integer"));
     };
+    if minute > MAX_MINUTE {
+        return Err(bad("minute exceeds 2147483647 (2^31 - 1)"));
+    }
     // A numeric minute marks a data row even on the first line, so a
     // corrupt count never silently drops invocations as a misdetected
     // header.
@@ -1025,6 +1034,22 @@ mod tests {
         assert!(trace.stream(1).is_empty());
         // Missing file.
         assert!(TraceSource::from_csv_path("/nonexistent/trace.csv").is_err());
+    }
+
+    #[test]
+    fn arrivals_of_the_last_minute_stay_inside_it() {
+        // The minute bound is what keeps every spread arrival strictly
+        // inside its minute: at `MAX_MINUTE` the float spacing near
+        // 60m is ~1.5e-5 s, half the narrowest gap a 1e6-count row
+        // leaves at either end of the minute.
+        let m = MAX_MINUTE;
+        let (lo, hi) = (m as f64 * 60.0, (m + 1) as f64 * 60.0);
+        for c in 1..=MAX_COUNT_PER_MINUTE {
+            for j in [0, c - 1] {
+                let t = minute_event(m, j, c);
+                assert!(lo < t && t < hi, "minute_event({m}, {j}, {c}) = {t}");
+            }
+        }
     }
 
     #[test]

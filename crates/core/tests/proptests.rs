@@ -298,6 +298,49 @@ fn check_stream_matches_materialized(
     Ok(())
 }
 
+/// A checkpoint taken after `split` (mod the event count + 1) plain
+/// `next()` calls, with no `peek`, reopens onto the materialized suffix —
+/// at whatever point of a minute, or of a capped slice of one, that is.
+fn check_checkpoint_after_next_calls(
+    lazy: &StreamTrace,
+    split: usize,
+) -> Result<(), proptest::TestCaseError> {
+    let full = lazy.materialize().expect("materialize");
+    let split = split % (full.len() + 1);
+    let mut stream = lazy.open().expect("open");
+    for _ in 0..split {
+        stream.next();
+    }
+    let mut resumed = lazy.open_at(&stream.checkpoint()).expect("re-seek");
+    for (i, expect) in full.events()[split..].iter().enumerate() {
+        let got = resumed.next().expect("resumed stream ended early");
+        prop_assert_eq!(
+            got.at_secs.to_bits(),
+            expect.at_secs.to_bits(),
+            "event {}",
+            split + i
+        );
+        prop_assert_eq!(got.function, expect.function, "event {}", split + i);
+    }
+    prop_assert!(
+        resumed.next().is_none(),
+        "resumed stream yielded extra events"
+    );
+    Ok(())
+}
+
+/// A CSV row's minute step: mostly 0–2, sometimes a gap wider than the
+/// streaming reader's lookahead.
+fn minute_step() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..3, 0u64..3, 0u64..3, 9u64..40]
+}
+
+/// A CSV row's count: mostly under 40, sometimes up to 10⁴ arrivals, so
+/// one minute spans several of the reader's capped batches.
+fn row_count() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..40, 0u64..40, 0u64..40, 0u64..10_001]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -343,16 +386,19 @@ proptest! {
 
     /// Streaming CSV ingestion ≡ the materialized reader for random row
     /// soups — duplicate `(app, func, minute)` keys, zero counts,
-    /// bounded minute disorder — at any reader chunk size, including
-    /// chunks small enough that every record straddles a boundary.
+    /// bounded minute disorder, minute gaps wider than the lookahead,
+    /// minutes of several capped batches — at any reader chunk size,
+    /// including chunks small enough that every record straddles a
+    /// boundary, and from a checkpoint at any event.
     #[test]
     fn streaming_csv_matches_materialized(
         rows in prop::collection::vec(
-            (0u8..3, 0u8..3, 0u64..3, 0u64..5, 0u64..40),
+            (0u8..3, 0u8..3, minute_step(), 0u64..5, row_count()),
             1..25,
         ),
         chunk in 1usize..64,
         epoch_secs in 1u64..10,
+        split in 0usize..1_000_000,
     ) {
         // Minutes follow a non-decreasing base walk with backward jitter
         // capped below the streaming reader's lookahead bound.
@@ -365,6 +411,7 @@ proptest! {
         }
         let lazy = StreamTrace::from_csv_chunked(&csv, chunk).expect("within lookahead bound");
         check_stream_matches_materialized(&lazy, epoch_secs * 1_000_000_000)?;
+        check_checkpoint_after_next_calls(&lazy, split)?;
     }
 
     /// Multi-file ingestion ≡ the concatenated single file: a random row
@@ -373,17 +420,19 @@ proptest! {
     /// of the files is gzip'd, and empty files are legal — must replay
     /// the exact event bits of the uncut CSV, and `checkpoint()` /
     /// `open_at()` re-seeks must land correctly in whichever file an
-    /// epoch starts in.
+    /// epoch starts in, or wherever `split` `next()` calls end. Rows draw
+    /// minute gaps wider than the lookahead and counts of up to 10⁴.
     #[test]
     fn multi_file_csv_ingestion_matches_single_file(
         rows in prop::collection::vec(
-            (0u8..3, 0u8..4, 0u64..3, 0u64..5, 0u64..40),
+            (0u8..3, 0u8..4, minute_step(), 0u64..5, row_count()),
             2..40,
         ),
         raw_cuts in prop::collection::vec(0usize..1000, 1..5),
         gz_mask in 0u8..64,
         chunk in 1usize..64,
         epoch_secs in 1u64..10,
+        split in 0usize..1_000_000,
     ) {
         let mut lines: Vec<String> = Vec::new();
         let mut base = 0u64;
@@ -431,6 +480,7 @@ proptest! {
 
         // Epoch partitions and checkpoint re-seeks across files.
         check_stream_matches_materialized(&lazy, epoch_secs * 1_000_000_000)?;
+        check_checkpoint_after_next_calls(&lazy, split)?;
     }
 
     /// Arbitrary ingest bytes never panic: a valid multi-file row soup —
