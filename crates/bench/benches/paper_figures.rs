@@ -233,7 +233,8 @@ fn bench_control_loop(c: &mut Criterion) {
 /// Alongside the timings, the group reports two counters into the
 /// quick-bench `BENCH_pr.json` artifact (`freedom_bench::report_counter`):
 /// the day replay's events/sec and its peak-events-resident —
-/// in-flight placements + cursor lookahead, the whole memory story.
+/// in-flight placements + one pending arrival per cursor, the whole
+/// memory story.
 fn bench_streaming_replay(c: &mut Criterion) {
     use exp::fleet_simulation::{market_config, market_tightness, synthetic_plans};
     use freedom::fleet::{
@@ -305,7 +306,8 @@ fn bench_streaming_replay(c: &mut Criterion) {
     group.finish();
 
     // One instrumented replay for the counters: peak resident events
-    // must be in-flight + cursor lookahead, never total arrivals.
+    // must be in-flight + one pending arrival per cursor, never total
+    // arrivals.
     let started = std::time::Instant::now();
     let (_, stats) = day_sim
         .run_stream_with_stats(&day, PlacementStrategy::IdleAware, &config)
@@ -319,7 +321,7 @@ fn bench_streaming_replay(c: &mut Criterion) {
     );
     println!(
         "bench streaming_replay/day_1200fn: {} events, {:.0} events/sec, \
-         peak resident {} ({} in-flight + {} cursor lookahead)",
+         peak resident {} ({} in-flight + {} cursor)",
         stats.events,
         events_per_sec,
         stats.peak_resident_events(),
@@ -443,8 +445,8 @@ fn bench_zone_outage(c: &mut Criterion) {
 /// synthesized as one gzip'd CSV per day, scanned once by
 /// `from_csv_parts` — the only pass that inflates and parses — and
 /// replayed from the scan's row table, with peak resident events
-/// bounded by in-flight + lookahead while the full trace is ~10 M
-/// arrivals. In quick/--fast mode the same pipeline runs at the
+/// bounded by in-flight + the rows of the largest minute while the full
+/// trace is ~10 M arrivals. In quick/--fast mode the same pipeline runs at the
 /// downscaled 2-day × 2 000-function shape so CI still exercises the
 /// multi-file gz path and the counter plumbing.
 ///

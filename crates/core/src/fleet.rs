@@ -948,8 +948,8 @@ struct WindowOutcome {
 
 /// Peak-memory telemetry of one streaming replay
 /// ([`FleetSimulator::run_stream_with_stats`]): evidence that resident
-/// state is bounded by in-flight placements plus cursor lookahead, never
-/// by total arrivals.
+/// state is bounded by in-flight placements plus what the trace cursors
+/// hold, never by total arrivals.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayStats {
     /// Arrivals replayed (streamed through, never resident).
@@ -957,13 +957,13 @@ pub struct ReplayStats {
     /// Peak size of the in-flight completion queue.
     pub peak_inflight: usize,
     /// Peak events the trace cursors held: one pending arrival per
-    /// function (synthetic) or the open rows of the CSV lookahead
-    /// window.
+    /// function (synthetic) or one per row of the largest minute of a
+    /// CSV trace, which the reader expands a minute at a time.
     pub peak_cursor_resident: usize,
 }
 
 impl ReplayStats {
-    /// Peak resident events: in-flight placements + cursor lookahead.
+    /// Peak resident events: in-flight placements + cursor rows.
     pub fn peak_resident_events(&self) -> usize {
         self.peak_inflight + self.peak_cursor_resident
     }
@@ -1083,7 +1083,6 @@ impl FleetSimulator {
             u64::MAX,
             rec,
         );
-        stream.fault()?;
         rec.add(tel::Counter::WindowsSimulated, 1);
         let stats = ReplayStats {
             events: trace.len(),
@@ -1227,7 +1226,6 @@ impl FleetSimulator {
                 });
                 simulate_window(&ctx, events, 0, consumed as u32, &carry, start, end, rec)
             };
-            stream.fault()?;
             if stray {
                 return Err(FreedomError::InvalidArgument(format!(
                     "resumed trace stream strays outside epoch {k} or past its {total} events"
@@ -3247,8 +3245,8 @@ mod tests {
             ..zoned_config(3, 3.0)
         };
         let mut rows = String::from("app,func,minute,count\n");
-        // Longer than the reader's lookahead, so it is mid-file at the
-        // first boundaries.
+        // Minutes of 60 s against 25 s epochs, so the first boundaries
+        // land mid-minute.
         for minute in 0..20 {
             for f in 0..FunctionKind::ALL.len() {
                 rows.push_str(&format!("app,f{f},{minute},{}\n", 20 + 7 * f));
@@ -3263,8 +3261,8 @@ mod tests {
             3,
         )
         .0;
-        // The first boundary with work in flight and, for CSV, open
-        // rows in the reader's lookahead window; returned as the body
+        // The first boundary with work in flight and, for CSV, inside a
+        // minute (some of its events emitted); returned as the body
         // (checksum stripped) and the checkpoint section's length.
         let snapshot_of = |lazy: &StreamTrace| {
             let mut found = None;
@@ -3278,8 +3276,8 @@ mod tests {
                     let mut cp = Wire::new();
                     s.checkpoint.save(&mut cp);
                     let cp = cp.into_bytes();
-                    let open_rows = cp[0] == 0 || cp[18..26] != [0; 8];
-                    let ready = open_rows && !s.carry.inflight.is_empty();
+                    let mid_minute = cp[0] == 0 || cp[9..17] != [0; 8];
+                    let ready = mid_minute && !s.carry.inflight.is_empty();
                     if ready {
                         let bytes = s.to_bytes();
                         found = Some((bytes[..bytes.len() - 8].to_vec(), cp.len()));
@@ -3331,21 +3329,30 @@ mod tests {
                 *b = bytes[..bytes.len() - 8].to_vec();
             });
             if kind == "csv" {
-                // Checkpoint layout: tag, row cursor u64, m_max u64,
-                // exhausted, row count u64, then rows of (next bits u64,
-                // function u32, minute u64, count u32, j u32).
-                let row = HEADER + 26;
-                reject("open row of an unknown function", &|b| {
-                    put(b, row + 8, &u32::MAX.to_le_bytes())
-                });
+                // Checkpoint layout: tag, then the row cursor at the
+                // start of the minute holding the next event and how
+                // many of its events were emitted, both u64. The table
+                // holds 20 minutes, each a run of 6 rows of 225 events.
+                let (cursor, emitted) = (HEADER + 1, HEADER + 9);
+                let at = u64::from_le_bytes(body[cursor..cursor + 8].try_into().unwrap());
                 reject("row cursor past the table", &|b| {
-                    put(b, HEADER + 1, &u64::MAX.to_le_bytes())
+                    put(b, cursor, &u64::MAX.to_le_bytes())
                 });
-                reject("reader exhausted before the events consumed", &|b| {
-                    b[HEADER + 17] = 1
+                reject("row cursor inside a minute's run", &|b| {
+                    put(b, cursor, &(at + 1).to_le_bytes())
+                });
+                reject(
+                    "row cursor at the table's end before the events consumed",
+                    &|b| {
+                        put(b, cursor, &120u64.to_le_bytes());
+                        put(b, emitted, &0u64.to_le_bytes());
+                    },
+                );
+                reject("all of the minute's events emitted", &|b| {
+                    put(b, emitted, &225u64.to_le_bytes())
                 });
                 reject("arrival before the boundary", &|b| {
-                    put(b, row, &1.0f64.to_bits().to_le_bytes())
+                    put(b, emitted, &0u64.to_le_bytes())
                 });
             } else {
                 // Checkpoint layout: tag, cursor count u64, then per
@@ -3406,9 +3413,9 @@ mod tests {
                 },
                 ..zoned_config(3, 3.0)
             };
-            // Three day-like parts, the middle one plain: longer than the
-            // reader's lookahead, so a boundary lands mid-member with
-            // rows open.
+            // Three day-like parts, the middle one plain: minutes of 60 s
+            // against 25 s epochs, so a boundary lands mid-member and
+            // mid-minute.
             let parts: Vec<Vec<u8>> = (0..3u64)
                 .map(|part| {
                     let mut csv = String::from("app,func,minute,count\n");
@@ -3448,13 +3455,13 @@ mod tests {
                         epoch_secs,
                         None,
                         |s| {
-                            // CSV checkpoint: tag, row cursor, m_max,
-                            // exhausted, then the open-row count.
+                            // CSV checkpoint: tag, row cursor, then the
+                            // emitted count of the cursor's minute.
                             let mut cp = Wire::new();
                             s.checkpoint.save(&mut cp);
                             let cp = cp.into_bytes();
-                            let open_rows = cp[0] == 0 || cp[18..26] != [0; 8];
-                            let ready = open_rows && !s.carry.inflight.is_empty();
+                            let mid_minute = cp[0] == 0 || cp[9..17] != [0; 8];
+                            let ready = mid_minute && !s.carry.inflight.is_empty();
                             if ready {
                                 let bytes = s.to_bytes();
                                 body = Some(bytes[..bytes.len() - 8].to_vec());
@@ -3865,8 +3872,8 @@ mod tests {
                 format!("{streamed:?}"),
                 "{strategy:?} diverged between materialized and streaming"
             );
-            // Peak resident state is in-flight + cursor lookahead, far
-            // below total arrivals.
+            // Peak resident state is in-flight + one pending arrival per
+            // cursor, far below total arrivals.
             assert_eq!(stats.events, full.len());
             assert_eq!(stats.peak_cursor_resident, FunctionKind::ALL.len());
             assert!(

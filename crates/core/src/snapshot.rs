@@ -11,7 +11,7 @@
 //! run — kill the process at any epoch, reload the last snapshot, and
 //! the report cannot tell.
 //!
-//! # What a version-5 snapshot holds
+//! # What a version-6 snapshot holds
 //!
 //! An invocation is *settled* at a boundary when it lies below the
 //! watermark `min(in-flight indices, pending retry/hedge indices,
@@ -33,10 +33,12 @@
 //! indices adjustments and in-flight or pending work target — so a
 //! corrupt file is an error, never a panic.
 //!
-//! The stream checkpoint of a CSV trace is a cursor into the scan's row
-//! table, the lookahead's highest minute, the exhausted flag and the
-//! open rows, so a resume reads no trace input and costs O(open rows)
-//! wherever it lands, the middle of a gzip member included.
+//! The stream checkpoint of a CSV trace is two integers: the row cursor
+//! at the start of the minute that holds the next event (the rows of
+//! every earlier minute, over all files of the scan's row table), and
+//! how many of that minute's events were emitted. A resume reads no
+//! trace input and re-expands at most one minute's events wherever it
+//! lands, the middle of a gzip member included.
 //!
 //! # Wire format
 //!
@@ -66,8 +68,11 @@ use crate::{FreedomError, Result};
 /// per-invocation metering prefix with the settled accumulators plus
 /// the unsettled tail; version 5 replaced the CSV checkpoint's file
 /// index, byte offset and line number with one cursor into the scan's
-/// row table.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// row table; version 6 shrank the CSV checkpoint to that cursor, now at
+/// the start of a minute (the rows of every earlier minute), plus the
+/// emitted count of that minute, dropping the lookahead state and the
+/// open rows.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// File magic: "FDSN" little-endian.
 const MAGIC: u32 = u32::from_le_bytes(*b"FDSN");

@@ -10,9 +10,9 @@
 //! and tie-break contract (time, then function index) as the
 //! materialized view's k-way merge. Trace input is therefore
 //! O(functions) for generated traces and O(rows) for CSV ones; the
-//! stream itself holds one pending event per function, or the open rows
-//! of the CSV lookahead window plus one capped batch of the minute being
-//! emitted, never `O(total events)`.
+//! stream itself holds one pending event per function, or the rows of
+//! the minute being emitted plus one capped batch of its events, never
+//! `O(total events)`.
 //!
 //! # The streaming cursor contract
 //!
@@ -20,28 +20,26 @@
 //!   events of [`StreamTrace::materialize`], same `f64` bits, same
 //!   order. Synthetic sources guarantee it by construction (both paths
 //!   drain the same [`GenCursor`](crate::trace)); the CSV scan shares
-//!   the materialized parser's row grammar and spread formula, and the
-//!   reader merges the scanned rows a minute at a time — one sort per
-//!   minute once no unread row can precede it — which is exact for every
-//!   file the scan accepts.
+//!   the materialized parser's row grammar and spread formula and sorts
+//!   each file's rows by minute once, and the reader merges one minute's
+//!   rows at a time with one sort, which is exact for every file the
+//!   scan accepts.
 //! - **Checkpoint / resume.** [`EventStream::checkpoint`] captures the
 //!   stream's position (per-function generator states and pending
-//!   events; for CSV, a cursor into the row table plus the open rows,
-//!   sorted, so equal positions give equal bytes);
+//!   events; for CSV, the row cursor at the start of the minute that
+//!   holds the next event plus how many of that minute's events were
+//!   emitted, so equal positions give equal bytes);
 //!   [`StreamTrace::open_at`] reopens the stream there, replaying the
-//!   identical suffix. The resumable fleet replay stores one in every
-//!   snapshot and resumes from it without ever holding the merged view.
-//!   `open_at` rejects a checkpoint that does not fit the trace, and a
-//!   CSV stream whose checkpoint contradicts the scanned rows ends early
-//!   and reports why ([`EventStream::fault`]) instead of panicking.
-//! - **CSV lookahead.** Rows may arrive out of minute order by at most
-//!   [`CSV_LOOKAHEAD_MINUTES`]; the reader buffers the open rows of that
-//!   sliding window and rejects files that exceed the bound with a
-//!   file- and line-qualified error at scan time. The bound is **global
-//!   across file seams**: the first row of file *k+1* may trail the
-//!   highest minute of files *1..k* by at most the same lookahead. The
-//!   materialized [`TraceSource::from_csv`] accepts arbitrary disorder —
-//!   it is the escape hatch for pathological files.
+//!   identical suffix, and a CSV resume re-expands at most one minute's
+//!   events. The resumable fleet replay stores one in every snapshot and
+//!   resumes from it without ever holding the merged view. `open_at`
+//!   rejects a checkpoint that does not fit the trace, so no accepted
+//!   checkpoint can emit events out of time order.
+//! - **Row order.** CSV rows may arrive in any minute order, within a
+//!   file and across file seams: the scan sorts each file's rows by
+//!   minute and the reader takes the lowest minute across files, so the
+//!   streaming reader accepts exactly the rows the materialized
+//!   [`TraceSource::from_csv`] accepts.
 //! - **Multi-file and gzip inputs.** [`StreamTrace::from_csv_files`]
 //!   replays N per-day files as one logical trace: files are scanned in
 //!   parallel, per-file key lists merge in file order (bit-identical to
@@ -58,23 +56,16 @@
 //! allocation-light and replays never re-derive metadata.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::trace::{
     event_nanos, minute_event, parse_csv_row, stream_seed, GenCursor, Trace, TraceEvent,
-    TraceSource, MAX_COUNT_PER_MINUTE, MAX_MINUTE,
+    TraceSource, MAX_MINUTE,
 };
 use crate::{FreedomError, Result};
-
-/// How far out of minute order CSV rows may arrive before the streaming
-/// reader rejects the file: a row with `minute < max_seen − LOOKAHEAD`
-/// is an error. Bounds the reader's buffered state to the open rows of
-/// a sliding `LOOKAHEAD + 1`-minute window. The bound carries across
-/// file seams: `max_seen` includes every earlier file of the trace.
-pub const CSV_LOOKAHEAD_MINUTES: u64 = 8;
 
 /// Default chunk size of the scan's CSV byte reader. Tests shrink it to
 /// force records across chunk boundaries.
@@ -135,9 +126,10 @@ enum StreamSpec {
     Csv {
         files: Vec<CsvFile>,
         /// The scan's packed row table, one `Vec` per file in file
-        /// order: every data row, zero counts included, in line order.
-        /// A replay reads only this; a checkpoint's cursor indexes the
-        /// rows of all files back to back.
+        /// order: every data row with arrivals, sorted by minute, so a
+        /// minute's rows form one contiguous run in each file. A replay
+        /// reads only this; a checkpoint's cursor counts rows of all
+        /// files in minute order.
         table: Arc<Vec<Vec<Row>>>,
     },
 }
@@ -244,19 +236,12 @@ fn csv_line_prefix(label: &str, lineno: usize) -> String {
 struct FileScan {
     /// Composite keys in first-appearance order within this file.
     keys: Vec<String>,
-    /// The file's data rows, `function` holding the local key id;
-    /// remapped in place to global indices at merge time.
+    /// The file's data rows with arrivals, sorted by minute, `function`
+    /// holding the local key id; remapped in place to global indices at
+    /// merge time.
     rows: Vec<Row>,
     len: usize,
     last: f64,
-    /// Highest minute seen (meaningful only when `rows` is non-empty).
-    m_max: u64,
-    /// Rows whose minute is strictly below every earlier minute of the
-    /// same file, as `(line number, minute)` in line order (minutes
-    /// strictly decreasing). The first cross-seam lookahead violation is
-    /// always one of these, so the merge pass attributes it exactly
-    /// without a second scan.
-    prefix_mins: Vec<(usize, u64)>,
 }
 
 fn scan_file(file: &CsvFile, chunk: usize) -> Result<FileScan> {
@@ -267,26 +252,11 @@ fn scan_file(file: &CsvFile, chunk: usize) -> Result<FileScan> {
     let mut scratch = String::new();
     let mut len = 0usize;
     let mut last = f64::NEG_INFINITY;
-    let mut m_max = 0u64;
-    let mut prefix_mins: Vec<(usize, u64)> = Vec::new();
     while let Some((lineno, line)) = reader.next_line()? {
         let Some(row) = parse_csv_row(line, lineno).map_err(|e| qualify_err(e, &file.label))?
         else {
             continue;
         };
-        if !rows.is_empty() && row.minute.saturating_add(CSV_LOOKAHEAD_MINUTES) < m_max {
-            return Err(FreedomError::InvalidArgument(format!(
-                "{}: minute {} arrives more than {CSV_LOOKAHEAD_MINUTES} minutes behind \
-                 minute {m_max}; the streaming reader's lookahead cannot reorder it (use \
-                 TraceSource::from_csv for arbitrarily-disordered files)",
-                csv_line_prefix(&file.label, lineno),
-                row.minute,
-            )));
-        }
-        if rows.is_empty() || prefix_mins.last().is_some_and(|&(_, m)| row.minute < m) {
-            prefix_mins.push((lineno, row.minute));
-        }
-        m_max = m_max.max(row.minute);
         composite_key(&mut scratch, row.app, row.func);
         let local_id = match local.get(scratch.as_str()) {
             Some(&id) => id,
@@ -297,24 +267,28 @@ fn scan_file(file: &CsvFile, chunk: usize) -> Result<FileScan> {
                 id
             }
         };
+        // A zero-count row only registers its key.
+        if row.count == 0 {
+            continue;
+        }
         rows.push(Row {
             minute: row.minute,
             function: local_id,
             count: row.count as u32,
         });
-        if row.count > 0 {
-            len += row.count as usize;
-            last = last.max(minute_event(row.minute, row.count - 1, row.count));
-        }
+        len += row.count as usize;
+        last = last.max(minute_event(row.minute, row.count - 1, row.count));
     }
+    // One sort makes each minute's rows a contiguous run, however far
+    // out of order they came; rows already in minute order (a
+    // per-minute export) cost one pass.
+    rows.sort_unstable_by_key(|row| row.minute);
     rows.shrink_to_fit();
     Ok(FileScan {
         keys,
         rows,
         len,
         last,
-        m_max,
-        prefix_mins,
     })
 }
 
@@ -404,9 +378,9 @@ impl StreamTrace {
     }
 
     /// Streaming counterpart of [`TraceSource::from_csv`]: scans the
-    /// rows once (validating the grammar and the
-    /// [`CSV_LOOKAHEAD_MINUTES`] ordering bound, building the
-    /// `(app, func)` key map) into the packed row table replays read.
+    /// rows once (validating the grammar, building the `(app, func)` key
+    /// map) into the packed row table replays read. Rows may come in any
+    /// minute order.
     pub fn from_csv(csv: &str) -> Result<Self> {
         Self::from_csv_chunked(csv, CSV_CHUNK_BYTES)
     }
@@ -424,10 +398,8 @@ impl StreamTrace {
     /// event stream, in the given order (for the Azure dataset, one file
     /// per day). Each file is scanned in parallel, may carry its own
     /// header row, and is gzip-decompressed when its first bytes are the
-    /// gzip magic. Minute order must hold **across** seams too: the
-    /// earliest rows of a file may trail the highest minute of earlier
-    /// files by at most [`CSV_LOOKAHEAD_MINUTES`]; violations name the
-    /// exact file and line.
+    /// gzip magic. A file's rows may trail those of earlier files by any
+    /// number of minutes; errors name the exact file and line.
     pub fn from_csv_files<P: AsRef<Path>>(paths: &[P]) -> Result<Self> {
         let mut files = Vec::with_capacity(paths.len());
         for path in paths {
@@ -519,10 +491,10 @@ impl StreamTrace {
                 "trace CSV file list is empty".into(),
             ));
         }
-        // Per-file scans are independent (grammar, in-file ordering,
-        // first-appearance key list, prefix-min ladder), so they fan out
-        // like the k-way cursor scan; the sequential merge below touches
-        // each row once, to remap its function in place.
+        // Per-file scans are independent (grammar, first-appearance key
+        // list, rows sorted by minute), so they fan out like the k-way
+        // cursor scan; the sequential merge below touches each row once,
+        // to remap its function in place.
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -539,7 +511,6 @@ impl StreamTrace {
         let mut table: Vec<Vec<Row>> = Vec::with_capacity(files.len());
         let mut len = 0usize;
         let mut last = f64::NEG_INFINITY;
-        let mut prior_max: Option<u64> = None;
         for (file, (scan, started, dur)) in files.iter().zip(scans) {
             let mut scan = scan?;
             scan_timings.push(ScanTiming {
@@ -547,30 +518,6 @@ impl StreamTrace {
                 dur_nanos: dur,
                 gz: file.gz,
             });
-            // Cross-seam lookahead: every row of this file must stay
-            // within the lookahead of the highest minute carried in from
-            // earlier files. The first violating row is necessarily a
-            // prefix-min of its file (any earlier row with an equal or
-            // smaller minute would already violate), so the first
-            // violating prefix-min entry is exact file:line attribution.
-            if let Some(pm) = prior_max {
-                if let Some(&(lineno, minute)) = scan
-                    .prefix_mins
-                    .iter()
-                    .find(|&&(_, m)| m.saturating_add(CSV_LOOKAHEAD_MINUTES) < pm)
-                {
-                    return Err(FreedomError::InvalidArgument(format!(
-                        "{}: minute {minute} arrives more than {CSV_LOOKAHEAD_MINUTES} minutes \
-                         behind minute {pm} carried across the file seam; the streaming \
-                         reader's lookahead cannot reorder it (use TraceSource::from_csv for \
-                         arbitrarily-disordered files)",
-                        csv_line_prefix(&file.label, lineno),
-                    )));
-                }
-            }
-            if !scan.rows.is_empty() {
-                prior_max = Some(prior_max.map_or(scan.m_max, |p| p.max(scan.m_max)));
-            }
             // Folding per-file first-appearance lists in file order
             // assigns exactly the indices a scan of the concatenation
             // would: a key's first appearance overall is its first
@@ -589,7 +536,7 @@ impl StreamTrace {
             len += scan.len;
             last = last.max(scan.last);
         }
-        if table.iter().all(Vec::is_empty) {
+        if keys.is_empty() {
             return Err(FreedomError::InvalidArgument(
                 "trace CSV has no data rows".into(),
             ));
@@ -686,7 +633,7 @@ impl StreamTrace {
                 })
             }
             StreamSpec::Csv { table, .. } => Ok(EventStream {
-                imp: StreamImp::Csv(CsvStream::new(table, (0, 0), VecDeque::new(), 0, false)),
+                imp: StreamImp::Csv(CsvStream::new(table, vec![0; table.len()])),
             }),
         }
     }
@@ -697,10 +644,9 @@ impl StreamTrace {
     /// [`FreedomError::InvalidArgument`] when the checkpoint belongs to
     /// the other stream kind or does not fit this trace: a cursor count
     /// other than the function count, a generator whose parameters or
-    /// clock are not this trace's, a CSV row cursor past the row table,
-    /// an exhausted reader short of the table's end, a lookahead maximum
-    /// past `MAX_MINUTE`, or an open row whose function, minute, count,
-    /// progress or next arrival no scanned row could have.
+    /// clock are not this trace's, a CSV row cursor past the row table or
+    /// inside a minute's run of rows, or an emitted count at or past that
+    /// minute's events. A CSV resume re-expands at most one minute.
     pub fn open_at(&self, cp: &StreamCheckpoint) -> Result<EventStream<'_>> {
         let misfit = || {
             Err(FreedomError::InvalidArgument(
@@ -731,35 +677,39 @@ impl StreamTrace {
                     imp: StreamImp::Merge(MergeStream::new(cursors.clone(), pending.clone())),
                 })
             }
-            (StreamSpec::Csv { table, .. }, CpImp::Csv(state)) => {
-                let total: u64 = table.iter().map(|t| t.len() as u64).sum();
-                let open_fits = |r: &OpenRow| {
-                    (r.function as usize) < self.n_functions
-                        && r.minute <= MAX_MINUTE
-                        && u64::from(r.count) <= MAX_COUNT_PER_MINUTE
-                        && r.j < r.count
-                        && r.next_bits
-                            == minute_event(r.minute, u64::from(r.j), u64::from(r.count)).to_bits()
+            (StreamSpec::Csv { table, .. }, &CpImp::Csv { cursor, emitted }) => {
+                // Each file's first row of a minute at or past `m`, and
+                // how many rows of all files come before them.
+                let heads = |m: u64| {
+                    table
+                        .iter()
+                        .map(move |rows| rows.partition_point(|row| row.minute < m))
                 };
-                let Some(at) = locate(table, state.cursor) else {
-                    return misfit();
-                };
-                if (state.exhausted && state.cursor != total)
-                    || state.m_max > MAX_MINUTE
-                    || !state.rows.iter().all(open_fits)
-                {
+                let before = |m: u64| heads(m).sum::<usize>() as u64;
+                // The cursor must count the rows of every minute before
+                // some minute: the smallest minute whose predecessors
+                // reach the cursor, if they do not pass it.
+                let (mut lo, mut hi) = (0, MAX_MINUTE + 1);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if before(mid) < cursor {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                let mut stream = CsvStream::new(table, heads(lo).collect());
+                stream.start_minute();
+                // Fewer of the minute's events must be emitted than it
+                // holds; at the table's end only a count of 0 fits.
+                if before(lo) != cursor || emitted >= stream.events.max(1) {
                     return misfit();
                 }
-                let mut open = state.rows.clone();
-                open.sort_by_key(|r| r.minute);
+                for _ in 0..emitted {
+                    stream.next();
+                }
                 Ok(EventStream {
-                    imp: StreamImp::Csv(CsvStream::new(
-                        table,
-                        at,
-                        open.into(),
-                        state.m_max,
-                        state.exhausted,
-                    )),
+                    imp: StreamImp::Csv(stream),
                 })
             }
             _ => Err(FreedomError::InvalidArgument(
@@ -833,22 +783,8 @@ impl StreamTrace {
     }
 }
 
-/// The `(file, row within it)` position of global row `cursor` of the
-/// per-file tables, or `None` past the last row. The table's end is a
-/// position too: the one past the last file's last row.
-fn locate(table: &[Vec<Row>], cursor: u64) -> Option<(usize, usize)> {
-    let mut rest = cursor;
-    for (file, rows) in table.iter().enumerate() {
-        if rest <= rows.len() as u64 {
-            return Some((file, rest as usize));
-        }
-        rest -= rows.len() as u64;
-    }
-    None
-}
-
 /// A resumable position in an [`EventStream`] — cheap to clone, `Send`,
-/// and `O(functions)` (synthetic) or `O(open rows)` (CSV) in size.
+/// and `O(functions)` (synthetic) or two integers (CSV) in size.
 #[derive(Debug, Clone)]
 pub struct StreamCheckpoint {
     imp: CpImp,
@@ -857,8 +793,8 @@ pub struct StreamCheckpoint {
 impl StreamCheckpoint {
     /// Serializes the checkpoint into a crash-resume snapshot
     /// ([`crate::snapshot`]): per-function generator states and pending
-    /// events for synthetic traces, the row cursor, lookahead maximum,
-    /// exhausted flag and open rows for CSV ones.
+    /// events for synthetic traces, the row cursor and the emitted count
+    /// of its minute for CSV ones.
     /// [`StreamCheckpoint::load`] restores a checkpoint that
     /// [`StreamTrace::open_at`] resumes to the identical suffix.
     pub(crate) fn save(&self, w: &mut crate::snapshot::Wire) {
@@ -880,19 +816,10 @@ impl StreamCheckpoint {
                     }
                 }
             }
-            CpImp::Csv(s) => {
+            &CpImp::Csv { cursor, emitted } => {
                 w.u8(1);
-                w.u64(s.cursor);
-                w.u64(s.m_max);
-                w.bool(s.exhausted);
-                w.len(s.rows.len());
-                for row in &s.rows {
-                    w.u64(row.next_bits);
-                    w.u32(row.function);
-                    w.u64(row.minute);
-                    w.u32(row.count);
-                    w.u32(row.j);
-                }
+                w.u64(cursor);
+                w.u64(emitted);
             }
         }
     }
@@ -920,28 +847,10 @@ impl StreamCheckpoint {
                 }
                 CpImp::Merge { cursors, pending }
             }
-            1 => {
-                let cursor = r.u64()?;
-                let m_max = r.u64()?;
-                let exhausted = r.bool()?;
-                let n = r.len()?;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(OpenRow {
-                        next_bits: r.u64()?,
-                        function: r.u32()?,
-                        minute: r.u64()?,
-                        count: r.u32()?,
-                        j: r.u32()?,
-                    });
-                }
-                CpImp::Csv(CsvState {
-                    cursor,
-                    m_max,
-                    rows,
-                    exhausted,
-                })
-            }
+            1 => CpImp::Csv {
+                cursor: r.u64()?,
+                emitted: r.u64()?,
+            },
             tag => {
                 return Err(FreedomError::InvalidArgument(format!(
                     "snapshot: unknown stream-checkpoint tag {tag}"
@@ -958,18 +867,9 @@ enum CpImp {
         cursors: Vec<GenCursor>,
         pending: Vec<Option<f64>>,
     },
-    Csv(CsvState),
-}
-
-/// The CSV reader's resumable state.
-#[derive(Debug, Clone)]
-struct CsvState {
-    /// Index of the first unread row, counting the rows of all files
-    /// back to back.
-    cursor: u64,
-    m_max: u64,
-    rows: Vec<OpenRow>,
-    exhausted: bool,
+    /// The first row of the minute that holds the next event, and how
+    /// many of that minute's events were emitted.
+    Csv { cursor: u64, emitted: u64 },
 }
 
 /// A lazily-merged view of one trace's events, in the materialized
@@ -984,8 +884,8 @@ enum StreamImp<'a> {
 }
 
 impl<'a> EventStream<'a> {
-    /// The next event without consuming it. May read ahead (CSV rows,
-    /// generator draws) but never emits.
+    /// The next event without consuming it. May work ahead (expanding a
+    /// CSV minute, generator draws) but never emits.
     pub fn peek(&mut self) -> Option<TraceEvent> {
         match &mut self.imp {
             StreamImp::Merge(m) => m.peek(),
@@ -1011,30 +911,12 @@ impl<'a> EventStream<'a> {
                     pending: m.pending.clone(),
                 },
             },
-            StreamImp::Csv(c) => StreamCheckpoint {
-                imp: CpImp::Csv(CsvState {
-                    cursor: c.table[..c.file]
-                        .iter()
-                        .map(|t| t.len() as u64)
-                        .sum::<u64>()
-                        + c.next as u64,
-                    m_max: c.m_max,
-                    rows: c.open_rows(),
-                    exhausted: c.exhausted,
-                }),
-            },
-        }
-    }
-
-    /// The error that ended this stream early, if any: the stream was
-    /// reopened at a checkpoint whose lookahead maximum the scanned rows
-    /// contradict, so emitting on would break time order. A faulted
-    /// stream yields no further events; a replay checks this once it
-    /// stops pulling.
-    pub fn fault(&mut self) -> Result<()> {
-        match &mut self.imp {
-            StreamImp::Csv(c) => c.fault.take().map_or(Ok(()), Err),
-            StreamImp::Merge(_) => Ok(()),
+            StreamImp::Csv(c) => {
+                let (cursor, emitted) = c.position();
+                StreamCheckpoint {
+                    imp: CpImp::Csv { cursor, emitted },
+                }
+            }
         }
     }
 
@@ -1044,14 +926,14 @@ impl<'a> EventStream<'a> {
     }
 
     /// Peak number of events this stream ever held resident: one pending
-    /// arrival per cursor (synthetic) or the open rows of the lookahead
-    /// window (CSV). The "cursor lookahead" term of the replay's
+    /// arrival per cursor (synthetic) or one per row of the largest
+    /// minute it expanded (CSV). The cursor term of the replay's
     /// peak-memory bound. A CSV stream also holds the batch of the minute
     /// it emits, at most 4096 events plus one per row of that minute.
     pub fn peak_resident(&self) -> usize {
         match &self.imp {
             StreamImp::Merge(m) => m.cursors.len(),
-            StreamImp::Csv(c) => c.peak_open,
+            StreamImp::Csv(c) => c.peak_rows,
         }
     }
 
@@ -1118,19 +1000,12 @@ impl MergeStream {
     }
 }
 
-/// An open CSV row: read from the table, with arrivals `j..count` of its
-/// minute still to emit, the next at `next_bits`. The reader keeps every
-/// row it holds in this form, the batch minute's advanced past the
-/// arrivals it has expanded, and a checkpoint saves every open row in
-/// it, sorted by the derived order so the checkpoint's bytes depend only
-/// on the stream's position. The order's first two keys are the merge's
-/// `(time bits, function)`; rows tied on them emit identical events, and
-/// the rest of the key only makes the order total.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct OpenRow {
+/// A row of the minute being emitted, with arrivals `j..count` still to
+/// expand, the next at `next_bits`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
     next_bits: u64,
     function: u32,
-    minute: u64,
     count: u32,
     j: u32,
 }
@@ -1141,31 +1016,28 @@ const BATCH_EVENTS: u64 = 4096;
 /// The end of a slice's chain of rows.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Row-table event source with bounded minute lookahead, merged a minute
-/// at a time.
+/// Row-table event source, merged a minute at a time.
 ///
-/// Every arrival of minute m lies strictly inside `(60m, 60m + 60)`
-/// (`MAX_MINUTE` keeps it so), and an unread row trails the highest
-/// minute read, `m_max`, by at most [`CSV_LOOKAHEAD_MINUTES`]. So once
-/// `m + lookahead < m_max`, or the table is exhausted, no unread row can
-/// precede minute m's events: the reader expands that minute's rows into
-/// one array of `(time bits, function, slot)` keys, sorts it once, and
-/// emits it by index, in the materialized view's order. Rows are read
-/// only while no open minute is settled, so the open rows
-/// ([`EventStream::peak_resident`]) stay within the lookahead window.
+/// The scan sorted each file's rows by minute, so a minute's rows form
+/// one contiguous run in each file, and every arrival of minute m lies
+/// strictly inside `(60m, 60m + 60)` (`MAX_MINUTE` keeps it so): the
+/// reader takes the lowest minute at any file's cursor, expands its rows
+/// into one array of `(time bits, function, slot)` keys, sorts it once,
+/// and emits it by index, in the materialized view's order. It holds one
+/// minute's rows at a time ([`EventStream::peak_resident`]).
 struct CsvStream<'a> {
-    /// The scan's per-file row tables.
+    /// The scan's per-file row tables, each in minute order.
     table: &'a [Vec<Row>],
-    /// The next unread row: `table[file][next]`.
-    file: usize,
-    next: usize,
-    /// Read rows not yet expanded, in ascending minute order: a bucket
-    /// of rows per minute, back to back.
-    open: VecDeque<OpenRow>,
-    /// The minute being emitted and its rows, sorted by `(function,
-    /// count)`, each advanced past the arrivals expanded so far.
+    /// Per file, its first row of a minute not yet taken.
+    next: Vec<usize>,
+    /// Rows of all files in minutes before the batch minute: the
+    /// checkpoint cursor while the minute is emitted.
+    start: u64,
+    /// The minute being emitted, its events, and its rows, each advanced
+    /// past the arrivals expanded so far.
     minute: u64,
-    slots: Vec<OpenRow>,
+    events: u64,
+    slots: Vec<Slot>,
     /// The minute's time slices, how many are expanded so far, and per
     /// slice the first row whose next arrival falls in it, the rest
     /// chained through `chain`: a slice visits only its own rows.
@@ -1174,32 +1046,24 @@ struct CsvStream<'a> {
     wake: Vec<u32>,
     chain: Vec<u32>,
     /// The current slice's events as sorted `(time bits, function,
-    /// slot)` keys; `batch[pos..]` are still to emit.
+    /// slot)` keys; `batch[pos..]` are still to emit, and the minute's
+    /// earlier slices held `earlier` events.
     batch: Vec<u128>,
     pos: usize,
-    /// Highest minute seen so far (across file seams).
-    m_max: u64,
-    exhausted: bool,
-    peak_open: usize,
-    /// Why the stream ended early ([`EventStream::fault`]).
-    fault: Option<FreedomError>,
+    earlier: u64,
+    peak_rows: usize,
 }
 
 impl<'a> CsvStream<'a> {
-    fn new(
-        table: &'a [Vec<Row>],
-        (file, next): (usize, usize),
-        open: VecDeque<OpenRow>,
-        m_max: u64,
-        exhausted: bool,
-    ) -> Self {
+    /// A reader whose next minute starts at row `next[f]` of each file
+    /// `f`.
+    fn new(table: &'a [Vec<Row>], next: Vec<usize>) -> Self {
         Self {
             table,
-            file,
             next,
-            peak_open: open.len(),
-            open,
+            start: 0,
             minute: 0,
+            events: 0,
             slots: Vec::new(),
             slices: 0,
             slice: 0,
@@ -1207,29 +1071,19 @@ impl<'a> CsvStream<'a> {
             chain: Vec::new(),
             batch: Vec::new(),
             pos: 0,
-            m_max,
-            exhausted,
-            fault: None,
+            earlier: 0,
+            peak_rows: 0,
         }
     }
 
-    /// Whether no unread row can precede the events of minute `m`.
-    fn settled(&self, m: u64) -> bool {
-        self.exhausted || m + CSV_LOOKAHEAD_MINUTES < self.m_max
-    }
-
-    /// Expands and reads rows until an event is safe to emit (or input
+    /// Expands rows until an event is ready to emit (or the table
     /// ends); returns it without consuming.
     fn ready(&mut self) -> Option<TraceEvent> {
         while self.pos == self.batch.len() {
             if self.slice < self.slices {
                 self.expand_slice();
-            } else if self.open.front().is_some_and(|r| self.settled(r.minute)) {
-                self.start_minute();
-            } else if self.exhausted {
+            } else if !self.start_minute() {
                 return None;
-            } else {
-                self.read_row();
             }
         }
         let key = self.batch[self.pos];
@@ -1245,26 +1099,56 @@ impl<'a> CsvStream<'a> {
         Some(event)
     }
 
-    /// Takes the lowest open minute's rows as the batch minute. A minute
-    /// whose rows hold `n` > [`BATCH_EVENTS`] events in all is cut into
-    /// `⌈n / BATCH_EVENTS⌉` equal time slices. Rows spread their events
-    /// evenly, so a slice holds at most `BATCH_EVENTS` events plus one
-    /// per row. `n` counts whole rows, so the bound holds whatever
-    /// progress the rows bring from a checkpoint.
-    fn start_minute(&mut self) {
-        let minute = self.open[0].minute;
-        let rows = self.open.partition_point(|r| r.minute == minute);
+    /// The checkpoint position: the rows of all minutes before the one
+    /// that holds the next event, and how many of that minute's events
+    /// were emitted. A fully emitted minute hands over to the next, so
+    /// the position does not depend on whether the stream peeked.
+    fn position(&self) -> (u64, u64) {
+        let emitted = self.earlier + self.pos as u64;
+        if emitted < self.events {
+            (self.start, emitted)
+        } else {
+            (self.next.iter().sum::<usize>() as u64, 0)
+        }
+    }
+
+    /// Takes the lowest minute at any file's cursor as the batch minute,
+    /// its run of rows from every file that has one, or returns `false`
+    /// at the end of the table. A minute whose rows hold `n` >
+    /// [`BATCH_EVENTS`] events in all is cut into `⌈n / BATCH_EVENTS⌉`
+    /// equal time slices. Rows spread their events evenly, so a slice
+    /// holds at most `BATCH_EVENTS` events plus one per row.
+    fn start_minute(&mut self) -> bool {
+        let heads = self.table.iter().zip(&self.next);
+        let Some(minute) = heads
+            .filter_map(|(rows, &n)| rows.get(n))
+            .map(|r| r.minute)
+            .min()
+        else {
+            return false;
+        };
+        self.start = self.next.iter().sum::<usize>() as u64;
+        // Slot order only breaks ties between identical events of rows
+        // of one function, so the order rows are taken in is free.
         self.slots.clear();
-        self.slots.extend(self.open.drain(..rows));
-        // Keys tie on (time bits, function) only between identical events
-        // of rows of one function. Slots in (function, count) order break
-        // such ties as `OpenRow`'s order does, lower count first, so a
-        // checkpoint depends on the position only, not on the order the
-        // rows were read in.
-        self.slots.sort_unstable_by_key(|r| (r.function, r.count));
-        let events: u64 = self.slots.iter().map(|r| u64::from(r.count)).sum();
+        for (rows, next) in self.table.iter().zip(&mut self.next) {
+            let run = &rows[*next..];
+            let run = &run[..run.partition_point(|row| row.minute == minute)];
+            *next += run.len();
+            self.slots.extend(run.iter().map(|row| Slot {
+                next_bits: minute_event(minute, 0, row.count.into()).to_bits(),
+                function: row.function,
+                count: row.count,
+                j: 0,
+            }));
+        }
+        self.peak_rows = self.peak_rows.max(self.slots.len());
         self.minute = minute;
-        self.slices = events.div_ceil(BATCH_EVENTS).max(1);
+        self.events = self.slots.iter().map(|r| u64::from(r.count)).sum();
+        self.earlier = 0;
+        self.batch.clear();
+        self.pos = 0;
+        self.slices = self.events.div_ceil(BATCH_EVENTS).max(1);
         self.slice = 0;
         self.wake.clear();
         self.wake.resize(self.slices as usize, NO_SLOT);
@@ -1274,6 +1158,7 @@ impl<'a> CsvStream<'a> {
             let k = self.slice_of(f64::from_bits(self.slots[s as usize].next_bits));
             self.wake_at(k, s);
         }
+        true
     }
 
     /// Exclusive upper time bound of slice `k`, `60m + 60(k+1)/K` in
@@ -1315,6 +1200,7 @@ impl<'a> CsvStream<'a> {
         let k = self.slice;
         self.slice += 1;
         let end = self.slice_end(k);
+        self.earlier += self.batch.len() as u64;
         self.batch.clear();
         self.pos = 0;
         let mut s = std::mem::replace(&mut self.wake[k as usize], NO_SLOT);
@@ -1340,77 +1226,6 @@ impl<'a> CsvStream<'a> {
             s = after;
         }
         self.batch.sort_unstable();
-    }
-
-    /// The open rows at the current position, sorted: the unexpanded
-    /// rows, plus each row of the batch minute from its first event not
-    /// yet emitted.
-    fn open_rows(&self) -> Vec<OpenRow> {
-        let mut slots = self.slots.clone();
-        for &key in &self.batch[self.pos..] {
-            slots[key as u32 as usize].j -= 1;
-        }
-        let mut rows: Vec<OpenRow> = self.open.iter().copied().collect();
-        for r in slots.into_iter().filter(|r| r.j < r.count) {
-            let next_bits = minute_event(r.minute, r.j.into(), r.count.into()).to_bits();
-            rows.push(OpenRow { next_bits, ..r });
-        }
-        rows.sort_unstable();
-        rows
-    }
-
-    /// Moves the next row of the table into its minute's bucket. The
-    /// scan already held every row to the lookahead bound, so a row that
-    /// breaks it here means the stream was reopened at a checkpoint the
-    /// scan never produced: the reader records the fault and ends the
-    /// stream.
-    fn read_row(&mut self) {
-        let row = loop {
-            if let Some(&row) = self.table[self.file].get(self.next) {
-                self.next += 1;
-                break row;
-            }
-            if self.file + 1 == self.table.len() {
-                self.exhausted = true;
-                return;
-            }
-            self.file += 1;
-            self.next = 0;
-        };
-        if row.minute + CSV_LOOKAHEAD_MINUTES < self.m_max {
-            return self.fail(FreedomError::InvalidArgument(format!(
-                "stream checkpoint does not fit this trace: a row of minute {} trails the \
-                 checkpoint's minute {} by more than the lookahead",
-                row.minute, self.m_max
-            )));
-        }
-        self.m_max = self.m_max.max(row.minute);
-        if row.count == 0 {
-            return;
-        }
-        let open = OpenRow {
-            next_bits: minute_event(row.minute, 0, row.count.into()).to_bits(),
-            function: row.function,
-            minute: row.minute,
-            count: row.count,
-            j: 0,
-        };
-        if self.open.back().is_some_and(|r| r.minute > row.minute) {
-            let at = self.open.partition_point(|r| r.minute <= row.minute);
-            self.open.insert(at, open);
-        } else {
-            self.open.push_back(open);
-        }
-        self.peak_open = self.peak_open.max(self.open.len());
-    }
-
-    /// Ends the stream on a fault: no further row is read and no open
-    /// row is emitted. Rows are read only once the batch minute is fully
-    /// emitted, so the open rows are all unexpanded.
-    fn fail(&mut self, e: FreedomError) {
-        self.fault = Some(e);
-        self.open.clear();
-        self.exhausted = true;
     }
 }
 
@@ -1650,7 +1465,7 @@ mod tests {
         // boundary by draining up to it; reopening each checkpoint must
         // replay exactly the suffix of the merged view from the
         // boundary's first arrival — for synthetic cursors and the CSV
-        // reader's lookahead window alike.
+        // row cursor alike.
         let epoch = event_nanos(25.0);
         let traces = [
             StreamTrace::generate(SOURCES[1], 6, 120.0, 9).unwrap(),
@@ -1697,86 +1512,49 @@ mod tests {
 
     #[test]
     fn csv_checkpoints_the_scan_never_produced_do_not_resume() {
-        // A CSV checkpoint is a row cursor plus open rows, checked
-        // against the scanned table: a misfit is rejected up front, and
-        // a lookahead maximum the rows contradict ends the stream with a
-        // fault rather than emitting out of time order.
+        // A CSV checkpoint is the row cursor at the start of the minute
+        // holding the next event plus how many of that minute's events
+        // were emitted. Anything else is rejected up front, so no
+        // accepted checkpoint can emit out of time order.
         let csv: String = (0..30u64)
             .flat_map(|minute| (0..4u64).map(move |f| format!("a,f{f},{minute},{}\n", 1 + f)))
             .collect();
         let lazy = StreamTrace::from_csv(&csv).unwrap();
-        let StreamSpec::Csv { table, .. } = &lazy.spec else {
-            unreachable!("a CSV trace");
+        let all = drain(&mut lazy.open().unwrap());
+        let at = |cursor: u64, emitted: u64| StreamCheckpoint {
+            imp: CpImp::Csv { cursor, emitted },
         };
-        let rows = table.iter().map(Vec::len).sum::<usize>() as u64;
-        let mut stream = lazy.open().unwrap();
-        for _ in 0..40 {
-            stream.next();
+        // Each minute is a run of 4 rows holding 10 events.
+        let rows = 30 * 4;
+        for (cursor, emitted) in [(0, 0), (4, 9), (rows - 4, 3), (rows, 0)] {
+            let skip = (10 * cursor / 4 + emitted) as usize;
+            assert_eq!(
+                drain(&mut lazy.open_at(&at(cursor, emitted)).unwrap()),
+                all[skip..],
+                "cursor {cursor}, {emitted} emitted"
+            );
         }
-        let cp = stream.checkpoint();
-        let CpImp::Csv(state) = &cp.imp else {
-            unreachable!("a CSV checkpoint");
-        };
-        assert!(state.cursor < rows && !state.rows.is_empty());
-        let patched = |patch: &dyn Fn(&mut CsvState)| {
-            let mut state = state.clone();
-            patch(&mut state);
-            StreamCheckpoint {
-                imp: CpImp::Csv(state),
-            }
-        };
-        let n = lazy.n_functions() as u32;
-        // Each misfit keeps the open row's next arrival on its spread,
-        // so only the check it names can reject it.
-        let progress = |s: &mut CsvState, count: u32, j: u32| {
-            let r = &mut s.rows[0];
-            (r.count, r.j) = (count, j);
-            r.next_bits = minute_event(r.minute, j.into(), count.into()).to_bits();
-        };
-        type Patch<'a> = &'a dyn Fn(&mut CsvState);
-        let misfits: [(&str, Patch); 9] = [
-            ("row cursor past the table", &|s| s.cursor = rows + 1),
-            ("exhausted short of the table's end", &|s| {
-                s.exhausted = true
-            }),
-            ("open row of an unknown function", &|s| {
-                s.rows[0].function = n
-            }),
-            ("open row past its count", &|s| progress(s, 3, 3)),
-            ("open row of no events", &|s| progress(s, 0, 0)),
-            ("next arrival off the row's spread", &|s| {
-                s.rows[0].next_bits ^= 1
-            }),
-            ("open row past the count cap", &|s| {
-                progress(s, 1_000_001, 0)
-            }),
-            ("open row past the minute bound", &|s| {
-                s.rows[0].minute = MAX_MINUTE + 1;
-                progress(s, s.rows[0].count, s.rows[0].j);
-            }),
-            ("lookahead maximum past the minute bound", &|s| {
-                s.m_max = MAX_MINUTE + 1
-            }),
+        let misfits = [
+            ("row cursor past the table", at(rows + 1, 0)),
+            ("row cursor inside a minute's run", at(5, 0)),
+            ("all of the minute's events emitted", at(4, 10)),
+            ("more events emitted than the minute holds", at(4, u64::MAX)),
+            ("events emitted at the table's end", at(rows, 1)),
         ];
-        for (what, patch) in misfits {
-            assert!(lazy.open_at(&patched(patch)).is_err(), "{what} resumed");
+        for (what, cp) in misfits {
+            assert!(lazy.open_at(&cp).is_err(), "{what} resumed");
         }
-        let mut ahead = lazy.open_at(&patched(&|s| s.m_max += 100)).unwrap();
-        assert!(ahead.events().count() < lazy.len() - 40);
-        assert!(
-            ahead.fault().is_err(),
-            "a contradicted lookahead must fault"
-        );
     }
 
     #[test]
     fn checkpoints_are_canonical_for_their_position() {
         // A checkpoint depends only on how many events were emitted,
         // whether the stream got there uninterrupted or resumed from an
-        // earlier checkpoint, and wherever it falls: mid-minute, inside a
-        // capped minute's slice, or between two identical events of one
-        // function whose rows the resumed reader numbers the other way
-        // round (`t` arrives at 150 s as arrival 0 of 1 and 1 of 3).
+        // earlier checkpoint, and whether it peeked past the position
+        // or not, wherever it falls: mid-minute, at a minute's end,
+        // inside a capped minute's slice, or between two identical
+        // events of one function (`t` arrives at 150 s as arrival 0 of
+        // 1 and 1 of 3).
         let csv = "a,f,0,3\na,g,0,2\na,t,2,1\na,t,2,3\na,big,3,9000\na,f,3,5\na,g,12,2\n\
                    a,f,30,1\n";
         let lazy = StreamTrace::from_csv(csv).unwrap();
@@ -1789,6 +1567,7 @@ mod tests {
             0,
             1,
             4,
+            first_at(60.0),
             tie,
             tie + 1,
             first_at(180.0) + 1,
@@ -1799,6 +1578,11 @@ mod tests {
             all.len() - 1,
             all.len(),
         ];
+        let bytes = |stream: &EventStream<'_>| {
+            let mut wire = crate::snapshot::Wire::new();
+            stream.checkpoint().save(&mut wire);
+            wire.into_bytes()
+        };
         let at = |from: Option<&StreamCheckpoint>, skip: usize| {
             let mut stream = match from {
                 Some(cp) => lazy.open_at(cp).unwrap(),
@@ -1807,17 +1591,13 @@ mod tests {
             for _ in 0..skip {
                 stream.next().unwrap();
             }
-            let cp = stream.checkpoint();
-            let mut wire = crate::snapshot::Wire::new();
-            cp.save(&mut wire);
-            (cp, wire.into_bytes())
+            let before = bytes(&stream);
+            stream.peek();
+            assert_eq!(bytes(&stream), before, "a peek moved the checkpoint");
+            (stream.checkpoint(), before)
         };
         for (i, &p) in positions.iter().enumerate() {
             let (cp, bytes) = at(None, p);
-            let CpImp::Csv(state) = &cp.imp else {
-                unreachable!("a CSV checkpoint");
-            };
-            assert!(state.rows.is_sorted(), "position {p}");
             for &q in &positions[..i] {
                 let (earlier, _) = at(None, q);
                 let (_, resumed) = at(Some(&earlier), p - q);
@@ -1828,6 +1608,38 @@ mod tests {
                 all[p..],
                 "position {p}"
             );
+        }
+    }
+
+    #[test]
+    fn rows_in_any_minute_order_replay_and_resume_at_every_event() {
+        // Rows trail the highest minute before them by up to 40 minutes,
+        // within a file and across the seam. The scan accepts them, the
+        // stream equals the materialized reader, and a checkpoint taken
+        // at any event resumes onto the identical suffix.
+        let part1 = "a,f,40,3\nb,g,20,2\na,f,0,1\n";
+        let part2 = "b,g,39,2\nc,h,1,4\na,f,20,2\n";
+        let lazy = StreamTrace::from_csv_parts(&[part1.as_bytes(), part2.as_bytes()]).unwrap();
+        let all = drain(&mut lazy.open().unwrap());
+        assert_eq!(all.as_slice(), lazy.materialize().unwrap().events());
+        assert_eq!(all.len(), 14);
+        // In minute order the rows are 0, 1, 20, 20, 39, 40, the two of
+        // minute 20 in different files: a cursor between them is inside
+        // that minute.
+        for (cursor, fits) in [(2, true), (3, false), (4, true)] {
+            let cp = StreamCheckpoint {
+                imp: CpImp::Csv { cursor, emitted: 0 },
+            };
+            assert_eq!(lazy.open_at(&cp).is_ok(), fits, "cursor {cursor}");
+        }
+        let mut stream = lazy.open().unwrap();
+        for i in 0..=all.len() {
+            assert_eq!(
+                drain(&mut lazy.open_at(&stream.checkpoint()).unwrap()),
+                all[i..],
+                "resumed at {i}"
+            );
+            stream.next();
         }
     }
 
@@ -1856,8 +1668,7 @@ mod tests {
     fn slice_of_finds_the_first_slice_ending_above_an_arrival() {
         // Arrivals on and next to every slice end, where the guess can
         // round to either neighbour of the slice that holds them.
-        let table: Vec<Vec<Row>> = Vec::new();
-        let mut c = CsvStream::new(&table, (0, 0), VecDeque::new(), 0, true);
+        let mut c = CsvStream::new(&[], Vec::new());
         for minute in [0, 1, 4321, MAX_MINUTE] {
             for slices in [2, 3, 7, 245, 4097] {
                 c.minute = minute;
@@ -1946,8 +1757,7 @@ mod tests {
             );
             let events = drain(&mut lazy.open().unwrap());
             assert_eq!(events.as_slice(), full.events(), "chunk {chunk}");
-            // Mid-stream checkpoints re-seek exactly, and the lookahead
-            // stays bounded by the open rows.
+            // Mid-stream checkpoints re-seek exactly.
             let mut stream = lazy.open().unwrap();
             for _ in 0..40 {
                 stream.next();
@@ -1955,7 +1765,18 @@ mod tests {
             let cp = stream.checkpoint();
             let suffix = drain(&mut lazy.open_at(&cp).unwrap());
             assert_eq!(suffix.as_slice(), &events[40..]);
-            assert!(lazy.open().unwrap().peak_resident() <= AZURE_FIXTURE.lines().count());
+            // A drained stream held the rows of one minute at a time.
+            let StreamSpec::Csv { table, .. } = &lazy.spec else {
+                unreachable!("a CSV trace");
+            };
+            let largest_minute = table[0]
+                .chunk_by(|a, b| a.minute == b.minute)
+                .map(<[Row]>::len)
+                .max()
+                .unwrap();
+            let mut drained = lazy.open().unwrap();
+            assert_eq!(drain(&mut drained).len(), 113);
+            assert_eq!(drained.peak_resident(), largest_minute, "chunk {chunk}");
         }
     }
 
@@ -1980,18 +1801,16 @@ mod tests {
             assert!(msg.contains("line 2"), "chunk {chunk}: {msg}");
         }
         // Functions interleaved out of minute order across chunk
-        // boundaries stream fine within the lookahead bound...
-        let ok = "a,f,9,1\nb,g,2,1\na,f,10,1\n";
-        let lazy = StreamTrace::from_csv_chunked(ok, 5).unwrap();
-        let full = TraceSource::from_csv(ok).unwrap();
-        assert_eq!(drain(&mut lazy.open().unwrap()).as_slice(), full.events());
-        // ...but beyond it the scan rejects the file with the offending
-        // line, while the materialized reader still accepts it.
-        let disordered = "a,f,30,1\nb,g,2,1\n";
-        let msg = err(disordered, 4);
-        assert!(msg.contains("line 2"), "{msg}");
-        assert!(msg.contains("lookahead"), "{msg}");
-        assert!(TraceSource::from_csv(disordered).is_ok());
+        // boundaries stream like the materialized reader, however far a
+        // row trails.
+        for (csv, chunk) in [
+            ("a,f,9,1\nb,g,2,1\na,f,10,1\n", 5),
+            ("a,f,30,1\nb,g,2,1\n", 4),
+        ] {
+            let lazy = StreamTrace::from_csv_chunked(csv, chunk).unwrap();
+            let full = TraceSource::from_csv(csv).unwrap();
+            assert_eq!(drain(&mut lazy.open().unwrap()).as_slice(), full.events());
+        }
         // Scan-time grammar errors match the materialized reader's.
         assert!(StreamTrace::from_csv("").is_err());
         assert!(StreamTrace::from_csv("app,func,minute,count\n").is_err());
@@ -2041,10 +1860,10 @@ mod tests {
     #[test]
     fn the_row_table_holds_16_bytes_per_data_row() {
         // Trace input is O(rows): the scan keeps one packed 16-byte row
-        // per data row, zero counts included, and nothing for headers,
-        // blank lines or events. A multi-part, partly gzip'd input of a
-        // few thousand rows also checks that no part keeps the slack of
-        // a growing table.
+        // per data row with arrivals (a zero-count row only registers
+        // its function), and nothing for headers, blank lines or events.
+        // A multi-part, partly gzip'd input of a few thousand rows also
+        // checks that no part keeps the slack of a growing table.
         assert_eq!(std::mem::size_of::<Row>(), 16);
         let mut parts: Vec<Vec<u8>> = Vec::new();
         for part in 0..3u64 {
@@ -2066,13 +1885,16 @@ mod tests {
         let StreamSpec::Csv { table, .. } = &trace.spec else {
             unreachable!("a CSV trace");
         };
-        let data_rows: usize = table.iter().map(Vec::len).sum();
-        assert_eq!(data_rows, 3 * 10 * 333);
+        let with_arrivals = (0..30u64)
+            .flat_map(|minute| (0..333).filter(move |f| (minute + f) % 4 != 0))
+            .count();
+        assert_eq!(table.iter().map(Vec::len).sum::<usize>(), with_arrivals);
+        assert_eq!(trace.n_functions(), 333);
         let bytes: usize = table
             .iter()
             .map(|rows| rows.capacity() * std::mem::size_of::<Row>())
             .sum();
-        assert_eq!(bytes, 16 * data_rows);
+        assert_eq!(bytes, 16 * with_arrivals);
     }
 
     #[test]
@@ -2231,34 +2053,22 @@ mod tests {
     }
 
     #[test]
-    fn file_seam_disorder_is_bounded_and_attributed() {
-        // Within the lookahead bound, a later file may open behind the
-        // carried maximum...
-        let ok1 = "a,f,9,1\n";
-        let ok2 = "b,g,2,1\na,f,10,1\n";
-        let multi = StreamTrace::from_csv_parts(&[ok1.as_bytes(), ok2.as_bytes()]).unwrap();
-        let concat = StreamTrace::from_csv("a,f,9,1\nb,g,2,1\na,f,10,1\n").unwrap();
-        assert_eq!(
-            drain(&mut multi.open().unwrap()),
-            drain(&mut concat.open().unwrap())
-        );
-        // ...beyond it, the scan rejects with exact file:line
-        // attribution, even when the violating row is not the file's
-        // first (it is a prefix-min within its file).
-        let bad1 = "a,f,30,1\n";
-        let bad2 = "x,y,29,1\nb,g,21,1\n";
-        match StreamTrace::from_csv_parts(&[bad1.as_bytes(), bad2.as_bytes()]) {
-            Err(FreedomError::InvalidArgument(msg)) => {
-                assert!(msg.contains("part 2"), "{msg}");
-                assert!(msg.contains("line 2"), "{msg}");
-                assert!(msg.contains("file seam"), "{msg}");
-                assert!(msg.contains("minute 21"), "{msg}");
-            }
-            other => panic!("expected InvalidArgument, got {other:?}"),
+    fn file_seam_disorder_replays_and_errors_name_their_part() {
+        // A later file may open any number of minutes behind the earlier
+        // files' rows, its trailing row need not be its first, and the
+        // parts replay like their concatenation and the materialized
+        // reader.
+        for (first, second) in [
+            ("a,f,9,1\n", "b,g,2,1\na,f,10,1\n"),
+            ("a,f,30,1\n", "x,y,29,1\nb,g,21,1\n"),
+        ] {
+            let multi =
+                StreamTrace::from_csv_parts(&[first.as_bytes(), second.as_bytes()]).unwrap();
+            let concat = StreamTrace::from_csv(&format!("{first}{second}")).unwrap();
+            let events = drain(&mut multi.open().unwrap());
+            assert_eq!(events, drain(&mut concat.open().unwrap()));
+            assert_eq!(events.as_slice(), multi.materialize().unwrap().events());
         }
-        // The materialized reader remains the escape hatch.
-        // (Concatenating the same rows is accepted there.)
-        assert!(TraceSource::from_csv("a,f,30,1\nx,y,29,1\nb,g,2,1\n").is_ok());
         // In-file grammar errors name their part.
         let good = "a,f,0,1\n";
         let malformed = "a,f,1,1\nbroken-row\n";

@@ -329,10 +329,16 @@ fn check_checkpoint_after_next_calls(
     Ok(())
 }
 
-/// A CSV row's minute step: mostly 0–2, sometimes a gap wider than the
-/// streaming reader's lookahead.
+/// A CSV row's minute step: mostly 0–2, sometimes a gap of 9–39.
 fn minute_step() -> impl Strategy<Value = u64> {
     prop_oneof![0u64..3, 0u64..3, 0u64..3, 9u64..40]
+}
+
+/// How far a CSV row trails its base walk: mostly a few minutes,
+/// sometimes far more than 8, so it trails rows of earlier minutes
+/// within a file and across file seams.
+fn minute_back() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..5, 0u64..5, 9u64..100]
 }
 
 /// A CSV row's count: mostly under 40, sometimes up to 10⁴ arrivals, so
@@ -385,23 +391,23 @@ proptest! {
     }
 
     /// Streaming CSV ingestion ≡ the materialized reader for random row
-    /// soups — duplicate `(app, func, minute)` keys, zero counts,
-    /// bounded minute disorder, minute gaps wider than the lookahead,
-    /// minutes of several capped batches — at any reader chunk size,
+    /// soups — duplicate `(app, func, minute)` keys, zero counts, rows
+    /// trailing earlier minutes by up to 99 minutes, minute gaps of up
+    /// to 39, minutes of several capped batches — at any reader chunk size,
     /// including chunks small enough that every record straddles a
     /// boundary, and from a checkpoint at any event.
     #[test]
     fn streaming_csv_matches_materialized(
         rows in prop::collection::vec(
-            (0u8..3, 0u8..3, minute_step(), 0u64..5, row_count()),
+            (0u8..3, 0u8..3, minute_step(), minute_back(), row_count()),
             1..25,
         ),
         chunk in 1usize..64,
         epoch_secs in 1u64..10,
         split in 0usize..1_000_000,
     ) {
-        // Minutes follow a non-decreasing base walk with backward jitter
-        // capped below the streaming reader's lookahead bound.
+        // Minutes follow a non-decreasing base walk with backward jitter,
+        // often far behind rows already read.
         let mut csv = String::new();
         let mut base = 0u64;
         for &(app, func, advance, back, count) in &rows {
@@ -409,7 +415,7 @@ proptest! {
             let minute = base.saturating_sub(back);
             csv.push_str(&format!("app{app},f{func},{minute},{count}\n"));
         }
-        let lazy = StreamTrace::from_csv_chunked(&csv, chunk).expect("within lookahead bound");
+        let lazy = StreamTrace::from_csv_chunked(&csv, chunk).expect("any minute order scans");
         check_stream_matches_materialized(&lazy, epoch_secs * 1_000_000_000)?;
         check_checkpoint_after_next_calls(&lazy, split)?;
     }
@@ -421,11 +427,12 @@ proptest! {
     /// the exact event bits of the uncut CSV, and `checkpoint()` /
     /// `open_at()` re-seeks must land correctly in whichever file an
     /// epoch starts in, or wherever `split` `next()` calls end. Rows draw
-    /// minute gaps wider than the lookahead and counts of up to 10⁴.
+    /// minute gaps of up to 39, backward jitter of up to 99 and counts
+    /// of up to 10⁴.
     #[test]
     fn multi_file_csv_ingestion_matches_single_file(
         rows in prop::collection::vec(
-            (0u8..3, 0u8..4, minute_step(), 0u64..5, row_count()),
+            (0u8..3, 0u8..4, minute_step(), minute_back(), row_count()),
             2..40,
         ),
         raw_cuts in prop::collection::vec(0usize..1000, 1..5),
@@ -443,7 +450,7 @@ proptest! {
         }
         let single = lines.concat();
         let reference = StreamTrace::from_csv_chunked(&single, chunk)
-            .expect("within lookahead bound");
+            .expect("any minute order scans");
         let full = reference.materialize().expect("materialize");
 
         // Cut positions over the line count: duplicates collapse, so a
@@ -464,7 +471,7 @@ proptest! {
         }
         let refs: Vec<&[u8]> = parts.iter().map(|p| p.as_slice()).collect();
         let lazy = StreamTrace::from_csv_parts_chunked(&refs, chunk)
-            .expect("seam disorder stays within the lookahead bound");
+            .expect("any seam disorder scans");
 
         // Same keys in the same first-seen order, same length, and the
         // event stream matches the uncut reference bit for bit.
@@ -488,7 +495,7 @@ proptest! {
     /// overwritten and cut off anywhere, headers and gzip members
     /// included. Construction must either fail with an error or accept
     /// the bytes, and an accepted trace must drain cleanly: exactly its
-    /// scanned event count, no reader fault.
+    /// scanned event count.
     #[test]
     fn corrupted_ingest_bytes_error_or_drain_cleanly(
         rows in prop::collection::vec(
@@ -536,7 +543,6 @@ proptest! {
         if let Ok(trace) = StreamTrace::from_csv_parts(&refs) {
             let mut stream = trace.open().expect("a scanned trace opens");
             let drained = stream.events().count();
-            prop_assert!(stream.fault().is_ok(), "scanned bytes faulted on replay");
             prop_assert_eq!(drained, trace.len(), "drain disagrees with the scan");
         }
     }

@@ -1,7 +1,7 @@
 //! Synthesizes the week-scale multi-file gzip'd Azure-style trace the
 //! headline replay drives: one `.csv.gz` member per simulated day, each
 //! in the four-column `app,func,minute,count` grammar the streaming
-//! ingester scans. Shared by the `fleet_week_replay` binary (which
+//! ingester scans. Shared by the `fleet_replay` binary (which
 //! writes the day files to disk and replays them crash-resumably) and
 //! the `week_replay` bench group (which keeps the compressed parts in
 //! memory).

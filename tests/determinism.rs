@@ -336,7 +336,7 @@ fn fleet_control_loop_is_epoch_chain_bit_identical() {
 /// {1, 10, 60} s) are bit-identical to the materialized reference. The
 /// 1 s epochs checkpoint the stream hundreds of times and slice every
 /// control epoch across many boundaries, so cursor checkpoints, carried
-/// controller state, and the CSV reader's lookahead window all get
+/// controller state, and the CSV reader's mid-minute resumes all get
 /// exercised together.
 #[test]
 fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
@@ -756,11 +756,11 @@ fn gz_multi_file_ingestion_preserves_the_determinism_lattice() {
 
     // Three files cut mid-minute (the row counts per file are not
     // multiples of the per-minute row count), each with its own header
-    // — like per-day exports — then bounded disorder at both interior
+    // — like per-day exports — then disorder at both interior
     // seams: the last pre-seam row trades places with the first
     // post-seam row, so each file's tail reaches one minute into its
-    // neighbour. That is well inside the CSV_LOOKAHEAD_MINUTES contract
-    // and must be invisible to replay.
+    // neighbour. The reader merges the files' rows by minute, so this
+    // is invisible to replay.
     let cut1 = 17 * n_functions + 11;
     let cut2 = 24 * n_functions + 29;
     let mut parts = [
