@@ -60,7 +60,7 @@ use crate::retry::BrownoutConfig;
 use crate::{FreedomError, Result};
 
 /// Upper bound on controller ticks per replay, the cadence's counterpart
-/// of the resumable replay's epoch bound [`crate::trace::MAX_WINDOWS`]: a
+/// of the resumable replay's epoch bound [`crate::trace::MAX_EPOCHS`]: a
 /// cadence far below the trace span would spend the whole replay ticking.
 pub const MAX_TICKS: u64 = 1 << 22;
 

@@ -5,7 +5,7 @@
 //! deliveries — as a *pure function of its seed*. Faults are never wall
 //! clock callbacks or out-of-band mutations: the plan expands into a
 //! [`FaultTimeline`] of simulated-time intervals that
-//! [`crate::market::SupplySchedule::generate`] composes into the same
+//! the market's `SupplySchedule::generate` composes into the same
 //! precomputed supply timeline every replay walks. Because the composed
 //! schedule is immutable state shared by `run()`, the streaming replay
 //! and every epoch of a resumable one, the determinism lattice
@@ -160,7 +160,7 @@ impl FaultPlan {
     /// The identity packs into one word — `idx` in the low 32 bits,
     /// `attempt` above it, `function` in the high bits — finished by a
     /// single avalanche round: this draw sits on the per-placement hot
-    /// path of the replay engines, and one [`mix`] of a packed distinct
+    /// path of the replay engines, and one `mix` of a packed distinct
     /// input is the same construction (and statistical quality) as a
     /// SplitMix64 output step.
     pub fn fault_for(&self, function: u32, idx: u32, attempt: u8) -> Option<TransientFault> {

@@ -12,7 +12,7 @@
 //!   ingestion);
 //! - a provider-wide [spot market](crate::market): per-family warm VM
 //!   slots whose supply follows a seeded
-//!   [`SupplyProcess`](crate::market::SupplyProcess), an
+//!   [`SupplyProcess`], an
 //!   [`AdmissionPolicy`] gating spot requests on market utilization, and
 //!   demand-dependent pricing
 //!   ([`SpotPricing::demand_fraction`](freedom_pricing::SpotPricing::demand_fraction));
@@ -27,22 +27,25 @@
 //!
 //! The shared ledger couples every function, so the fleet does not
 //! decompose per function: the replay is one sequential event loop over
-//! the merged arrival stream, `simulate_window`. Every entry point
-//! drives that loop:
+//! the merged arrival stream, `simulate_epoch`, which simulates one
+//! epoch of simulated time from a carried state. Two callers drive it:
 //!
-//! - [`run`](FleetSimulator::run) over a materialized [`Trace`], and
-//!   [`run_stream`](FleetSimulator::run_stream) over a lazy
-//!   [`StreamTrace`] with peak memory O(functions + in-flight
-//!   placements) instead of O(total arrivals) — one window spanning the
-//!   whole trace;
-//! - [`run_stream_resumable`](FleetSimulator::run_stream_resumable),
-//!   which chains the loop over fixed epochs, carries the canonical
-//!   state across each boundary, and snapshots it so a killed replay
-//!   resumes.
+//! - [`run`](FleetSimulator::run) replays a materialized [`Trace`] as
+//!   one epoch spanning the whole trace: the reference engine, and the
+//!   pre-built replay the criterion rows time;
+//! - every streaming entry point ([`run_stream`](FleetSimulator::run_stream),
+//!   [`run_stream_resumable`](FleetSimulator::run_stream_resumable) and
+//!   their variants) goes through one private function, `replay`, that
+//!   chains the loop over fixed epochs of a lazy [`StreamTrace`], carries the
+//!   canonical state across each boundary, and snapshots it so a killed
+//!   replay resumes. The single pass is its one-epoch case. Peak memory
+//!   is O(functions + in-flight placements), not O(total arrivals).
 //!
-//! All of them are bit-identical for every epoch size and every kill
-//! point (guarded by `tests/determinism.rs` and `tests/crash_resume.rs`).
-//! See `crates/core/README.md` for the epoch-chaining contract.
+//! Every attempt — arrival, retry or hedge — goes through one admission
+//! pass. All entry points are bit-identical for every epoch size and
+//! every kill point (guarded by `tests/determinism.rs` and
+//! `tests/crash_resume.rs`). See `crates/core/README.md` for the
+//! epoch-chaining contract.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -66,7 +69,7 @@ use crate::market::{
 use crate::provider::PlannedPlacement;
 use crate::retry::{PendingRetry, RetryBudget, KIND_HEDGE, KIND_RETRY};
 use crate::snapshot::{ReplaySnapshot, Unwire, Wire, SNAPSHOT_VERSION};
-use crate::trace::{event_nanos, MAX_WINDOWS};
+use crate::trace::{event_nanos, MAX_EPOCHS};
 use crate::wheel::TimerWheel;
 use crate::{FreedomError, Result};
 
@@ -275,7 +278,22 @@ struct ResolvedAlternate {
     inflation: f64,
 }
 
-/// Everything a window simulation reads: immutable for the whole replay.
+/// Where the admission pass sends one attempt.
+#[derive(Debug, Clone, Copy)]
+enum Admission {
+    /// On-demand, for the reason its outcome class names: no active
+    /// alternate, a policy denial, or no slot fit.
+    OnDemand(u8),
+    /// Spot: alternate `ai` of the function's plan fits `slot`;
+    /// `utilization` is what the policy gate saw, and prices the run.
+    Spot {
+        ai: usize,
+        slot: u32,
+        utilization: f64,
+    },
+}
+
+/// Everything an epoch simulation reads: immutable for the whole replay.
 struct ReplayCtx {
     /// Per-function list-price cost of the best configuration.
     best_costs: Vec<f64>,
@@ -423,11 +441,11 @@ impl Settled {
 /// therefore bit-identical between the single pass and the epoch chain.
 ///
 /// The per-invocation arrays cover invocations `settled.next..` only:
-/// [`WindowMetering::fold`] moves settled invocations into the
+/// [`EpochMetering::fold`] moves settled invocations into the
 /// accumulators, which is what keeps the resumable replay's snapshots
 /// sized by in-flight work rather than history.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct WindowMetering {
+pub(crate) struct EpochMetering {
     settled: Settled,
     costs: Vec<f64>,
     inflations: Vec<f64>,
@@ -448,7 +466,7 @@ pub(crate) struct WindowMetering {
     notified: u32,
 }
 
-impl WindowMetering {
+impl EpochMetering {
     /// Serializes the metering into a crash-resume snapshot: the settled
     /// accumulators, the per-invocation records of the unsettled tail,
     /// then the outcome adjustments, retry and hedge records, and
@@ -509,7 +527,7 @@ impl WindowMetering {
         w.u32(self.notified);
     }
 
-    /// Restores metering serialized with [`WindowMetering::save`] at a
+    /// Restores metering serialized with [`EpochMetering::save`] at a
     /// boundary where `events_consumed` arrivals had been replayed and
     /// `carry` crossed. Every invariant the fold and the reduction index
     /// by is checked here, so a corrupt snapshot whose checksum still
@@ -660,8 +678,10 @@ impl WindowMetering {
     /// Appends `other` — the metering of the epoch that follows this
     /// one — to the unsettled tail. The concatenation is in global
     /// arrival order, so the chained metering reduces bit-identically
-    /// to one window's over the whole trace.
-    fn append(&mut self, other: &WindowMetering) {
+    /// to one epoch's over the whole trace. Records move into an empty
+    /// tail instead of being copied, so the single pass hands its one
+    /// epoch's per-event records over whole.
+    fn append(&mut self, other: EpochMetering) {
         debug_assert!(other.settled.next == 0 && other.settled.runs.is_empty());
         // The fold's premise: nothing recorded after a fold targets an
         // invocation it settled.
@@ -672,13 +692,20 @@ impl WindowMetering {
                 && other.hedges.iter().all(|h| h.idx >= next),
             "a record targets an invocation already folded as settled"
         );
-        self.costs.extend_from_slice(&other.costs);
-        self.inflations.extend_from_slice(&other.inflations);
-        self.classes.extend_from_slice(&other.classes);
-        self.adjustments.extend_from_slice(&other.adjustments);
-        self.retries.extend_from_slice(&other.retries);
-        self.hedges.extend_from_slice(&other.hedges);
-        self.samples.extend_from_slice(&other.samples);
+        fn extend<T: Copy>(tail: &mut Vec<T>, more: Vec<T>) {
+            if tail.is_empty() {
+                *tail = more;
+            } else {
+                tail.extend_from_slice(&more);
+            }
+        }
+        extend(&mut self.costs, other.costs);
+        extend(&mut self.inflations, other.inflations);
+        extend(&mut self.classes, other.classes);
+        extend(&mut self.adjustments, other.adjustments);
+        extend(&mut self.retries, other.retries);
+        extend(&mut self.hedges, other.hedges);
+        extend(&mut self.samples, other.samples);
         self.notified += other.notified;
     }
 
@@ -763,7 +790,7 @@ impl WindowMetering {
 #[derive(Debug, Clone)]
 pub(crate) struct Carry {
     inflight: Vec<InFlight>,
-    /// Pending retry/hedge events firing in a later window, in
+    /// Pending retry/hedge events firing in a later epoch, in
     /// [`PendingRetry::key`] order.
     retries: Vec<PendingRetry>,
     /// Per-family retry token buckets (balance + last refill instant).
@@ -773,7 +800,7 @@ pub(crate) struct Carry {
 }
 
 impl Carry {
-    /// The exact state entering window 0: empty market, full retry
+    /// The exact state entering epoch 0: empty market, full retry
     /// budgets, the controller's initial state, a zeroed epoch.
     fn initial(ctx: &ReplayCtx) -> Self {
         Self {
@@ -937,10 +964,10 @@ impl Carry {
     }
 }
 
-/// A window's result: metering plus the carried state crossing into the
-/// next window.
-struct WindowOutcome {
-    metering: WindowMetering,
+/// An epoch's result: metering plus the carried state crossing into the
+/// next epoch.
+struct EpochOutcome {
+    metering: EpochMetering,
     carry_out: Carry,
     /// Most in-flight placements the completion queue ever held.
     peak_inflight: usize,
@@ -996,10 +1023,10 @@ impl FleetSimulator {
         Ok(Self { plans })
     }
 
-    /// Replays a materialized trace under a strategy: one simulation
-    /// window spanning the whole trace. The engine pulls events through
-    /// the same iterator interface as the streaming replay; here the
-    /// iterator happens to walk a slice.
+    /// Replays a materialized trace under a strategy: one simulated
+    /// epoch spanning the whole trace, like the streaming single pass.
+    /// The engine pulls events through the same iterator interface as
+    /// the streaming replay; here the iterator happens to walk a slice.
     pub fn run(
         &self,
         trace: &Trace,
@@ -1013,14 +1040,14 @@ impl FleetSimulator {
             .unwrap_or(0);
         let ctx = self.prepare(trace.n_functions(), horizon, strategy, config)?;
         let events = trace.events();
-        let outcome = simulate_window(
+        let outcome = simulate_epoch(
             &ctx,
             events.iter().copied(),
             events.len(),
             0,
             &Carry::initial(&ctx),
             0,
-            u64::MAX,
+            ONE_EPOCH,
             &mut NoopRecorder,
         );
         Ok(reduce(
@@ -1063,7 +1090,8 @@ impl FleetSimulator {
     /// [`Recorder`] attached. Telemetry is strictly observational: the
     /// report is bit-identical to the untraced replay for every recorder
     /// (the determinism lattice pins this), and with [`NoopRecorder`]
-    /// the instrumentation monomorphizes away entirely.
+    /// the instrumentation monomorphizes away entirely. The single pass
+    /// is the epoch chain's one-epoch case.
     pub fn run_stream_traced<R: Recorder>(
         &self,
         trace: &StreamTrace,
@@ -1071,42 +1099,21 @@ impl FleetSimulator {
         config: &FleetConfig,
         rec: &mut R,
     ) -> Result<(FleetReport, ReplayStats)> {
-        let ctx = self.prepare(trace.n_functions(), trace.horizon_nanos(), strategy, config)?;
-        let mut stream = trace.open()?;
-        let outcome = simulate_window(
-            &ctx,
-            stream.events(),
-            trace.len(),
-            0,
-            &Carry::initial(&ctx),
-            0,
-            u64::MAX,
-            rec,
-        );
-        rec.add(tel::Counter::WindowsSimulated, 1);
-        let stats = ReplayStats {
-            events: trace.len(),
-            peak_inflight: outcome.peak_inflight,
-            peak_cursor_resident: stream.peak_resident(),
-        };
-        let report = reduce(
-            strategy,
-            config.slo_theta,
-            trace.len(),
-            outcome.metering,
-            ctx.controller_label,
-        );
+        let no_snapshots = |_: &ReplaySnapshot, _: &mut R| Ok(true);
+        let (report, stats) =
+            self.replay(trace, strategy, config, ONE_EPOCH, None, rec, no_snapshots)?;
+        let report = report.expect("one unbounded epoch never stops early");
         Ok((report, stats))
     }
 
-    /// Crash-resumable streaming replay: chains exact-carry windows of
-    /// `snapshot_secs` sequentially and, at every window (epoch)
-    /// boundary, hands `on_snapshot` a versioned [`ReplaySnapshot`] —
-    /// the stream checkpoint, the carried state, and the metering with
-    /// every settled invocation folded into fixed-size accumulators, so
-    /// a snapshot's size follows in-flight work rather than the events
+    /// Crash-resumable streaming replay: chains exact-carry epochs of
+    /// `snapshot_secs` sequentially and, at every epoch boundary, hands
+    /// `on_snapshot` a versioned [`ReplaySnapshot`] — the stream
+    /// checkpoint, the carried state, and the metering with every
+    /// settled invocation folded into fixed-size accumulators, so a
+    /// snapshot's size follows in-flight work rather than the events
     /// replayed so far. Feeding a persisted snapshot back as `resume`
-    /// replays only the remaining windows; the resulting report is
+    /// replays only the remaining epochs; the resulting report is
     /// **bit-identical** to [`FleetSimulator::run_stream`] (and the
     /// whole determinism lattice) for every epoch size, no matter where
     /// the run was killed.
@@ -1155,22 +1162,44 @@ impl FleetSimulator {
         snapshot_secs: f64,
         resume: Option<&ReplaySnapshot>,
         rec: &mut R,
-        mut on_snapshot: impl FnMut(&ReplaySnapshot, &mut R) -> Result<bool>,
+        on_snapshot: impl FnMut(&ReplaySnapshot, &mut R) -> Result<bool>,
     ) -> Result<Option<FleetReport>> {
+        let epoch_nanos = validate_epoch(trace.horizon_nanos(), snapshot_secs)?;
+        let (report, _) = self.replay(
+            trace,
+            strategy,
+            config,
+            epoch_nanos,
+            resume,
+            rec,
+            on_snapshot,
+        )?;
+        Ok(report)
+    }
+
+    /// The epoch chain behind every streaming entry point:
+    /// replays `trace` as a chain of exact-carry epochs
+    /// `[k·epoch_nanos, (k+1)·epoch_nanos)`, from the start or from
+    /// `resume`. At every interior boundary it folds the settled
+    /// invocations out of the metering and hands `on_snapshot` the
+    /// snapshot; `Ok(false)` stops the replay without a report. The
+    /// single pass is the one-epoch case, [`ONE_EPOCH`]: one unbounded
+    /// epoch, never closed early, with no boundary to snapshot at.
+    #[allow(clippy::too_many_arguments)]
+    fn replay<R: Recorder>(
+        &self,
+        trace: &StreamTrace,
+        strategy: PlacementStrategy,
+        config: &FleetConfig,
+        epoch_nanos: u64,
+        resume: Option<&ReplaySnapshot>,
+        rec: &mut R,
+        mut on_snapshot: impl FnMut(&ReplaySnapshot, &mut R) -> Result<bool>,
+    ) -> Result<(Option<FleetReport>, ReplayStats)> {
         let horizon = trace.horizon_nanos();
-        let window_nanos = validate_window(horizon, snapshot_secs)?;
         let ctx = self.prepare(trace.n_functions(), horizon, strategy, config)?;
-        if trace.is_empty() {
-            return Ok(Some(reduce(
-                strategy,
-                config.slo_theta,
-                0,
-                WindowMetering::default(),
-                ctx.controller_label,
-            )));
-        }
-        let fingerprint = replay_fingerprint(&ctx, strategy, config, trace.len(), window_nanos);
-        let n = (horizon / window_nanos) as usize + 1;
+        let fingerprint = replay_fingerprint(&ctx, strategy, config, trace.len(), epoch_nanos);
+        let n = (horizon / epoch_nanos) as usize + 1;
         let (mut k, mut carry, mut stream, mut prefix, mut consumed) = match resume {
             Some(snap) => {
                 if snap.fingerprint != fingerprint {
@@ -1186,7 +1215,7 @@ impl FleetSimulator {
                         snap.epoch
                     )));
                 }
-                snap.carry.check(&ctx, snap.epoch * window_nanos)?;
+                snap.carry.check(&ctx, snap.epoch * epoch_nanos)?;
                 (
                     snap.epoch as usize,
                     snap.carry.clone(),
@@ -1199,13 +1228,16 @@ impl FleetSimulator {
                 0,
                 Carry::initial(&ctx),
                 trace.open()?,
-                WindowMetering::default(),
+                EpochMetering::default(),
                 0,
             ),
         };
         let total = trace.len() as u64;
+        // A single epoch meters every arrival of the trace.
+        let presize = if n == 1 { trace.len() } else { 0 };
+        let mut peak_inflight = 0;
         while k < n {
-            let (start, end) = window_span(k, window_nanos);
+            let (start, end) = epoch_span(k, epoch_nanos);
             let mut count = 0u64;
             let mut stray = false;
             let outcome = {
@@ -1224,17 +1256,27 @@ impl FleetSimulator {
                     count += 1;
                     stream.next()
                 });
-                simulate_window(&ctx, events, 0, consumed as u32, &carry, start, end, rec)
+                simulate_epoch(
+                    &ctx,
+                    events,
+                    presize,
+                    consumed as u32,
+                    &carry,
+                    start,
+                    end,
+                    rec,
+                )
             };
             if stray {
                 return Err(FreedomError::InvalidArgument(format!(
                     "resumed trace stream strays outside epoch {k} or past its {total} events"
                 )));
             }
-            rec.add(tel::Counter::WindowsSimulated, 1);
+            rec.add(tel::Counter::EpochsSimulated, 1);
             consumed += count;
             carry = outcome.carry_out;
-            prefix.append(&outcome.metering);
+            peak_inflight = peak_inflight.max(outcome.peak_inflight);
+            prefix.append(outcome.metering);
             k += 1;
             if k < n {
                 // Below the watermark no attempt is in flight and no
@@ -1254,13 +1296,13 @@ impl FleetSimulator {
                     version: SNAPSHOT_VERSION,
                     fingerprint,
                     epoch: k as u64,
-                    window_nanos,
+                    epoch_nanos,
                     events_consumed: consumed,
                     checkpoint: stream.checkpoint(),
                     carry: carry.clone(),
                     metering: std::mem::take(&mut prefix),
                 };
-                let boundary = k as u64 * window_nanos;
+                let boundary = k as u64 * epoch_nanos;
                 rec.span_sim(tel::Span::SnapshotEpoch, boundary, boundary, k as u64);
                 rec.add(tel::Counter::SnapshotsWritten, 1);
                 let snap_wall = rec.now_nanos();
@@ -1268,22 +1310,31 @@ impl FleetSimulator {
                 rec.span_wall(tel::Span::SnapshotEpoch, snap_wall, k as u64);
                 prefix = snap.metering;
                 if !keep_going {
-                    return Ok(None);
+                    break;
                 }
             }
+        }
+        let stats = ReplayStats {
+            events: consumed as usize,
+            peak_inflight,
+            peak_cursor_resident: stream.peak_resident(),
+        };
+        if k < n {
+            return Ok((None, stats));
         }
         if consumed != total {
             return Err(FreedomError::InvalidArgument(format!(
                 "resumed trace stream ended after {consumed} of its {total} events"
             )));
         }
-        Ok(Some(reduce(
+        let report = reduce(
             strategy,
             config.slo_theta,
             trace.len(),
             prefix,
             ctx.controller_label,
-        )))
+        );
+        Ok((Some(report), stats))
     }
 
     /// Validates inputs and resolves plans, supply schedule, and market
@@ -1396,10 +1447,10 @@ impl FleetSimulator {
     }
 }
 
-/// One window's live simulation state: the market ledger and completion
+/// One epoch's live simulation state: the market ledger and completion
 /// queue, the supply and tick cursors, the controller state it carries
 /// forward, and the epoch accumulator feeding the next tick.
-struct WindowSim<'a, R: Recorder> {
+struct EpochSim<'a, R: Recorder> {
     ctx: &'a ReplayCtx,
     /// The replay's telemetry sink. Strictly observational — nothing in
     /// the simulation reads it back.
@@ -1423,7 +1474,7 @@ struct WindowSim<'a, R: Recorder> {
     /// tick (`u64::MAX` when all are exhausted). At fleet scale the
     /// event loop is
     /// dominated by arrivals that advance time *between* breaks;
-    /// caching the minimum lets [`WindowSim::advance`] drain due
+    /// caching the minimum lets [`EpochSim::advance`] drain due
     /// completions on a three-instruction guard instead of re-deriving
     /// all three cursors per arrival. Every break-firing path
     /// recomputes it.
@@ -1440,10 +1491,10 @@ struct WindowSim<'a, R: Recorder> {
     control: ControlState,
     accum: ObsAccum,
     scratch: ControlScratch,
-    m: WindowMetering,
+    m: EpochMetering,
 }
 
-impl<R: Recorder> WindowSim<'_, R> {
+impl<R: Recorder> EpochSim<'_, R> {
     /// The next pending tick instant, if any remains before the horizon.
     fn next_tick_at(&self) -> Option<u64> {
         let at = self.next_tick.checked_mul(self.ctx.cadence_nanos)?;
@@ -1607,14 +1658,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             }
             match self.ledger.migrate_target(e.slot, e.milli, e.mib) {
                 Some(slot) => {
-                    let moved = InFlight {
-                        slot,
-                        epoch: self.ledger.epoch(slot),
-                        ..e
-                    };
-                    self.ledger.place(&moved);
-                    self.queue.push(moved);
-                    self.peak_inflight = self.peak_inflight.max(self.queue.len());
+                    self.occupy(InFlight { slot, ..e });
                     self.accum.migrated += 1;
                     self.rec.add(tel::Counter::Migrated, 1);
                     self.m.adjustments.push((
@@ -1725,9 +1769,8 @@ impl<R: Recorder> WindowSim<'_, R> {
         self.next_tick += 1;
     }
 
-    /// Places one arrival: the admission policy currently in force gates
-    /// the market, and the placement order is the controller's revision
-    /// when one exists, the planner's order otherwise.
+    /// Places one arrival through the admission pass and meters its
+    /// first attempt.
     fn arrival(&mut self, function: usize, idx: u32, at: u64) {
         // Telemetry on the hot path: counter and histogram updates are
         // array writes into preallocated storage; the only clock read
@@ -1750,64 +1793,106 @@ impl<R: Recorder> WindowSim<'_, R> {
             0
         };
         self.accum.arrivals += 1;
-        let a0 = self.ctx.alt_offsets[function] as usize;
-        let a1 = self.ctx.alt_offsets[function + 1] as usize;
-        let alternates = &self.ctx.alts[a0..a1];
-        let best_cost_usd = self.ctx.best_costs[function];
-        let off = self.ctx.obs_offsets[function] as usize;
-        let n_alts = alternates.len();
+        let admission = self.admit(function, true);
+        let class = self.count(function, admission);
+        let (cost, inflation) = match admission {
+            Admission::Spot {
+                ai,
+                slot,
+                utilization,
+            } => {
+                let (cost, rel_inflation, _) =
+                    self.place_attempt(function, idx, at, at, 1, ai, slot, utilization);
+                (cost, rel_inflation)
+            }
+            Admission::OnDemand(_) => (self.ctx.best_costs[function], 1.0),
+        };
+        if R::ENABLED && t0 != 0 {
+            let dt = self.rec.now_nanos().saturating_sub(t0);
+            self.rec.observe(tel::Hist::AdmissionNanos, dt);
+        }
+        self.m.costs.push(cost);
+        self.m.inflations.push(inflation);
+        self.m.classes.push(class);
+    }
+
+    /// The admission pass every attempt goes through — a fresh arrival,
+    /// a firing retry, a firing hedge: no active alternate sends it
+    /// on-demand; otherwise the admission policy in force gates the
+    /// market, and the active alternates are tried in the controller's
+    /// revised order (the planner's when there is none), best-fit within
+    /// each family's available slots. Brownout's tighter ceiling applies
+    /// to `fresh` arrivals only: retries are shed and hedges dropped
+    /// before they get here.
+    fn admit(&self, function: usize, fresh: bool) -> Admission {
+        debug_assert!(
+            fresh || !self.control.brownout,
+            "retries and hedges never reach admission under brownout"
+        );
+        let ctx = self.ctx;
+        let a0 = ctx.alt_offsets[function] as usize;
+        let a1 = ctx.alt_offsets[function + 1] as usize;
+        let alternates = &ctx.alts[a0..a1];
         let order = self.control.order_for(function);
         // A revised-empty order means the controller retired every
         // alternate: the function runs on-demand, like a plan that never
         // had accepted alternates.
-        let no_candidates = n_alts == 0 || order.is_some_and(|o| o.is_empty());
-        let (class, cost, inflation) = if no_candidates {
-            self.accum.per_function[off + n_alts] += 1;
-            (CLASS_ON_DEMAND, best_cost_usd, 1.0)
-        } else {
-            let utilization = self.ledger.utilization();
-            // Brownout tightens fresh-arrival admission: while the mode
-            // is active, arrivals are additionally rejected whenever
-            // utilization is at or above the brownout ceiling.
-            let brownout_block = self.control.brownout
-                && self
-                    .ctx
-                    .retry
-                    .brownout
-                    .is_some_and(|b| utilization >= b.utilization_ceiling);
-            if !self.control.admission.admits(utilization) || brownout_block {
-                self.accum.policy_rejected += 1;
-                self.accum.per_function[off + n_alts] += 1;
-                (CLASS_POLICY_REJECT, best_cost_usd, 1.0)
-            } else {
-                // Try the active alternates in order, best-fit within
-                // each family's available slots.
-                let fit = |ai: usize| {
-                    let alt = &alternates[ai];
-                    self.ledger
-                        .best_fit(alt.family, alt.milli_vcpus, alt.memory_mib)
-                        .map(|slot| (ai, slot))
-                };
-                let placed = match order {
-                    Some(order) => order.iter().find_map(|&ai| fit(ai as usize)),
-                    None => (0..n_alts).find_map(fit),
-                };
-                match placed {
-                    Some((ai, slot)) => {
-                        let (cost, rel_inflation, _) =
-                            self.place_attempt(function, idx, at, at, 1, ai, slot, utilization);
-                        self.accum.spot_admitted += 1;
-                        self.accum.per_function[off + ai] += 1;
-                        (CLASS_ADMITTED, cost, rel_inflation)
-                    }
-                    None => {
-                        self.accum.capacity_missed += 1;
-                        self.accum.per_function[off + n_alts] += 1;
-                        (CLASS_CAPACITY_MISS, best_cost_usd, 1.0)
-                    }
+        if alternates.is_empty() || order.is_some_and(|o| o.is_empty()) {
+            return Admission::OnDemand(CLASS_ON_DEMAND);
+        }
+        let utilization = self.ledger.utilization();
+        // Brownout tightens fresh-arrival admission: while the mode is
+        // active, arrivals are additionally rejected whenever
+        // utilization is at or above the brownout ceiling.
+        let brownout_block = fresh
+            && self.control.brownout
+            && ctx
+                .retry
+                .brownout
+                .is_some_and(|b| utilization >= b.utilization_ceiling);
+        if !self.control.admission.admits(utilization) || brownout_block {
+            return Admission::OnDemand(CLASS_POLICY_REJECT);
+        }
+        let fit = |ai: usize| {
+            let alt = &alternates[ai];
+            self.ledger
+                .best_fit(alt.family, alt.milli_vcpus, alt.memory_mib)
+                .map(|slot| (ai, slot))
+        };
+        let placed = match order {
+            Some(order) => order.iter().find_map(|&ai| fit(ai as usize)),
+            None => (0..alternates.len()).find_map(fit),
+        };
+        match placed {
+            Some((ai, slot)) => Admission::Spot {
+                ai,
+                slot,
+                utilization,
+            },
+            None => Admission::OnDemand(CLASS_CAPACITY_MISS),
+        }
+    }
+
+    /// Counts one admitted activation — an arrival or a firing retry —
+    /// in the control epoch (its class counter and the observation slot
+    /// of the placement it got, the trailing on-demand slot unless
+    /// placed) and in the recorder; returns its outcome class.
+    fn count(&mut self, function: usize, admission: Admission) -> u8 {
+        let (class, obs_slot) = match admission {
+            Admission::Spot { ai, .. } => {
+                self.accum.spot_admitted += 1;
+                (CLASS_ADMITTED, self.ctx.obs_offsets[function] as usize + ai)
+            }
+            Admission::OnDemand(class) => {
+                match class {
+                    CLASS_POLICY_REJECT => self.accum.policy_rejected += 1,
+                    CLASS_CAPACITY_MISS => self.accum.capacity_missed += 1,
+                    _ => {}
                 }
+                (class, self.ctx.obs_offsets[function + 1] as usize - 1)
             }
         };
+        self.accum.per_function[obs_slot] += 1;
         if R::ENABLED {
             self.rec.add(
                 match class {
@@ -1818,14 +1903,20 @@ impl<R: Recorder> WindowSim<'_, R> {
                 },
                 1,
             );
-            if t0 != 0 {
-                let dt = self.rec.now_nanos().saturating_sub(t0);
-                self.rec.observe(tel::Hist::AdmissionNanos, dt);
-            }
         }
-        self.m.costs.push(cost);
-        self.m.inflations.push(inflation);
-        self.m.classes.push(class);
+        class
+    }
+
+    /// Occupies the entry's slot, stamped with the slot's current epoch,
+    /// and queues its completion.
+    fn occupy(&mut self, entry: InFlight) {
+        let entry = InFlight {
+            epoch: self.ledger.epoch(entry.slot),
+            ..entry
+        };
+        self.ledger.place(&entry);
+        self.queue.push(entry);
+        self.peak_inflight = self.peak_inflight.max(self.queue.len());
     }
 
     /// Executes one placed attempt: draws the attempt's transient fault,
@@ -1888,19 +1979,16 @@ impl<R: Recorder> WindowSim<'_, R> {
             ),
             _ => (RUN_NORMAL, alt.duration_nanos, alt.inflation),
         };
-        let entry = InFlight {
+        self.occupy(InFlight {
             completion_nanos: at + duration,
             slot,
             idx,
-            epoch: self.ledger.epoch(slot),
+            epoch: 0,
             milli: alt.milli_vcpus,
             mib: alt.memory_mib,
             meta: InFlight::meta_of(kind, attempt),
             list_cost_usd: alt.list_cost_usd,
-        };
-        self.ledger.place(&entry);
-        self.queue.push(entry);
-        self.peak_inflight = self.peak_inflight.max(self.queue.len());
+        });
         if kind == RUN_ABORT {
             // The retry is scheduled now, to fire at the abort's
             // surfacing instant plus backoff. A later migration or
@@ -1946,24 +2034,7 @@ impl<R: Recorder> WindowSim<'_, R> {
     ) {
         let policy = &self.ctx.retry;
         let at = base_nanos.saturating_add(policy.backoff_nanos(idx, next_attempt));
-        if next_attempt > policy.max_attempts || at > self.ctx.horizon_nanos {
-            let best_d = self.ctx.best_duration_nanos[function as usize] as f64;
-            let inflation = ((base_nanos.saturating_sub(arrival_nanos)) as f64 / best_d).max(1.0);
-            self.push_retry_record(RetryRecord {
-                idx,
-                attempt: next_attempt,
-                class: CLASS_DEAD_LETTERED,
-                flags: 0,
-                cost_usd: 0.0,
-                inflation,
-            });
-            return;
-        }
-        if R::ENABLED {
-            self.rec
-                .observe(tel::Hist::RetryBackoffNanos, at - base_nanos);
-        }
-        self.retries.push(Reverse(PendingRetry {
+        let retry = PendingRetry {
             at_nanos: at,
             idx,
             function,
@@ -1972,7 +2043,16 @@ impl<R: Recorder> WindowSim<'_, R> {
             family,
             arrival_nanos,
             orig_completion_nanos: 0,
-        }));
+        };
+        if next_attempt > policy.max_attempts || at > self.ctx.horizon_nanos {
+            self.dead_letter(&retry, base_nanos, 0);
+            return;
+        }
+        if R::ENABLED {
+            self.rec
+                .observe(tel::Hist::RetryBackoffNanos, at - base_nanos);
+        }
+        self.retries.push(Reverse(retry));
         self.next_break = self.next_break.min(at);
     }
 
@@ -2015,120 +2095,58 @@ impl<R: Recorder> WindowSim<'_, R> {
     /// Fires one pending retry: the activation re-enters admission as a
     /// first-class event. Brownout sheds it first (retries yield to
     /// fresh arrivals under overload), then the family budget is
-    /// charged, then the full admission pass re-runs — policy gate,
-    /// controller-ordered best-fit, fresh fault draw — exactly as a
-    /// fresh arrival would. The activation's outcome lands in one
-    /// [`RetryRecord`]; terminal fallbacks record end-to-end inflation
-    /// (queueing included) against the function's best-config time.
+    /// charged, then the activation runs the admission pass
+    /// ([`EpochSim::admit`]) and draws a fresh fault, as an arrival
+    /// does. Its outcome lands in one [`RetryRecord`]; terminal
+    /// fallbacks record end-to-end inflation (queueing included)
+    /// against the function's best-config time.
     fn fire_retry(&mut self, p: PendingRetry) {
         let now = p.at_nanos;
-        let function = p.function as usize;
-        let best_dur = self.ctx.best_duration_nanos[function];
-        let best_d = best_dur as f64;
-        let end_to_end = move |end: u64| (end.saturating_sub(p.arrival_nanos)) as f64 / best_d;
         if self.control.brownout {
-            self.push_retry_record(RetryRecord {
-                idx: p.idx,
-                attempt: p.attempt,
-                class: CLASS_DEAD_LETTERED,
-                flags: RETRY_FLAG_SHED,
-                cost_usd: 0.0,
-                inflation: end_to_end(now).max(1.0),
-            });
+            self.dead_letter(&p, now, RETRY_FLAG_SHED);
             return;
         }
         if !self
             .budget
             .try_spend(p.family as usize, now, &self.ctx.retry)
         {
-            self.push_retry_record(RetryRecord {
-                idx: p.idx,
-                attempt: p.attempt,
-                class: CLASS_DEAD_LETTERED,
-                flags: 0,
-                cost_usd: 0.0,
-                inflation: end_to_end(now).max(1.0),
-            });
+            self.dead_letter(&p, now, 0);
             return;
         }
-        let a0 = self.ctx.alt_offsets[function] as usize;
-        let a1 = self.ctx.alt_offsets[function + 1] as usize;
-        let alternates = &self.ctx.alts[a0..a1];
-        let n_alts = alternates.len();
-        let off = self.ctx.obs_offsets[function] as usize;
-        let best_cost_usd = self.ctx.best_costs[function];
-        let order = self.control.order_for(function);
-        let no_candidates = n_alts == 0 || order.is_some_and(|o| o.is_empty());
-        let (class, cost, inflation) = if no_candidates {
-            self.accum.per_function[off + n_alts] += 1;
-            (CLASS_ON_DEMAND, best_cost_usd, end_to_end(now + best_dur))
-        } else {
-            let utilization = self.ledger.utilization();
-            if !self.control.admission.admits(utilization) {
-                self.accum.policy_rejected += 1;
-                self.accum.per_function[off + n_alts] += 1;
-                (
-                    CLASS_POLICY_REJECT,
-                    best_cost_usd,
-                    end_to_end(now + best_dur),
-                )
-            } else {
-                let fit = |ai: usize| {
-                    let alt = &alternates[ai];
-                    self.ledger
-                        .best_fit(alt.family, alt.milli_vcpus, alt.memory_mib)
-                        .map(|slot| (ai, slot))
-                };
-                let placed = match order {
-                    Some(order) => order.iter().find_map(|&ai| fit(ai as usize)),
-                    None => (0..n_alts).find_map(fit),
-                };
-                match placed {
-                    Some((ai, slot)) => {
-                        let (cost, _, end) = self.place_attempt(
-                            function,
-                            p.idx,
-                            now,
-                            p.arrival_nanos,
-                            p.attempt,
-                            ai,
-                            slot,
-                            utilization,
-                        );
-                        self.accum.spot_admitted += 1;
-                        self.accum.per_function[off + ai] += 1;
-                        (CLASS_ADMITTED, cost, end_to_end(end))
-                    }
-                    None => {
-                        self.accum.capacity_missed += 1;
-                        self.accum.per_function[off + n_alts] += 1;
-                        (
-                            CLASS_CAPACITY_MISS,
-                            best_cost_usd,
-                            end_to_end(now + best_dur),
-                        )
-                    }
-                }
+        let function = p.function as usize;
+        let admission = self.admit(function, false);
+        let class = self.count(function, admission);
+        let (cost, end) = match admission {
+            Admission::Spot {
+                ai,
+                slot,
+                utilization,
+            } => {
+                let (cost, _, end) = self.place_attempt(
+                    function,
+                    p.idx,
+                    now,
+                    p.arrival_nanos,
+                    p.attempt,
+                    ai,
+                    slot,
+                    utilization,
+                );
+                (cost, end)
             }
+            Admission::OnDemand(_) => (
+                self.ctx.best_costs[function],
+                now + self.ctx.best_duration_nanos[function],
+            ),
         };
-        if R::ENABLED {
-            self.rec.add(
-                match class {
-                    CLASS_ON_DEMAND => tel::Counter::OnDemand,
-                    CLASS_POLICY_REJECT => tel::Counter::PolicyRejected,
-                    CLASS_CAPACITY_MISS => tel::Counter::CapacityMissed,
-                    _ => tel::Counter::SpotAdmitted,
-                },
-                1,
-            );
-        }
+        let best_d = self.ctx.best_duration_nanos[function] as f64;
         self.push_retry_record(RetryRecord {
             idx: p.idx,
             attempt: p.attempt,
             class,
             flags: 0,
             cost_usd: cost,
-            inflation,
+            inflation: (end.saturating_sub(p.arrival_nanos)) as f64 / best_d,
         });
     }
 
@@ -2136,55 +2154,35 @@ impl<R: Recorder> WindowSim<'_, R> {
     /// work as an extra racing copy. Hedges spend no retry budget,
     /// never fault, and have no outcome class — a placed hedge records
     /// its bill and whether it beats the straggler (decided at
-    /// placement, since both completion instants are fixed there); an
-    /// unplaceable hedge (brownout, policy denial, no fit) drops
-    /// silently.
+    /// placement, since both completion instants are fixed there). A
+    /// hedge runs the admission pass unless brownout is on; one it does
+    /// not place on spot drops silently.
     fn fire_hedge(&mut self, p: PendingRetry) {
         if self.control.brownout {
             return;
         }
         let function = p.function as usize;
+        let Admission::Spot {
+            ai,
+            slot,
+            utilization,
+        } = self.admit(function, false)
+        else {
+            return;
+        };
         let ctx = self.ctx;
-        let a0 = ctx.alt_offsets[function] as usize;
-        let a1 = ctx.alt_offsets[function + 1] as usize;
-        let alternates = &ctx.alts[a0..a1];
-        let n_alts = alternates.len();
-        let order = self.control.order_for(function);
-        if n_alts == 0 || order.is_some_and(|o| o.is_empty()) {
-            return;
-        }
-        let utilization = self.ledger.utilization();
-        if !self.control.admission.admits(utilization) {
-            return;
-        }
-        let fit = |ai: usize| {
-            let alt = &alternates[ai];
-            self.ledger
-                .best_fit(alt.family, alt.milli_vcpus, alt.memory_mib)
-                .map(|slot| (ai, slot))
-        };
-        let placed = match order {
-            Some(order) => order.iter().find_map(|&ai| fit(ai as usize)),
-            None => (0..n_alts).find_map(fit),
-        };
-        let Some((ai, slot)) = placed else {
-            return;
-        };
-        let alt = &alternates[ai];
+        let alt = &ctx.alts[ctx.alt_offsets[function] as usize + ai];
         let completion = p.at_nanos + alt.duration_nanos;
-        let entry = InFlight {
+        self.occupy(InFlight {
             completion_nanos: completion,
             slot,
             idx: p.idx,
-            epoch: self.ledger.epoch(slot),
+            epoch: 0,
             milli: alt.milli_vcpus,
             mib: alt.memory_mib,
             meta: InFlight::meta_of(RUN_HEDGE, p.attempt),
             list_cost_usd: alt.list_cost_usd,
-        };
-        self.ledger.place(&entry);
-        self.queue.push(entry);
-        self.peak_inflight = self.peak_inflight.max(self.queue.len());
+        });
         let won = completion < p.orig_completion_nanos;
         if R::ENABLED && won {
             self.rec.add(tel::Counter::HedgeWins, 1);
@@ -2195,6 +2193,20 @@ impl<R: Recorder> WindowSim<'_, R> {
             won,
             cost_usd: alt.list_cost_usd * ctx.market.spot.demand_fraction(utilization),
             inflation_if_won: (completion.saturating_sub(p.arrival_nanos)) as f64 / best_d,
+        });
+    }
+
+    /// Dead-letters retry activation `p` at `at`: no re-execution and no
+    /// bill, with its end-to-end inflation so far (at least 1).
+    fn dead_letter(&mut self, p: &PendingRetry, at: u64, flags: u8) {
+        let best_d = self.ctx.best_duration_nanos[p.function as usize] as f64;
+        self.push_retry_record(RetryRecord {
+            idx: p.idx,
+            attempt: p.attempt,
+            class: CLASS_DEAD_LETTERED,
+            flags,
+            cost_usd: 0.0,
+            inflation: ((at.saturating_sub(p.arrival_nanos)) as f64 / best_d).max(1.0),
         });
     }
 
@@ -2216,29 +2228,33 @@ impl<R: Recorder> WindowSim<'_, R> {
     }
 }
 
+/// Epoch length of the single pass: one epoch, unbounded, so it is
+/// never closed early and has no boundary to snapshot at.
+const ONE_EPOCH: u64 = u64::MAX;
+
 /// Validates a resumable replay's epoch size; returns it in integer
 /// nanoseconds.
-fn validate_window(horizon_nanos: u64, window_secs: f64) -> Result<u64> {
-    if !window_secs.is_finite() || window_secs <= 0.0 {
+fn validate_epoch(horizon_nanos: u64, epoch_secs: f64) -> Result<u64> {
+    if !epoch_secs.is_finite() || epoch_secs <= 0.0 {
         return Err(FreedomError::InvalidArgument(format!(
-            "window must be positive, got {window_secs}s"
+            "epoch must be positive, got {epoch_secs}s"
         )));
     }
-    let window_nanos = ((window_secs * 1e9) as u64).max(1);
-    if horizon_nanos / window_nanos >= MAX_WINDOWS {
+    let epoch_nanos = ((epoch_secs * 1e9) as u64).max(1);
+    if horizon_nanos / epoch_nanos >= MAX_EPOCHS {
         return Err(FreedomError::InvalidArgument(format!(
-            "{window_secs}s windows split this trace into {} windows (max {MAX_WINDOWS})",
-            horizon_nanos / window_nanos + 1
+            "{epoch_secs}s epochs split this trace into {} epochs (max {MAX_EPOCHS})",
+            horizon_nanos / epoch_nanos + 1
         )));
     }
-    Ok(window_nanos)
+    Ok(epoch_nanos)
 }
 
-/// The simulated-time span `[k·w, (k+1)·w)` of window `k`.
-fn window_span(k: usize, window_nanos: u64) -> (u64, u64) {
+/// The simulated-time span `[k·e, (k+1)·e)` of epoch `k`.
+fn epoch_span(k: usize, epoch_nanos: u64) -> (u64, u64) {
     (
-        k as u64 * window_nanos,
-        (k as u64 + 1).saturating_mul(window_nanos),
+        k as u64 * epoch_nanos,
+        (k as u64 + 1).saturating_mul(epoch_nanos),
     )
 }
 
@@ -2252,7 +2268,7 @@ fn replay_fingerprint(
     strategy: PlacementStrategy,
     config: &FleetConfig,
     trace_len: usize,
-    window_nanos: u64,
+    epoch_nanos: u64,
 ) -> u64 {
     let mut h = Fnv64::new();
     for b in format!("{strategy:?}|{config:?}").bytes() {
@@ -2265,12 +2281,12 @@ fn replay_fingerprint(
     }
     h.write(trace_len as u64);
     h.write(ctx.horizon_nanos);
-    h.write(window_nanos);
+    h.write(epoch_nanos);
     h.finish()
 }
 
 thread_local! {
-    /// Per-thread window-close drain buffer. Every window drains its
+    /// Per-thread epoch-close drain buffer. Every epoch drains its
     /// completion queue once at close; the buffer keeps its high-water
     /// capacity across epochs (like the wheel pool in
     /// [`crate::wheel`]), so a steady-state epoch close is
@@ -2280,15 +2296,16 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Simulates one time window `[start_nanos, end_nanos)` of the merged
-/// event stream against the shared market, starting from the carried
-/// state (in-flight ledger, controller, partial epoch). Events arrive
-/// through an iterator and are consumed exactly once — a materialized
-/// slice and a lazy cursor merge replay identically. `n_events` is the
-/// metering pre-size hint. The single pass is the degenerate call: all
-/// events, the initial carry, an unbounded window.
+/// Simulates one epoch `[start_nanos, end_nanos)` of the merged event
+/// stream against the shared market, starting from the carried state
+/// (in-flight ledger, controller, partial observation epoch). Events
+/// arrive through an iterator and are consumed exactly once — a
+/// materialized slice and a lazy cursor merge replay identically.
+/// `n_events` is the metering pre-size hint. The single pass is the
+/// one-epoch call: all events, the initial carry, an unbounded epoch
+/// (`end_nanos` = [`ONE_EPOCH`]).
 #[allow(clippy::too_many_arguments)]
-fn simulate_window<R: Recorder>(
+fn simulate_epoch<R: Recorder>(
     ctx: &ReplayCtx,
     events: impl Iterator<Item = TraceEvent>,
     n_events: usize,
@@ -2297,12 +2314,12 @@ fn simulate_window<R: Recorder>(
     start_nanos: u64,
     end_nanos: u64,
     rec: &mut R,
-) -> WindowOutcome {
-    let window_wall = rec.now_nanos();
+) -> EpochOutcome {
+    let epoch_wall = rec.now_nanos();
     let start = ctx.schedule.start_state(start_nanos);
     let mut ledger = SpotLedger::new(&ctx.market, start.caps);
-    // A notice that fired before this window for a step still ahead:
-    // re-mark its slots so the window starts under the same pending
+    // A notice that fired before this epoch for a step still ahead:
+    // re-mark its slots so the epoch starts under the same pending
     // notice the single pass would be carrying (the notified placements
     // were already counted when the notice fired).
     if let Some(next_caps) = start.notified_next {
@@ -2315,7 +2332,7 @@ fn simulate_window<R: Recorder>(
         ledger.restore(&e);
         queue.push(e);
     }
-    let mut sim = WindowSim {
+    let mut sim = EpochSim {
         ctx,
         rec,
         prev_arrival: u64::MAX,
@@ -2324,9 +2341,9 @@ fn simulate_window<R: Recorder>(
         queue,
         supply_cursor: start.cursor,
         notice_cursor: start.notice_cursor,
-        // Ticks strictly before the window start already fired in a
+        // Ticks strictly before the epoch start already fired in a
         // predecessor; a tick exactly at the start belongs to this
-        // window (its predecessor only advanced to `start − 1`).
+        // epoch (its predecessor only advanced to `start − 1`).
         next_tick: start_nanos.div_ceil(ctx.cadence_nanos).max(1),
         next_break: 0,
         retries: carry_in.retries.iter().map(|&p| Reverse(p)).collect(),
@@ -2334,11 +2351,11 @@ fn simulate_window<R: Recorder>(
         control: carry_in.control.clone(),
         accum: carry_in.accum.clone(),
         scratch: ControlScratch::default(),
-        m: WindowMetering {
+        m: EpochMetering {
             costs: Vec::with_capacity(n_events),
             inflations: Vec::with_capacity(n_events),
             classes: Vec::with_capacity(n_events),
-            ..WindowMetering::default()
+            ..EpochMetering::default()
         },
     };
     sim.next_break = sim.compute_next_break();
@@ -2349,11 +2366,11 @@ fn simulate_window<R: Recorder>(
         sim.arrival(event.function, base_idx + i as u32, at);
     }
 
-    // Close the window: completions, supply steps, and ticks strictly
+    // Close the epoch: completions, supply steps, and ticks strictly
     // before the boundary still belong to it (the single pass's
-    // unbounded window skips this — no steps or ticks outlive the last
+    // unbounded epoch skips this — no steps or ticks outlive the last
     // arrival).
-    if end_nanos != u64::MAX {
+    if end_nanos != ONE_EPOCH {
         sim.advance(end_nanos - 1);
     }
 
@@ -2378,21 +2395,21 @@ fn simulate_window<R: Recorder>(
         }
         inflight
     });
-    let sim_end = if end_nanos == u64::MAX {
+    let sim_end = if end_nanos == ONE_EPOCH {
         ctx.horizon_nanos
     } else {
         end_nanos.min(ctx.horizon_nanos.max(start_nanos))
     };
     sim.rec
-        .span_sim(tel::Span::Window, start_nanos, sim_end, u64::from(base_idx));
+        .span_sim(tel::Span::Epoch, start_nanos, sim_end, u64::from(base_idx));
     sim.rec
-        .span_wall(tel::Span::WindowSim, window_wall, u64::from(base_idx));
-    // Pending retries outliving the window carry over in key order
+        .span_wall(tel::Span::EpochSim, epoch_wall, u64::from(base_idx));
+    // Pending retries outliving the epoch carry over in key order
     // (every entry fires at or after `end_nanos` — the close advanced
     // through `end_nanos − 1`).
     let mut pending: Vec<PendingRetry> = sim.retries.into_iter().map(|Reverse(p)| p).collect();
     pending.sort();
-    WindowOutcome {
+    EpochOutcome {
         metering: sim.m,
         carry_out: Carry {
             inflight,
@@ -2406,8 +2423,8 @@ fn simulate_window<R: Recorder>(
 }
 
 /// Reduces the replay's metering into the fleet report: the whole
-/// remainder is folded ([`WindowMetering::fold`]) — the same
-/// arrival-order fold whether one window or a resumable run's
+/// remainder is folded ([`EpochMetering::fold`]) — the same
+/// arrival-order fold whether one epoch or a resumable run's
 /// already-folded prefix produced the records, which is what makes the
 /// epoch chain bit-identical to the single pass. Retry and hedge records
 /// then finish the reduction: attempt ≥ 2 adjustments re-bill their
@@ -2416,12 +2433,12 @@ fn reduce(
     strategy: PlacementStrategy,
     slo_theta: f64,
     invocations: usize,
-    mut m: WindowMetering,
+    mut m: EpochMetering,
     controller: &'static str,
 ) -> FleetReport {
     m.fold(invocations as u32, 1.0 + slo_theta);
     debug_assert!(m.costs.is_empty());
-    let WindowMetering {
+    let EpochMetering {
         settled: s,
         adjustments,
         mut retries,
@@ -2835,7 +2852,7 @@ mod tests {
     }
 
     #[test]
-    fn window_boundary_tie_breaks_are_pinned() {
+    fn epoch_boundary_tie_breaks_are_pinned() {
         // Pin the event order at one instant — completion < step <
         // notice < tick — by aligning every recurring instant on the
         // same lattice: supply steps every 5 s, notices 5 s ahead (so
@@ -3143,7 +3160,7 @@ mod tests {
         assert!(ReplaySnapshot::from_bytes(&sealed(body.clone())).is_ok());
 
         // Offsets, per `ReplaySnapshot::to_bytes`, `Carry::save` and
-        // `WindowMetering::save`.
+        // `EpochMetering::save`.
         const EVENTS_CONSUMED: usize = 32;
         let mut checkpoint = Wire::new();
         snap.checkpoint.save(&mut checkpoint);
@@ -3540,7 +3557,7 @@ mod tests {
         let mut retried = 0;
         for (trace, body) in &fx.cases {
             let mut snap = ReplaySnapshot::from_bytes(&sealed(body.clone())).unwrap();
-            let boundary = snap.epoch * snap.window_nanos;
+            let boundary = snap.epoch * snap.epoch_nanos;
             let Some(pending) = snap.carry.retries.first_mut() else {
                 continue;
             };
@@ -3941,6 +3958,57 @@ mod tests {
             10.0,
             1,
         );
+        // A zero-event trace of the fleet's functions replays to the
+        // same report through every entry point, and a snapshot of
+        // another replay does not resume it.
+        let csv: String = (0..6).map(|f| format!("app,f{f},0,0\n")).collect();
+        let empty = StreamTrace::from_csv(&csv).unwrap();
+        assert!(empty.is_empty() && empty.n_functions() == 6);
+        let config = FleetConfig::default();
+        let single = sim
+            .run_stream(&empty, PlacementStrategy::IdleAware, &config)
+            .unwrap();
+        assert_eq!(single.invocations, 0);
+        let materialized = sim
+            .run(
+                &empty.materialize().unwrap(),
+                PlacementStrategy::IdleAware,
+                &config,
+            )
+            .unwrap();
+        assert_eq!(format!("{single:?}"), format!("{materialized:?}"));
+        let resumable = |resume: Option<&ReplaySnapshot>| {
+            sim.run_stream_resumable(
+                &empty,
+                PlacementStrategy::IdleAware,
+                &config,
+                2.0,
+                resume,
+                |_| Ok(true),
+            )
+        };
+        let chained = resumable(None).unwrap().expect("an uninterrupted run");
+        assert_eq!(format!("{single:?}"), format!("{chained:?}"));
+        let mut foreign = None;
+        sim.run_stream_resumable(
+            &lazy,
+            PlacementStrategy::IdleAware,
+            &config,
+            2.0,
+            None,
+            |snap| {
+                foreign = Some(snap.clone());
+                Ok(false)
+            },
+        )
+        .unwrap();
+        let foreign = foreign.expect("a 10 s trace snapshots at 2 s epochs");
+        match resumable(Some(&foreign)) {
+            Err(FreedomError::InvalidArgument(msg)) => {
+                assert!(msg.contains("fingerprint"), "{msg}")
+            }
+            other => panic!("a foreign snapshot resumed an empty trace: {other:?}"),
+        }
         // Bad epoch, SLO theta, and market parameters. An epoch absurdly
         // small for the trace span is rejected before any epoch runs.
         for epoch_secs in [0.0, f64::NAN, 1e-9] {
@@ -4206,5 +4274,61 @@ mod tests {
             report.control.iter().any(|s| s.brownout),
             "no control sample saw brownout: {report:?}"
         );
+    }
+
+    #[test]
+    fn brownout_gates_fresh_arrivals_and_drops_hedges() {
+        // Brownout that latches at the first tick and never unlatches
+        // (exit pressure 0), with a zero arrival ceiling: from then on
+        // every fresh arrival with spot candidates is policy-rejected
+        // (the greedy policy rejects nothing itself), every retry is
+        // shed, and every hedge — none fires before its 2 s delay — is
+        // dropped.
+        let sim = FleetSimulator::new(make_plans(5)).unwrap();
+        let trace = Trace::poisson(60.0, 1.2, 7).unwrap();
+        let base = flaky_config();
+        let config = |brownout| FleetConfig {
+            faults: FaultPlan {
+                crash_prob: 0.3,
+                ..base.faults
+            },
+            control: ControlConfig {
+                cadence_secs: 1.0,
+                ..base.control
+            },
+            retry: RetryPolicy {
+                hedge_delay_secs: 2.0,
+                brownout,
+                ..base.retry
+            },
+            ..base
+        };
+        let calm = sim
+            .run(&trace, PlacementStrategy::IdleAware, &config(None))
+            .unwrap();
+        assert!(calm.hedge_wins > 0, "{calm:?}");
+        assert_eq!(calm.policy_rejections, 0, "{calm:?}");
+        let browned = sim
+            .run(
+                &trace,
+                PlacementStrategy::IdleAware,
+                &config(Some(BrownoutConfig {
+                    enter_pressure: 1e-9,
+                    exit_pressure: 0.0,
+                    utilization_ceiling: 0.0,
+                })),
+            )
+            .unwrap();
+        accounting_is_total(&browned);
+        assert!(
+            browned.control.iter().all(|s| s.brownout),
+            "brownout must latch at the first tick: {browned:?}"
+        );
+        assert!(browned.policy_rejections > 0, "{browned:?}");
+        assert!(
+            browned.control[1..].iter().all(|s| s.spot_admitted == 0),
+            "an attempt reached spot under brownout: {browned:?}"
+        );
+        assert_eq!(browned.hedge_wins, 0, "a hedge ran under brownout");
     }
 }

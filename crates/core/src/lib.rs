@@ -18,7 +18,10 @@
 //!   emitting both placements and a market admission policy;
 //! - [`market`] and [`fleet`]: the shared cross-function spot market
 //!   (supply process, capacity ledger, admission control) and the
-//!   sequential trace replay that simulates a whole fleet against it;
+//!   sequential trace replay that simulates a whole fleet against it —
+//!   one event loop over epochs of simulated time, one admission pass
+//!   for arrivals, retries and hedges, and one epoch chain whose
+//!   one-epoch case is the single pass;
 //! - [`stream`]: the constant-memory trace pipeline — resumable
 //!   per-function event cursors ([`stream::StreamTrace`]) replayed by
 //!   `FleetSimulator::run_stream` with peak memory O(functions +
@@ -38,7 +41,7 @@
 //!   checkpoint plus the carried state serialized at epoch boundaries
 //!   so a killed replay resumes bit-identically;
 //! - [`telemetry`]: the zero-allocation observability layer — the
-//!   replay engines are generic over a
+//!   replay is generic over a
 //!   [`Recorder`](telemetry::Recorder) (noop by default, monomorphized
 //!   away) that collects preallocated counters, log2 latency/value
 //!   histograms, and simulated-time + wall-time span traces, exported

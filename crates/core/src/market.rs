@@ -16,17 +16,17 @@
 //!   shared *shock* draw into their own stream (`ZoneConfig::shock`), so
 //!   drops correlate across zones the way a region-wide first-party
 //!   load spike would. The whole process — including injected
-//!   [`FaultPlan`](crate::faults::FaultPlan) outages and bursts — is
-//!   precomputed into a [`SupplySchedule`], a pure function of
-//!   `(config, faults, horizon)`, so any replay window can reconstruct
+//!   [`FaultPlan`] outages and bursts — is
+//!   precomputed into a `SupplySchedule`, a pure function of
+//!   `(config, faults, horizon)`, so any replay epoch can reconstruct
 //!   the supply in effect at any instant without sequential state.
 //! - **Preemption notices**: when `ZoneConfig::notice_secs > 0`, every
 //!   capacity drop is announced `notice_secs` ahead by a
-//!   [`NoticeStep`]. A notified slot stops admitting; its in-flight
+//!   `NoticeStep`. A notified slot stops admitting; its in-flight
 //!   work either drains (completes before the withdrawal), migrates to
 //!   another zone at withdrawal time (re-billed at
 //!   `migration_rebill · list`), or is force-demoted to on-demand.
-//! - [`SpotLedger`]: the live market state during a replay — zone-major
+//! - `SpotLedger`: the live market state during a replay — zone-major
 //!   VM slots with free capacity, the available prefix dictated by the
 //!   current supply step, per-slot resident placements, and market-wide
 //!   occupancy counters. Supply drops *withdraw* the highest-indexed
@@ -282,7 +282,7 @@ pub(crate) struct NoticeStep {
 /// The whole supply process — zone redraws, injected faults, and the
 /// preemption notices announcing its drops — materialized over a replay
 /// horizon. A pure function of `(MarketConfig, FaultPlan, horizon)`, so
-/// the sequential engine and every replay window see the same capacity
+/// the sequential engine and every replay epoch see the same capacity
 /// and the same notices at the same instant.
 #[derive(Debug, Clone)]
 pub(crate) struct SupplySchedule {
@@ -298,10 +298,10 @@ pub(crate) struct SupplySchedule {
     pub notices: Vec<NoticeStep>,
 }
 
-/// The supply state a replay window starting at some instant must
+/// The supply state a replay epoch starting at some instant must
 /// reconstruct: the caps in effect, both event cursors, and — when a
 /// notice fired earlier whose step is still ahead — the announced caps
-/// whose withdrawn slots the window must re-mark as notified.
+/// whose withdrawn slots the epoch must re-mark as notified.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SupplyStart<'a> {
     pub cursor: usize,
@@ -513,15 +513,15 @@ fn compose_faults(
 }
 
 /// One in-flight spot placement, as stored in the completion queue and
-/// in the carry-over state crossing replay-window boundaries.
+/// in the carry-over state crossing replay-epoch boundaries.
 ///
 /// Ordering (and equality) is by `(completion_nanos, slot, idx, meta)`:
 /// `slot` is a flat market-wide index so it encodes the zone and family,
 /// and `(idx, meta)` — the invocation's global arrival index plus its
 /// attempt/kind word — uniquely names one run of it, so ties never
 /// cascade to the remaining fields. `epoch` deliberately stays out
-/// of the key: the sequential engine and a window reconstructing carried
-/// state assign different epochs to the same placement.
+/// of the key: the sequential engine and a replay epoch reconstructing
+/// carried state assign different slot epochs to the same placement.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
     /// Completion time in integer nanoseconds.
@@ -642,8 +642,8 @@ struct VmSlot {
 /// utilization driving admission and demand pricing is an exact ratio of
 /// integers — deterministic across engines. Per-slot resident lists are
 /// kept order-insensitive (every consumer either counts them, searches
-/// by `idx`, or canonically sorts them), so the sequential engine and a
-/// window reconstructing carried state — which insert in different
+/// by `idx`, or canonically sorts them), so the sequential engine and
+/// an epoch reconstructing carried state — which insert in different
 /// orders — stay bit-identical.
 #[derive(Debug)]
 pub(crate) struct SpotLedger {
@@ -715,7 +715,7 @@ impl SpotLedger {
         (flat / self.vms_per_family) as usize / N_MARKET_FAMILIES
     }
 
-    /// Re-places a carried in-flight entry onto its slot (window-start
+    /// Re-places a carried in-flight entry onto its slot (epoch-start
     /// reconstruction). The entry's slot is available by construction: it
     /// survived every earlier supply drop.
     pub fn restore(&mut self, entry: &InFlight) {
@@ -815,8 +815,8 @@ impl SpotLedger {
     ///
     /// Resolving displacement *at the step* (rather than when stale
     /// queue entries surface) is what makes the per-epoch
-    /// demotion/migration signal a pure function of simulated time — a
-    /// window that replays this instant observes the same displaced set
+    /// demotion/migration signal a pure function of simulated time — an
+    /// epoch that replays this instant observes the same displaced set
     /// as the sequential engine, so the control plane's feedback is
     /// partition-independent.
     pub fn withdraw(&mut self, caps: &[u32]) -> Vec<InFlight> {

@@ -5,7 +5,7 @@
 //! failure — it re-executes the invocation. This module is the *policy*
 //! half of that machinery: [`RetryPolicy`] names the backoff curve,
 //! attempt cap, per-family retry budget, hedging delay, and brownout
-//! thresholds as plain data, and [`RetryBudget`] / [`PendingRetry`] are
+//! thresholds as plain data, and `RetryBudget` / `PendingRetry` are
 //! the carried state the replay threads across epoch boundaries.
 //! Everything here is a pure function of `(policy, invocation identity,
 //! simulated time)`:
@@ -262,10 +262,10 @@ impl PartialOrd for PendingRetry {
 
 /// Per-family retry token buckets in simulated time.
 ///
-/// Mutable state carried across windows: tokens refill lazily on access
+/// Mutable state carried across epochs: tokens refill lazily on access
 /// from each bucket's own `last_refill` timestamp using integer
 /// micro-token arithmetic, so the balance sequence is a pure function of
-/// the spend instants regardless of window partitioning.
+/// the spend instants regardless of epoch partitioning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RetryBudget {
     /// Current balance per family, micro-tokens.

@@ -1,12 +1,12 @@
 //! Versioned crash-resume snapshots for the streaming fleet replay.
 //!
-//! `FleetSimulator::run_stream_resumable` chains exact-carry windows
-//! sequentially and, at every window (epoch) boundary, hands the caller
+//! `FleetSimulator::run_stream_resumable` chains exact-carry epochs
+//! sequentially and, at every epoch boundary, hands the caller
 //! a [`ReplaySnapshot`]: the trace stream's resumable position
 //! ([`crate::stream::StreamCheckpoint`]), the carried simulation state
 //! (in-flight ledger, controller state, partial observation epoch), and
 //! the metering of everything replayed so far. Feeding the snapshot back
-//! as the `resume` argument replays the remaining windows and produces a
+//! as the `resume` argument replays the remaining epochs and produces a
 //! [`crate::fleet::FleetReport`] **bit-identical** to an uninterrupted
 //! run — kill the process at any epoch, reload the last snapshot, and
 //! the report cannot tell.
@@ -56,7 +56,7 @@
 
 use std::path::Path;
 
-use crate::fleet::{Carry, WindowMetering};
+use crate::fleet::{Carry, EpochMetering};
 use crate::stream::StreamCheckpoint;
 use crate::{FreedomError, Result};
 
@@ -89,8 +89,8 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A resumable position in a streaming fleet replay, taken at a window
-/// (epoch) boundary. Opaque outside the crate: produce one with
+/// A resumable position in a streaming fleet replay, taken at an epoch
+/// boundary. Opaque outside the crate: produce one with
 /// `FleetSimulator::run_stream_resumable`'s snapshot callback, persist
 /// it with [`ReplaySnapshot::write_to`] (or [`ReplaySnapshot::to_bytes`]),
 /// and feed it back as the `resume` argument after a crash.
@@ -101,12 +101,12 @@ pub struct ReplaySnapshot {
     /// Fingerprint of the replay (strategy, config, fleet shape, trace
     /// shape, snapshot cadence) this position belongs to.
     pub(crate) fingerprint: u64,
-    /// Next window index to simulate: windows `0..epoch` are folded
+    /// Next epoch index to simulate: epochs `0..epoch` are folded
     /// into `metering`, the stream checkpoint sits at the first event
-    /// of window `epoch`.
+    /// of epoch `epoch`.
     pub(crate) epoch: u64,
-    /// Snapshot cadence in integer nanoseconds (the window size).
-    pub(crate) window_nanos: u64,
+    /// Snapshot cadence in integer nanoseconds (the epoch length).
+    pub(crate) epoch_nanos: u64,
     /// Trace events consumed by the folded prefix.
     pub(crate) events_consumed: u64,
     /// The trace stream's position at the boundary.
@@ -114,15 +114,15 @@ pub struct ReplaySnapshot {
     /// Everything crossing the boundary: in-flight ledger, controller
     /// state, partial observation epoch.
     pub(crate) carry: Carry,
-    /// Metering of windows `0..epoch`: settled invocations folded into
+    /// Metering of epochs `0..epoch`: settled invocations folded into
     /// fixed-size accumulators plus inflation runs, the unsettled tail
     /// as per-invocation records, and the retry/hedge records, attempt
     /// ≥ 2 adjustments and control samples the final reduction needs.
-    pub(crate) metering: WindowMetering,
+    pub(crate) metering: EpochMetering,
 }
 
 impl ReplaySnapshot {
-    /// Next window index to simulate on resume.
+    /// Next epoch index to simulate on resume.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -132,9 +132,9 @@ impl ReplaySnapshot {
         self.events_consumed
     }
 
-    /// Snapshot cadence (window size) in integer nanoseconds.
-    pub fn window_nanos(&self) -> u64 {
-        self.window_nanos
+    /// Snapshot cadence (epoch length) in integer nanoseconds.
+    pub fn epoch_nanos(&self) -> u64 {
+        self.epoch_nanos
     }
 
     /// Fingerprint of the replay this snapshot belongs to; resuming
@@ -150,7 +150,7 @@ impl ReplaySnapshot {
         w.u32(self.version);
         w.u64(self.fingerprint);
         w.u64(self.epoch);
-        w.u64(self.window_nanos);
+        w.u64(self.epoch_nanos);
         w.u64(self.events_consumed);
         self.checkpoint.save(&mut w);
         self.carry.save(&mut w);
@@ -187,16 +187,16 @@ impl ReplaySnapshot {
                 "snapshot: version {version} is not the supported {SNAPSHOT_VERSION}"
             )));
         }
-        let (fingerprint, epoch, window_nanos) = (r.u64()?, r.u64()?, r.u64()?);
+        let (fingerprint, epoch, epoch_nanos) = (r.u64()?, r.u64()?, r.u64()?);
         let events_consumed = r.u64()?;
         let checkpoint = StreamCheckpoint::load(&mut r)?;
         let carry = Carry::load(&mut r)?;
-        let metering = WindowMetering::load(&mut r, events_consumed, &carry)?;
+        let metering = EpochMetering::load(&mut r, events_consumed, &carry)?;
         let snap = Self {
             version,
             fingerprint,
             epoch,
-            window_nanos,
+            epoch_nanos,
             events_consumed,
             checkpoint,
             carry,

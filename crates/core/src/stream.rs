@@ -382,24 +382,18 @@ impl StreamTrace {
     /// map) into the packed row table replays read. Rows may come in any
     /// minute order.
     pub fn from_csv(csv: &str) -> Result<Self> {
-        Self::from_csv_chunked(csv, CSV_CHUNK_BYTES)
-    }
-
-    /// Streaming counterpart of [`TraceSource::from_csv_path`]: the scan
-    /// reads the file once in [`CSV_CHUNK_BYTES`] chunks. Replays read
-    /// the scanned rows, never the file again; only
-    /// [`StreamTrace::materialize`] does. Gzip'd files (by magic bytes)
-    /// are decompressed transparently.
-    pub fn from_csv_path(path: impl AsRef<Path>) -> Result<Self> {
-        Self::from_csv_files(&[path])
+        Self::from_csv_parts(&[csv.as_bytes()])
     }
 
     /// A multi-file trace: `paths` replay back to back as one logical
     /// event stream, in the given order (for the Azure dataset, one file
-    /// per day). Each file is scanned in parallel, may carry its own
-    /// header row, and is gzip-decompressed when its first bytes are the
-    /// gzip magic. A file's rows may trail those of earlier files by any
-    /// number of minutes; errors name the exact file and line.
+    /// per day). Each file is scanned in parallel, in
+    /// `CSV_CHUNK_BYTES` chunks, may carry its own header row, and is
+    /// gzip-decompressed when its first bytes are the gzip magic. A
+    /// file's rows may trail those of earlier files by any number of
+    /// minutes; errors name the exact file and line. Replays read the
+    /// scanned rows, never the files again; only
+    /// [`StreamTrace::materialize`] does.
     pub fn from_csv_files<P: AsRef<Path>>(paths: &[P]) -> Result<Self> {
         let mut files = Vec::with_capacity(paths.len());
         for path in paths {
@@ -414,34 +408,6 @@ impl StreamTrace {
         Self::from_parts(files, CSV_CHUNK_BYTES)
     }
 
-    /// A single gzip'd trace file. Unlike the auto-detecting
-    /// constructors this *requires* a gzip member: a garbage header is
-    /// reported as a decode error, never silently parsed as plain CSV.
-    pub fn from_csv_gz(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        Self::from_parts(
-            vec![CsvFile {
-                bytes: CsvBytes::File(path.to_path_buf()),
-                gz: true,
-                label: path.display().to_string(),
-            }],
-            CSV_CHUNK_BYTES,
-        )
-    }
-
-    /// In-memory variant of [`StreamTrace::from_csv_gz`] (gzip required,
-    /// garbage headers are decode errors).
-    pub fn from_csv_gz_bytes(data: &[u8]) -> Result<Self> {
-        Self::from_parts(
-            vec![CsvFile {
-                bytes: CsvBytes::Mem(Arc::from(data)),
-                gz: true,
-                label: String::new(),
-            }],
-            CSV_CHUNK_BYTES,
-        )
-    }
-
     /// In-memory multi-file trace: each part is one logical file
     /// (gzip-detected independently, own header allowed), replayed back
     /// to back. Errors attribute parts as `part 1`, `part 2`, … when
@@ -451,7 +417,10 @@ impl StreamTrace {
     }
 
     /// [`StreamTrace::from_csv_parts`] with an explicit reader chunk
-    /// size, for tests that force records across chunk boundaries.
+    /// size (clamped to ≥ 1 byte). Chunking is observable only in I/O
+    /// granularity — records straddling chunk boundaries parse
+    /// identically — which is exactly what tests pin down by shrinking
+    /// the chunk to a few bytes.
     pub fn from_csv_parts_chunked(parts: &[&[u8]], chunk_bytes: usize) -> Result<Self> {
         let files = parts
             .iter()
@@ -467,22 +436,6 @@ impl StreamTrace {
             })
             .collect();
         Self::from_parts(files, chunk_bytes)
-    }
-
-    /// [`StreamTrace::from_csv`] with an explicit reader chunk size
-    /// (clamped to ≥ 1 byte). Chunking is observable only in I/O
-    /// granularity — records straddling chunk boundaries parse
-    /// identically — which is exactly what tests pin down by shrinking
-    /// the chunk to a few bytes.
-    pub fn from_csv_chunked(csv: &str, chunk_bytes: usize) -> Result<Self> {
-        Self::from_parts(
-            vec![CsvFile {
-                bytes: CsvBytes::Mem(Arc::from(csv.as_bytes())),
-                gz: false,
-                label: String::new(),
-            }],
-            chunk_bytes,
-        )
     }
 
     fn from_parts(files: Vec<CsvFile>, chunk: usize) -> Result<Self> {
@@ -1747,7 +1700,8 @@ mod tests {
     #[test]
     fn csv_stream_matches_materialized_reader() {
         for chunk in [3usize, 17, 64 * 1024] {
-            let lazy = StreamTrace::from_csv_chunked(AZURE_FIXTURE, chunk).unwrap();
+            let lazy =
+                StreamTrace::from_csv_parts_chunked(&[AZURE_FIXTURE.as_bytes()], chunk).unwrap();
             let full = TraceSource::from_csv(AZURE_FIXTURE).unwrap();
             assert_eq!(lazy.n_functions(), 6);
             assert_eq!(lazy.len(), 113);
@@ -1782,7 +1736,10 @@ mod tests {
 
     #[test]
     fn csv_negative_paths_report_accurate_line_numbers() {
-        let err = |csv: &str, chunk: usize| match StreamTrace::from_csv_chunked(csv, chunk) {
+        let err = |csv: &str, chunk: usize| match StreamTrace::from_csv_parts_chunked(
+            &[csv.as_bytes()],
+            chunk,
+        ) {
             Err(FreedomError::InvalidArgument(msg)) => msg,
             other => panic!("expected InvalidArgument, got {other:?}"),
         };
@@ -1807,7 +1764,7 @@ mod tests {
             ("a,f,9,1\nb,g,2,1\na,f,10,1\n", 5),
             ("a,f,30,1\nb,g,2,1\n", 4),
         ] {
-            let lazy = StreamTrace::from_csv_chunked(csv, chunk).unwrap();
+            let lazy = StreamTrace::from_csv_parts_chunked(&[csv.as_bytes()], chunk).unwrap();
             let full = TraceSource::from_csv(csv).unwrap();
             assert_eq!(drain(&mut lazy.open().unwrap()).as_slice(), full.events());
         }
@@ -1815,7 +1772,7 @@ mod tests {
         assert!(StreamTrace::from_csv("").is_err());
         assert!(StreamTrace::from_csv("app,func,minute,count\n").is_err());
         assert!(StreamTrace::from_csv("a,f,0,1000001\n").is_err());
-        assert!(StreamTrace::from_csv_path("/nonexistent/trace.csv").is_err());
+        assert!(StreamTrace::from_csv_files(&["/nonexistent/trace.csv"]).is_err());
     }
 
     #[test]
@@ -1841,8 +1798,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("azure.csv");
         std::fs::write(&path, AZURE_FIXTURE).unwrap();
-        let lazy = StreamTrace::from_csv_path(&path).unwrap();
-        let full = TraceSource::from_csv_path(&path).unwrap();
+        let lazy = StreamTrace::from_csv_files(&[&path]).unwrap();
+        let full = TraceSource::from_csv(AZURE_FIXTURE).unwrap();
         let events = drain(&mut lazy.open().unwrap());
         assert_eq!(events.as_slice(), full.events());
         let mut stream = lazy.open().unwrap();
@@ -1913,10 +1870,11 @@ mod tests {
     fn golden_gz_fixture_decodes_to_known_rows() {
         // Known bytes → known rows: the checked-in gzip fixture must
         // replay exactly like its plain-text source, through both the
-        // file-backed and in-memory paths.
+        // file-backed and in-memory paths, each detecting the gzip magic.
         let plain = StreamTrace::from_csv(AZURE_FIXTURE).unwrap();
         let reference = drain(&mut plain.open().unwrap());
-        let gz = StreamTrace::from_csv_gz_bytes(AZURE_FIXTURE_GZ).unwrap();
+        let gz = StreamTrace::from_csv_parts(&[AZURE_FIXTURE_GZ]).unwrap();
+        assert!(gz.scan[0].gz && !plain.scan[0].gz);
         assert_eq!(gz.n_functions(), plain.n_functions());
         assert_eq!(gz.len(), plain.len());
         assert_eq!(gz.horizon_nanos(), plain.horizon_nanos());
@@ -1925,11 +1883,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("azure.csv.gz");
         std::fs::write(&path, AZURE_FIXTURE_GZ).unwrap();
-        let from_file = StreamTrace::from_csv_gz(&path).unwrap();
+        let from_file = StreamTrace::from_csv_files(&[&path]).unwrap();
+        assert!(from_file.scan[0].gz);
         assert_eq!(drain(&mut from_file.open().unwrap()), reference);
-        // Auto-detection picks the gz path too.
-        let detected = StreamTrace::from_csv_path(&path).unwrap();
-        assert_eq!(drain(&mut detected.open().unwrap()), reference);
         // And the materialized escape hatch agrees.
         let full = from_file.materialize().unwrap();
         assert_eq!(reference.as_slice(), full.events());
@@ -1940,7 +1896,7 @@ mod tests {
     fn gz_streams_match_plain_for_both_compress_modes() {
         for mode in [CompressMode::Stored, CompressMode::FixedHuffman] {
             let gz_bytes = gzip_compress(AZURE_FIXTURE.as_bytes(), mode);
-            let gz = StreamTrace::from_csv_gz_bytes(&gz_bytes).unwrap();
+            let gz = StreamTrace::from_csv_parts(&[&gz_bytes]).unwrap();
             let plain = StreamTrace::from_csv(AZURE_FIXTURE).unwrap();
             let reference = drain(&mut plain.open().unwrap());
             assert_eq!(drain(&mut gz.open().unwrap()), reference, "{mode:?}");
@@ -1962,13 +1918,19 @@ mod tests {
     #[test]
     fn gz_negative_paths_are_file_qualified_and_line_accurate() {
         let gz = gzip_compress(AZURE_FIXTURE.as_bytes(), CompressMode::FixedHuffman);
-        let err = |bytes: &[u8]| match StreamTrace::from_csv_gz_bytes(bytes) {
+        let err = |bytes: &[u8]| match StreamTrace::from_csv_parts(&[bytes]) {
             Err(FreedomError::InvalidArgument(msg)) => msg,
             other => panic!("expected InvalidArgument, got {other:?}"),
         };
-        // Garbage member header: from_csv_gz* requires a gzip member.
-        let msg = err(b"app,func,minute,count\na,f,0,1\n");
-        assert!(msg.contains("bad gzip member header"), "{msg}");
+        // A bad member header after the gzip magic: an unknown
+        // compression method.
+        let mut bad_method = gz.clone();
+        bad_method[2] = 7;
+        let msg = err(&bad_method);
+        assert!(
+            msg.contains("unsupported gzip compression method 7"),
+            "{msg}"
+        );
         assert!(msg.contains("near line 1"), "{msg}");
         // Truncated stream: decode dies mid-file with the line reached.
         let msg = err(&gz[..gz.len() / 2]);
@@ -1985,14 +1947,14 @@ mod tests {
         for b in corrupt.iter_mut().skip(20).take(16) {
             *b = 0xff;
         }
-        let res = StreamTrace::from_csv_gz_bytes(&corrupt);
+        let res = StreamTrace::from_csv_parts(&[&corrupt]);
         assert!(res.is_err(), "corrupted block must not scan cleanly");
         // File-backed errors carry the path.
         let dir = std::env::temp_dir().join(format!("freedom_gz_neg_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("broken.csv.gz");
         std::fs::write(&path, &gz[..gz.len() - 3]).unwrap();
-        match StreamTrace::from_csv_gz(&path) {
+        match StreamTrace::from_csv_files(&[&path]) {
             Err(FreedomError::InvalidArgument(msg)) => {
                 assert!(msg.contains("broken.csv.gz"), "{msg}");
                 assert!(msg.contains("truncated gzip stream"), "{msg}");

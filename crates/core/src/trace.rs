@@ -21,7 +21,7 @@
 //! bit-identical. The merged event view is built with a k-way streaming
 //! merge over the per-function streams (no global sort).
 //!
-//! Each generator is implemented as a resumable [`GenCursor`] — the
+//! Each generator is implemented as a resumable `GenCursor` — the
 //! per-function event cursor the streaming pipeline
 //! ([`crate::stream::StreamTrace`]) pulls from lazily. The materialized
 //! [`Trace`] drains the very same cursor into a `Vec`, so the two
@@ -130,7 +130,7 @@ impl Trace {
 /// Upper bound on the number of epochs a resumable replay cuts a trace
 /// into: an epoch far below the trace's span would otherwise spend the
 /// replay on billions of (almost all empty) epochs and snapshots.
-pub const MAX_WINDOWS: u64 = 1 << 22;
+pub const MAX_EPOCHS: u64 = 1 << 22;
 
 /// An arrival time in the integer nanoseconds the fleet simulator orders
 /// events by. The conversion is monotone over non-negative finite floats,
@@ -180,7 +180,7 @@ pub enum TraceSource {
     /// "Serverless in the Wild"-shaped traffic: each function's rate is
     /// `mean_rps` scaled by a Pareto(1, α) popularity weight (normalized
     /// to keep the fleet-wide mean near `mean_rps`, truncated at
-    /// [`MAX_POPULARITY`]), and its inter-arrival times are Lomax(α)
+    /// `MAX_POPULARITY`), and its inter-arrival times are Lomax(α)
     /// distributed — heavy-tailed gaps punctuated by clustered arrivals.
     HeavyTail {
         /// Target mean arrival rate per function.
@@ -240,15 +240,6 @@ impl TraceSource {
             stream.sort_by(|a, b| a.total_cmp(b));
         }
         Ok(Trace::from_streams(streams))
-    }
-
-    /// Reads [`TraceSource::from_csv`] input from a file.
-    pub fn from_csv_path(path: impl AsRef<std::path::Path>) -> Result<Trace> {
-        let path = path.as_ref();
-        let csv = std::fs::read_to_string(path).map_err(|e| {
-            FreedomError::InvalidArgument(format!("cannot read trace CSV {}: {e}", path.display()))
-        })?;
-        Self::from_csv(&csv)
     }
 
     /// Generates `n_functions` independent streams over `duration_secs`
@@ -1032,8 +1023,6 @@ mod tests {
         assert_eq!(trace.n_functions(), 2);
         assert_eq!(trace.len(), 3);
         assert!(trace.stream(1).is_empty());
-        // Missing file.
-        assert!(TraceSource::from_csv_path("/nonexistent/trace.csv").is_err());
     }
 
     #[test]

@@ -63,21 +63,21 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// the back); coarser buckets cascade down as the cursor reaches them.
 pub(crate) struct TimerWheel {
     levels: Box<[[Vec<InFlight>; SLOTS]; LEVELS]>,
-    /// Completions at or beyond `horizon` in arrival order. A window
+    /// Completions at or beyond `horizon` in arrival order. An epoch
     /// never advances past its own end, so boundary-crossing
     /// completions — roughly the whole in-flight carry at short epochs
-    /// — can never pop during the window. Bucketing them would pay
+    /// — can never pop during the epoch. Bucketing them would pay
     /// placement plus a cascade per level the cursor crosses, only to
     /// drain them at close anyway; a flat list sorted once at the
     /// close ([`TimerWheel::drain_into`]) pays one push.
     overflow: Vec<InFlight>,
     /// Exclusive upper bound on every `limit` passed to
-    /// [`TimerWheel::next_due`]: the window's end instant.
+    /// [`TimerWheel::next_due`]: the epoch's end instant.
     horizon: u64,
     /// One bit per slot per level marking non-empty buckets, so the
     /// cursor scan is a find-first-set per level instead of a walk over
     /// 64 `Vec` headers — the scan cost is what makes the wheel beat
-    /// the heap on windows with few events.
+    /// the heap on epochs with few events.
     occupied: [u64; LEVELS],
     /// Current cursor instant. Invariants: `now` never exceeds any
     /// `limit` passed to [`TimerWheel::next_due`]; every queued entry's
@@ -96,10 +96,10 @@ pub(crate) struct TimerWheel {
 
 impl TimerWheel {
     /// An empty wheel with its cursor at `start`. Every subsequent push
-    /// must be at or after `start` — windows seed it with their start
+    /// must be at or after `start` — epochs seed it with their start
     /// instant so carried completions land near the cursor instead of
     /// cascading down from epoch zero — and every `next_due` limit must
-    /// stay below `horizon`, the window's end.
+    /// stay below `horizon`, the epoch's end.
     pub fn new(start: u64, horizon: u64) -> Self {
         Self {
             levels: Box::new(std::array::from_fn(|_| std::array::from_fn(|_| Vec::new()))),
@@ -176,7 +176,7 @@ impl TimerWheel {
     pub fn next_due(&mut self, limit: u64) -> Option<u64> {
         debug_assert!(
             limit < self.horizon || self.horizon == u64::MAX,
-            "advance past the window end"
+            "advance past the epoch end"
         );
         'refill: loop {
             if let Some(e) = self.ready.last() {
@@ -266,13 +266,13 @@ impl TimerWheel {
         out
     }
 
-    /// The window-close drain: consumes the wheel, appends every queued
+    /// The epoch-close drain: consumes the wheel, appends every queued
     /// entry to `out` in ascending `(completion_nanos, slot, idx)` order,
     /// and hands the emptied wheel back to this thread's pool. The
     /// occupancy bitmaps make this walk only the non-empty buckets;
     /// emptied buckets — the overflow list included — keep their
     /// capacity, so a recycled wheel ([`TimerWheel::acquire`]) simulates
-    /// its next window allocation-free. The sort covers only the
+    /// its next epoch allocation-free. The sort covers only the
     /// appended suffix, so the caller's buffer may carry unrelated prior
     /// contents.
     pub fn drain_into(mut self, out: &mut Vec<InFlight>) {
@@ -295,7 +295,7 @@ impl TimerWheel {
     }
 
     /// A wheel with its cursor at `start`, recycled from this thread's
-    /// pool when a previous window returned one. A resumable replay
+    /// pool when a previous epoch returned one. A resumable replay
     /// opens one wheel per epoch; constructing each from scratch pays a
     /// 512-`Vec` zeroing plus fresh bucket allocations per epoch, which
     /// at short epochs costs more than the event loop itself. The pooled
@@ -315,8 +315,8 @@ impl TimerWheel {
 
 thread_local! {
     /// Per-thread wheel cache backing [`TimerWheel::acquire`]. One slot
-    /// suffices: each window simulation holds exactly one wheel at a
-    /// time, and a thread simulates its windows one after another.
+    /// suffices: each epoch simulation holds exactly one wheel at a
+    /// time, and a thread simulates its epochs one after another.
     static POOL: std::cell::RefCell<Option<TimerWheel>> = const { std::cell::RefCell::new(None) };
 }
 

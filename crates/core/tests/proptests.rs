@@ -415,7 +415,8 @@ proptest! {
             let minute = base.saturating_sub(back);
             csv.push_str(&format!("app{app},f{func},{minute},{count}\n"));
         }
-        let lazy = StreamTrace::from_csv_chunked(&csv, chunk).expect("any minute order scans");
+        let lazy = StreamTrace::from_csv_parts_chunked(&[csv.as_bytes()], chunk)
+            .expect("any minute order scans");
         check_stream_matches_materialized(&lazy, epoch_secs * 1_000_000_000)?;
         check_checkpoint_after_next_calls(&lazy, split)?;
     }
@@ -449,7 +450,7 @@ proptest! {
             lines.push(format!("app{app},f{func},{minute},{count}\n"));
         }
         let single = lines.concat();
-        let reference = StreamTrace::from_csv_chunked(&single, chunk)
+        let reference = StreamTrace::from_csv_parts_chunked(&[single.as_bytes()], chunk)
             .expect("any minute order scans");
         let full = reference.materialize().expect("materialize");
 

@@ -378,7 +378,7 @@ impl Surrogate for RandomForest {
         self.forest.fit(x, y)
     }
 
-    /// Warm-start refit (see [`ForestConfig::warm_start`]): when exactly
+    /// Warm-start refit (see `ForestConfig::warm_start`): when exactly
     /// one trial was appended since the last fit, a rotating quarter of
     /// the trees refits on the extended data — with reservoir-updated
     /// bootstrap indices — instead of rebuilding all 100 trees. Every

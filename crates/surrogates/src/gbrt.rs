@@ -399,7 +399,7 @@ impl Surrogate for GradientBoosting {
         Ok(())
     }
 
-    /// Warm-start refit (see [`GbrtConfig::warm_start`]): when exactly
+    /// Warm-start refit (see `GbrtConfig::warm_start`): when exactly
     /// one trial was appended since the last fit, each quantile model
     /// keeps its first ¾ trees and re-boosts only the tail on the
     /// extended data — ~4× less tree fitting per BO step. Every other

@@ -11,10 +11,10 @@
 //! construction, recording never touches the allocator.
 //!
 //! Two clocks coexist. *Simulated-time* spans carry replay-clock
-//! nanoseconds (window bounds, controller ticks, supply steps) and are
+//! nanoseconds (epoch bounds, controller ticks, supply steps) and are
 //! deterministic: the same replay produces the same spans. *Wall-time*
 //! spans carry nanoseconds since the recorder's origin `Instant`
-//! (scan, window simulation, snapshot writes) and describe the host,
+//! (scan, epoch simulation, snapshot writes) and describe the host,
 //! not the replay — they are excluded from determinism guarantees.
 //!
 //! Exports: [`Telemetry::jsonl_snapshot`] (one JSON line per epoch),
@@ -64,9 +64,9 @@ pub enum Counter {
     ControllerTicks,
     /// Per-function placement revisions the controller issued at ticks.
     Replans,
-    /// Windows simulated: one per replay, or one per epoch of a
+    /// Epochs simulated: one for a single pass, one per epoch of a
     /// resumable replay.
-    WindowsSimulated,
+    EpochsSimulated,
     /// Resumable-replay snapshots handed to the snapshot callback.
     SnapshotsWritten,
     /// Transient per-invocation faults drawn on spot attempts
@@ -106,7 +106,7 @@ impl Counter {
         Counter::NoticesFired,
         Counter::ControllerTicks,
         Counter::Replans,
-        Counter::WindowsSimulated,
+        Counter::EpochsSimulated,
         Counter::SnapshotsWritten,
         Counter::TransientFaults,
         Counter::Retried,
@@ -133,7 +133,7 @@ impl Counter {
             Counter::NoticesFired => "notices_fired",
             Counter::ControllerTicks => "controller_ticks",
             Counter::Replans => "replans",
-            Counter::WindowsSimulated => "windows_simulated",
+            Counter::EpochsSimulated => "epochs_simulated",
             Counter::SnapshotsWritten => "snapshots_written",
             Counter::TransientFaults => "transient_faults",
             Counter::Retried => "retried",
@@ -153,7 +153,7 @@ pub enum Hist {
     AdmissionNanos,
     /// Timer-wheel in-flight depth observed at each arrival.
     InflightDepth,
-    /// Simulated nanoseconds between consecutive arrivals in a window.
+    /// Simulated nanoseconds between consecutive arrivals in an epoch.
     ArrivalGapNanos,
     /// Spot-pool utilization in parts-per-million at controller ticks.
     UtilizationPpm,
@@ -197,9 +197,9 @@ impl Hist {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum Span {
-    /// One replay window over simulated time (arg = first event
+    /// One replay epoch over simulated time (arg = first event
     /// index).
-    Window,
+    Epoch,
     /// One controller cadence interval ending at a tick (arg = tick
     /// count so far).
     ControllerTick,
@@ -216,8 +216,8 @@ pub enum Span {
     /// Wall time decompressing + scanning one gzip member (arg =
     /// source index).
     GzDecompress,
-    /// Wall time simulating one window (arg = first event index).
-    WindowSim,
+    /// Wall time simulating one epoch (arg = first event index).
+    EpochSim,
 }
 
 impl Span {
@@ -226,27 +226,27 @@ impl Span {
 
     /// Every span kind, in declaration (= track id) order.
     pub const ALL: [Span; Span::COUNT] = [
-        Span::Window,
+        Span::Epoch,
         Span::ControllerTick,
         Span::SupplyStep,
         Span::Notice,
         Span::SnapshotEpoch,
         Span::Scan,
         Span::GzDecompress,
-        Span::WindowSim,
+        Span::EpochSim,
     ];
 
     /// Stable name used as the trace-event name and track label.
     pub fn name(self) -> &'static str {
         match self {
-            Span::Window => "window",
+            Span::Epoch => "epoch",
             Span::ControllerTick => "controller_tick",
             Span::SupplyStep => "supply_step",
             Span::Notice => "notice",
             Span::SnapshotEpoch => "snapshot_epoch",
             Span::Scan => "scan",
             Span::GzDecompress => "gz_decompress",
-            Span::WindowSim => "window_sim",
+            Span::EpochSim => "epoch_sim",
         }
     }
 }
@@ -374,7 +374,7 @@ pub struct SpanRec {
     pub start_nanos: u64,
     /// Duration in nanoseconds (0 for instant markers).
     pub dur_nanos: u64,
-    /// Kind-specific argument (window index, epoch, …).
+    /// Kind-specific argument (first event index, epoch, …).
     pub arg: u64,
 }
 
@@ -503,7 +503,7 @@ impl Recorder for NoopRecorder {
 }
 
 /// Default span-ring capacity: enough for a multi-day replay's ticks,
-/// steps, and windows at day-scale cadences (~650 KiB of spans).
+/// steps, and epochs at day-scale cadences (~650 KiB of spans).
 pub const DEFAULT_SPAN_CAPACITY: usize = 16_384;
 
 /// Sampled hot-path timing cadence: every 64th arrival.
@@ -832,7 +832,7 @@ mod tests {
         let mut ring = SpanRing::new(4);
         for i in 0..7u64 {
             ring.push(SpanRec {
-                kind: Span::Window,
+                kind: Span::Epoch,
                 wall: false,
                 start_nanos: i,
                 dur_nanos: 1,
@@ -872,7 +872,7 @@ mod tests {
         // All recording calls are inert.
         noop.add(Counter::Arrivals, 1);
         noop.observe(Hist::AdmissionNanos, 1);
-        noop.span_sim(Span::Window, 0, 1, 0);
+        noop.span_sim(Span::Epoch, 0, 1, 0);
     }
 
     #[test]
@@ -885,7 +885,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_wellformed_json_with_both_processes() {
         let mut t = Telemetry::with_capacity(8);
-        t.span_sim(Span::Window, 0, 60_000_000_000, 0);
+        t.span_sim(Span::Epoch, 0, 60_000_000_000, 0);
         t.span_sim(Span::ControllerTick, 0, 30_000_000_000, 1);
         t.span_wall_at(Span::Scan, 0, 5_000_000, 0);
         let json = t.chrome_trace();
@@ -894,7 +894,7 @@ mod tests {
         assert!(json.contains("\"simulated time\""));
         assert!(json.contains("\"wall time\""));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"window\""));
+        assert!(json.contains("\"name\":\"epoch\""));
         assert!(json.contains("\"name\":\"scan\""));
         // Balanced braces/brackets ⇒ structurally sound without a parser.
         let opens = json.matches('{').count();

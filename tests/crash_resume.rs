@@ -173,7 +173,7 @@ fn kill_at_random_epoch_resumes_bit_identically() {
         // picks up where the dead one stopped.
         let snap = ReplaySnapshot::read_from(&path).unwrap();
         assert_eq!(snap.epoch(), kill_at);
-        assert_eq!(snap.window_nanos(), 20_000_000_000);
+        assert_eq!(snap.epoch_nanos(), 20_000_000_000);
         let resumed = sim
             .run_stream_resumable(
                 &lazy,

@@ -1043,7 +1043,7 @@ fn telemetry_recording_preserves_the_determinism_lattice() {
             );
             assert_eq!(ctel.counter(Counter::Arrivals), con.invocations as u64);
             assert_eq!(ctel.counter(Counter::SnapshotsWritten), snapshots);
-            assert_eq!(ctel.counter(Counter::WindowsSimulated), snapshots + 1);
+            assert_eq!(ctel.counter(Counter::EpochsSimulated), snapshots + 1);
         }
     }
 }
