@@ -41,14 +41,18 @@
 //!   replay resumes. The single pass is its one-epoch case. Peak memory
 //!   is O(functions + in-flight placements), not O(total arrivals).
 //!
+//! Inside an epoch every simulated-time event but the arrivals —
+//! completions, supply steps, preemption notices, pending retries and
+//! hedges, controller ticks — waits in one event calendar (a timer
+//! wheel, `wheel.rs`) and pops in one order: instant, then completion <
+//! step < notice < retry/hedge < tick, then each kind's own tie-break.
 //! Every attempt — arrival, retry or hedge — goes through one admission
 //! pass. All entry points are bit-identical for every epoch size and
 //! every kill point (guarded by `tests/determinism.rs` and
 //! `tests/crash_resume.rs`). See `crates/core/README.md` for the
 //! epoch-chaining contract.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use freedom_faas::PerfTable;
 use freedom_linalg::stats;
@@ -70,7 +74,7 @@ use crate::provider::PlannedPlacement;
 use crate::retry::{PendingRetry, RetryBudget, KIND_HEDGE, KIND_RETRY};
 use crate::snapshot::{ReplaySnapshot, Unwire, Wire, SNAPSHOT_VERSION};
 use crate::trace::{event_nanos, MAX_EPOCHS};
-use crate::wheel::TimerWheel;
+use crate::wheel::{Event, TimerWheel};
 use crate::{FreedomError, Result};
 
 pub use crate::controller::{ControlConfig, ControllerConfig, PidConfig, RightSizerConfig};
@@ -969,7 +973,7 @@ impl Carry {
 struct EpochOutcome {
     metering: EpochMetering,
     carry_out: Carry,
-    /// Most in-flight placements the completion queue ever held.
+    /// Most completion entries the event calendar ever held.
     peak_inflight: usize,
 }
 
@@ -981,7 +985,7 @@ struct EpochOutcome {
 pub struct ReplayStats {
     /// Arrivals replayed (streamed through, never resident).
     pub events: usize,
-    /// Peak size of the in-flight completion queue.
+    /// Peak count of in-flight completion entries, ghosts included.
     pub peak_inflight: usize,
     /// Peak events the trace cursors held: one pending arrival per
     /// function (synthetic) or one per row of the largest minute of a
@@ -1356,6 +1360,12 @@ impl FleetSimulator {
                 self.plans.len()
             )));
         }
+        if horizon > MAX_HORIZON_NANOS {
+            return Err(FreedomError::InvalidArgument(format!(
+                "trace horizon of {horizon} ns exceeds the 2^62 ns bound: \
+                 its last arrivals leave no headroom for their runs and retries"
+            )));
+        }
         if !config.slo_theta.is_finite() || config.slo_theta < 0.0 {
             return Err(FreedomError::InvalidArgument(format!(
                 "SLO theta must be non-negative, got {}",
@@ -1447,9 +1457,9 @@ impl FleetSimulator {
     }
 }
 
-/// One epoch's live simulation state: the market ledger and completion
-/// queue, the supply and tick cursors, the controller state it carries
-/// forward, and the epoch accumulator feeding the next tick.
+/// One epoch's live simulation state: the market ledger and the event
+/// calendar, the supply and notice cursors, the controller state it
+/// carries forward, and the epoch accumulator feeding the next tick.
 struct EpochSim<'a, R: Recorder> {
     ctx: &'a ReplayCtx,
     /// The replay's telemetry sink. Strictly observational — nothing in
@@ -1459,33 +1469,23 @@ struct EpochSim<'a, R: Recorder> {
     /// the first), feeding the arrival-gap histogram.
     prev_arrival: u64,
     ledger: SpotLedger,
+    /// The event calendar: completions, pending retries and hedges, and
+    /// the next supply step, notice and tick. Retries and hedges are
+    /// always scheduled at admission time (an arrival or a firing
+    /// retry), never at a completion pop — the single pass never pops
+    /// completions after the last arrival while the epoch chain's last
+    /// epoch does, so completion-time scheduling would diverge the two.
     queue: TimerWheel,
-    /// Most entries the completion queue ever held — the in-flight term
-    /// of the replay's peak-memory bound ([`ReplayStats`]).
+    /// Completion entries in the calendar, ghosts included: the
+    /// replay's in-flight count.
+    inflight: usize,
+    /// Most completion entries the calendar ever held — the in-flight
+    /// term of the replay's peak-memory bound ([`ReplayStats`]).
     peak_inflight: usize,
+    /// Index of the next supply step to fire.
     supply_cursor: usize,
     /// Index of the next preemption notice to fire.
     notice_cursor: usize,
-    /// Index of the next controller tick to fire (tick `k` fires at
-    /// `k · cadence`, `k ≥ 1`, capped at the trace horizon).
-    next_tick: u64,
-    /// Instant of the next structural break — the earliest pending
-    /// supply step, preemption notice, retry/hedge event, or controller
-    /// tick (`u64::MAX` when all are exhausted). At fleet scale the
-    /// event loop is
-    /// dominated by arrivals that advance time *between* breaks;
-    /// caching the minimum lets [`EpochSim::advance`] drain due
-    /// completions on a three-instruction guard instead of re-deriving
-    /// all three cursors per arrival. Every break-firing path
-    /// recomputes it.
-    next_break: u64,
-    /// Pending retry and hedge events, ordered by
-    /// [`PendingRetry::key`]. Scheduling always happens at admission
-    /// time (an arrival or a firing retry), never at a completion pop —
-    /// the single pass never pops completions after the last arrival
-    /// while the epoch chain's last epoch does, so completion-time
-    /// scheduling would diverge the two.
-    retries: BinaryHeap<Reverse<PendingRetry>>,
     /// Per-family retry token buckets, charged at fire time.
     budget: RetryBudget,
     control: ControlState,
@@ -1495,123 +1495,57 @@ struct EpochSim<'a, R: Recorder> {
 }
 
 impl<R: Recorder> EpochSim<'_, R> {
-    /// The next pending tick instant, if any remains before the horizon.
-    fn next_tick_at(&self) -> Option<u64> {
-        let at = self.next_tick.checked_mul(self.ctx.cadence_nanos)?;
-        (at <= self.ctx.horizon_nanos).then_some(at)
-    }
-
-    /// Advances the market through every completion, supply step,
-    /// preemption notice, and controller tick due at or before
-    /// `to_nanos`, in time order. At one instant completions release
-    /// capacity first (so a finishing invocation is never spuriously
-    /// demoted by a simultaneous supply drop), then supply steps
-    /// withdraw and resolve their displaced residents, then notices
-    /// mark slots, then retries and hedges re-enter admission (seeing
-    /// the capacity the same-instant completions just released), then
-    /// the controller ticks — observing the epoch *including* anything
-    /// a same-instant step or retry just caused.
+    /// Fires every event due at or before `to_nanos`, in calendar order
+    /// ([`Event::key`]). At one instant completions release capacity
+    /// first (so a finishing invocation is never spuriously demoted by a
+    /// simultaneous supply drop), then supply steps withdraw and resolve
+    /// their displaced residents, then notices mark slots, then retries
+    /// and hedges re-enter admission (seeing the capacity the
+    /// same-instant completions just released), then the controller
+    /// ticks — observing the epoch *including* anything a same-instant
+    /// step or retry just caused. A firing step, notice or tick queues
+    /// its successor.
     ///
     /// Ghost completions — entries whose slot was withdrawn since
     /// placement — pop silently: their fate (migrated or demoted) was
     /// already decided and metered at the withdrawal step.
     #[inline]
     fn advance(&mut self, to_nanos: u64) {
-        if to_nanos < self.next_break {
-            // Fast path: no supply step, notice, or tick falls in
-            // `(now, to_nanos]`, so the only work is draining due
-            // completions — and the completion-scan cap at the next
-            // step is vacuous because `to_nanos` is already below it.
-            while self.queue.next_due(to_nanos).is_some() {
-                let e = self.queue.pop_due();
-                self.complete(e);
-            }
-            return;
-        }
-        self.advance_through_breaks(to_nanos);
-    }
-
-    /// The general advance: interleaves completions with the structural
-    /// breaks due at or before `to_nanos`, re-deriving the break
-    /// cursors each iteration (firing a break can move them).
-    #[cold]
-    fn advance_through_breaks(&mut self, to_nanos: u64) {
-        loop {
-            let step_at = self
-                .ctx
-                .schedule
-                .steps
-                .get(self.supply_cursor)
-                .map_or(u64::MAX, |s| s.at_nanos);
-            let retry_at = self.retries.peek().map_or(u64::MAX, |r| r.0.at_nanos);
-            // Cap the completion scan at the next unprocessed step or
-            // pending retry: both push entries back into the queue, and
-            // the wheel's cursor must not have advanced past the push
-            // instant. Correctness is unaffected — any completion
-            // beyond the break fires after it anyway.
-            let completion = self
-                .queue
-                .next_due(to_nanos.min(step_at).min(retry_at))
-                .unwrap_or(u64::MAX);
-            let notice_at = self
-                .ctx
-                .schedule
-                .notices
-                .get(self.notice_cursor)
-                .map_or(u64::MAX, |n| n.at_nanos);
-            let tick_at = self.next_tick_at().unwrap_or(u64::MAX);
-            // `u64::MAX` stands in for "exhausted": the same-instant
-            // priority below (completion < step < notice < retry <
-            // tick) is a chain of equality checks against the minimum,
-            // so the sentinel never wins unless everything is spent.
-            let now = completion
-                .min(step_at)
-                .min(notice_at)
-                .min(retry_at)
-                .min(tick_at);
-            if now > to_nanos {
-                break;
-            }
-            if completion == now {
-                let e = self.queue.pop_due();
-                self.complete(e);
-            } else if step_at == now {
-                self.supply_step();
-            } else if notice_at == now {
-                self.fire_notice();
-            } else if retry_at == now {
-                let Reverse(p) = self.retries.pop().expect("retry head exists");
-                if p.kind == KIND_RETRY {
-                    self.fire_retry(p);
-                } else {
-                    self.fire_hedge(p);
+        while self.queue.next_due(to_nanos).is_some() {
+            match self.queue.pop_due() {
+                Event::Completion(e) => {
+                    self.inflight -= 1;
+                    self.complete(e);
                 }
-            } else {
-                self.fire_tick(now);
+                Event::Step(_) => self.supply_step(),
+                Event::Notice(_) => self.fire_notice(),
+                Event::Retry(p) if p.kind == KIND_RETRY => self.fire_retry(p),
+                Event::Retry(p) => self.fire_hedge(p),
+                Event::Tick(at) => self.fire_tick(at),
             }
         }
-        self.next_break = self.compute_next_break();
     }
 
-    /// Recomputes the cached next-break instant from the four break
-    /// cursors.
-    fn compute_next_break(&self) -> u64 {
-        let step = self
-            .ctx
-            .schedule
-            .steps
-            .get(self.supply_cursor)
-            .map_or(u64::MAX, |s| s.at_nanos);
-        let notice = self
-            .ctx
-            .schedule
-            .notices
-            .get(self.notice_cursor)
-            .map_or(u64::MAX, |n| n.at_nanos);
-        let retry = self.retries.peek().map_or(u64::MAX, |r| r.0.at_nanos);
-        step.min(notice)
-            .min(retry)
-            .min(self.next_tick_at().unwrap_or(u64::MAX))
+    /// Queues the schedule's next supply step, if one is left.
+    fn queue_step(&mut self) {
+        if let Some(s) = self.ctx.schedule.steps.get(self.supply_cursor) {
+            self.queue.push(Event::Step(s.at_nanos));
+        }
+    }
+
+    /// Queues the schedule's next preemption notice, if one is left.
+    fn queue_notice(&mut self) {
+        if let Some(n) = self.ctx.schedule.notices.get(self.notice_cursor) {
+            self.queue.push(Event::Notice(n.at_nanos));
+        }
+    }
+
+    /// Queues the controller tick at `at` unless it lies past the
+    /// horizon (tick `k` fires at `k · cadence`, `k ≥ 1`).
+    fn queue_tick(&mut self, at: Option<u64>) {
+        if let Some(at) = at.filter(|&at| at <= self.ctx.horizon_nanos) {
+            self.queue.push(Event::Tick(at));
+        }
     }
 
     /// Retires one popped completion: live entries release their market
@@ -1646,6 +1580,7 @@ impl<R: Recorder> EpochSim<'_, R> {
     /// slots and resolves every displaced resident *at the step* —
     /// migrate to another zone when one fits (same family, re-billed at
     /// the migration fraction of list), force-demote otherwise.
+    #[inline(never)]
     fn supply_step(&mut self) {
         let ctx = self.ctx;
         let step = &ctx.schedule.steps[self.supply_cursor];
@@ -1685,11 +1620,13 @@ impl<R: Recorder> EpochSim<'_, R> {
             self.supply_cursor as u64,
         );
         self.supply_cursor += 1;
+        self.queue_step();
     }
 
     /// Fires the preemption notice at `notice_cursor`: marks every slot
     /// the announced step will withdraw, so they stop admitting and
     /// their residents get a drain window.
+    #[inline(never)]
     fn fire_notice(&mut self) {
         let ctx = self.ctx;
         let announced = ctx.schedule.notices[self.notice_cursor];
@@ -1707,16 +1644,19 @@ impl<R: Recorder> EpochSim<'_, R> {
             u64::from(hit),
         );
         self.notice_cursor += 1;
+        self.queue_notice();
     }
 
-    /// Fires controller tick `self.next_tick`: hands the controller the
+    /// Fires the controller tick at `at`: hands the controller the
     /// closed epoch's observation, records the telemetry sample, and
     /// opens the next epoch.
+    #[inline(never)]
     fn fire_tick(&mut self, at: u64) {
+        let cadence = self.ctx.cadence_nanos;
         let wall0 = if R::ENABLED { self.rec.now_nanos() } else { 0 };
         let utilization = self.ledger.utilization();
         let obs = Observation {
-            tick: self.next_tick as u32,
+            tick: (at / cadence) as u32,
             at_nanos: at,
             utilization,
             accum: &self.accum,
@@ -1760,13 +1700,13 @@ impl<R: Recorder> EpochSim<'_, R> {
             );
             self.rec.span_sim(
                 tel::Span::ControllerTick,
-                at.saturating_sub(self.ctx.cadence_nanos),
+                at.saturating_sub(cadence),
                 at,
-                self.next_tick,
+                at / cadence,
             );
         }
         self.accum.reset();
-        self.next_tick += 1;
+        self.queue_tick(at.checked_add(cadence));
     }
 
     /// Places one arrival through the admission pass and meters its
@@ -1780,7 +1720,7 @@ impl<R: Recorder> EpochSim<'_, R> {
         if R::ENABLED {
             self.rec.add(tel::Counter::Arrivals, 1);
             self.rec
-                .observe(tel::Hist::InflightDepth, self.queue.len() as u64);
+                .observe(tel::Hist::InflightDepth, self.inflight as u64);
             if self.prev_arrival != u64::MAX {
                 self.rec
                     .observe(tel::Hist::ArrivalGapNanos, at - self.prev_arrival);
@@ -1915,8 +1855,9 @@ impl<R: Recorder> EpochSim<'_, R> {
             ..entry
         };
         self.ledger.place(&entry);
-        self.queue.push(entry);
-        self.peak_inflight = self.peak_inflight.max(self.queue.len());
+        self.queue.push(Event::Completion(entry));
+        self.inflight += 1;
+        self.peak_inflight = self.peak_inflight.max(self.inflight);
     }
 
     /// Executes one placed attempt: draws the attempt's transient fault,
@@ -2052,8 +1993,7 @@ impl<R: Recorder> EpochSim<'_, R> {
             self.rec
                 .observe(tel::Hist::RetryBackoffNanos, at - base_nanos);
         }
-        self.retries.push(Reverse(retry));
-        self.next_break = self.next_break.min(at);
+        self.queue.push(Event::Retry(retry));
     }
 
     /// Schedules a hedged re-issue of a straggling attempt, if hedging
@@ -2079,7 +2019,7 @@ impl<R: Recorder> EpochSim<'_, R> {
         if t_h >= straggle_completion || t_h > self.ctx.horizon_nanos {
             return;
         }
-        self.retries.push(Reverse(PendingRetry {
+        self.queue.push(Event::Retry(PendingRetry {
             at_nanos: t_h,
             idx,
             function,
@@ -2089,7 +2029,6 @@ impl<R: Recorder> EpochSim<'_, R> {
             arrival_nanos,
             orig_completion_nanos: straggle_completion,
         }));
-        self.next_break = self.next_break.min(t_h);
     }
 
     /// Fires one pending retry: the activation re-enters admission as a
@@ -2100,6 +2039,7 @@ impl<R: Recorder> EpochSim<'_, R> {
     /// does. Its outcome lands in one [`RetryRecord`]; terminal
     /// fallbacks record end-to-end inflation (queueing included)
     /// against the function's best-config time.
+    #[inline(never)]
     fn fire_retry(&mut self, p: PendingRetry) {
         let now = p.at_nanos;
         if self.control.brownout {
@@ -2157,6 +2097,7 @@ impl<R: Recorder> EpochSim<'_, R> {
     /// placement, since both completion instants are fixed there). A
     /// hedge runs the admission pass unless brownout is on; one it does
     /// not place on spot drops silently.
+    #[inline(never)]
     fn fire_hedge(&mut self, p: PendingRetry) {
         if self.control.brownout {
             return;
@@ -2232,6 +2173,12 @@ impl<R: Recorder> EpochSim<'_, R> {
 /// never closed early and has no boundary to snapshot at.
 const ONE_EPOCH: u64 = u64::MAX;
 
+/// Latest last arrival a replay accepts, 2^62 ns (≈ 146 years): every
+/// completion, retry and hedge instant is its placement instant plus a
+/// run or backoff, and this bound leaves them room below `u64::MAX`. A
+/// CSV row past minute 76,861,433 crosses it.
+const MAX_HORIZON_NANOS: u64 = 1 << 62;
+
 /// Validates a resumable replay's epoch size; returns it in integer
 /// nanoseconds.
 fn validate_epoch(horizon_nanos: u64, epoch_secs: f64) -> Result<u64> {
@@ -2287,12 +2234,12 @@ fn replay_fingerprint(
 
 thread_local! {
     /// Per-thread epoch-close drain buffer. Every epoch drains its
-    /// completion queue once at close; the buffer keeps its high-water
+    /// event calendar once at close; the buffer keeps its high-water
     /// capacity across epochs (like the wheel pool in
     /// [`crate::wheel`]), so a steady-state epoch close is
-    /// allocation-free apart from the owned carry vector
+    /// allocation-free apart from the owned carry vectors
     /// (`tests/alloc_steady_state.rs` pins this).
-    static DRAIN_POOL: std::cell::RefCell<Vec<InFlight>> =
+    static DRAIN_POOL: std::cell::RefCell<Vec<Event>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -2330,23 +2277,21 @@ fn simulate_epoch<R: Recorder>(
         let mut e = *entry;
         e.epoch = ledger.epoch(e.slot);
         ledger.restore(&e);
-        queue.push(e);
+        queue.push(Event::Completion(e));
+    }
+    for &p in &carry_in.retries {
+        queue.push(Event::Retry(p));
     }
     let mut sim = EpochSim {
         ctx,
         rec,
         prev_arrival: u64::MAX,
-        peak_inflight: queue.len(),
+        inflight: carry_in.inflight.len(),
+        peak_inflight: carry_in.inflight.len(),
         ledger,
         queue,
         supply_cursor: start.cursor,
         notice_cursor: start.notice_cursor,
-        // Ticks strictly before the epoch start already fired in a
-        // predecessor; a tick exactly at the start belongs to this
-        // epoch (its predecessor only advanced to `start − 1`).
-        next_tick: start_nanos.div_ceil(ctx.cadence_nanos).max(1),
-        next_break: 0,
-        retries: carry_in.retries.iter().map(|&p| Reverse(p)).collect(),
         budget: carry_in.budget.clone(),
         control: carry_in.control.clone(),
         accum: carry_in.accum.clone(),
@@ -2358,7 +2303,13 @@ fn simulate_epoch<R: Recorder>(
             ..EpochMetering::default()
         },
     };
-    sim.next_break = sim.compute_next_break();
+    sim.queue_step();
+    sim.queue_notice();
+    // Ticks strictly before the epoch start already fired in a
+    // predecessor; a tick exactly at the start belongs to this epoch
+    // (its predecessor only advanced to `start − 1`).
+    let first_tick = start_nanos.div_ceil(ctx.cadence_nanos).max(1);
+    sim.queue_tick(first_tick.checked_mul(ctx.cadence_nanos));
 
     for (i, event) in events.enumerate() {
         let at = event_nanos(event.at_secs);
@@ -2374,26 +2325,34 @@ fn simulate_epoch<R: Recorder>(
         sim.advance(end_nanos - 1);
     }
 
-    // Drain: live entries become the canonical carry-over (ascending
-    // key order). Ghost entries — their slot withdrawn since placement
-    // — drop silently: their fate was resolved and metered at the
-    // withdrawal step. The drain lands in a thread-pooled buffer that
-    // keeps its capacity across epochs (the carry vector itself must be
-    // owned — it travels in the outcome — but the typically much larger
-    // ghost-laden drain does not).
-    let inflight = DRAIN_POOL.with(|pool| {
+    // Drain the calendar in key order. Live completions become the
+    // canonical in-flight carry; pending retries and hedges (every one
+    // fires at or after `end_nanos` — the close advanced through
+    // `end_nanos − 1`) carry over in `PendingRetry::key` order. Ghost
+    // completions — their slot withdrawn since placement — drop
+    // silently: their fate was resolved and metered at the withdrawal
+    // step. So do the unfired step, notice and tick: the next epoch
+    // re-derives them from the schedule. The drain lands in a
+    // thread-pooled buffer that keeps its capacity across epochs (the
+    // carry vectors themselves must be owned — they travel in the
+    // outcome — but the typically much larger ghost-laden drain does
+    // not).
+    let (inflight, retries) = DRAIN_POOL.with(|pool| {
         let mut remaining = pool.borrow_mut();
         remaining.clear();
         sim.queue.drain_into(&mut remaining);
-        let mut inflight = Vec::with_capacity(remaining.len());
-        for &e in remaining.iter() {
-            if sim.ledger.is_live(&e) {
-                let mut carried = e;
-                carried.epoch = 0;
-                inflight.push(carried);
+        let mut inflight = Vec::with_capacity(sim.inflight);
+        let mut retries = Vec::new();
+        for &event in remaining.iter() {
+            match event {
+                Event::Completion(e) if sim.ledger.is_live(&e) => {
+                    inflight.push(InFlight { epoch: 0, ..e });
+                }
+                Event::Retry(p) => retries.push(p),
+                _ => {}
             }
         }
-        inflight
+        (inflight, retries)
     });
     let sim_end = if end_nanos == ONE_EPOCH {
         ctx.horizon_nanos
@@ -2404,16 +2363,11 @@ fn simulate_epoch<R: Recorder>(
         .span_sim(tel::Span::Epoch, start_nanos, sim_end, u64::from(base_idx));
     sim.rec
         .span_wall(tel::Span::EpochSim, epoch_wall, u64::from(base_idx));
-    // Pending retries outliving the epoch carry over in key order
-    // (every entry fires at or after `end_nanos` — the close advanced
-    // through `end_nanos − 1`).
-    let mut pending: Vec<PendingRetry> = sim.retries.into_iter().map(|Reverse(p)| p).collect();
-    pending.sort();
     EpochOutcome {
         metering: sim.m,
         carry_out: Carry {
             inflight,
-            retries: pending,
+            retries,
             budget: sim.budget,
             control: sim.control,
             accum: sim.accum,
@@ -2854,7 +2808,9 @@ mod tests {
     #[test]
     fn epoch_boundary_tie_breaks_are_pinned() {
         // Pin the event order at one instant — completion < step <
-        // notice < tick — by aligning every recurring instant on the
+        // notice < retry/hedge < tick; this trace draws no retries,
+        // `same_instant_event_order_is_pinned_on_a_lattice` adds them —
+        // by aligning every recurring instant on the
         // same lattice: supply steps every 5 s, notices 5 s ahead (so
         // each notice clamps onto the previous step), controller ticks
         // every 5 s, and epoch boundaries at 5 s and 2.5 s. Every step,
@@ -2911,6 +2867,149 @@ mod tests {
                 "epoch={epoch_secs}"
             );
         }
+    }
+
+    /// Table-backed plans whose every duration is a whole multiple of
+    /// 5 s: an on-demand best configuration on C5 and two accepted
+    /// Graviton alternates, each half a `.4xlarge` slot wide.
+    fn lattice_plans(n: usize) -> Vec<FunctionPlan> {
+        use freedom_cluster::InstanceFamily;
+        use freedom_faas::{PerfPoint, ResourceConfig};
+        use freedom_workloads::InputId;
+        (0..n)
+            .map(|f| {
+                let base = 10.0 + 5.0 * (f % 3) as f64;
+                let rows = [
+                    (InstanceFamily::C5, base, 0.004),
+                    (InstanceFamily::C6g, base + 5.0, 0.003),
+                    (InstanceFamily::M6g, base + 10.0, 0.002),
+                ];
+                let points: Vec<PerfPoint> = rows
+                    .iter()
+                    .map(|&(family, secs, usd_per_sec)| PerfPoint {
+                        config: ResourceConfig::new(family, 8.0, 4096).unwrap(),
+                        failed: false,
+                        exec_time_secs: secs,
+                        exec_cost_usd: secs * usd_per_sec,
+                        peak_mem_mib: Some(1024),
+                        reps: 1,
+                    })
+                    .collect();
+                let alternates = points[1..]
+                    .iter()
+                    .map(|p| PlannedPlacement {
+                        family: p.config.family(),
+                        config: p.config,
+                        accepted: true,
+                        norm_exec_time: p.exec_time_secs / base,
+                        norm_spot_cost: 0.5,
+                    })
+                    .collect();
+                let function = FunctionKind::ALL[f % FunctionKind::ALL.len()];
+                FunctionPlan {
+                    function,
+                    best_config: points[0].config,
+                    alternates,
+                    table: PerfTable::from_points(function, InputId("lattice".into()), points),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn same_instant_event_order_is_pinned_on_a_lattice() {
+        // Every event kind lands on one 5 s lattice: CSV rows of 6
+        // arrivals per minute put arrivals at 5 s + 10 s·k, durations are
+        // whole multiples of 5 s, supply steps, notices and controller
+        // ticks recur every 5 s, crashes retry after a jitter-free 5 s
+        // backoff, and stragglers (2× slower) are hedged after 5 s. So
+        // completions, steps, notices, retries, hedges and ticks keep
+        // meeting at one instant, and the report depends on the order
+        // completion < step < notice < retry/hedge < tick. The pins are
+        // fixed values, not another run of the engine: a change that
+        // reorders two kinds at one instant breaks them even when every
+        // entry point still agrees with every other.
+        const FUNCTIONS: usize = 8;
+        let mut csv = String::from("app,func,minute,count\n");
+        for minute in 0..10 {
+            for f in 0..FUNCTIONS {
+                csv.push_str(&format!("app{f},fn{f},{minute},6\n"));
+            }
+        }
+        let lazy = StreamTrace::from_csv(&csv).unwrap();
+        let sim = FleetSimulator::new(lattice_plans(FUNCTIONS)).unwrap();
+        let config = FleetConfig {
+            market: MarketConfig {
+                vms_per_family: 2,
+                supply: SupplyProcess {
+                    step_secs: 5.0,
+                    min_fraction: 0.25,
+                    seed: 9,
+                },
+                zones: ZoneConfig {
+                    n_zones: 2,
+                    notice_secs: 5.0,
+                    shock: 0.5,
+                    migration_rebill: 0.5,
+                },
+                ..MarketConfig::default()
+            },
+            control: ControlConfig {
+                cadence_secs: 5.0,
+                controller: ControllerConfig::HeadroomPid(PidConfig::default()),
+            },
+            faults: FaultPlan {
+                seed: 23,
+                crash_prob: 0.2,
+                abort_prob: 0.1,
+                straggler_prob: 0.2,
+                straggler_factor: 2.0,
+                ..FaultPlan::NONE
+            },
+            retry: RetryPolicy {
+                max_attempts: 3,
+                backoff_base_secs: 5.0,
+                backoff_cap_secs: 5.0,
+                jitter_frac: 0.0,
+                budget_per_sec: 1.0,
+                budget_burst: 8.0,
+                hedge_delay_secs: 5.0,
+                ..RetryPolicy::DEFAULT
+            },
+            ..FleetConfig::default()
+        };
+        let report = sim
+            .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
+            .unwrap();
+        accounting_is_total(&report);
+        let debug = format!("{report:?}");
+        let mut h = Fnv64::new();
+        for b in debug.bytes() {
+            h.write(u64::from(b));
+        }
+        let counts = [
+            report.invocations,
+            report.spot_admitted,
+            report.drained,
+            report.migrated,
+            report.spot_demoted,
+            report.notified,
+            report.rejected,
+            report.policy_rejections,
+            report.capacity_misses,
+            report.retried,
+            report.hedge_wins,
+            report.dead_lettered,
+        ];
+        assert_eq!(
+            counts,
+            [480, 100, 15, 11, 69, 112, 337, 85, 252, 53, 11, 1],
+            "{report:?}"
+        );
+        assert_eq!(h.finish(), 0x670e_1d2a_e4f7_cf74, "{report:?}");
+        // The 5 s epoch chain puts every boundary on the same lattice.
+        let epochs = chained(&sim, &lazy, PlacementStrategy::IdleAware, &config, 5.0);
+        assert_eq!(format!("{epochs:?}"), debug);
     }
 
     #[test]
@@ -3927,6 +4026,69 @@ mod tests {
         assert!(sim
             .run_stream(&small, PlacementStrategy::IdleAware, &config)
             .is_err());
+    }
+
+    /// Six minute-0 arrivals plus one at minute 400,000,000, whose
+    /// instant saturates `event_nanos`, under a cadence long enough that
+    /// the tick bound does not reject the trace first.
+    fn saturated_horizon() -> (FleetSimulator, StreamTrace, FleetConfig) {
+        let mut csv = String::new();
+        for f in 0..6 {
+            csv.push_str(&format!("app{f},fn{f},0,1\n"));
+        }
+        csv.push_str("app0,fn0,400000000,1\n");
+        let lazy = StreamTrace::from_csv(&csv).unwrap();
+        assert_eq!(lazy.horizon_nanos(), u64::MAX);
+        let config = FleetConfig {
+            control: ControlConfig {
+                cadence_secs: 1e9,
+                ..ControlConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        (FleetSimulator::new(lattice_plans(6)).unwrap(), lazy, config)
+    }
+
+    fn names_the_horizon_bound(e: FreedomError) {
+        assert!(
+            matches!(&e, FreedomError::InvalidArgument(m) if m.contains("2^62 ns")),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn run_rejects_a_horizon_without_headroom() {
+        let (sim, lazy, config) = saturated_horizon();
+        let trace = lazy.materialize().unwrap();
+        let e = sim
+            .run(&trace, PlacementStrategy::IdleAware, &config)
+            .unwrap_err();
+        names_the_horizon_bound(e);
+    }
+
+    #[test]
+    fn run_stream_rejects_a_horizon_without_headroom() {
+        let (sim, lazy, config) = saturated_horizon();
+        let e = sim
+            .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
+            .unwrap_err();
+        names_the_horizon_bound(e);
+    }
+
+    #[test]
+    fn run_stream_resumable_rejects_a_horizon_without_headroom() {
+        let (sim, lazy, config) = saturated_horizon();
+        let e = sim
+            .run_stream_resumable(
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                1e9,
+                None,
+                |_| Ok(true),
+            )
+            .unwrap_err();
+        names_the_horizon_bound(e);
     }
 
     #[test]

@@ -206,6 +206,11 @@ impl AdmissionPolicy {
     }
 }
 
+/// Most VM slots one market may hold. The replay's event calendar packs
+/// a completion's flat slot index into 29 bits of its order key
+/// ([`crate::wheel::Event::key`]).
+pub(crate) const MAX_SLOTS: usize = 1 << 29;
+
 /// Configuration of the shared spot market.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarketConfig {
@@ -250,6 +255,12 @@ impl MarketConfig {
             }
         }
         self.zones.validate()?;
+        if self.width().saturating_mul(self.vms_per_family) > MAX_SLOTS {
+            return Err(FreedomError::InvalidArgument(format!(
+                "market of {} VMs per family in {} zones exceeds 2^29 VM slots",
+                self.vms_per_family, self.zones.n_zones
+            )));
+        }
         self.supply.validate()
     }
 
@@ -512,8 +523,9 @@ fn compose_faults(
     steps
 }
 
-/// One in-flight spot placement, as stored in the completion queue and
-/// in the carry-over state crossing replay-epoch boundaries.
+/// One in-flight spot placement, as queued in the replay's event
+/// calendar and in the carry-over state crossing replay-epoch
+/// boundaries.
 ///
 /// Ordering (and equality) is by `(completion_nanos, slot, idx, meta)`:
 /// `slot` is a flat market-wide index so it encodes the zone and family,
@@ -1492,5 +1504,20 @@ mod tests {
             .is_err());
         }
         assert!(MarketConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn markets_beyond_the_slot_bound_are_rejected() {
+        let lanes = ZoneConfig::SINGLE.n_zones * N_MARKET_FAMILIES;
+        let at_bound = MarketConfig {
+            vms_per_family: MAX_SLOTS / lanes,
+            ..MarketConfig::default()
+        };
+        assert!(at_bound.validate().is_ok());
+        let beyond = MarketConfig {
+            vms_per_family: MAX_SLOTS / lanes + 1,
+            ..MarketConfig::default()
+        };
+        assert!(beyond.validate().is_err());
     }
 }

@@ -32,9 +32,10 @@
 //!   hysteresis, so the mode cannot flap every epoch.
 //!
 //! The engine half — how retries re-enter admission as first-class
-//! simulated-time events ordered `completion < step < notice < retry <
-//! tick` — lives in [`crate::fleet`]; the contract is documented in
-//! `crates/core/README.md` ("The retry contract").
+//! simulated-time events in the replay's one event calendar
+//! (`wheel.rs`), ordered `completion < step < notice < retry <
+//! tick` at one instant — lives in [`crate::fleet`]; the contract is
+//! documented in `crates/core/README.md` ("The retry contract").
 
 use crate::faults::{mix, unit};
 use crate::{FreedomError, Result};
@@ -215,11 +216,12 @@ impl Default for RetryPolicy {
 
 /// One pending retry (or hedge) event, scheduled in simulated time.
 ///
-/// These are first-class events in the replay: within one instant the
-/// engines order event classes `completion < step < notice < retry <
-/// tick`, and pending entries that outlive an epoch are carried — sorted
-/// by [`PendingRetry::key`] — into the next one, so the epoch chain
-/// fires them bit-identically to the single pass.
+/// These are first-class events in the replay's event calendar: within
+/// one instant it orders event kinds `completion < step < notice <
+/// retry < tick`, and pending entries that outlive an epoch are
+/// carried — drained in [`PendingRetry::key`] order — into the next
+/// one, so the epoch chain fires them bit-identically to the single
+/// pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PendingRetry {
     /// Fire instant, simulated nanoseconds.
@@ -242,21 +244,10 @@ pub(crate) struct PendingRetry {
 }
 
 impl PendingRetry {
-    /// Total order used by the event heap and the carried-state sort.
+    /// Total order among retries and hedges: their tie-break within one
+    /// instant of the event calendar, and the order they carry over in.
     pub fn key(&self) -> (u64, u32, u8, u8) {
         (self.at_nanos, self.idx, self.attempt, self.kind)
-    }
-}
-
-impl Ord for PendingRetry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-impl PartialOrd for PendingRetry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -378,10 +369,13 @@ mod tests {
             kind: KIND_HEDGE,
             ..base
         };
-        assert!(base < later);
-        assert!(base < hedge, "retry fires before hedge at one instant");
+        assert!(base.key() < later.key());
+        assert!(
+            base.key() < hedge.key(),
+            "retry fires before hedge at one instant"
+        );
         let mut v = vec![later, hedge, base];
-        v.sort();
+        v.sort_by_key(PendingRetry::key);
         assert_eq!(v, vec![base, hedge, later]);
     }
 

@@ -63,7 +63,7 @@ use crate::{FreedomError, Result};
 /// Current snapshot wire-format version. Bumped on any layout change;
 /// decoders reject other versions rather than guessing. Version 2 added
 /// the file index to CSV stream checkpoints (multi-file traces); version
-/// 3 added the pending-retry heap and retry-budget carry state plus the
+/// 3 added the pending retries and retry-budget carry state plus the
 /// trailing FNV-64 integrity checksum; version 4 replaced the
 /// per-invocation metering prefix with the settled accumulators plus
 /// the unsettled tail; version 5 replaced the CSV checkpoint's file

@@ -1,45 +1,90 @@
-//! The completion queue of the replay's event core: a hierarchical
-//! timer wheel keyed on integer completion nanoseconds.
+//! The replay's event calendar: a hierarchical timer wheel keyed on
+//! integer simulated nanoseconds.
 //!
-//! Every arrival pushes one [`InFlight`] completion and every advance
-//! pops the due ones back out in `(completion_nanos, slot, idx)` order.
-//! A `BinaryHeap` pays `O(log n)` per event on that hot path; the wheel
-//! pays `O(1)` amortized by hashing completion times into hierarchical
-//! buckets of ~1 ms at the finest level ([`FINEST_SHIFT`]) and cascading
-//! coarser buckets only when simulated time reaches them.
+//! Every simulated-time event of a replay epoch waits here as one
+//! [`Event`]: a completion, the next supply step, the next preemption
+//! notice, a pending retry or hedge, or the next controller tick. Every
+//! placement pushes one completion and every advance pops the due events
+//! back out in calendar order. A `BinaryHeap` pays `O(log n)` per event
+//! on that hot path; the wheel pays `O(1)` amortized by hashing event
+//! instants into hierarchical buckets of ~1 ms at the finest level
+//! ([`FINEST_SHIFT`]) and cascading coarser buckets only when simulated
+//! time reaches them.
 //!
-//! # Completion-order guarantee
+//! # Calendar order
 //!
 //! The wheel surfaces entries in **exactly** the total order
-//! [`InFlight`] defines — time, then slot, then arrival index — the
-//! order a binary min-heap pops them in. Two entries due at the same
-//! nanosecond land in the same finest bucket, and buckets are drained
-//! sorted, so the wheel's pop sequence is bit-identical to the heap's;
-//! the model tests below pin it against a `BinaryHeap` oracle.
+//! [`Event::key`] defines: instant, then kind (completion < supply step
+//! < notice < retry or hedge < tick), then the kind's own tie-break —
+//! `(slot, idx)` for completions, [`PendingRetry::key`] for retries and
+//! hedges. That is the order a binary min-heap pops them in. Two entries
+//! due at the same nanosecond land in the same finest bucket, and
+//! buckets are drained sorted, so the wheel's pop sequence is
+//! bit-identical to the heap's; the model tests below pin it against a
+//! `BinaryHeap` oracle.
 //!
 //! The one contract the wheel adds over a heap: time may not run
 //! backwards. [`TimerWheel::next_due`] advances the internal cursor at
-//! most to its `limit`, and the replay only pushes completions at or
-//! after the instant it is advancing toward, so a push never lands
-//! behind the cursor. [`TimerWheel::push`] debug-asserts it.
-//!
-//! Multi-zone markets lean on that contract at supply steps: a
-//! cross-zone migration re-pushes a displaced entry — same completion
-//! instant, a fresh slot in the surviving zone — at the step instant
-//! itself, possibly while the cursor is parked mid-drain on that very
-//! instant. The replay caps each completion scan at the next unprocessed
-//! step (see `fleet.rs`), so the cursor never advances past a future
-//! push; an entry landing exactly *at* the cursor is legal and merges
-//! into the ready run. The stale pre-migration twin stays queued under
-//! its old slot and is filtered by the ledger's epoch check when it
-//! pops, and same-instant entries across zones drain in the usual
-//! `(time, slot, idx)` order.
+//! most to its `limit`, and every push the replay makes while handling
+//! an event lands at or after that event's instant, so a push never
+//! lands behind the cursor; one landing exactly *at* it merges into the
+//! ready run. [`TimerWheel::push`] debug-asserts it.
 
 use crate::market::InFlight;
+use crate::retry::PendingRetry;
 
-/// log2 of the finest bucket width: 2^20 ns ≈ 1.05 ms. Completions
-/// within the same ~millisecond share a bucket and are order-resolved by
-/// an in-bucket sort at drain time.
+/// One entry of the event calendar: an in-flight placement's completion
+/// (ghosts included), a pending retry or hedge, or the next supply step,
+/// preemption notice or controller tick. Those last three carry only
+/// their instant: a replay queues one of each at a time, and firing one
+/// queues its successor.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Event {
+    Completion(InFlight),
+    Step(u64),
+    Notice(u64),
+    Retry(PendingRetry),
+    Tick(u64),
+}
+
+/// Bits of [`Event::key`]'s low word below the kind rank. A completion's
+/// `(slot, idx)` fills them, which bounds the market at 2^29 slots
+/// ([`crate::market::MAX_SLOTS`]).
+const RANK_SHIFT: u32 = 61;
+
+impl Event {
+    /// The simulated instant the event fires at.
+    #[inline]
+    pub fn at(&self) -> u64 {
+        (self.key() >> 64) as u64
+    }
+
+    /// The calendar order, packed into one integer: the instant in the
+    /// high word, then the kind's rank in the low word's top three bits,
+    /// then the kind's own tie-break.
+    #[inline]
+    pub fn key(&self) -> u128 {
+        let (at, low) = match *self {
+            Event::Completion(e) => (
+                e.completion_nanos,
+                (u64::from(e.slot) << 32) | u64::from(e.idx),
+            ),
+            Event::Step(at) => (at, 1 << RANK_SHIFT),
+            Event::Notice(at) => (at, 2 << RANK_SHIFT),
+            Event::Retry(p) => {
+                let (at, idx, attempt, kind) = p.key();
+                let tie = (u64::from(idx) << 16) | (u64::from(attempt) << 8) | u64::from(kind);
+                (at, (3 << RANK_SHIFT) | tie)
+            }
+            Event::Tick(at) => (at, 4 << RANK_SHIFT),
+        };
+        (u128::from(at) << 64) | u128::from(low)
+    }
+}
+
+/// log2 of the finest bucket width: 2^20 ns ≈ 1.05 ms. Events within
+/// the same ~millisecond share a bucket and are order-resolved by an
+/// in-bucket sort at drain time.
 const FINEST_SHIFT: u32 = 20;
 
 /// log2 of the slots per level.
@@ -54,23 +99,23 @@ const LEVELS: usize = 8;
 
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 
-/// Hierarchical timer wheel over integer completion nanoseconds.
+/// Hierarchical timer wheel over integer event nanoseconds.
 ///
-/// `levels[l][s]` buckets entries whose completion time shares the
+/// `levels[l][s]` buckets entries whose instant shares the
 /// cursor's bits above level `l`'s 6-bit field and has `s` in that
 /// field. The finest bucket the cursor currently points at is held
 /// drained and sorted in `ready` (descending, so the minimum pops from
 /// the back); coarser buckets cascade down as the cursor reaches them.
 pub(crate) struct TimerWheel {
-    levels: Box<[[Vec<InFlight>; SLOTS]; LEVELS]>,
-    /// Completions at or beyond `horizon` in arrival order. An epoch
-    /// never advances past its own end, so boundary-crossing
-    /// completions — roughly the whole in-flight carry at short epochs
-    /// — can never pop during the epoch. Bucketing them would pay
-    /// placement plus a cascade per level the cursor crosses, only to
-    /// drain them at close anyway; a flat list sorted once at the
-    /// close ([`TimerWheel::drain_into`]) pays one push.
-    overflow: Vec<InFlight>,
+    levels: Box<[[Vec<Event>; SLOTS]; LEVELS]>,
+    /// Entries at or beyond `horizon` in push order. An epoch never
+    /// advances past its own end, so boundary-crossing entries —
+    /// roughly the whole in-flight carry at short epochs — can never
+    /// pop during the epoch. Bucketing them would pay placement plus a
+    /// cascade per level the cursor crosses, only to drain them at close
+    /// anyway; a flat list sorted once at the close
+    /// ([`TimerWheel::drain_into`]) pays one push.
+    overflow: Vec<Event>,
     /// Exclusive upper bound on every `limit` passed to
     /// [`TimerWheel::next_due`]: the epoch's end instant.
     horizon: u64,
@@ -85,12 +130,12 @@ pub(crate) struct TimerWheel {
     /// live in `ready`, never in `levels`.
     now: u64,
     /// `now`'s finest bucket, sorted descending by key.
-    ready: Vec<InFlight>,
+    ready: Vec<Event>,
     /// Scratch for cascading a coarser bucket: entries are swapped out
     /// here, re-placed, and the buffer cleared — a `mem::take` of the
     /// bucket would drop its capacity and put an allocation on the
     /// steady-state event path (`tests/alloc_steady_state.rs`).
-    cascade: Vec<InFlight>,
+    cascade: Vec<Event>,
     len: usize,
 }
 
@@ -113,8 +158,8 @@ impl TimerWheel {
         }
     }
 
-    /// Entries queued, bucketed and overflowed alike — the replay's
-    /// in-flight count.
+    /// Entries queued, bucketed and overflowed alike.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.len + self.overflow.len()
     }
@@ -141,8 +186,8 @@ impl TimerWheel {
         prefix | (slot << shift)
     }
 
-    pub fn push(&mut self, entry: InFlight) {
-        if entry.completion_nanos >= self.horizon {
+    pub fn push(&mut self, entry: Event) {
+        if entry.at() >= self.horizon {
             self.overflow.push(entry);
         } else {
             self.len += 1;
@@ -153,14 +198,12 @@ impl TimerWheel {
     /// Routes one entry to `ready` (cursor's bucket) or its level
     /// bucket — shared by pushes and cascades so both obey the same
     /// placement invariants.
-    fn place(&mut self, entry: InFlight) {
-        let t = entry.completion_nanos;
-        debug_assert!(t >= self.now, "completion {} behind cursor {}", t, self.now);
+    fn place(&mut self, entry: Event) {
+        let t = entry.at();
+        debug_assert!(t >= self.now, "event {} behind cursor {}", t, self.now);
         if t >> FINEST_SHIFT == self.now >> FINEST_SHIFT {
-            let key = (t, entry.slot, entry.idx);
-            let pos = self
-                .ready
-                .partition_point(|x| (x.completion_nanos, x.slot, x.idx) > key);
+            let key = entry.key();
+            let pos = self.ready.partition_point(|x| x.key() > key);
             self.ready.insert(pos, entry);
         } else {
             let level = self.level_for(t);
@@ -170,9 +213,9 @@ impl TimerWheel {
         }
     }
 
-    /// Earliest completion due at or before `limit`, without consuming
-    /// it. Advances the cursor no further than `limit`, so later pushes
-    /// at or after `limit` can never land behind it.
+    /// Instant of the earliest event due at or before `limit`, without
+    /// consuming it. Advances the cursor no further than `limit`, so
+    /// later pushes at or after `limit` can never land behind it.
     pub fn next_due(&mut self, limit: u64) -> Option<u64> {
         debug_assert!(
             limit < self.horizon || self.horizon == u64::MAX,
@@ -182,7 +225,8 @@ impl TimerWheel {
             if let Some(e) = self.ready.last() {
                 // Every level bucket is in a strictly later finest
                 // bucket than `ready`'s, so its minimum is global.
-                return (e.completion_nanos <= limit).then_some(e.completion_nanos);
+                let at = e.at();
+                return (at <= limit).then_some(at);
             }
             if self.len == 0 {
                 self.now = self.now.max(limit);
@@ -223,13 +267,8 @@ impl TimerWheel {
                     // when it is), so the swap hands its spare capacity
                     // to the emptied bucket.
                     std::mem::swap(&mut self.ready, &mut self.levels[0][slot]);
-                    self.ready.sort_unstable_by(|a, b| {
-                        (b.completion_nanos, b.slot, b.idx).cmp(&(
-                            a.completion_nanos,
-                            a.slot,
-                            a.idx,
-                        ))
-                    });
+                    self.ready
+                        .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
                 } else {
                     // Cascade a coarser bucket: every entry re-routes
                     // at least one level down (or into ready), so a
@@ -252,7 +291,7 @@ impl TimerWheel {
     }
 
     /// Pops the entry a preceding [`TimerWheel::next_due`] surfaced.
-    pub fn pop_due(&mut self) -> InFlight {
+    pub fn pop_due(&mut self) -> Event {
         let e = self.ready.pop().expect("next_due surfaced an entry");
         self.len -= 1;
         e
@@ -260,14 +299,14 @@ impl TimerWheel {
 
     /// Drains the wheel, returning every entry in ascending key order.
     #[cfg(test)]
-    pub fn into_sorted(self) -> Vec<InFlight> {
+    pub fn into_sorted(self) -> Vec<Event> {
         let mut out = Vec::new();
         self.drain_into(&mut out);
         out
     }
 
     /// The epoch-close drain: consumes the wheel, appends every queued
-    /// entry to `out` in ascending `(completion_nanos, slot, idx)` order,
+    /// entry to `out` in ascending [`Event::key`] order,
     /// and hands the emptied wheel back to this thread's pool. The
     /// occupancy bitmaps make this walk only the non-empty buckets;
     /// emptied buckets — the overflow list included — keep their
@@ -275,7 +314,7 @@ impl TimerWheel {
     /// its next epoch allocation-free. The sort covers only the
     /// appended suffix, so the caller's buffer may carry unrelated prior
     /// contents.
-    pub fn drain_into(mut self, out: &mut Vec<InFlight>) {
+    pub fn drain_into(mut self, out: &mut Vec<Event>) {
         let from = out.len();
         out.reserve(self.len + self.overflow.len());
         out.append(&mut self.overflow);
@@ -289,7 +328,7 @@ impl TimerWheel {
             }
             self.occupied[level] = 0;
         }
-        out[from..].sort_unstable_by_key(|e| (e.completion_nanos, e.slot, e.idx));
+        out[from..].sort_unstable_by_key(Event::key);
         self.len = 0;
         POOL.with(|pool| *pool.borrow_mut() = Some(self));
     }
@@ -323,13 +362,14 @@ thread_local! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retry::{KIND_HEDGE, KIND_RETRY};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    fn entry(t: u64, slot: u32, idx: u32) -> InFlight {
-        InFlight {
+    fn entry(t: u64, slot: u32, idx: u32) -> Event {
+        Event::Completion(InFlight {
             completion_nanos: t,
             slot,
             idx,
@@ -338,6 +378,45 @@ mod tests {
             mib: 64,
             meta: InFlight::meta_of(crate::market::RUN_NORMAL, 1),
             list_cost_usd: 0.1,
+        })
+    }
+
+    fn retry(t: u64, idx: u32, attempt: u8, kind: u8) -> Event {
+        Event::Retry(PendingRetry {
+            at_nanos: t,
+            idx,
+            function: 0,
+            attempt,
+            kind,
+            family: 0,
+            arrival_nanos: 0,
+            orig_completion_nanos: 0,
+        })
+    }
+
+    /// Pops the surfaced entry, which must be a completion.
+    fn pop(wheel: &mut TimerWheel) -> InFlight {
+        match wheel.pop_due() {
+            Event::Completion(e) => e,
+            other => panic!("expected a completion, popped {other:?}"),
+        }
+    }
+
+    /// The calendar order spelled out field by field — instant, kind
+    /// rank (completion < step < notice < retry/hedge < tick), then the
+    /// kind's own tie-break — independently of [`Event::key`]'s packing.
+    fn oracle_key(e: &Event) -> (u64, u8, u64, u64) {
+        match *e {
+            Event::Completion(c) => (c.completion_nanos, 0, u64::from(c.slot), u64::from(c.idx)),
+            Event::Step(at) => (at, 1, 0, 0),
+            Event::Notice(at) => (at, 2, 0, 0),
+            Event::Retry(p) => (
+                p.at_nanos,
+                3,
+                u64::from(p.idx),
+                (u64::from(p.attempt) << 8) | u64::from(p.kind),
+            ),
+            Event::Tick(at) => (at, 4, 0, 0),
         }
     }
 
@@ -347,45 +426,47 @@ mod tests {
 
     /// Drives a wheel and a heap through the same push/advance schedule
     /// and asserts identical pop sequences — the model-based pin of the
-    /// completion-order guarantee.
-    fn check_against_heap(seed: u64, spread: u64) {
+    /// calendar order. `make` draws each pushed entry from the rng, an
+    /// instant and a fresh idx.
+    fn check_against_heap(
+        seed: u64,
+        spread: u64,
+        mut make: impl FnMut(&mut StdRng, u64, u32) -> Event,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut wheel = TimerWheel::new(0, u64::MAX);
-        let mut heap: BinaryHeap<Reverse<InFlight>> = BinaryHeap::new();
+        let mut heap = BinaryHeap::new();
         let mut clock = 0u64;
         let mut idx = 0u32;
         for _ in 0..400 {
             // Simulated time moves forward; each instant pushes a few
-            // completions ahead of the clock, then drains the due ones.
+            // entries ahead of the clock, then drains the due ones.
             clock += rng.gen_range(0..1u64 << 21);
             for _ in 0..rng.gen_range(0..4) {
                 let t = clock + rng.gen_range(0..spread);
-                let e = entry(t, rng.gen_range(0..4), idx);
+                let e = make(&mut rng, t, idx);
                 idx += 1;
                 wheel.push(e);
-                heap.push(Reverse(e));
+                heap.push(Reverse(oracle_key(&e)));
             }
             loop {
-                let expect = heap
-                    .peek()
-                    .map(|Reverse(e)| e.completion_nanos)
-                    .filter(|&v| v <= clock);
+                let expect = heap.peek().map(|Reverse(k)| k.0).filter(|&v| v <= clock);
                 assert_eq!(wheel.next_due(clock), expect, "seed {seed} at {clock}");
                 if expect.is_none() {
                     break;
                 }
                 let Reverse(want) = heap.pop().unwrap();
                 let got = wheel.pop_due();
-                assert_eq!(got.key(), want.key(), "seed {seed} at {clock}");
+                assert_eq!(oracle_key(&got), want, "seed {seed} at {clock}");
             }
             assert_eq!(wheel.len(), heap.len());
         }
         // Final drain: everything left comes out in heap order.
         let mut rest = Vec::new();
-        while let Some(Reverse(e)) = heap.pop() {
-            rest.push(e.key());
+        while let Some(Reverse(k)) = heap.pop() {
+            rest.push(k);
         }
-        let drained: Vec<_> = wheel.into_sorted().iter().map(|e| e.key()).collect();
+        let drained: Vec<_> = wheel.into_sorted().iter().map(oracle_key).collect();
         assert_eq!(drained, rest, "seed {seed}");
     }
 
@@ -400,8 +481,73 @@ mod tests {
             (4, 1 << 33),
             (5, 1 << 44),
         ] {
-            check_against_heap(seed, spread);
+            check_against_heap(seed, spread, |rng, t, idx| {
+                entry(t, rng.gen_range(0..4), idx)
+            });
         }
+    }
+
+    #[test]
+    fn every_event_kind_matches_heap_order() {
+        // All five kinds, with instants rounded up to a coarse grid so
+        // that entries of different kinds keep meeting at one instant:
+        // the heap's field-by-field order must match the wheel's pops
+        // and its close-time drain, ties across kinds included.
+        for (seed, spread, grid) in [
+            (11, 1 << 20, 1 << 18),
+            (12, 1 << 26, 1 << 22),
+            (13, 1 << 33, 1 << 30),
+        ] {
+            check_against_heap(seed, spread, |rng, t, idx| {
+                let at = t.div_ceil(grid) * grid;
+                match rng.gen_range(0..6) {
+                    0 => entry(at, rng.gen_range(0..4), idx),
+                    1 => Event::Step(at),
+                    2 => Event::Notice(at),
+                    3 => retry(at, idx % 7, rng.gen_range(2..4), KIND_RETRY),
+                    4 => retry(at, idx % 7, rng.gen_range(1..3), KIND_HEDGE),
+                    _ => Event::Tick(at),
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn one_instant_pops_completion_step_notice_retry_tick() {
+        // Pushed in reverse of the calendar order, all at one instant.
+        let mut wheel = TimerWheel::new(0, u64::MAX);
+        let t = 3 << FINEST_SHIFT;
+        wheel.push(Event::Tick(t));
+        wheel.push(retry(t, 4, 2, KIND_HEDGE));
+        wheel.push(retry(t, 4, 2, KIND_RETRY));
+        wheel.push(retry(t, 1, 3, KIND_RETRY));
+        wheel.push(Event::Notice(t));
+        wheel.push(Event::Step(t));
+        wheel.push(entry(t, 5, 0));
+        wheel.push(entry(t, 2, 8));
+        let mut order = Vec::new();
+        while wheel.next_due(t).is_some() {
+            order.push(match wheel.pop_due() {
+                Event::Completion(e) => format!("completion {}/{}", e.slot, e.idx),
+                Event::Step(_) => "step".into(),
+                Event::Notice(_) => "notice".into(),
+                Event::Retry(p) => format!("retry {}/{}/{}", p.idx, p.attempt, p.kind),
+                Event::Tick(_) => "tick".into(),
+            });
+        }
+        assert_eq!(
+            order,
+            [
+                "completion 2/8",
+                "completion 5/0",
+                "step",
+                "notice",
+                "retry 1/3/0",
+                "retry 4/2/0",
+                "retry 4/2/1",
+                "tick"
+            ]
+        );
     }
 
     #[test]
@@ -413,7 +559,7 @@ mod tests {
         wheel.push(entry(t, 0, 3));
         wheel.push(entry(t, 1, 1));
         assert_eq!(wheel.next_due(t), Some(t));
-        let order: Vec<_> = (0..4).map(|_| wheel.pop_due()).map(|e| e.key()).collect();
+        let order: Vec<_> = (0..4).map(|_| pop(&mut wheel)).map(|e| e.key()).collect();
         assert_eq!(
             order,
             vec![
@@ -436,12 +582,12 @@ mod tests {
         wheel.push(entry(base + 30, 0, 1));
         assert_eq!(wheel.next_due(base + 5), None, "nothing due yet");
         assert_eq!(wheel.next_due(base + 40), Some(base + 10));
-        assert_eq!(wheel.pop_due().idx, 0);
+        assert_eq!(pop(&mut wheel).idx, 0);
         // Same finest bucket as the cursor now points at.
         wheel.push(entry(base + 20, 0, 2));
         assert_eq!(wheel.next_due(base + 40), Some(base + 20));
-        assert_eq!(wheel.pop_due().idx, 2);
-        assert_eq!(wheel.pop_due().idx, 1);
+        assert_eq!(pop(&mut wheel).idx, 2);
+        assert_eq!(pop(&mut wheel).idx, 1);
         assert_eq!(wheel.len(), 0);
     }
 
@@ -458,18 +604,18 @@ mod tests {
         wheel.push(entry(step, 1, 0)); // completes exactly at the step
         wheel.push(entry(step + 50, 0, 1)); // will be "migrated" at the step
         assert_eq!(wheel.next_due(step), Some(step));
-        assert_eq!(wheel.pop_due().idx, 0); // cursor now parked at `step`
+        assert_eq!(pop(&mut wheel).idx, 0); // cursor now parked at `step`
 
         // The migration: same completion instants, fresh slots in the
         // surviving zone, pushed while the cursor sits at `step`.
         wheel.push(entry(step, 3, 2));
         wheel.push(entry(step + 50, 2, 3));
         assert_eq!(wheel.next_due(step), Some(step), "push at the cursor");
-        assert_eq!(wheel.pop_due().key(), (step, 3, 2, META));
+        assert_eq!(pop(&mut wheel).key(), (step, 3, 2, META));
         assert_eq!(wheel.next_due(step + 50), Some(step + 50));
         // Stale twin (slot 0) pops before the migrated clone (slot 2).
-        assert_eq!(wheel.pop_due().key(), (step + 50, 0, 1, META));
-        assert_eq!(wheel.pop_due().key(), (step + 50, 2, 3, META));
+        assert_eq!(pop(&mut wheel).key(), (step + 50, 0, 1, META));
+        assert_eq!(pop(&mut wheel).key(), (step + 50, 2, 3, META));
         assert_eq!(wheel.len(), 0);
     }
 
@@ -484,7 +630,7 @@ mod tests {
         for (i, &t) in times.iter().enumerate() {
             assert_eq!(wheel.next_due(t - 1), None, "entry {i} not yet due");
             assert_eq!(wheel.next_due(t), Some(t), "entry {i} due at {t}");
-            assert_eq!(wheel.pop_due().idx, i as u32);
+            assert_eq!(pop(&mut wheel).idx, i as u32);
         }
         assert_eq!(wheel.next_due(u64::MAX), None);
     }
