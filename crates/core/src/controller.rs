@@ -812,8 +812,9 @@ impl Controller for HeadroomPid {
 ///
 /// The surrogate for a function is *defined* by its observation log and
 /// the log's **batch partition** (one batch per tick that observed
-/// something new, both carried in [`ControlState`]): the canonical call
-/// sequence is `fit(anchor + first batch)`, then one warm-start
+/// something new, both carried in [`ControlState`]) and by its **feature
+/// box**: the canonical call sequence is `set_feature_box(plan box)`,
+/// `fit(anchor + first batch)`, then one warm-start
 /// `fit_update(log[..=eₖ], seed(eₖ))` per subsequent batch, where `eₖ`
 /// is the batch's cumulative end. The sequential engine grows the model
 /// with exactly those calls — a tick that surfaces several alternates
@@ -821,6 +822,14 @@ impl Controller for HeadroomPid {
 /// the tick cost amortized — and a replay resumed from a snapshot, which
 /// holds only the carried log, replays the same batches from scratch.
 /// Same sequence, same seeds, same model — bit for bit.
+///
+/// The box is the elementwise minimum and maximum over the plan's
+/// encodings, the anchor and every accepted alternate: every row the
+/// model fits or predicts lies inside it. A pure function of the
+/// [`FunctionView`], it is derived state, never carried. Scaling by it
+/// instead of by the observed rows keeps a newly observed alternate from
+/// shifting the GP's normalization, so each `fit_update` can extend the
+/// previous factor rather than re-run the hyperparameter search.
 #[derive(Debug, Clone, Copy)]
 pub struct SurrogateRightSizer {
     config: RightSizerConfig,
@@ -852,6 +861,20 @@ impl SurrogateRightSizer {
         (x, y)
     }
 
+    /// The function's feature box: the elementwise minimum and maximum
+    /// over its plan's encodings (see the type docs).
+    fn plan_box(view: &FunctionView) -> (Vec<f64>, Vec<f64>) {
+        let mut lo = view.best_encoding.clone();
+        let mut hi = view.best_encoding.clone();
+        for row in &view.alt_encodings {
+            for (d, &v) in row.iter().enumerate() {
+                lo[d] = lo[d].min(v);
+                hi[d] = hi[d].max(v);
+            }
+        }
+        (lo, hi)
+    }
+
     /// Brings the function's surrogate up to date with its log, whose
     /// batch partition `batches` records how many entries each observing
     /// tick appended. A replay holding no model yet (a fresh start, or a
@@ -879,6 +902,8 @@ impl SurrogateRightSizer {
             });
             let first = ends.next()?;
             let mut model = self.config.surrogate.build(self.row_seed(function, 0));
+            let (lo, hi) = Self::plan_box(view);
+            model.set_feature_box(&lo, &hi);
             if model.fit(&x[..=first], &y[..=first]).is_err() {
                 return None;
             }
@@ -954,10 +979,9 @@ impl Controller for SurrogateRightSizer {
                 continue; // nothing new observed → the order stands
             }
             state.observed_batches[f].push(fresh as u8);
-            let log = state.observed[f].clone();
-            let batches = state.observed_batches[f].clone();
+            let (log, batches) = (&state.observed[f], &state.observed_batches[f]);
             let Some(model) =
-                self.advance_model(scratch.model_slot(plans.len(), f), view, &log, &batches, f)
+                self.advance_model(scratch.model_slot(plans.len(), f), view, log, batches, f)
             else {
                 continue;
             };

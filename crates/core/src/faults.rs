@@ -77,7 +77,9 @@ pub struct FaultPlan {
     /// are the hedging target — they finish eventually, so a hedged
     /// re-issue can race them instead of waiting.
     pub straggler_prob: f64,
-    /// Duration multiplier applied to straggler attempts (>= 1).
+    /// Duration multiplier applied to straggler attempts (>= 1). A
+    /// replay rejects a factor that stretches its fleet's longest spot
+    /// run past 2^62 ns.
     pub straggler_factor: f64,
 }
 

@@ -1435,6 +1435,23 @@ impl FleetSimulator {
                 alt_inflations,
             });
         }
+        let longest_alt = alts.iter().map(|a| a.duration_nanos).max().unwrap_or(0);
+        let longest = best_duration_nanos
+            .iter()
+            .fold(longest_alt, |m, &d| m.max(d));
+        if longest > MAX_HORIZON_NANOS {
+            return Err(FreedomError::InvalidArgument(format!(
+                "a planned run of {longest} ns exceeds the 2^62 ns bound"
+            )));
+        }
+        let factor = config.faults.straggler_factor;
+        if config.faults.straggler_prob > 0.0
+            && longest_alt as f64 * factor > MAX_HORIZON_NANOS as f64
+        {
+            return Err(FreedomError::InvalidArgument(format!(
+                "straggler_factor {factor} stretches a {longest_alt} ns run past the 2^62 ns bound"
+            )));
+        }
         let controller = config.control.controller.build();
         Ok(ReplayCtx {
             best_costs,
@@ -2176,7 +2193,9 @@ const ONE_EPOCH: u64 = u64::MAX;
 /// Latest last arrival a replay accepts, 2^62 ns (≈ 146 years): every
 /// completion, retry and hedge instant is its placement instant plus a
 /// run or backoff, and this bound leaves them room below `u64::MAX`. A
-/// CSV row past minute 76,861,433 crosses it.
+/// CSV row past minute 76,861,433 crosses it. Every planned run, and
+/// every straggling run stretched by the fault plan's `straggler_factor`,
+/// is held to the same bound.
 const MAX_HORIZON_NANOS: u64 = 1 << 62;
 
 /// Validates a resumable replay's epoch size; returns it in integer
@@ -2873,12 +2892,17 @@ mod tests {
     /// 5 s: an on-demand best configuration on C5 and two accepted
     /// Graviton alternates, each half a `.4xlarge` slot wide.
     fn lattice_plans(n: usize) -> Vec<FunctionPlan> {
+        lattice_plans_from(n, 10.0)
+    }
+
+    /// [`lattice_plans`] whose shortest best run is `secs` long.
+    fn lattice_plans_from(n: usize, secs: f64) -> Vec<FunctionPlan> {
         use freedom_cluster::InstanceFamily;
         use freedom_faas::{PerfPoint, ResourceConfig};
         use freedom_workloads::InputId;
         (0..n)
             .map(|f| {
-                let base = 10.0 + 5.0 * (f % 3) as f64;
+                let base = secs + 5.0 * (f % 3) as f64;
                 let rows = [
                     (InstanceFamily::C5, base, 0.004),
                     (InstanceFamily::C6g, base + 5.0, 0.003),
@@ -4089,6 +4113,70 @@ mod tests {
             )
             .unwrap_err();
         names_the_horizon_bound(e);
+    }
+
+    /// Six functions × three minute-0 arrivals, every spot attempt a
+    /// straggler 10^30 times slower than planned: no run of it ends
+    /// below the 2^62 ns bound.
+    fn endless_stragglers() -> (FleetSimulator, StreamTrace, FleetConfig) {
+        let mut csv = String::new();
+        for f in 0..6 {
+            csv.push_str(&format!("app{f},fn{f},0,3\n"));
+        }
+        let config = FleetConfig {
+            faults: FaultPlan {
+                straggler_prob: 1.0,
+                straggler_factor: 1e30,
+                ..FaultPlan::NONE
+            },
+            ..FleetConfig::default()
+        };
+        let sim = FleetSimulator::new(lattice_plans(6)).unwrap();
+        (sim, StreamTrace::from_csv(&csv).unwrap(), config)
+    }
+
+    fn names_the_straggler_factor(e: FreedomError) {
+        assert!(
+            matches!(&e, FreedomError::InvalidArgument(m)
+                if m.contains("straggler_factor 1000000000000000000000000000000")
+                    && m.contains("2^62 ns")),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn run_rejects_a_straggler_factor_without_headroom() {
+        let (sim, lazy, config) = endless_stragglers();
+        let trace = lazy.materialize().unwrap();
+        let e = sim
+            .run(&trace, PlacementStrategy::IdleAware, &config)
+            .unwrap_err();
+        names_the_straggler_factor(e);
+    }
+
+    #[test]
+    fn run_stream_rejects_a_straggler_factor_without_headroom() {
+        let (sim, lazy, config) = endless_stragglers();
+        let e = sim
+            .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
+            .unwrap_err();
+        names_the_straggler_factor(e);
+    }
+
+    #[test]
+    fn run_stream_rejects_a_planned_run_without_headroom() {
+        // The same arrivals on 10^11 s runs, without faults: a run
+        // alone passes the bound.
+        let (_, lazy, _) = endless_stragglers();
+        let sim = FleetSimulator::new(lattice_plans_from(6, 1e11)).unwrap();
+        let e = sim
+            .run_stream(&lazy, PlacementStrategy::IdleAware, &FleetConfig::default())
+            .unwrap_err();
+        assert!(
+            matches!(&e, FreedomError::InvalidArgument(m)
+                if m.contains("planned run") && m.contains("2^62 ns")),
+            "{e}"
+        );
     }
 
     #[test]

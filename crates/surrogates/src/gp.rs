@@ -24,11 +24,28 @@
 //!    previous hyperparameters;
 //! 3. **full** — every [`GpConfig::refit_every`]-th update, or whenever
 //!    the cached state does not match (first fit, sliced search space,
-//!    normalization shift): run the full candidate search, warm-started
-//!    with the previous fit's hyperparameters as an extra candidate.
+//!    normalization shift — which a GP with a feature box sees only for
+//!    a row outside the box): run the full candidate search,
+//!    warm-started with the previous fit's hyperparameters as an extra
+//!    candidate.
 //!
 //! [`Surrogate::fit`] always takes the full path and resets the schedule,
 //! so one-shot users see the original from-scratch behavior.
+//!
+//! # The feature box
+//!
+//! By default a fit scales each feature to `[0, 1]` by the minimum and
+//! maximum of its rows. A new row that extends either moves every
+//! normalized row, so the append tier cannot reuse the factor and the
+//! update runs the full search. A caller that knows the region it will
+//! fit and predict in fixes the scale with [`Surrogate::set_feature_box`],
+//! as scikit-optimize scales by the search space's bounds rather than by
+//! the data. The normalization then spans the box; a row outside it
+//! widens the span of that fit, and a zero span still scales by 1. Rows
+//! inside the box never shift the normalization, so appending one takes
+//! the append tier. The box is configuration: [`Surrogate::fit`] keeps
+//! it. The provider's right-sizer sets it from its plan's encodings; the
+//! BO loop sets none, so the paper's tuner keeps the data-scaled GP.
 //!
 //! # The candidate search
 //!
@@ -205,6 +222,9 @@ struct Search<'a> {
 pub struct GaussianProcess {
     config: GpConfig,
     seed: u64,
+    /// The fixed `(lo, hi)` feature box, if one is set (see the module
+    /// docs).
+    feature_box: Option<(Vec<f64>, Vec<f64>)>,
     fitted: Option<Fitted>,
     /// Incremental updates since the last full hyperparameter search.
     fits_since_full: usize,
@@ -227,6 +247,7 @@ impl GaussianProcess {
         Self {
             config,
             seed,
+            feature_box: None,
             fitted: None,
             fits_since_full: 0,
             generation: 0,
@@ -370,9 +391,27 @@ impl GaussianProcess {
         }
     }
 
-    fn normalize_features(x: &[Vec<f64>], dim: usize) -> (Matrix, Vec<f64>, Vec<f64>) {
-        let mut lo = vec![f64::INFINITY; dim];
-        let mut hi = vec![f64::NEG_INFINITY; dim];
+    /// Scales each feature by its span: the rows' minimum and maximum,
+    /// widened to the feature box when one is set. Returns the normalized
+    /// rows, the per-feature offset and the span.
+    fn normalize_features(
+        &self,
+        x: &[Vec<f64>],
+        dim: usize,
+    ) -> crate::Result<(Matrix, Vec<f64>, Vec<f64>)> {
+        let (mut lo, mut hi) = match &self.feature_box {
+            None => (vec![f64::INFINITY; dim], vec![f64::NEG_INFINITY; dim]),
+            Some((lo, hi)) if lo.len() != dim || hi.len() != dim => {
+                return Err(SurrogateError::DimensionMismatch {
+                    expected: format!("a feature box of dimension {dim}"),
+                    found: format!("bounds of dimension {} and {}", lo.len(), hi.len()),
+                })
+            }
+            Some((lo, hi)) if lo.iter().chain(hi).any(|v| !v.is_finite()) => {
+                return Err(SurrogateError::NonFiniteData)
+            }
+            Some((lo, hi)) => (lo.clone(), hi.clone()),
+        };
         for row in x {
             for d in 0..dim {
                 lo[d] = lo[d].min(row[d]);
@@ -391,7 +430,7 @@ impl GaussianProcess {
                 out[d] = (v - lo[d]) / span[d];
             }
         }
-        (normed, lo, span)
+        Ok((normed, lo, span))
     }
 
     /// Optionally log-transform, then standardize the targets.
@@ -615,7 +654,7 @@ impl Surrogate for GaussianProcess {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> crate::Result<()> {
         let dim = validate_training_set(x, y)?;
         let targets = self.prepare_targets(y);
-        let (x_norm, feat_lo, feat_span) = Self::normalize_features(x, dim);
+        let (x_norm, feat_lo, feat_span) = self.normalize_features(x, dim)?;
         self.full_fit(x_norm, feat_lo, feat_span, targets, None)
     }
 
@@ -623,7 +662,7 @@ impl Surrogate for GaussianProcess {
         self.seed = step_seed;
         let dim = validate_training_set(x, y)?;
         let targets = self.prepare_targets(y);
-        let (x_norm, feat_lo, feat_span) = Self::normalize_features(x, dim);
+        let (x_norm, feat_lo, feat_span) = self.normalize_features(x, dim)?;
 
         let due_full = self
             .fitted
@@ -806,6 +845,10 @@ impl Surrogate for GaussianProcess {
         self.seed = seed;
     }
 
+    fn set_feature_box(&mut self, lo: &[f64], hi: &[f64]) {
+        self.feature_box = Some((lo.to_vec(), hi.to_vec()));
+    }
+
     fn name(&self) -> &'static str {
         "GP"
     }
@@ -944,22 +987,75 @@ mod tests {
             warm.fit_update(&x_of(k), &y_of(k), 1000 + k as u64)
                 .unwrap();
             assert_eq!(warm.fits_since_full(), k - 10, "append tier not taken");
-
-            // From scratch at the same hyperparameters: rebuild the kernel
-            // and factor it; both the factor and alpha must match bit for
-            // bit (append_row is row-by-row Cholesky's own recurrence).
-            let f = warm.fitted.as_ref().unwrap();
-            let mut k_mat = Matrix::zeros(k, k);
-            GaussianProcess::kernel_matrix_into(&f.hp, &f.x, warm.config.noise_floor, &mut k_mat);
-            let scratch = cholesky(&k_mat, 0.0).unwrap();
-            assert_eq!(
-                scratch.factor().as_slice(),
-                f.chol.factor().as_slice(),
-                "factor diverged at n = {k}"
-            );
-            let scratch_alpha = scratch.solve(&f.y_std_targets).unwrap();
-            assert_eq!(scratch_alpha, f.alpha, "alpha diverged at n = {k}");
+            assert_matches_scratch_factorization(&warm);
         }
+    }
+
+    /// Rebuilds the fit's kernel at its hyperparameters and factors it
+    /// from scratch: both the factor and alpha must match bit for bit
+    /// (append_row is row-by-row Cholesky's own recurrence).
+    fn assert_matches_scratch_factorization(gp: &GaussianProcess) {
+        let f = gp.fitted.as_ref().unwrap();
+        let n = f.x.rows();
+        let mut k_mat = Matrix::zeros(n, n);
+        GaussianProcess::kernel_matrix_into(&f.hp, &f.x, gp.config.noise_floor, &mut k_mat);
+        let scratch = cholesky(&k_mat, 0.0).unwrap();
+        assert_eq!(
+            scratch.factor().as_slice(),
+            f.chol.factor().as_slice(),
+            "factor diverged at n = {n}"
+        );
+        let scratch_alpha = scratch.solve(&f.y_std_targets).unwrap();
+        assert_eq!(scratch_alpha, f.alpha, "alpha diverged at n = {n}");
+    }
+
+    /// Appended rows that stay inside a fixed feature box but each move
+    /// the rows' minimum or maximum: with the box every append takes the
+    /// append tier, bit-identically to a scratch factorization; without
+    /// it every append shifts the normalization and re-runs the search.
+    #[test]
+    fn a_feature_box_keeps_in_box_appends_on_the_append_tier() {
+        let x: Vec<Vec<f64>> = vec![
+            vec![0.5, 0.5],
+            vec![0.45, 0.55],
+            vec![0.3, 0.6],
+            vec![0.6, 0.35],
+            vec![0.2, 0.8],
+            vec![0.75, 0.2],
+            vec![0.1, 0.9],
+            vec![0.9, 0.05],
+        ];
+        let y: Vec<f64> = x.iter().map(|r| 1.0 + r[0] + 0.5 * r[1] * r[1]).collect();
+        let config = GpConfig {
+            refit_every: 100, // only the normalization decides the tier
+            ..GpConfig::default()
+        };
+        let mut boxed = GaussianProcess::new(config, 3);
+        boxed.set_feature_box(&[0.0, 0.0], &[1.0, 1.0]);
+        let mut unboxed = GaussianProcess::new(config, 3);
+        boxed.fit(&x[..2], &y[..2]).unwrap();
+        unboxed.fit(&x[..2], &y[..2]).unwrap();
+        for k in 3..=x.len() {
+            boxed.fit_update(&x[..k], &y[..k], k as u64).unwrap();
+            assert_eq!(boxed.fits_since_full(), k - 2, "append tier not taken");
+            assert_matches_scratch_factorization(&boxed);
+            unboxed.fit_update(&x[..k], &y[..k], k as u64).unwrap();
+            assert_eq!(unboxed.fits_since_full(), 0, "n = {k}: range moved");
+        }
+        // A row outside the box widens it for its fit: the normalization
+        // shifts, so the update runs the search.
+        let mut wide = x.clone();
+        wide.push(vec![1.5, 0.5]);
+        let wide_y: Vec<f64> = wide.iter().map(|r| 1.0 + r[0]).collect();
+        boxed.fit_update(&wide, &wide_y, 99).unwrap();
+        assert_eq!(boxed.fits_since_full(), 0);
+        assert_eq!(boxed.fitted.as_ref().unwrap().feat_span, [1.5, 1.0]);
+        // A box of the wrong dimension is an error, not a silent no-op.
+        boxed.set_feature_box(&[0.0], &[1.0]);
+        assert!(matches!(
+            boxed.fit(&x, &y),
+            Err(SurrogateError::DimensionMismatch { .. })
+        ));
     }
 
     /// The cross-kernel cache must never change a prediction: cached

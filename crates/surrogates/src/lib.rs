@@ -119,6 +119,17 @@ pub trait Surrogate {
         let _ = seed;
     }
 
+    /// Fixes the box subsequent fits scale features by: per dimension,
+    /// `lo` and `hi` bound the region the caller fits and predicts in, as
+    /// a search space's bounds do. Rows outside the box widen it for
+    /// their fit. Only [`GaussianProcess`] overrides this; its fits error
+    /// when the box is non-finite or does not match the rows' dimension.
+    /// The default is a no-op: the tree models' axis-aligned splits do
+    /// not normalize features.
+    fn set_feature_box(&mut self, lo: &[f64], hi: &[f64]) {
+        let _ = (lo, hi);
+    }
+
     /// Short stable name, e.g. `"GP"`.
     fn name(&self) -> &'static str;
 }
