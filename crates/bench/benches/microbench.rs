@@ -6,6 +6,7 @@
 //! pricing, Pareto extraction).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use freedom::controller::RIGHT_SIZER_MIN_SEARCH_ROWS;
 use freedom_cluster::{Cluster, InstanceFamily, PlacementPolicy};
 use freedom_faas::{collect_ground_truth, FunctionSpec, Gateway, ResourceConfig};
 use freedom_linalg::{cholesky, lu_solve, Matrix};
@@ -111,10 +112,15 @@ fn right_sizer_set(alternates: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 /// points, absorbing one more trial via the warm path must beat a
 /// from-scratch candidate search + factorization.
 ///
-/// The `fit_scratch_d6_n{2,4,6}` rows are the right-sizer's refit: a full
-/// search over the anchor plus 1, 3 or 5 alternates. Each newly observed
-/// alternate shifts the feature normalization, so nearly every refit of
-/// the `storm` workload's controller layer takes this path.
+/// The `fit_scratch_d6_n{2,4,6}` rows are the full search a default GP
+/// runs over the right-sizer's rows: the anchor plus 1, 3 or 5
+/// alternates. The right-sizer scales its features by its plan's box, so
+/// an observed alternate inside the box extends the factor instead, and
+/// its full fits are first fits, scheduled refits and multi-row batches.
+/// `fit_right_sizer_d6_n2` is the commonest of them, the two-row first
+/// fit, with the GP the right-sizer builds: the plan's box and
+/// `RIGHT_SIZER_MIN_SEARCH_ROWS`, below which it scores only the fixed
+/// candidates.
 fn bench_gp_incremental(c: &mut Criterion) {
     let mut group = c.benchmark_group("gp_refit");
     for n in [2usize, 4, 6] {
@@ -127,6 +133,30 @@ fn bench_gp_incremental(c: &mut Criterion) {
             })
         });
     }
+    // The plan's box spans the anchor and all 5 alternates.
+    let (plan, _) = right_sizer_set(5);
+    let (mut lo, mut hi) = (plan[0].clone(), plan[0].clone());
+    for row in &plan {
+        for (d, &v) in row.iter().enumerate() {
+            lo[d] = lo[d].min(v);
+            hi[d] = hi[d].max(v);
+        }
+    }
+    let (x, y) = right_sizer_set(1);
+    group.bench_function("fit_right_sizer_d6_n2", |b| {
+        b.iter(|| {
+            let mut gp = GaussianProcess::new(
+                GpConfig {
+                    min_search_rows: RIGHT_SIZER_MIN_SEARCH_ROWS,
+                    ..GpConfig::default()
+                },
+                7,
+            );
+            gp.set_feature_box(&lo, &hi);
+            gp.fit(black_box(&x), black_box(&y)).expect("fit");
+            gp
+        })
+    });
     for n in [10usize, 20, 40] {
         let (x, y) = incremental_set(n);
         group.bench_function(format!("fit_scratch_n{n}"), |b| {

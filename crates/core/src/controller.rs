@@ -52,7 +52,7 @@
 //! reconstructing them mid-trace — after a resume — holds the same
 //! model, bit for bit, as the single pass that grew it incrementally.
 
-use freedom_surrogates::{Surrogate, SurrogateKind};
+use freedom_surrogates::{GaussianProcess, GpConfig, Surrogate, SurrogateKind};
 
 use crate::market::AdmissionPolicy;
 use crate::provider::{IdleCapacityPlanner, PlannerConfig};
@@ -63,6 +63,16 @@ use crate::{FreedomError, Result};
 /// of the resumable replay's epoch bound [`crate::trace::MAX_EPOCHS`]: a
 /// cadence far below the trace span would spend the whole replay ticking.
 pub const MAX_TICKS: u64 = 1 << 22;
+
+/// Fewest training rows the right-sizer's GP runs its full
+/// hyperparameter search over ([`GpConfig::min_search_rows`]). It is the
+/// BO loop's bootstrap size, [`BoConfig::n_initial`] = 3: the paper's
+/// tuner fits no model before it has three trials. A first fit over the
+/// anchor and one observed alternate keeps the better of the GP's fixed
+/// candidates instead.
+///
+/// [`BoConfig::n_initial`]: freedom_optimizer::BoConfig::n_initial
+pub const RIGHT_SIZER_MIN_SEARCH_ROWS: usize = 3;
 
 /// Which feedback policy closes the loop, as plain configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -305,6 +315,40 @@ impl ObsAccum {
         self.capacity_missed = 0;
         self.retried = 0;
         self.per_function.fill(0);
+    }
+
+    /// Whether the flattened counts partition the epoch's admitted
+    /// activations the way the engine counts them. Every arrival and
+    /// every retry that reaches admission lands in exactly one slot, so:
+    ///
+    /// - the alternate slots sum to `spot_admitted`;
+    /// - the on-demand slots sum to at least `policy_rejected +
+    ///   capacity_missed` (plans without alternates add plain on-demand
+    ///   runs);
+    /// - all slots sum to at least `arrivals` and at most `arrivals +
+    ///   retried` (a shed or dead-lettered retry counts as retried but
+    ///   takes no slot).
+    ///
+    /// `offsets` are the observation's `n_functions + 1` flattened-counter
+    /// offsets; counts they do not cover fail the check.
+    pub(crate) fn partitions(&self, offsets: &[u32]) -> bool {
+        let (mut alternates, mut on_demand) = (0u64, 0u64);
+        for w in offsets.windows(2) {
+            let Some((last, alts)) = self
+                .per_function
+                .get(w[0] as usize..w[1] as usize)
+                .and_then(|slots| slots.split_last())
+            else {
+                return false;
+            };
+            alternates += alts.iter().map(|&c| u64::from(c)).sum::<u64>();
+            on_demand += u64::from(*last);
+        }
+        let all = alternates + on_demand;
+        let arrivals = u64::from(self.arrivals);
+        alternates == u64::from(self.spot_admitted)
+            && on_demand >= u64::from(self.policy_rejected) + u64::from(self.capacity_missed)
+            && (arrivals..=arrivals + u64::from(self.retried)).contains(&all)
     }
 
     /// Serializes the partial epoch into a crash-resume snapshot.
@@ -830,6 +874,11 @@ impl Controller for HeadroomPid {
 /// instead of by the observed rows keeps a newly observed alternate from
 /// shifting the GP's normalization, so each `fit_update` can extend the
 /// previous factor rather than re-run the hyperparameter search.
+///
+/// The GP's search threshold is part of the definition too: a full fit
+/// over fewer than [`RIGHT_SIZER_MIN_SEARCH_ROWS`] rows (the anchor and
+/// a first batch of one) scores only the GP's fixed hyperparameter
+/// candidates; full fits over more rows run the whole search.
 #[derive(Debug, Clone, Copy)]
 pub struct SurrogateRightSizer {
     config: RightSizerConfig,
@@ -859,6 +908,24 @@ impl SurrogateRightSizer {
             y.push(view.alt_inflations[ai as usize]);
         }
         (x, y)
+    }
+
+    /// A fresh, unfitted model for `function`. A GP searches its
+    /// hyperparameters only over [`RIGHT_SIZER_MIN_SEARCH_ROWS`] or more
+    /// rows, the way the BO loop threads its own settings into the GP it
+    /// builds.
+    fn build_model(&self, function: usize) -> Box<dyn Surrogate> {
+        let seed = self.row_seed(function, 0);
+        match self.config.surrogate {
+            SurrogateKind::Gp => Box::new(GaussianProcess::new(
+                GpConfig {
+                    min_search_rows: RIGHT_SIZER_MIN_SEARCH_ROWS,
+                    ..GpConfig::default()
+                },
+                seed,
+            )),
+            kind => kind.build(seed),
+        }
     }
 
     /// The function's feature box: the elementwise minimum and maximum
@@ -901,7 +968,7 @@ impl SurrogateRightSizer {
                 Some(*acc)
             });
             let first = ends.next()?;
-            let mut model = self.config.surrogate.build(self.row_seed(function, 0));
+            let mut model = self.build_model(function);
             let (lo, hi) = Self::plan_box(view);
             model.set_feature_box(&lo, &hi);
             if model.fit(&x[..=first], &y[..=first]).is_err() {
@@ -1157,6 +1224,43 @@ mod tests {
             std::slice::from_ref(&view),
         );
         assert_eq!(replanned, 0);
+    }
+
+    #[test]
+    fn right_sizer_drops_a_breaker_from_a_one_entry_log() {
+        // One observed alternate and the anchor: the first fit has two
+        // rows. Whichever alternate it is, a guardrail breaker (θ = 0.10)
+        // is dropped, and every alternate left unobserved stays in the
+        // order.
+        let ctl = SurrogateRightSizer::new(RightSizerConfig::default());
+        assert_eq!(RightSizerConfig::default().planner.theta, 0.10);
+        let offsets = [0u32, 4]; // 3 alternates + on-demand
+        for inflation in [1.60, 1.25, 1.12] {
+            for observed in 0..3u8 {
+                let mut view = FunctionView {
+                    best_encoding: vec![0.5, 0.5],
+                    alt_encodings: vec![vec![0.1, 0.9], vec![0.9, 0.1], vec![0.4, 0.6]],
+                    alt_inflations: vec![1.05; 3],
+                };
+                view.alt_inflations[usize::from(observed)] = inflation;
+                let mut state = ctl.init(AdmissionPolicy::Greedy, 1);
+                let mut accum = ObsAccum::zero(4);
+                accum.per_function[usize::from(observed)] = 5;
+                let replanned = ctl.tick(
+                    &mut state,
+                    &mut ControlScratch::default(),
+                    &obs_with(&accum, &offsets, 0.4),
+                    std::slice::from_ref(&view),
+                );
+                let case = format!("alternate {observed} at {inflation}×");
+                assert_eq!(replanned, 1, "{case}");
+                let order = state.order_for(0).expect("revised");
+                assert!(!order.contains(&observed), "{case}: kept in {order:?}");
+                for ai in (0..3).filter(|&ai| ai != observed) {
+                    assert!(order.contains(&ai), "{case}: lost {ai} from {order:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -913,8 +913,10 @@ impl Carry {
     /// boundary on a slot the market has at that instant, with room for
     /// its reservation; every pending retry or hedge fires at or after
     /// the boundary, for an invocation that arrived before it, of a
-    /// function and family of this fleet; and the budget, observation
-    /// and controller state are sized for it. Decoding alone cannot
+    /// function and family of this fleet; the budget, observation and
+    /// controller state are sized for it; and the partial epoch's
+    /// counts partition as the engine counts them
+    /// ([`ObsAccum::partitions`]). Decoding alone cannot
     /// know any of these, and each one would otherwise surface as an
     /// out-of-range index or a broken invariant mid-replay.
     fn check(&self, ctx: &ReplayCtx, boundary: u64) -> Result<()> {
@@ -963,6 +965,9 @@ impl Carry {
             || self.accum.per_function.len() != *ctx.obs_offsets.last().expect("offsets") as usize
         {
             return invalid("carried control state does not fit this fleet");
+        }
+        if !self.accum.partitions(&ctx.obs_offsets) {
+            return invalid("carried epoch counts break the accounting partition");
         }
         Ok(())
     }
@@ -1669,6 +1674,10 @@ impl<R: Recorder> EpochSim<'_, R> {
     /// opens the next epoch.
     #[inline(never)]
     fn fire_tick(&mut self, at: u64) {
+        debug_assert!(
+            self.accum.partitions(&self.ctx.obs_offsets),
+            "the control epoch ending at {at} ns breaks the accounting partition"
+        );
         let cadence = self.ctx.cadence_nanos;
         let wall0 = if R::ENABLED { self.rec.now_nanos() } else { 0 };
         let utilization = self.ledger.utilization();
@@ -3667,6 +3676,37 @@ mod tests {
                     proptest::prop_assert_eq!(report.invocations, trace.len());
                     accounting_is_total(&report);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_carried_epoch_that_breaks_the_accounting_partition_is_rejected() {
+        use crate::snapshot::tests::sealed;
+        let fx = fuzz_fixture();
+        let breaks: [fn(&mut ObsAccum); 4] = [
+            |a| a.spot_admitted += 1,
+            |a| a.policy_rejected = u32::MAX,
+            |a| a.arrivals = u32::MAX,
+            |a| a.per_function[0] = u32::MAX,
+        ];
+        for (trace, body) in &fx.cases {
+            let resume = |snap: &ReplaySnapshot| {
+                fx.sim.run_stream_resumable(
+                    trace,
+                    PlacementStrategy::IdleAware,
+                    &fx.config,
+                    fx.epoch_secs,
+                    Some(snap),
+                    |_| Ok(true),
+                )
+            };
+            let snap = ReplaySnapshot::from_bytes(&sealed(body.clone())).unwrap();
+            assert!(resume(&snap).is_ok(), "the untouched snapshot resumes");
+            for (k, brk) in breaks.iter().enumerate() {
+                let mut snap = snap.clone();
+                brk(&mut snap.carry.accum);
+                assert!(resume(&snap).is_err(), "break {k} resumed");
             }
         }
     }

@@ -53,8 +53,8 @@
 //! [`GpConfig::candidates`] random draws, then makes
 //! `refine_passes × (d + 2) × 4` coordinate moves around the winner: 107
 //! kernel factorizations for a warm search at the default settings and
-//! d = 6. The provider's online right-sizer runs such a search over 2–6
-//! training rows on most of its refits, and at those sizes the
+//! d = 6. The provider's online right-sizer runs such a search over 3–6
+//! training rows on many of its refits, and at those sizes the
 //! per-candidate overhead outweighed the linear algebra. So the search
 //! runs in one reused workspace: a kernel buffer, a `diag(K⁻¹)` buffer,
 //! and two slots — the candidate being scored and the incumbent — each
@@ -80,6 +80,16 @@
 //! candidate whose LOO term alone does not beat the incumbent cannot win
 //! once the prior is added (rounding is monotone). Its prior terms are
 //! not computed.
+//!
+//! A full fit over fewer than [`GpConfig::min_search_rows`] rows stops
+//! after its fixed candidates and keeps the better; it scores the random
+//! draws and refinement moves only when none of the fixed candidates
+//! factorizes. On two rows the leave-one-out score predicts each row
+//! from the other one alone, too little to choose among a hundred
+//! candidates. The right-sizer sets the threshold to 3, so its first
+//! fits, over the anchor and one observed alternate, no longer search;
+//! its fits over three or more rows still do. The BO loop keeps the
+//! default 0 and searches at every size.
 
 use std::ops::Range;
 
@@ -113,6 +123,13 @@ pub struct GpConfig {
     /// updates reuse the previous hyperparameters and extend the Cholesky
     /// factor incrementally.
     pub refit_every: usize,
+    /// Fewest training rows a full fit runs the whole candidate search
+    /// over. A full fit over fewer rows scores only the fixed candidates
+    /// (the unit defaults, the median heuristic and, when warm-started,
+    /// the previous winner) and keeps the better; it falls through to the
+    /// random draws and refinement only when none of them factorizes.
+    /// 0 (the default) searches at every size.
+    pub min_search_rows: usize,
 }
 
 impl Default for GpConfig {
@@ -123,6 +140,7 @@ impl Default for GpConfig {
             refine_passes: 2,
             log_targets: true,
             refit_every: 4,
+            min_search_rows: 0,
         }
     }
 }
@@ -570,6 +588,9 @@ impl<'a> Search<'a> {
         if let Some(warm) = warm.filter(|hp| hp.lengthscales.len() == dim) {
             self.cand.hp.copy_from(&warm);
             self.score(every.clone());
+        }
+        if self.x.rows() < config.min_search_rows && self.best.score.is_finite() {
+            return Some(self.best);
         }
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..config.candidates {
@@ -1186,6 +1207,79 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every bit a fit exposes: hyperparameters, `α`, and the batched
+    /// predictions at `queries`.
+    fn fit_bits(gp: &GaussianProcess, queries: &[Vec<f64>]) -> Vec<u64> {
+        let f = gp.fitted.as_ref().unwrap();
+        let mut bits: Vec<u64> = f.hp.lengthscales.iter().map(|l| l.to_bits()).collect();
+        bits.push(f.hp.signal_var.to_bits());
+        bits.push(f.hp.noise_var.to_bits());
+        bits.extend(f.alpha.iter().map(|a| a.to_bits()));
+        for p in gp.predict_batch(queries).unwrap() {
+            bits.push(p.mean.to_bits());
+            bits.push(p.std.to_bits());
+        }
+        bits
+    }
+
+    /// Below `min_search_rows` a full fit keeps the better fixed
+    /// candidate: bit for bit what a GP with no random draws and no
+    /// refinement computes, cold (`fit`) and warm-started (a
+    /// `fit_update` whose rows do not extend the previous ones). At the
+    /// threshold it is the default GP's search, bit for bit.
+    #[test]
+    fn fits_below_min_search_rows_score_only_the_fixed_candidates() {
+        let gated = GpConfig {
+            min_search_rows: 3,
+            ..GpConfig::default()
+        };
+        let fixed_only = GpConfig {
+            candidates: 0,
+            refine_passes: 0,
+            ..GpConfig::default()
+        };
+        let searching = GpConfig::default();
+        let mut searched_differently = false;
+        for dim in [1usize, 6] {
+            for seed in [1u64, 7, 42] {
+                let mut rng = StdRng::seed_from_u64(seed ^ dim as u64);
+                let x: Vec<Vec<f64>> = (0..5)
+                    .map(|_| (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect())
+                    .collect();
+                // Seed 42's targets cross zero, so it fits in linear
+                // space; the others fit in log space.
+                let shift = if seed == 42 { 1.5 } else { 0.0 };
+                let y: Vec<f64> = x
+                    .iter()
+                    .map(|r| 1.0 + r.iter().sum::<f64>() + 0.3 * (5.0 * r[0]).sin() - shift)
+                    .collect();
+                let queries: Vec<Vec<f64>> = (0..12)
+                    .map(|_| (0..dim).map(|_| rng.gen_range(-0.2..1.2)).collect())
+                    .collect();
+                let run = |config: GpConfig, rows: usize| {
+                    let mut gp = GaussianProcess::new(config, seed);
+                    gp.fit(&x[..rows], &y[..rows]).unwrap();
+                    let cold = fit_bits(&gp, &queries);
+                    // Rows 2.. replace rows 0..: a warm-started full
+                    // search over as many rows.
+                    gp.fit_update(&x[2..2 + rows], &y[2..2 + rows], seed + 1)
+                        .unwrap();
+                    assert_eq!(gp.fits_since_full(), 0);
+                    (cold, fit_bits(&gp, &queries))
+                };
+                let case = format!("dim {dim} seed {seed}");
+                let two = run(gated, 2);
+                assert_eq!(two, run(fixed_only, 2), "2 rows, {case}");
+                searched_differently |= two != run(searching, 2);
+                assert_eq!(run(gated, 3), run(searching, 3), "3 rows, {case}");
+            }
+        }
+        assert!(
+            searched_differently,
+            "the search never beat the fixed candidates on two rows"
+        );
     }
 
     /// Golden bits of the hyperparameter search: a fixed sweep of fits
