@@ -2,12 +2,13 @@
 //!
 //! These isolate the costs that dominate the figure kernels: surrogate
 //! fitting and prediction, the EI sweep over the 288-point space, the
-//! ground-truth sweep, and the platform fast paths (invoke, placement,
-//! pricing, Pareto extraction).
+//! ground-truth sweep, the platform fast paths (invoke, placement,
+//! pricing, Pareto extraction), and the gz inflater the trace scan runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use freedom::controller::RIGHT_SIZER_MIN_SEARCH_ROWS;
 use freedom_cluster::{Cluster, InstanceFamily, PlacementPolicy};
+use freedom_experiments::week_trace::WeekTraceSpec;
 use freedom_faas::{collect_ground_truth, FunctionSpec, Gateway, ResourceConfig};
 use freedom_linalg::{cholesky, lu_solve, Matrix};
 use freedom_optimizer::pareto::pareto_front;
@@ -288,12 +289,54 @@ fn bench_linalg(c: &mut Criterion) {
     group.finish();
 }
 
+/// The inflater alone: `gunzip` of a `WeekTraceSpec` day CSV compressed
+/// with `CompressMode::FixedHuffman` (literal-only fixed blocks, the
+/// parts `week_gz` inflates, at its 2,000-function shape) and of the
+/// zlib level-9 fixture in `vendor/flate/testdata` (dynamic blocks and
+/// back-references, like a real Azure day file). Each reports its best
+/// sample as `flate/<tag>_mb_per_s`, decompressed MB/s. The
+/// `week_replay` rows cannot show an inflater change:
+/// `WeekTraceSpec::day_gz` writes stored blocks, which take the bulk
+/// copy path, not the Huffman decode.
+fn bench_flate(c: &mut Criterion) {
+    let day = WeekTraceSpec::downscaled().day_csv(0);
+    let inputs = [
+        (
+            "week_day_fixed",
+            flate::gzip_compress(day.as_bytes(), flate::CompressMode::FixedHuffman),
+        ),
+        (
+            "zlib_level9",
+            include_bytes!("../../../vendor/flate/testdata/level9.gz").to_vec(),
+        ),
+    ];
+    let mut group = c.benchmark_group("flate");
+    for (tag, gz) in &inputs {
+        let mut best = f64::INFINITY;
+        let mut out_len = 0;
+        group.bench_function(format!("gunzip_{tag}"), |b| {
+            b.iter(|| {
+                let t0 = std::time::Instant::now();
+                let out = flate::gunzip(black_box(gz)).expect("inflate");
+                best = best.min(t0.elapsed().as_secs_f64());
+                out_len = out.len();
+                out
+            })
+        });
+        let mb_per_s = out_len as f64 / 1e6 / best;
+        println!("bench flate/{tag}: {mb_per_s:.1} MB/s decompressed (best sample)");
+        freedom_bench::report_counter(&format!("flate/{tag}_mb_per_s"), mb_per_s, "MB/s");
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_surrogates,
     bench_gp_incremental,
     bench_optimizer_primitives,
     bench_platform,
-    bench_linalg
+    bench_linalg,
+    bench_flate
 );
 criterion_main!(benches);
