@@ -1606,7 +1606,7 @@ impl<R: Recorder> EpochSim<'_, R> {
     fn supply_step(&mut self) {
         let ctx = self.ctx;
         let step = &ctx.schedule.steps[self.supply_cursor];
-        for e in self.ledger.withdraw(&step.caps) {
+        for e in self.ledger.withdraw(&step.caps, self.queue.completions()) {
             // A withdrawn hedge drops silently: it was a speculative
             // extra copy, the invocation's outcome stays with the
             // attempt it raced, and its (already recorded) bill stands.
@@ -2304,7 +2304,7 @@ fn simulate_epoch<R: Recorder>(
     for entry in &carry_in.inflight {
         let mut e = *entry;
         e.epoch = ledger.epoch(e.slot);
-        ledger.restore(&e);
+        ledger.place(&e);
         queue.push(Event::Completion(e));
     }
     for &p in &carry_in.retries {
@@ -4524,6 +4524,90 @@ mod tests {
             hedged.mean_latency_inflation,
             unhedged.mean_latency_inflation
         );
+    }
+
+    #[test]
+    fn a_withdrawal_displaces_the_straggler_not_its_finished_hedge() {
+        // A straggler and its hedge share one invocation index and, on a
+        // one-VM family, one slot. The hedge wins the race and completes
+        // first; the supply step that then withdraws the slot must
+        // displace the still-running original, a real attempt that
+        // demotes here (one zone, nowhere to migrate). Were the finished
+        // hedge read as the survivor, it would drop silently and the
+        // original would escape its demotion.
+        use freedom_cluster::{InstanceSize, InstanceType};
+        // A plan whose first alternate fits twice on one .4xlarge and
+        // runs well inside a minute.
+        let (plan, alt) = make_plans(5)
+            .into_iter()
+            .find_map(|plan| {
+                let cfg = plan.alternates.iter().find(|a| a.accepted)?.config;
+                let vm = InstanceType::new(cfg.family(), InstanceSize::X4Large);
+                let secs = plan.table.lookup(&cfg)?.exec_time_secs;
+                let twice = 2.0 * cfg.cpu_share() <= f64::from(vm.vcpus())
+                    && 2 * cfg.memory_mib() <= vm.memory_mib();
+                (twice && secs < 10.0).then_some((plan, cfg))
+            })
+            .expect("a plan whose first alternate packs twice");
+        let family = family_index(alt.family()).unwrap();
+        let secs = plan.table.lookup(&alt).unwrap().exec_time_secs;
+        let config = FleetConfig {
+            market: MarketConfig {
+                vms_per_family: 1,
+                supply: SupplyProcess {
+                    step_secs: 60.0,
+                    min_fraction: 0.0,
+                    seed: 3,
+                },
+                ..MarketConfig::default()
+            },
+            // Every spot attempt straggles past the next supply step.
+            faults: FaultPlan {
+                seed: 17,
+                straggler_prob: 1.0,
+                straggler_factor: (60.0 / secs).max(2.0),
+                ..FaultPlan::NONE
+            },
+            // The hedge fires one run length in, so it finishes two run
+            // lengths after the arrival, before the step.
+            retry: RetryPolicy {
+                hedge_delay_secs: secs,
+                ..RetryPolicy::DEFAULT
+            },
+            ..FleetConfig::default()
+        };
+        // The first minute whose family lane keeps its VM all minute and
+        // loses it at the step that closes the minute (steps fall on
+        // whole minutes; the redraws are a prefix of a longer horizon's).
+        let schedule =
+            SupplySchedule::generate(&config.market, &config.faults, 3_600_000_000_000).unwrap();
+        let caps_at = |m: usize| {
+            if m == 0 {
+                &schedule.base
+            } else {
+                &schedule.steps[m - 1].caps
+            }
+        };
+        let minute = (0..schedule.steps.len())
+            .find(|&m| caps_at(m)[family] == 1 && caps_at(m + 1)[family] == 0)
+            .expect("a drop within the hour");
+        // One arrival mid-minute, and one after the step so the replay's
+        // horizon reaches it.
+        let csv = format!("a,f,{minute},1\na,f,{},1\n", minute + 1);
+        let trace = TraceSource::from_csv(&csv).unwrap();
+        let sim = FleetSimulator::new(vec![plan]).unwrap();
+        let report = sim
+            .run(&trace, PlacementStrategy::IdleAware, &config)
+            .unwrap();
+        accounting_is_total(&report);
+        assert_eq!(report.hedge_wins, 1, "{report:?}");
+        assert_eq!(report.spot_demoted, 1, "{report:?}");
+        // 5 s epochs close at the minute's 55th second, between the
+        // hedge's finish and the step: the carry holds the original
+        // alone, and the next epoch's calendar hands it to the step.
+        let lazy = StreamTrace::from_csv(&csv).unwrap();
+        let resumed = chained(&sim, &lazy, PlacementStrategy::IdleAware, &config, 5.0);
+        assert_eq!(format!("{report:?}"), format!("{resumed:?}"));
     }
 
     #[test]

@@ -28,13 +28,16 @@
 //!   `migration_rebill · list`), or is force-demoted to on-demand.
 //! - `SpotLedger`: the live market state during a replay — zone-major
 //!   VM slots with free capacity, the available prefix dictated by the
-//!   current supply step, per-slot resident placements, and market-wide
-//!   occupancy counters. Supply drops *withdraw* the highest-indexed
-//!   slots of a zone-family; the withdrawal hands the displaced
-//!   residents back to the engine (canonically ordered) so their fate —
-//!   migrate or demote — is decided *at the step*, and bumps the slot
-//!   epoch so stale completion-queue entries are recognized as ghosts
-//!   in `O(1)` when popped.
+//!   current supply step, per-slot resident counts, and market-wide
+//!   occupancy counters. Admission and migration share one branch-free
+//!   best-fit scan. Supply drops *withdraw* the highest-indexed slots
+//!   of a zone-family; the withdrawal reads the displaced placements
+//!   out of the replay's event calendar, which already queues every
+//!   in-flight placement, and hands them back to the engine
+//!   (canonically ordered) so their fate — migrate or demote — is
+//!   decided *at the step*, and bumps the slot epoch so stale
+//!   completion-queue entries are recognized as ghosts in `O(1)` when
+//!   popped.
 //! - [`AdmissionPolicy`]: the provider-level controller deciding whether
 //!   a spot placement request may even try the ledger. [`AdmissionPolicy::Greedy`]
 //!   admits whenever capacity fits; [`AdmissionPolicy::Headroom`]
@@ -647,27 +650,27 @@ struct VmSlot {
 }
 
 /// The live market state during a replay: zone-major slots, the
-/// available prefix per `(zone, family)` lane, per-slot residents,
+/// available prefix per `(zone, family)` lane, per-slot resident counts,
 /// notice flags, epochs for ghost detection, and market-wide occupancy.
 ///
 /// Capacity and occupancy are integer milli-vCPU counters, so the
 /// utilization driving admission and demand pricing is an exact ratio of
-/// integers — deterministic across engines. Per-slot resident lists are
-/// kept order-insensitive (every consumer either counts them, searches
-/// by `idx`, or canonically sorts them), so the sequential engine and
-/// an epoch reconstructing carried state — which insert in different
+/// integers — deterministic across engines. The ledger keeps no
+/// placement records: the replay's event calendar already queues every
+/// in-flight placement as a completion, so the ledger counts residents
+/// per slot and [`SpotLedger::withdraw`] reads the displaced placements
+/// out of the calendar. Counts carry no order, so the sequential engine
+/// and an epoch reconstructing carried state — which place in different
 /// orders — stay bit-identical.
 #[derive(Debug)]
 pub(crate) struct SpotLedger {
     vms_per_family: u32,
     slots: Vec<VmSlot>,
     epochs: Vec<u32>,
-    /// Live placements per slot — what a withdrawal displaces. Kept
-    /// exact so [`SpotLedger::withdraw`] can hand every displaced
-    /// in-flight entry to the engine *at the supply step itself* (where
-    /// migrate-vs-demote is decided and the feedback signal counted),
-    /// instead of waiting for stale queue entries to surface.
-    residents: Vec<Vec<InFlight>>,
+    /// Live placements per slot. A withdrawal only searches the
+    /// calendar when a withdrawn slot still holds one, and a notice
+    /// counts the placements it reaches by summing them.
+    residents: Vec<u32>,
     /// Slots under a preemption notice: they stop admitting and their
     /// residents drain (or migrate at the announced withdrawal).
     notified: Vec<bool>,
@@ -706,7 +709,7 @@ impl SpotLedger {
         Self {
             vms_per_family: vms,
             epochs: vec![0; n_slots],
-            residents: vec![Vec::new(); n_slots],
+            residents: vec![0; n_slots],
             notified: vec![false; n_slots],
             slots,
             avail: caps.to_vec(),
@@ -727,19 +730,8 @@ impl SpotLedger {
         (flat / self.vms_per_family) as usize / N_MARKET_FAMILIES
     }
 
-    /// Re-places a carried in-flight entry onto its slot (epoch-start
-    /// reconstruction). The entry's slot is available by construction: it
-    /// survived every earlier supply drop.
-    pub fn restore(&mut self, entry: &InFlight) {
-        let slot = &mut self.slots[entry.slot as usize];
-        slot.free_milli -= entry.milli;
-        slot.free_mib -= entry.mib;
-        Self::insert_resident(&mut self.residents[entry.slot as usize], entry);
-        self.occupied_milli += entry.milli as u64;
-    }
-
-    /// [`SpotLedger::restore`] for an entry from outside the replay — a
-    /// decoded snapshot's carry: restores it only when its slot exists,
+    /// [`SpotLedger::place`] for a carried entry from outside the replay
+    /// — a decoded snapshot's carry: places it only when its slot exists,
     /// is available under the current caps, and has room for the
     /// reservation, and reports whether it did.
     pub fn try_restore(&mut self, entry: &InFlight) -> bool {
@@ -752,23 +744,9 @@ impl SpotLedger {
             && self.slots[flat].free_milli >= entry.milli
             && self.slots[flat].free_mib >= entry.mib;
         if fits {
-            self.restore(entry);
+            self.place(entry);
         }
         fits
-    }
-
-    /// Records a resident with an O(1) append. Resident order is not
-    /// observable: withdrawals hand displaced entries to the engine
-    /// canonically re-sorted, notices only count them, and
-    /// [`SpotLedger::release`] matches its exact record by `(idx, meta,
-    /// completion)` — unique even for a straggler/hedge twin pair — so
-    /// no path needs the vector sorted. Keeping it unsorted turns the
-    /// retry-heavy placement mix (which re-places old indices out of
-    /// arrival order) from a mid-vector memmove into a push, and
-    /// release into a swap-remove.
-    #[inline]
-    fn insert_resident(residents: &mut Vec<InFlight>, entry: &InFlight) {
-        residents.push(*entry);
     }
 
     /// Market vCPU utilization in `[0, 1]`; a zero-capacity market reads
@@ -810,7 +788,7 @@ impl SpotLedger {
                 let flat = (base + k) as usize;
                 if !self.notified[flat] {
                     self.notified[flat] = true;
-                    hit += self.residents[flat].len() as u32;
+                    hit += self.residents[flat];
                 }
             }
         }
@@ -825,42 +803,75 @@ impl SpotLedger {
     /// advances so queue entries pointing at it read as ghosts when
     /// popped. Restored slots come back empty.
     ///
+    /// `queued` is the replay's event calendar
+    /// ([`crate::wheel::TimerWheel::completions`]): every placement
+    /// still in flight, ghosts included. The displaced placements are its
+    /// live entries (slot epoch unchanged) on withdrawn slots, and it is
+    /// only searched when a withdrawn slot holds residents: a `storm`
+    /// trace replay searches it 24 times, visiting ≈ 13 k entries
+    /// against ≈ 288 k events, and a `week_gz` pass 5,377 times,
+    /// visiting ≈ 52 k entries against 3.03 M events.
+    ///
     /// Resolving displacement *at the step* (rather than when stale
     /// queue entries surface) is what makes the per-epoch
     /// demotion/migration signal a pure function of simulated time — an
     /// epoch that replays this instant observes the same displaced set
     /// as the sequential engine, so the control plane's feedback is
     /// partition-independent.
-    pub fn withdraw(&mut self, caps: &[u32]) -> Vec<InFlight> {
+    pub fn withdraw<'q>(
+        &mut self,
+        caps: &[u32],
+        queued: impl IntoIterator<Item = &'q InFlight>,
+    ) -> Vec<InFlight> {
+        let vms = self.vms_per_family as usize;
+        let held: u32 = caps
+            .iter()
+            .zip(&self.avail)
+            .enumerate()
+            .filter(|(_, (new, old))| new < old)
+            .map(|(lane, (&new, &old))| {
+                let base = lane * vms;
+                self.residents[base + new as usize..base + old as usize]
+                    .iter()
+                    .sum::<u32>()
+            })
+            .sum();
         let mut displaced = Vec::new();
+        if held > 0 {
+            let withdrawn = |e: &InFlight| {
+                let lane = e.slot as usize / vms;
+                let k = e.slot % self.vms_per_family;
+                (caps[lane]..self.avail[lane]).contains(&k) && self.is_live(e)
+            };
+            displaced.extend(queued.into_iter().filter(|e| withdrawn(e)).copied());
+            debug_assert_eq!(
+                displaced.len(),
+                held as usize,
+                "the calendar holds every resident of a withdrawn slot"
+            );
+            displaced.sort_unstable_by_key(InFlight::key);
+        }
+        let full = u64::from(self.full_milli);
         for (lane, &new) in caps.iter().enumerate() {
             let old = self.avail[lane];
             let family = lane % N_MARKET_FAMILIES;
-            let base = lane as u32 * self.vms_per_family;
-            if new < old {
-                for k in new..old {
-                    let flat = (base + k) as usize;
-                    if !self.residents[flat].is_empty() {
-                        let occupied = (self.full_milli - self.slots[flat].free_milli) as u64;
-                        self.occupied_milli -= occupied;
-                        self.epochs[flat] += 1;
-                        displaced.append(&mut self.residents[flat]);
-                        self.slots[flat] = VmSlot {
-                            free_milli: self.full_milli,
-                            free_mib: self.full_mib[family],
-                        };
-                    }
-                    self.notified[flat] = false;
-                    self.capacity_milli -= self.full_milli as u64;
+            let base = lane * vms;
+            for flat in base + new as usize..base + old as usize {
+                if self.residents[flat] > 0 {
+                    self.occupied_milli -= u64::from(self.full_milli - self.slots[flat].free_milli);
+                    self.epochs[flat] += 1;
+                    self.residents[flat] = 0;
+                    self.slots[flat] = VmSlot {
+                        free_milli: self.full_milli,
+                        free_mib: self.full_mib[family],
+                    };
                 }
-            } else {
-                for _ in old..new {
-                    self.capacity_milli += self.full_milli as u64;
-                }
+                self.notified[flat] = false;
             }
+            self.capacity_milli =
+                self.capacity_milli + u64::from(new) * full - u64::from(old) * full;
             self.avail[lane] = new;
         }
-        displaced.sort_unstable_by_key(|e| e.key());
         displaced
     }
 
@@ -868,98 +879,67 @@ impl SpotLedger {
     /// every zone: the least free vCPUs that still fit, lowest flat
     /// index on ties. Returns the flat slot index.
     pub fn best_fit(&self, family: usize, milli: u32, mib: u32) -> Option<u32> {
-        let mut best: Option<(u32, u32)> = None; // (free_milli, flat slot)
-        let n_zones = self.avail.len() / N_MARKET_FAMILIES;
-        for zone in 0..n_zones {
-            let lane = zone * N_MARKET_FAMILIES + family;
-            let base = lane as u32 * self.vms_per_family;
-            for k in 0..self.avail[lane] {
-                let flat = base + k;
-                if self.notified[flat as usize] {
-                    continue;
-                }
-                let slot = self.slots[flat as usize];
-                if slot.free_milli >= milli
-                    && slot.free_mib >= mib
-                    && best.is_none_or(|(free, _)| slot.free_milli < free)
-                {
-                    if slot.free_milli == milli {
-                        // A perfect CPU fit cannot be beaten, and ties keep
-                        // the first slot in flat order — exactly this one.
-                        return Some(flat);
-                    }
-                    best = Some((slot.free_milli, flat));
-                }
-            }
-        }
-        best.map(|(_, flat)| flat)
+        self.scan(family, None, milli, mib)
     }
 
     /// A migration target for a displaced placement: best-fit within the
     /// same family across every *other* zone (the source zone is the one
     /// failing), skipping notified slots. `None` forces a demotion.
     pub fn migrate_target(&self, from: u32, milli: u32, mib: u32) -> Option<u32> {
-        let family = self.family_of(from);
-        let src_zone = self.zone_of(from);
-        let mut best: Option<(u32, u32)> = None;
-        let n_zones = self.avail.len() / N_MARKET_FAMILIES;
-        for zone in 0..n_zones {
-            if zone == src_zone {
+        self.scan(self.family_of(from), Some(self.zone_of(from)), milli, mib)
+    }
+
+    /// The best-fit scan behind [`SpotLedger::best_fit`] and
+    /// [`SpotLedger::migrate_target`], over `family`'s available slots in
+    /// every zone but `skip`: the minimum of `(free_milli << 32) | flat`
+    /// over the slots that are not notified and fit both the vCPUs and
+    /// the memory. The key orders by least free vCPUs, then lowest flat
+    /// index, so a perfect fit wins without an early exit, and the loop
+    /// body has no branch for the compiler to mispredict.
+    fn scan(&self, family: usize, skip: Option<usize>, milli: u32, mib: u32) -> Option<u32> {
+        let vms = self.vms_per_family as usize;
+        let mut best = u64::MAX;
+        for (zone, caps) in self.avail.chunks_exact(N_MARKET_FAMILIES).enumerate() {
+            if skip == Some(zone) {
                 continue;
             }
-            let lane = zone * N_MARKET_FAMILIES + family;
-            let base = lane as u32 * self.vms_per_family;
-            for k in 0..self.avail[lane] {
-                let flat = base + k;
-                if self.notified[flat as usize] {
-                    continue;
-                }
-                let slot = self.slots[flat as usize];
-                if slot.free_milli >= milli
-                    && slot.free_mib >= mib
-                    && best.is_none_or(|(free, _)| slot.free_milli < free)
-                {
-                    best = Some((slot.free_milli, flat));
-                }
+            let base = (zone * N_MARKET_FAMILIES + family) * vms;
+            let lane = base..base + caps[family] as usize;
+            let slots = self.slots[lane.clone()].iter();
+            for ((slot, &notified), flat) in slots.zip(&self.notified[lane.clone()]).zip(lane) {
+                let fits = !notified & (slot.free_milli >= milli) & (slot.free_mib >= mib);
+                let key = (u64::from(slot.free_milli) << 32) | flat as u64;
+                best = best.min(if fits { key } else { u64::MAX });
             }
         }
-        best.map(|(_, flat)| flat)
+        (best != u64::MAX).then_some(best as u32)
     }
 
     /// Reserves capacity on a slot returned by [`SpotLedger::best_fit`]
-    /// or [`SpotLedger::migrate_target`] and records the resident.
+    /// or [`SpotLedger::migrate_target`], or on a carried entry's slot at
+    /// an epoch's start (available by construction: the entry survived
+    /// every earlier supply drop), and counts the resident.
     pub fn place(&mut self, entry: &InFlight) {
-        let slot = &mut self.slots[entry.slot as usize];
+        let flat = entry.slot as usize;
+        let slot = &mut self.slots[flat];
         slot.free_milli -= entry.milli;
         slot.free_mib -= entry.mib;
-        Self::insert_resident(&mut self.residents[entry.slot as usize], entry);
-        self.occupied_milli += entry.milli as u64;
+        self.residents[flat] += 1;
+        self.occupied_milli += u64::from(entry.milli);
     }
 
-    /// Releases a live completion's capacity back to its slot.
-    ///
-    /// A slot can host two records with the same invocation index — a
-    /// straggling attempt and the hedge racing it — so the scan matches
-    /// the exact record by `(idx, meta, completion)`. Releasing an
-    /// arbitrary same-index twin would leave the wrong record standing,
-    /// and a later withdrawal would misclassify the survivor (a hedge
-    /// drops silently; a real attempt must migrate or demote). The
-    /// unordered resident vector makes the removal a swap-remove.
+    /// Releases a live completion's capacity back to its slot. Which
+    /// placement left needs no matching: a withdrawal reads the ones
+    /// still in flight from the calendar, which the completion has left.
     pub fn release(&mut self, entry: &InFlight) {
-        let slot = &mut self.slots[entry.slot as usize];
+        let flat = entry.slot as usize;
+        self.residents[flat] = self.residents[flat]
+            .checked_sub(1)
+            .expect("released entry must be resident on its slot");
+        let slot = &mut self.slots[flat];
         slot.free_milli += entry.milli;
         slot.free_mib += entry.mib;
-        let residents = &mut self.residents[entry.slot as usize];
-        let pos = residents
-            .iter()
-            .position(|p| {
-                p.idx == entry.idx
-                    && p.meta == entry.meta
-                    && p.completion_nanos == entry.completion_nanos
-            })
-            .expect("released entry must be resident on its slot");
-        residents.swap_remove(pos);
-        self.occupied_milli -= entry.milli as u64;
+        self.occupied_milli -= u64::from(entry.milli);
     }
 }
 
@@ -1223,7 +1203,7 @@ mod tests {
         // and the step hands back exactly the one displaced resident.
         let mut caps = [4; N_MARKET_FAMILIES];
         caps[0] = 2;
-        let displaced = ledger.withdraw(&caps);
+        let displaced = ledger.withdraw(&caps, [&placed]);
         assert_eq!(displaced.len(), 1);
         assert_eq!(displaced[0], placed);
         assert_eq!(ledger.occupied_milli, 0);
@@ -1232,8 +1212,11 @@ mod tests {
         assert_eq!(ledger.epoch(2), 0, "idle withdrawn slot keeps its epoch");
         assert!(!ledger.is_live(&placed), "displaced entry reads as a ghost");
 
-        // Bring it back: the slot returns empty, nothing left to displace.
-        assert!(ledger.withdraw(&[4; N_MARKET_FAMILIES]).is_empty());
+        // Bring it back: the slot returns empty, nothing left to displace
+        // (the displaced entry stays queued as a ghost).
+        assert!(ledger
+            .withdraw(&[4; N_MARKET_FAMILIES], [&placed])
+            .is_empty());
         assert_eq!(ledger.capacity_milli, full);
         assert_eq!(ledger.slots[3].free_milli, ledger.full_milli);
     }
@@ -1246,8 +1229,10 @@ mod tests {
         };
         let mut ledger = SpotLedger::new(&config, &[3; N_MARKET_FAMILIES]);
         // Slot 0 nearly full, slot 1 half full, slot 2 empty.
-        ledger.place(&entry(10, 0, 0, 15_000, 1024));
-        ledger.place(&entry(11, 1, 1, 8_000, 1024));
+        let queued = [entry(10, 0, 0, 15_000, 1024), entry(11, 1, 1, 8_000, 1024)];
+        for e in &queued {
+            ledger.place(e);
+        }
         // A 2-vCPU request fits slots 1 and 2; best-fit picks 1.
         assert_eq!(ledger.best_fit(0, 2000, 512), Some(1));
         // A 10-vCPU request only fits slot 2.
@@ -1259,7 +1244,7 @@ mod tests {
         // one placement living on slot 1.
         let mut caps = [3; N_MARKET_FAMILIES];
         caps[0] = 1;
-        assert_eq!(ledger.withdraw(&caps).len(), 1);
+        assert_eq!(ledger.withdraw(&caps, &queued).len(), 1);
         assert_eq!(ledger.best_fit(0, 2000, 512), None);
     }
 
@@ -1273,50 +1258,268 @@ mod tests {
             ..MarketConfig::default()
         };
         let mut ledger = SpotLedger::new(&config, &[2; N_MARKET_FAMILIES]);
-        ledger.place(&entry(90, 1, 7, 2000, 1024));
-        ledger.place(&entry(30, 1, 3, 3000, 2048));
-        ledger.place(&entry(10, 0, 1, 1000, 512));
+        let mut queued = vec![
+            entry(90, 1, 7, 2000, 1024),
+            entry(30, 1, 3, 3000, 2048),
+            entry(10, 0, 1, 1000, 512),
+        ];
+        for e in &queued {
+            ledger.place(e);
+        }
         let mut caps = [2; N_MARKET_FAMILIES];
         caps[0] = 1; // withdraws slot 1 only
-        let displaced = ledger.withdraw(&caps);
+        let displaced = ledger.withdraw(&caps, &queued);
         assert_eq!(displaced.len(), 2);
         assert!(displaced[0].completion_nanos < displaced[1].completion_nanos);
-        // A released completion no longer counts as a displaceable
-        // resident.
-        ledger.release(&entry(10, 0, 1, 1000, 512));
+        // A released completion leaves the calendar and no longer counts
+        // as a displaceable resident; the displaced pair stays queued as
+        // ghosts.
+        let done = queued.pop().unwrap();
+        ledger.release(&done);
         caps[0] = 0;
         assert!(
-            ledger.withdraw(&caps).is_empty(),
+            ledger.withdraw(&caps, &queued).is_empty(),
             "slot 0 drained before drop"
         );
     }
 
     #[test]
-    fn release_distinguishes_same_index_twins() {
-        // A straggling attempt and its hedge share one invocation index
-        // and may land on the same slot. Releasing the hedge must leave
-        // the original attempt resident — not an arbitrary same-index
-        // twin — or a later withdrawal misclassifies the survivor.
-        let config = MarketConfig {
-            vms_per_family: 2,
-            ..MarketConfig::default()
+    #[should_panic(expected = "released entry must be resident on its slot")]
+    fn releasing_from_an_empty_slot_panics() {
+        let mut ledger = SpotLedger::new(&MarketConfig::default(), &[8; N_MARKET_FAMILIES]);
+        let placed = entry(10, 3, 1, 1000, 512);
+        ledger.place(&placed);
+        ledger.release(&placed);
+        ledger.release(&placed);
+    }
+
+    /// A plain model of the ledger: the live placements in one list, and
+    /// each slot's free capacity, notice flag and availability spelled
+    /// out, with no counts, epochs or calendar.
+    struct Model {
+        vms: u32,
+        full: Vec<(u32, u32)>,
+        free: Vec<(u32, u32)>,
+        notified: Vec<bool>,
+        avail: Vec<u32>,
+        live: Vec<InFlight>,
+    }
+
+    impl Model {
+        fn new(ledger: &SpotLedger, caps: &[u32]) -> Self {
+            let vms = ledger.vms_per_family;
+            let full: Vec<(u32, u32)> = (0..caps.len() as u32 * vms)
+                .map(|flat| {
+                    let family = (flat / vms) as usize % N_MARKET_FAMILIES;
+                    (ledger.full_milli, ledger.full_mib[family])
+                })
+                .collect();
+            Self {
+                vms,
+                free: full.clone(),
+                full,
+                notified: vec![false; caps.len() * vms as usize],
+                avail: caps.to_vec(),
+                live: Vec::new(),
+            }
+        }
+
+        /// Whether `flat` lies in `[lo[lane], hi[lane])` of its lane.
+        fn between(&self, flat: u32, lo: &[u32], hi: &[u32]) -> bool {
+            let lane = (flat / self.vms) as usize;
+            let k = flat % self.vms;
+            lo[lane] <= k && k < hi[lane]
+        }
+
+        /// The reference scan: every slot in flat order, keeping the one
+        /// with the least free vCPUs that fits, the first on ties.
+        fn best_fit(
+            &self,
+            family: usize,
+            skip_zone: Option<usize>,
+            milli: u32,
+            mib: u32,
+        ) -> Option<u32> {
+            let mut best: Option<(u32, u32)> = None;
+            for flat in 0..self.free.len() as u32 {
+                let lane = (flat / self.vms) as usize;
+                let usable = lane % N_MARKET_FAMILIES == family
+                    && skip_zone != Some(lane / N_MARKET_FAMILIES)
+                    && flat % self.vms < self.avail[lane]
+                    && !self.notified[flat as usize];
+                let (free_milli, free_mib) = self.free[flat as usize];
+                if usable
+                    && free_milli >= milli
+                    && free_mib >= mib
+                    && best.is_none_or(|(least, _)| free_milli < least)
+                {
+                    best = Some((free_milli, flat));
+                }
+            }
+            best.map(|(_, flat)| flat)
+        }
+
+        fn place(&mut self, e: InFlight) {
+            let free = &mut self.free[e.slot as usize];
+            free.0 -= e.milli;
+            free.1 -= e.mib;
+            self.live.push(e);
+        }
+    }
+
+    /// Places `e` on the ledger, the model and the calendar alike.
+    fn place_everywhere(
+        ledger: &mut SpotLedger,
+        model: &mut Model,
+        calendar: &mut Vec<InFlight>,
+        e: InFlight,
+    ) {
+        let e = InFlight {
+            epoch: ledger.epoch(e.slot),
+            ..e
         };
-        let mut ledger = SpotLedger::new(&config, &[2; N_MARKET_FAMILIES]);
-        let original = entry(90, 1, 7, 1000, 512);
-        let mut hedge = entry(50, 1, 7, 1000, 512);
-        hedge.meta = InFlight::meta_of(RUN_HEDGE, 2);
-        ledger.place(&original);
-        ledger.place(&hedge);
-        // The hedge wins the race and completes first.
-        ledger.release(&hedge);
-        // Supply withdraws the slot: the displaced record must be the
-        // still-running original attempt, not the released hedge.
-        let mut caps = [2; N_MARKET_FAMILIES];
-        caps[0] = 1;
-        let displaced = ledger.withdraw(&caps);
-        assert_eq!(displaced.len(), 1);
-        assert_eq!(displaced[0].completion_nanos, 90);
-        assert_eq!(displaced[0].run_kind(), RUN_NORMAL);
+        ledger.place(&e);
+        model.place(e);
+        calendar.push(e);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Small ledgers (1–3 zones, 1–8 VMs per family) driven through
+        /// random place, release, notice, withdraw and ghost-pop steps
+        /// next to a [`Model`]. `calendar` plays the event calendar: every
+        /// placement not yet released, ghosts included. After every step
+        /// `best_fit` and `migrate_target` agree with the reference scan
+        /// and the occupancy with the live list; a notice counts the live
+        /// placements it reaches, and a withdrawal displaces exactly the
+        /// live placements on its withdrawn slots, in key order. Displaced
+        /// attempts then migrate (or demote) as the engine resolves them.
+        #[test]
+        fn ledger_matches_a_plain_model(
+            n_zones in 1usize..=3,
+            vms in 1u32..=8,
+            steps in proptest::collection::vec((0u8..10, 0u32..u32::MAX, 0u32..u32::MAX), 1..120),
+        ) {
+            let config = MarketConfig {
+                vms_per_family: vms as usize,
+                zones: ZoneConfig {
+                    n_zones,
+                    ..ZoneConfig::SINGLE
+                },
+                ..MarketConfig::default()
+            };
+            let width = config.width();
+            let mut ledger = SpotLedger::new(&config, &vec![vms; width]);
+            let mut model = Model::new(&ledger, &vec![vms; width]);
+            let mut calendar: Vec<InFlight> = Vec::new();
+            let mut pending: Option<Vec<u32>> = None;
+            let n_slots = width as u32 * vms;
+            let kind_of = |b: u32| if b.is_multiple_of(5) { RUN_HEDGE } else { RUN_NORMAL };
+            let mib_of = |b: u32| 512 * (1 + b % 64);
+            for (idx, &(op, a, b)) in steps.iter().enumerate() {
+                let draw_caps = |salt: u32| -> Vec<u32> {
+                    let mut rng = StdRng::seed_from_u64((u64::from(a) << 32) | u64::from(b ^ salt));
+                    (0..width).map(|_| rng.gen_range(0..=vms)).collect()
+                };
+                match op {
+                    0..=4 => {
+                        let family = a as usize % N_MARKET_FAMILIES;
+                        let milli = 500 * (1 + (a / 8) % 32);
+                        let mib = mib_of(b);
+                        let fit = ledger.best_fit(family, milli, mib);
+                        proptest::prop_assert_eq!(fit, model.best_fit(family, None, milli, mib));
+                        if let Some(slot) = fit {
+                            let e = InFlight {
+                                completion_nanos: u64::from(b % 64),
+                                slot,
+                                idx: idx as u32,
+                                epoch: 0,
+                                milli,
+                                mib,
+                                list_cost_usd: 0.0,
+                                meta: InFlight::meta_of(kind_of(b), 1),
+                            };
+                            place_everywhere(&mut ledger, &mut model, &mut calendar, e);
+                        }
+                    }
+                    5 | 6 => {
+                        if !model.live.is_empty() {
+                            let e = model.live.swap_remove(a as usize % model.live.len());
+                            calendar.retain(|c| c.key() != e.key());
+                            ledger.release(&e);
+                            let free = &mut model.free[e.slot as usize];
+                            free.0 += e.milli;
+                            free.1 += e.mib;
+                        }
+                    }
+                    7 => {
+                        let next = draw_caps(0x5eed);
+                        let mut reached = 0;
+                        for flat in 0..n_slots {
+                            if model.between(flat, &next, &model.avail) && !model.notified[flat as usize] {
+                                model.notified[flat as usize] = true;
+                                reached += model.live.iter().filter(|e| e.slot == flat).count() as u32;
+                            }
+                        }
+                        proptest::prop_assert_eq!(ledger.mark_notified(&next), reached);
+                        pending = Some(next);
+                    }
+                    8 => {
+                        let caps = pending.take().unwrap_or_else(|| draw_caps(0));
+                        let displaced = ledger.withdraw(&caps, &calendar);
+                        let (mut gone, kept): (Vec<InFlight>, Vec<InFlight>) = model
+                            .live
+                            .iter()
+                            .partition(|e| model.between(e.slot, &caps, &model.avail));
+                        gone.sort_unstable_by_key(InFlight::key);
+                        let fields = |v: &[InFlight]| -> Vec<_> {
+                            v.iter().map(|e| (e.key(), e.epoch, e.milli, e.mib)).collect()
+                        };
+                        proptest::prop_assert_eq!(fields(&displaced), fields(&gone));
+                        model.live = kept;
+                        for flat in 0..n_slots {
+                            if model.between(flat, &caps, &model.avail) {
+                                model.free[flat as usize] = model.full[flat as usize];
+                                model.notified[flat as usize] = false;
+                            }
+                        }
+                        model.avail = caps;
+                        for e in displaced.iter().filter(|e| e.run_kind() != RUN_HEDGE) {
+                            let target = ledger.migrate_target(e.slot, e.milli, e.mib);
+                            let family = ledger.family_of(e.slot);
+                            let zone = ledger.zone_of(e.slot);
+                            proptest::prop_assert_eq!(target, model.best_fit(family, Some(zone), e.milli, e.mib));
+                            if let Some(slot) = target {
+                                place_everywhere(&mut ledger, &mut model, &mut calendar, InFlight { slot, ..*e });
+                            }
+                        }
+                    }
+                    _ => {
+                        // Ghosts pop: the calendar keeps only live entries.
+                        calendar.retain(|c| model.live.iter().any(|e| e.key() == c.key()));
+                    }
+                }
+                for family in 0..N_MARKET_FAMILIES {
+                    for (milli, mib) in [(500, 512), (500 * (1 + b % 32), mib_of(a)), (16_000, 1)] {
+                        proptest::prop_assert_eq!(
+                            ledger.best_fit(family, milli, mib),
+                            model.best_fit(family, None, milli, mib)
+                        );
+                    }
+                }
+                let from = a % n_slots;
+                let (milli, mib) = (500 * (1 + b % 32), mib_of(a));
+                proptest::prop_assert_eq!(
+                    ledger.migrate_target(from, milli, mib),
+                    model.best_fit(ledger.family_of(from), Some(ledger.zone_of(from)), milli, mib)
+                );
+                let occupied: u64 = model.live.iter().map(|e| u64::from(e.milli)).sum();
+                let capacity: u64 = model.avail.iter().map(|&c| u64::from(c)).sum::<u64>()
+                    * u64::from(ledger.full_milli);
+                proptest::prop_assert_eq!((ledger.occupied_milli, ledger.capacity_milli), (occupied, capacity));
+            }
+        }
     }
 
     #[test]
@@ -1333,7 +1536,8 @@ mod tests {
         let width = config.width();
         let mut ledger = SpotLedger::new(&config, &vec![2u32; width]);
         // Resident on zone 0, family 0, slot 1 (flat 1).
-        ledger.place(&entry(40, 1, 4, 2000, 1024));
+        let resident = entry(40, 1, 4, 2000, 1024);
+        ledger.place(&resident);
         // Announce: zone 0 family 0 drops to 1 VM → flat slot 1 notified.
         let mut next = vec![2u32; width];
         next[0] = 1;
@@ -1349,7 +1553,7 @@ mod tests {
         let target = ledger.migrate_target(1, 2000, 1024).unwrap();
         assert_eq!(ledger.zone_of(target), 1);
         // The announced withdrawal clears the flag.
-        let displaced = ledger.withdraw(&next);
+        let displaced = ledger.withdraw(&next, [&resident]);
         assert_eq!(displaced.len(), 1);
         assert!(!ledger.is_notified(1));
     }

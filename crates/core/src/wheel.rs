@@ -290,6 +290,33 @@ impl TimerWheel {
         }
     }
 
+    /// Every queued completion, ghosts included, in no particular order:
+    /// the ready run, the occupied level buckets and the overflow. The
+    /// calendar holds every in-flight placement, so this is where a
+    /// supply step finds the placements it displaces
+    /// ([`crate::market::SpotLedger::withdraw`]).
+    pub fn completions(&self) -> impl Iterator<Item = &InFlight> + '_ {
+        let buckets = self
+            .occupied
+            .iter()
+            .zip(self.levels.iter())
+            .flat_map(|(&bits, level)| {
+                std::iter::successors((bits != 0).then_some(bits), |&b| {
+                    let rest = b & (b - 1);
+                    (rest != 0).then_some(rest)
+                })
+                .flat_map(move |b| &level[b.trailing_zeros() as usize])
+            });
+        self.ready
+            .iter()
+            .chain(buckets)
+            .chain(&self.overflow)
+            .filter_map(|e| match e {
+                Event::Completion(c) => Some(c),
+                _ => None,
+            })
+    }
+
     /// Pops the entry a preceding [`TimerWheel::next_due`] surfaced.
     pub fn pop_due(&mut self) -> Event {
         let e = self.ready.pop().expect("next_due surfaced an entry");
@@ -460,6 +487,17 @@ mod tests {
                 assert_eq!(oracle_key(&got), want, "seed {seed} at {clock}");
             }
             assert_eq!(wheel.len(), heap.len());
+            // The completion iterator visits exactly the queued
+            // completions: ready run, level buckets and overflow alike.
+            let mut visited: Vec<_> = wheel.completions().map(InFlight::key).collect();
+            let mut queued: Vec<_> = heap
+                .iter()
+                .filter(|Reverse(k)| k.1 == 0)
+                .map(|Reverse(k)| (k.0, k.2 as u32, k.3 as u32, META))
+                .collect();
+            visited.sort_unstable();
+            queued.sort_unstable();
+            assert_eq!(visited, queued, "seed {seed} at {clock}");
         }
         // Final drain: everything left comes out in heap order.
         let mut rest = Vec::new();
@@ -617,6 +655,38 @@ mod tests {
         assert_eq!(pop(&mut wheel).key(), (step + 50, 0, 1, META));
         assert_eq!(pop(&mut wheel).key(), (step + 50, 2, 3, META));
         assert_eq!(wheel.len(), 0);
+    }
+
+    #[test]
+    fn completions_visit_the_ready_run_the_buckets_and_the_overflow() {
+        // An epoch wheel: entries at or past the horizon overflow.
+        let horizon = 1 << 40;
+        let mut wheel = TimerWheel::new(0, horizon);
+        let times = [10, 30, 1 << 21, 1 << 30, 1 << 35, horizon, horizon + 5];
+        for (i, &t) in times.iter().enumerate() {
+            wheel.push(entry(t, 1, i as u32));
+        }
+        wheel.push(Event::Step(20));
+        wheel.push(retry(1 << 22, 0, 2, KIND_RETRY));
+        wheel.push(Event::Tick(horizon + 1));
+        let idxs = |wheel: &TimerWheel| {
+            let mut v: Vec<u32> = wheel.completions().map(|e| e.idx).collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(idxs(&wheel), [0, 1, 2, 3, 4, 5, 6]);
+        // Surface the first bucket: idx 0 pops, idx 1 waits in the
+        // ready run, the rest in level buckets and the overflow.
+        assert_eq!(wheel.next_due(25), Some(10));
+        assert_eq!(pop(&mut wheel).idx, 0);
+        assert_eq!(idxs(&wheel), [1, 2, 3, 4, 5, 6]);
+        // Cascading moves entries between buckets, never out of view.
+        assert_eq!(wheel.next_due((1 << 30) + 1), Some(20));
+        assert!(matches!(wheel.pop_due(), Event::Step(20)));
+        assert_eq!(wheel.next_due((1 << 30) + 1), Some(30));
+        assert_eq!(pop(&mut wheel).idx, 1);
+        assert_eq!(wheel.next_due((1 << 30) + 1), Some(1 << 21));
+        assert_eq!(idxs(&wheel), [2, 3, 4, 5, 6]);
     }
 
     #[test]
