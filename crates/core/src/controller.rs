@@ -282,9 +282,13 @@ pub struct ObsAccum {
     /// Retry activations this epoch — the numerator of the brownout
     /// pressure signal `retried / max(spot_admitted, 1)`.
     pub retried: u32,
-    /// Flattened per-(function, placement) invocation counts; function
-    /// `f` owns `offsets[f]..offsets[f + 1]`, one slot per accepted
-    /// alternate plus a trailing on-demand slot.
+    /// Activations — arrivals and retries — admission sent on-demand
+    /// this epoch: no active alternate, a policy denial, or a capacity
+    /// miss.
+    pub on_demand: u32,
+    /// Flattened per-(function, alternate) spot admission counts;
+    /// function `f` owns `offsets[f]..offsets[f + 1]`, one slot per
+    /// accepted alternate.
     pub per_function: Vec<u32>,
 }
 
@@ -300,6 +304,7 @@ impl ObsAccum {
             policy_rejected: 0,
             capacity_missed: 0,
             retried: 0,
+            on_demand: 0,
             per_function: vec![0; slots],
         }
     }
@@ -314,36 +319,37 @@ impl ObsAccum {
         self.policy_rejected = 0;
         self.capacity_missed = 0;
         self.retried = 0;
+        self.on_demand = 0;
         self.per_function.fill(0);
     }
 
-    /// Whether the flattened counts partition the epoch's admitted
-    /// activations the way the engine counts them. Every arrival and
-    /// every retry that reaches admission lands in exactly one slot, so:
+    /// Whether the counts partition the epoch's admitted activations the
+    /// way the engine counts them. Every arrival and every retry that
+    /// reaches admission lands in exactly one alternate slot or in
+    /// `on_demand`, so:
     ///
     /// - the alternate slots sum to `spot_admitted`;
-    /// - the on-demand slots sum to at least `policy_rejected +
-    ///   capacity_missed` (plans without alternates add plain on-demand
-    ///   runs);
-    /// - all slots sum to at least `arrivals` and at most `arrivals +
-    ///   retried` (a shed or dead-lettered retry counts as retried but
-    ///   takes no slot).
+    /// - `on_demand` is at least `policy_rejected + capacity_missed`
+    ///   (plans without alternates add plain on-demand runs);
+    /// - the slots plus `on_demand` sum to at least `arrivals` and at
+    ///   most `arrivals + retried` (a shed or dead-lettered retry counts
+    ///   as retried but is never admitted).
     ///
     /// `offsets` are the observation's `n_functions + 1` flattened-counter
-    /// offsets; counts they do not cover fail the check.
+    /// offsets; slots they do not cover, and offsets past the slots, fail
+    /// the check.
     pub(crate) fn partitions(&self, offsets: &[u32]) -> bool {
-        let (mut alternates, mut on_demand) = (0u64, 0u64);
+        if offsets.last().map(|&end| end as usize) != Some(self.per_function.len()) {
+            return false;
+        }
+        let mut alternates = 0u64;
         for w in offsets.windows(2) {
-            let Some((last, alts)) = self
-                .per_function
-                .get(w[0] as usize..w[1] as usize)
-                .and_then(|slots| slots.split_last())
-            else {
+            let Some(slots) = self.per_function.get(w[0] as usize..w[1] as usize) else {
                 return false;
             };
-            alternates += alts.iter().map(|&c| u64::from(c)).sum::<u64>();
-            on_demand += u64::from(*last);
+            alternates += slots.iter().map(|&c| u64::from(c)).sum::<u64>();
         }
+        let on_demand = u64::from(self.on_demand);
         let all = alternates + on_demand;
         let arrivals = u64::from(self.arrivals);
         alternates == u64::from(self.spot_admitted)
@@ -361,6 +367,7 @@ impl ObsAccum {
         w.u32(self.policy_rejected);
         w.u32(self.capacity_missed);
         w.u32(self.retried);
+        w.u32(self.on_demand);
         w.len(self.per_function.len());
         for &c in &self.per_function {
             w.u32(c);
@@ -377,6 +384,7 @@ impl ObsAccum {
         let policy_rejected = r.u32()?;
         let capacity_missed = r.u32()?;
         let retried = r.u32()?;
+        let on_demand = r.u32()?;
         let n = r.len()?;
         let mut per_function = Vec::with_capacity(n);
         for _ in 0..n {
@@ -391,6 +399,7 @@ impl ObsAccum {
             policy_rejected,
             capacity_missed,
             retried,
+            on_demand,
             per_function,
         })
     }
@@ -428,8 +437,9 @@ impl Observation<'_> {
         }
     }
 
-    /// One function's placement counts this epoch: one entry per
-    /// accepted alternate (plan order) plus a trailing on-demand count.
+    /// One function's spot admission counts this epoch: exactly one
+    /// entry per accepted alternate, in plan order. On-demand runs count
+    /// in [`ObsAccum::on_demand`], fleet-wide.
     pub fn function_counts(&self, function: usize) -> &[u32] {
         let lo = self.offsets[function] as usize;
         let hi = self.offsets[function + 1] as usize;
@@ -1036,7 +1046,7 @@ impl Controller for SurrogateRightSizer {
             let counts = obs.function_counts(f);
             let log = &mut state.observed[f];
             let before = log.len();
-            for (ai, &count) in counts.iter().take(n_alts).enumerate() {
+            for (ai, &count) in counts.iter().enumerate() {
                 if count > 0 && !log.contains(&(ai as u8)) {
                     log.push(ai as u8);
                 }
@@ -1192,7 +1202,7 @@ mod tests {
         let ctl = SurrogateRightSizer::new(RightSizerConfig::default());
         let mut state = ctl.init(AdmissionPolicy::Greedy, 1);
         let mut scratch = ControlScratch::default();
-        let offsets = [0u32, 4]; // 3 alternates + on-demand
+        let offsets = [0u32, 3]; // 3 alternates
         let mut accum = ObsAccum::zero(4);
         accum.per_function[0] = 7; // alternate 0 observed
         accum.per_function[1] = 3; // alternate 1 observed
@@ -1234,7 +1244,7 @@ mod tests {
         // order.
         let ctl = SurrogateRightSizer::new(RightSizerConfig::default());
         assert_eq!(RightSizerConfig::default().planner.theta, 0.10);
-        let offsets = [0u32, 4]; // 3 alternates + on-demand
+        let offsets = [0u32, 3]; // 3 alternates
         for inflation in [1.60, 1.25, 1.12] {
             for observed in 0..3u8 {
                 let mut view = FunctionView {
@@ -1275,7 +1285,7 @@ mod tests {
             alt_inflations: vec![1.02, 1.25, 1.07],
         };
         let ctl = SurrogateRightSizer::new(RightSizerConfig::default());
-        let offsets = [0u32, 4];
+        let offsets = [0u32, 3];
 
         // Incremental: alternate 1 on tick A, alternates 0 and 2 on tick B.
         let mut incremental = ctl.init(AdmissionPolicy::Greedy, 1);

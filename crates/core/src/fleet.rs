@@ -47,12 +47,13 @@
 //! wheel, `wheel.rs`) and pops in one order: instant, then completion <
 //! step < notice < retry/hedge < tick, then each kind's own tie-break.
 //! Every attempt — arrival, retry or hedge — goes through one admission
-//! pass. All entry points are bit-identical for every epoch size and
+//! pass, and every epoch meters into the replay's one running metering,
+//! where a later outcome change (a migration, demotion or drain, a
+//! retry's or a winning hedge's latency) overwrites its record when it
+//! happens. All entry points are bit-identical for every epoch size and
 //! every kill point (guarded by `tests/determinism.rs` and
 //! `tests/crash_resume.rs`). See `crates/core/README.md` for the
 //! epoch-chaining contract.
-
-use std::collections::HashMap;
 
 use freedom_faas::PerfTable;
 use freedom_linalg::stats;
@@ -244,8 +245,8 @@ impl FleetReport {
     }
 }
 
-/// Outcome class of one invocation, recorded per arrival and finalized
-/// at reduction: demotions and migrations overwrite the admission
+/// Outcome class of one attempt, recorded at admission and re-billed in
+/// place ([`EpochSim::rebill`]): demotions and migrations overwrite the
 /// record (class and cost), a drain annotates the class only — and only
 /// while the record still reads `ADMITTED`, so a migrated placement that
 /// later drains keeps its migration bill.
@@ -305,7 +306,10 @@ struct ReplayCtx {
     /// function `f` owns `alts[alt_offsets[f]..alt_offsets[f + 1]]`, in
     /// planner order. One contiguous table instead of a `Vec` per
     /// function keeps the 10k-function arrival path free of per-plan
-    /// pointer chases.
+    /// pointer chases. The observation accumulator's flattened counts
+    /// ([`ObsAccum::per_function`]) share the offsets: one slot per
+    /// accepted alternate (on-demand runs count in
+    /// [`ObsAccum::on_demand`]).
     alts: Vec<ResolvedAlternate>,
     alt_offsets: Vec<u32>,
     /// Per-function encoded configurations and actual inflations — what
@@ -323,11 +327,6 @@ struct ReplayCtx {
     controller_label: &'static str,
     cadence_nanos: u64,
     horizon_nanos: u64,
-    /// Flattened-counter offsets of the per-(function, placement)
-    /// observation accumulator: function `f` owns
-    /// `obs_offsets[f]..obs_offsets[f + 1]`, one slot per accepted
-    /// alternate plus a trailing on-demand slot.
-    obs_offsets: Vec<u32>,
     /// The fault plan, kept past schedule generation for the
     /// per-invocation transient draws ([`FaultPlan::fault_for`]).
     faults: FaultPlan,
@@ -348,10 +347,10 @@ struct ReplayCtx {
 /// One retry activation's outcome, recorded at the instant the
 /// activation resolved (fire or immediate dead-letter). Retry records
 /// extend the per-invocation accounting: every activation lands in
-/// exactly one outcome class, and its inflation — always end-to-end,
-/// `(completion − arrival) / best_duration` — overrides the
-/// invocation's earlier (placeholder) inflation at reduction, last
-/// record wins.
+/// exactly one outcome class. Its end-to-end latency, `(completion −
+/// arrival) / best_duration`, overwrites the invocation's inflation
+/// when the record is made, so the record keeps only what a later
+/// supply step may still re-bill: 16 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RetryRecord {
     /// Global arrival index of the invocation retried.
@@ -359,32 +358,14 @@ pub(crate) struct RetryRecord {
     /// 1-based attempt number the activation started (>= 2).
     attempt: u8,
     /// Outcome class (same encoding as per-invocation classes, plus
-    /// [`CLASS_DEAD_LETTERED`]). Supply steps may re-bill it through an
-    /// adjustment keyed by `(idx, attempt)`, like a first attempt.
+    /// [`CLASS_DEAD_LETTERED`]), re-billed in place like a first
+    /// attempt's ([`EpochSim::rebill`]).
     class: u8,
     /// [`RETRY_FLAG_SHED`] when brownout dropped the activation.
     flags: u8,
     /// What the activation billed (spot price when placed, on-demand
     /// fallback otherwise, 0 for dead letters).
     cost_usd: f64,
-    /// End-to-end latency inflation as of this activation's resolution.
-    inflation: f64,
-}
-
-/// One hedged re-issue: an extra copy racing a straggler. Hedges carry
-/// cost (the race's loser still billed) but no outcome class — the
-/// invocation's class stays with the straggling attempt — and a winning
-/// hedge overrides the invocation's latency inflation at reduction.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HedgeRecord {
-    /// Global arrival index of the invocation hedged.
-    idx: u32,
-    /// Whether the hedge finishes before the straggler it races.
-    won: bool,
-    /// Spot cost of the hedged copy.
-    cost_usd: f64,
-    /// End-to-end inflation if the hedge defines the latency.
-    inflation_if_won: f64,
 }
 
 /// The folded prefix of a metering: accumulators over every settled
@@ -436,13 +417,13 @@ impl Settled {
     }
 }
 
-/// Per-arrival metering, in arrival order, plus outcome adjustments
-/// keyed by global arrival index (a supply step may re-bill an
-/// invocation admitted in an earlier epoch) and the control-plane
-/// samples of the ticks processed. Per-invocation records — rather than
-/// epoch-local accumulators — are what make the final reduction's
-/// float-accumulation order independent of the epoch partition, and
-/// therefore bit-identical between the single pass and the epoch chain.
+/// The replay's running metering, which every epoch meters into:
+/// per-invocation records in arrival order, overwritten in event order
+/// when an outcome changes ([`EpochSim::rebill`],
+/// [`EpochSim::set_latency`]). Records rather than epoch-local
+/// accumulators are what make the final reduction's float-accumulation
+/// order independent of the epoch partition, and therefore
+/// bit-identical between the single pass and the epoch chain.
 ///
 /// The per-invocation arrays cover invocations `settled.next..` only:
 /// [`EpochMetering::fold`] moves settled invocations into the
@@ -454,27 +435,34 @@ pub(crate) struct EpochMetering {
     costs: Vec<f64>,
     inflations: Vec<f64>,
     classes: Vec<u8>,
-    /// `(global index, attempt, new class, re-billed cost)` — recorded
-    /// at the event that changed an outcome (a withdrawal step for
-    /// migrations/demotions, a completion under notice for drains; the
-    /// drain's cost field is ignored at reduction). Attempt 1 targets
-    /// the per-invocation record, attempts >= 2 the matching
-    /// [`RetryRecord`].
-    adjustments: Vec<(u32, u8, u8, f64)>,
     /// Retry activations resolved so far, in resolution order.
     retries: Vec<RetryRecord>,
-    /// Hedged re-issues placed so far, in placement order.
-    hedges: Vec<HedgeRecord>,
+    /// Bills of the hedged re-issues placed so far, in placement order
+    /// (a hedge has a cost but no outcome class).
+    hedge_costs: Vec<f64>,
+    /// Placed hedges that beat their straggler.
+    hedge_wins: u32,
     samples: Vec<ControlSample>,
     /// In-flight placements notified so far (telemetry sum).
     notified: u32,
 }
 
 impl EpochMetering {
+    /// An empty metering whose tail takes `n` invocations without
+    /// growing.
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            costs: Vec::with_capacity(n),
+            inflations: Vec::with_capacity(n),
+            classes: Vec::with_capacity(n),
+            ..Self::default()
+        }
+    }
+
     /// Serializes the metering into a crash-resume snapshot: the settled
     /// accumulators, the per-invocation records of the unsettled tail,
-    /// then the outcome adjustments, retry and hedge records, and
-    /// control samples not yet reduced, floats as bit patterns.
+    /// then the retry records, hedge bills and wins, and control samples
+    /// not yet reduced, floats as bit patterns.
     pub(crate) fn save(&self, w: &mut Wire) {
         debug_assert_eq!(self.costs.len(), self.inflations.len());
         debug_assert_eq!(self.costs.len(), self.classes.len());
@@ -501,13 +489,6 @@ impl EpochMetering {
         for &c in &self.classes {
             w.u8(c);
         }
-        w.len(self.adjustments.len());
-        for &(idx, attempt, class, cost) in &self.adjustments {
-            w.u32(idx);
-            w.u8(attempt);
-            w.u8(class);
-            w.f64(cost);
-        }
         w.len(self.retries.len());
         for r in &self.retries {
             w.u32(r.idx);
@@ -515,15 +496,12 @@ impl EpochMetering {
             w.u8(r.class);
             w.u8(r.flags);
             w.f64(r.cost_usd);
-            w.f64(r.inflation);
         }
-        w.len(self.hedges.len());
-        for h in &self.hedges {
-            w.u32(h.idx);
-            w.u8(u8::from(h.won));
-            w.f64(h.cost_usd);
-            w.f64(h.inflation_if_won);
+        w.len(self.hedge_costs.len());
+        for &c in &self.hedge_costs {
+            w.f64(c);
         }
+        w.u32(self.hedge_wins);
         w.len(self.samples.len());
         for s in &self.samples {
             s.save(w);
@@ -533,10 +511,10 @@ impl EpochMetering {
 
     /// Restores metering serialized with [`EpochMetering::save`] at a
     /// boundary where `events_consumed` arrivals had been replayed and
-    /// `carry` crossed. Every invariant the fold and the reduction index
-    /// by is checked here, so a corrupt snapshot whose checksum still
-    /// matches is a clean [`FreedomError::InvalidArgument`], never a
-    /// panic later.
+    /// `carry` crossed. Every invariant the fold, the in-place
+    /// overwrites and the reduction index by is checked here, so a
+    /// corrupt snapshot whose checksum still matches is a clean
+    /// [`FreedomError::InvalidArgument`], never a panic later.
     pub(crate) fn load(r: &mut Unwire, events_consumed: u64, carry: &Carry) -> Result<Self> {
         let invalid = |what: &str| Err(FreedomError::InvalidArgument(format!("snapshot: {what}")));
         let is_inflation = |x: f64| x.is_finite() && x > 0.0;
@@ -599,7 +577,8 @@ impl EpochMetering {
         }
         let consumed = |idx: u32| u64::from(idx) < events_consumed;
         // The next fold's watermark is the least index in flight or
-        // pending, so none of those may lie below `next`.
+        // pending, and every later overwrite targets one of those, so
+        // none may lie below `next`.
         let mut live = carry
             .inflight
             .iter()
@@ -607,18 +586,6 @@ impl EpochMetering {
             .chain(carry.retries.iter().map(|p| p.idx));
         if live.any(|idx| idx < next || !consumed(idx)) {
             return invalid("in-flight or pending work targets a settled or unreplayed invocation");
-        }
-        let n_adj = r.len()?;
-        let mut adjustments = Vec::with_capacity(n_adj);
-        for _ in 0..n_adj {
-            let (idx, attempt, class, cost) = (r.u32()?, r.u8()?, r.u8()?, r.f64()?);
-            if usize::from(class) >= N_ARRIVAL_CLASSES {
-                return invalid("adjustment class out of range");
-            }
-            if !consumed(idx) || (attempt <= 1 && idx < next) {
-                return invalid("adjustment targets a settled or unreplayed invocation");
-            }
-            adjustments.push((idx, attempt, class, cost));
         }
         let n_retries = r.len()?;
         let mut retries = Vec::with_capacity(n_retries);
@@ -629,29 +596,20 @@ impl EpochMetering {
                 class: r.u8()?,
                 flags: r.u8()?,
                 cost_usd: r.f64()?,
-                inflation: r.f64()?,
             };
-            if record.class > CLASS_DEAD_LETTERED
-                || !consumed(record.idx)
-                || !is_inflation(record.inflation)
-            {
+            if record.class > CLASS_DEAD_LETTERED || !consumed(record.idx) {
                 return invalid("malformed retry record");
             }
             retries.push(record);
         }
         let n_hedges = r.len()?;
-        let mut hedges = Vec::with_capacity(n_hedges);
+        let mut hedge_costs = Vec::with_capacity(n_hedges);
         for _ in 0..n_hedges {
-            let record = HedgeRecord {
-                idx: r.u32()?,
-                won: r.bool()?,
-                cost_usd: r.f64()?,
-                inflation_if_won: r.f64()?,
-            };
-            if !consumed(record.idx) || !is_inflation(record.inflation_if_won) {
-                return invalid("malformed hedge record");
-            }
-            hedges.push(record);
+            hedge_costs.push(r.f64()?);
+        }
+        let hedge_wins = r.u32()?;
+        if hedge_wins as usize > n_hedges {
+            return invalid("more hedge wins than hedges");
         }
         let n_samples = r.len()?;
         let mut samples = Vec::with_capacity(n_samples);
@@ -671,99 +629,29 @@ impl EpochMetering {
             costs,
             inflations,
             classes,
-            adjustments,
             retries,
-            hedges,
+            hedge_costs,
+            hedge_wins,
             samples,
             notified,
         })
     }
 
-    /// Appends `other` — the metering of the epoch that follows this
-    /// one — to the unsettled tail. The concatenation is in global
-    /// arrival order, so the chained metering reduces bit-identically
-    /// to one epoch's over the whole trace. Records move into an empty
-    /// tail instead of being copied, so the single pass hands its one
-    /// epoch's per-event records over whole.
-    fn append(&mut self, other: EpochMetering) {
-        debug_assert!(other.settled.next == 0 && other.settled.runs.is_empty());
-        // The fold's premise: nothing recorded after a fold targets an
-        // invocation it settled.
-        let next = self.settled.next;
-        debug_assert!(
-            other.adjustments.iter().all(|a| a.0 >= next)
-                && other.retries.iter().all(|r| r.idx >= next)
-                && other.hedges.iter().all(|h| h.idx >= next),
-            "a record targets an invocation already folded as settled"
-        );
-        fn extend<T: Copy>(tail: &mut Vec<T>, more: Vec<T>) {
-            if tail.is_empty() {
-                *tail = more;
-            } else {
-                tail.extend_from_slice(&more);
-            }
-        }
-        extend(&mut self.costs, other.costs);
-        extend(&mut self.inflations, other.inflations);
-        extend(&mut self.classes, other.classes);
-        extend(&mut self.adjustments, other.adjustments);
-        extend(&mut self.retries, other.retries);
-        extend(&mut self.hedges, other.hedges);
-        extend(&mut self.samples, other.samples);
-        self.notified += other.notified;
-    }
-
     /// Folds invocations `settled.next..watermark` into the settled
     /// accumulators and drops their records. The caller guarantees they
     /// are settled: no attempt of theirs is in flight and no retry or
-    /// hedge of theirs is pending, so no later record can target them.
-    /// Retry and hedge records, attempt ≥ 2 adjustments and control
-    /// samples stay whole for [`reduce`].
+    /// hedge of theirs is pending, so nothing can overwrite their
+    /// records again. Retry records, hedge bills and control samples
+    /// stay whole for [`reduce`].
     fn fold(&mut self, watermark: u32, slo_threshold: f64) {
-        let lo = self.settled.next;
-        let n = (watermark - lo) as usize;
+        let n = (watermark - self.settled.next) as usize;
         debug_assert!(n <= self.costs.len());
         if n == 0 {
             return;
         }
-        let range = lo..watermark;
-        let costs = &mut self.costs[..n];
         let inflations = &mut self.inflations[..n];
-        let classes = &mut self.classes[..n];
-        self.adjustments.retain(|&(idx, attempt, class, cost)| {
-            if attempt > 1 || !range.contains(&idx) {
-                return true;
-            }
-            let i = (idx - lo) as usize;
-            if class == CLASS_DRAINED {
-                // A drain annotates an undisturbed admission; a
-                // migrated placement that later drains keeps its
-                // migration record and bill.
-                if classes[i] == CLASS_ADMITTED {
-                    classes[i] = CLASS_DRAINED;
-                }
-            } else {
-                costs[i] = cost;
-                classes[i] = class;
-            }
-            false
-        });
-        // A retry chain's records override the invocation's inflation in
-        // resolution order (the last activation is the one that defines
-        // the end-to-end latency); a winning hedge overrides last of all
-        // (the race resolves after the straggling chain terminated).
-        for r in &self.retries {
-            if range.contains(&r.idx) {
-                inflations[(r.idx - lo) as usize] = r.inflation;
-            }
-        }
-        for h in &self.hedges {
-            if h.won && range.contains(&h.idx) {
-                inflations[(h.idx - lo) as usize] = h.inflation_if_won;
-            }
-        }
         let s = &mut self.settled;
-        for &c in costs.iter() {
+        for &c in &self.costs[..n] {
             s.cost_usd += c;
         }
         for &x in inflations.iter() {
@@ -771,7 +659,7 @@ impl EpochMetering {
             s.inflation += x;
             s.slo_violations += u64::from(x > slo_threshold);
         }
-        for &c in classes.iter() {
+        for &c in &self.classes[..n] {
             s.classes[usize::from(c)] += 1;
         }
         debug_assert_eq!(
@@ -814,7 +702,7 @@ impl Carry {
             control: ctx
                 .controller
                 .init(ctx.market.admission, ctx.best_costs.len()),
-            accum: ObsAccum::zero(*ctx.obs_offsets.last().expect("offsets") as usize),
+            accum: ObsAccum::zero(*ctx.alt_offsets.last().expect("offsets") as usize),
         }
     }
 
@@ -962,21 +850,20 @@ impl Carry {
                     .all(|(f, order)| order.as_deref().is_none_or(|o| names_alts(f, o)));
         if !fits
             || self.budget.tokens.len() != N_MARKET_FAMILIES
-            || self.accum.per_function.len() != *ctx.obs_offsets.last().expect("offsets") as usize
+            || self.accum.per_function.len() != *ctx.alt_offsets.last().expect("offsets") as usize
         {
             return invalid("carried control state does not fit this fleet");
         }
-        if !self.accum.partitions(&ctx.obs_offsets) {
+        if !self.accum.partitions(&ctx.alt_offsets) {
             return invalid("carried epoch counts break the accounting partition");
         }
         Ok(())
     }
 }
 
-/// An epoch's result: metering plus the carried state crossing into the
-/// next epoch.
+/// An epoch's result, besides what it metered: the carried state
+/// crossing into the next epoch.
 struct EpochOutcome {
-    metering: EpochMetering,
     carry_out: Carry,
     /// Most completion entries the event calendar ever held.
     peak_inflight: usize,
@@ -1049,21 +936,22 @@ impl FleetSimulator {
             .unwrap_or(0);
         let ctx = self.prepare(trace.n_functions(), horizon, strategy, config)?;
         let events = trace.events();
-        let outcome = simulate_epoch(
+        let mut metering = EpochMetering::with_capacity(events.len());
+        simulate_epoch(
             &ctx,
             events.iter().copied(),
-            events.len(),
             0,
             &Carry::initial(&ctx),
             0,
             ONE_EPOCH,
             &mut NoopRecorder,
+            &mut metering,
         );
         Ok(reduce(
             strategy,
             config.slo_theta,
             events.len(),
-            outcome.metering,
+            metering,
             ctx.controller_label,
         ))
     }
@@ -1233,17 +1121,16 @@ impl FleetSimulator {
                     snap.events_consumed,
                 )
             }
+            // A single epoch meters every arrival of the trace.
             None => (
                 0,
                 Carry::initial(&ctx),
                 trace.open()?,
-                EpochMetering::default(),
+                EpochMetering::with_capacity(if n == 1 { trace.len() } else { 0 }),
                 0,
             ),
         };
         let total = trace.len() as u64;
-        // A single epoch meters every arrival of the trace.
-        let presize = if n == 1 { trace.len() } else { 0 };
         let mut peak_inflight = 0;
         while k < n {
             let (start, end) = epoch_span(k, epoch_nanos);
@@ -1268,12 +1155,12 @@ impl FleetSimulator {
                 simulate_epoch(
                     &ctx,
                     events,
-                    presize,
                     consumed as u32,
                     &carry,
                     start,
                     end,
                     rec,
+                    &mut prefix,
                 )
             };
             if stray {
@@ -1285,7 +1172,6 @@ impl FleetSimulator {
             consumed += count;
             carry = outcome.carry_out;
             peak_inflight = peak_inflight.max(outcome.peak_inflight);
-            prefix.append(outcome.metering);
             k += 1;
             if k < n {
                 // Below the watermark no attempt is in flight and no
@@ -1392,8 +1278,6 @@ impl FleetSimulator {
         let mut alt_offsets = Vec::with_capacity(self.plans.len() + 1);
         alt_offsets.push(0u32);
         let mut views = Vec::with_capacity(self.plans.len());
-        let mut obs_offsets = Vec::with_capacity(self.plans.len() + 1);
-        obs_offsets.push(0u32);
         let mut best_duration_nanos = Vec::with_capacity(self.plans.len());
         for plan in &self.plans {
             let best = plan.table.lookup(&plan.best_config).ok_or_else(|| {
@@ -1426,12 +1310,7 @@ impl FleetSimulator {
                     alt_inflations.push(inflation);
                 }
             }
-            // One observation slot per accepted alternate plus the
-            // trailing on-demand slot.
-            let n_alts = alts.len() as u32 - alt_offsets.last().expect("non-empty");
             alt_offsets.push(alts.len() as u32);
-            let next = obs_offsets.last().expect("non-empty") + n_alts + 1;
-            obs_offsets.push(next);
             best_costs.push(best.exec_cost_usd);
             best_duration_nanos.push(((best.exec_time_secs * 1e9) as u64).max(1));
             views.push(FunctionView {
@@ -1469,7 +1348,6 @@ impl FleetSimulator {
             controller,
             cadence_nanos,
             horizon_nanos: horizon,
-            obs_offsets,
             faults: config.faults,
             retry: config.retry,
             transient_active: config.faults.has_transient(),
@@ -1513,7 +1391,8 @@ struct EpochSim<'a, R: Recorder> {
     control: ControlState,
     accum: ObsAccum,
     scratch: ControlScratch,
-    m: EpochMetering,
+    /// The replay's running metering.
+    m: &'a mut EpochMetering,
 }
 
 impl<R: Recorder> EpochSim<'_, R> {
@@ -1588,9 +1467,7 @@ impl<R: Recorder> EpochSim<'_, R> {
                 // Completed under notice: the drain window saved it
                 // from the announced withdrawal.
                 self.rec.add(tel::Counter::Drained, 1);
-                self.m
-                    .adjustments
-                    .push((e.idx, e.attempt(), CLASS_DRAINED, 0.0));
+                self.rebill(&e, CLASS_DRAINED, 0.0);
             }
             self.ledger.release(&e);
         } else {
@@ -1618,19 +1495,13 @@ impl<R: Recorder> EpochSim<'_, R> {
                     self.occupy(InFlight { slot, ..e });
                     self.accum.migrated += 1;
                     self.rec.add(tel::Counter::Migrated, 1);
-                    self.m.adjustments.push((
-                        e.idx,
-                        e.attempt(),
-                        CLASS_MIGRATED,
-                        e.list_cost_usd * ctx.market.zones.migration_rebill,
-                    ));
+                    let cost = e.list_cost_usd * ctx.market.zones.migration_rebill;
+                    self.rebill(&e, CLASS_MIGRATED, cost);
                 }
                 None => {
                     self.accum.spot_demoted += 1;
                     self.rec.add(tel::Counter::SpotDemoted, 1);
-                    self.m
-                        .adjustments
-                        .push((e.idx, e.attempt(), CLASS_DEMOTED, e.list_cost_usd));
+                    self.rebill(&e, CLASS_DEMOTED, e.list_cost_usd);
                 }
             }
         }
@@ -1643,6 +1514,43 @@ impl<R: Recorder> EpochSim<'_, R> {
         );
         self.supply_cursor += 1;
         self.queue_step();
+    }
+
+    /// Re-bills the attempt `e` runs, at the event that changed its
+    /// outcome: a withdrawal's migration or demotion overwrites class
+    /// and cost; a drain under notice ([`CLASS_DRAINED`], `cost`
+    /// ignored) marks an undisturbed admission drained and leaves every
+    /// other record alone, so a migrated placement that drains keeps its
+    /// migration class and bill. Attempt 1 is the invocation's tail
+    /// record; a later attempt is its [`RetryRecord`], found by
+    /// searching back from the newest record. An instrumented build
+    /// counted 218–265 such searches per `storm` trace replay (seeds 1
+    /// and 7), visiting 63–97 of its 15–17 k retry records on average
+    /// and at most 1,246; all 35,322 re-bills of a `week_gz` pass are
+    /// first attempts. A search that finds nothing (only a corrupt
+    /// snapshot's carry can name an attempt without its record) changes
+    /// nothing.
+    fn rebill(&mut self, e: &InFlight, class: u8, cost: f64) {
+        let m = &mut *self.m;
+        let (record_class, record_cost) = match e.attempt() {
+            0 | 1 => {
+                let i = (e.idx - m.settled.next) as usize;
+                (&mut m.classes[i], &mut m.costs[i])
+            }
+            attempt => {
+                let mut newest_first = m.retries.iter_mut().rev();
+                let Some(r) = newest_first.find(|r| r.idx == e.idx && r.attempt == attempt) else {
+                    return;
+                };
+                (&mut r.class, &mut r.cost_usd)
+            }
+        };
+        if class != CLASS_DRAINED {
+            *record_class = class;
+            *record_cost = cost;
+        } else if *record_class == CLASS_ADMITTED {
+            *record_class = CLASS_DRAINED;
+        }
     }
 
     /// Fires the preemption notice at `notice_cursor`: marks every slot
@@ -1675,7 +1583,7 @@ impl<R: Recorder> EpochSim<'_, R> {
     #[inline(never)]
     fn fire_tick(&mut self, at: u64) {
         debug_assert!(
-            self.accum.partitions(&self.ctx.obs_offsets),
+            self.accum.partitions(&self.ctx.alt_offsets),
             "the control epoch ending at {at} ns breaks the accounting partition"
         );
         let cadence = self.ctx.cadence_nanos;
@@ -1686,7 +1594,7 @@ impl<R: Recorder> EpochSim<'_, R> {
             at_nanos: at,
             utilization,
             accum: &self.accum,
-            offsets: &self.ctx.obs_offsets,
+            offsets: &self.ctx.alt_offsets,
         };
         let replanned =
             self.ctx
@@ -1761,25 +1669,35 @@ impl<R: Recorder> EpochSim<'_, R> {
         self.accum.arrivals += 1;
         let admission = self.admit(function, true);
         let class = self.count(function, admission);
-        let (cost, inflation) = match admission {
+        match admission {
             Admission::Spot {
                 ai,
                 slot,
                 utilization,
             } => {
-                let (cost, rel_inflation, _) =
-                    self.place_attempt(function, idx, at, at, 1, ai, slot, utilization);
-                (cost, rel_inflation)
+                self.place_attempt(function, idx, at, at, 1, ai, slot, utilization);
             }
-            Admission::OnDemand(_) => (self.ctx.best_costs[function], 1.0),
-        };
+            Admission::OnDemand(_) => self.bill_first(self.ctx.best_costs[function], 1.0, class),
+        }
         if R::ENABLED && t0 != 0 {
             let dt = self.rec.now_nanos().saturating_sub(t0);
             self.rec.observe(tel::Hist::AdmissionNanos, dt);
         }
+    }
+
+    /// Meters an invocation's first attempt: appends its tail record.
+    fn bill_first(&mut self, cost: f64, inflation: f64, class: u8) {
         self.m.costs.push(cost);
         self.m.inflations.push(inflation);
         self.m.classes.push(class);
+    }
+
+    /// Overwrites invocation `idx`'s latency inflation: a retry
+    /// activation or a winning hedge resolved, and the newest one
+    /// defines the invocation's end-to-end latency.
+    fn set_latency(&mut self, idx: u32, inflation: f64) {
+        let i = (idx - self.m.settled.next) as usize;
+        self.m.inflations[i] = inflation;
     }
 
     /// The admission pass every attempt goes through — a fresh arrival,
@@ -1840,14 +1758,15 @@ impl<R: Recorder> EpochSim<'_, R> {
     }
 
     /// Counts one admitted activation — an arrival or a firing retry —
-    /// in the control epoch (its class counter and the observation slot
-    /// of the placement it got, the trailing on-demand slot unless
-    /// placed) and in the recorder; returns its outcome class.
+    /// in the control epoch (its class counter, and the observation slot
+    /// of the alternate it got or the on-demand count) and in the
+    /// recorder; returns its outcome class.
     fn count(&mut self, function: usize, admission: Admission) -> u8 {
-        let (class, obs_slot) = match admission {
+        let class = match admission {
             Admission::Spot { ai, .. } => {
                 self.accum.spot_admitted += 1;
-                (CLASS_ADMITTED, self.ctx.obs_offsets[function] as usize + ai)
+                self.accum.per_function[self.ctx.alt_offsets[function] as usize + ai] += 1;
+                CLASS_ADMITTED
             }
             Admission::OnDemand(class) => {
                 match class {
@@ -1855,10 +1774,10 @@ impl<R: Recorder> EpochSim<'_, R> {
                     CLASS_CAPACITY_MISS => self.accum.capacity_missed += 1,
                     _ => {}
                 }
-                (class, self.ctx.obs_offsets[function + 1] as usize - 1)
+                self.accum.on_demand += 1;
+                class
             }
         };
-        self.accum.per_function[obs_slot] += 1;
         if R::ENABLED {
             self.rec.add(
                 match class {
@@ -1887,13 +1806,16 @@ impl<R: Recorder> EpochSim<'_, R> {
     }
 
     /// Executes one placed attempt: draws the attempt's transient fault,
-    /// places the (possibly faulted) run on `slot`, and schedules the
-    /// follow-up the fault calls for — all at admission time, never at a
-    /// completion pop (the reference engine never pops completions after
-    /// the last arrival, so completion-time scheduling would diverge the
-    /// engines). Returns `(billed cost, relative inflation of the run,
-    /// run end instant)`; a crash-on-start bills nothing, occupies no
-    /// slot, and "ends" at `at`.
+    /// places the (possibly faulted) run on `slot`, meters a first
+    /// attempt, and schedules the follow-up the fault calls for — all at
+    /// admission time, never at a completion pop (the reference engine
+    /// never pops completions after the last arrival, so
+    /// completion-time scheduling would diverge the engines). A first
+    /// attempt is billed before its follow-up is scheduled, so a retry
+    /// dead-lettered right away overwrites the latency billed here, never
+    /// the reverse. Returns `(billed cost, run end instant)`; a
+    /// crash-on-start bills nothing, occupies no slot, and "ends" at
+    /// `at`.
     #[allow(clippy::too_many_arguments)]
     fn place_attempt(
         &mut self,
@@ -1905,7 +1827,7 @@ impl<R: Recorder> EpochSim<'_, R> {
         ai: usize,
         slot: u32,
         utilization: f64,
-    ) -> (f64, f64, u64) {
+    ) -> (f64, u64) {
         let ctx = self.ctx;
         let alt = &ctx.alts[ctx.alt_offsets[function] as usize + ai];
         let fault = if ctx.transient_active {
@@ -1916,73 +1838,69 @@ impl<R: Recorder> EpochSim<'_, R> {
         if R::ENABLED && fault.is_some() {
             self.rec.add(tel::Counter::TransientFaults, 1);
         }
-        let family = alt.family as u8;
-        if matches!(fault, Some(TransientFault::CrashOnStart)) {
-            // Crashed before starting: no slot consumed, nothing
-            // billed; the retry re-enters admission after backoff. The
-            // relative inflation is a placeholder — the retry chain's
-            // final record overrides it at reduction.
-            self.schedule_or_deadletter(
-                at,
+        // A crashed or aborted run's inflation is a placeholder: its
+        // retry's activation overwrites it.
+        let (cost, inflation, end) = if fault == Some(TransientFault::CrashOnStart) {
+            // Crashed before starting: no slot consumed, nothing billed.
+            (0.0, alt.inflation, at)
+        } else {
+            let (kind, duration, inflation) = match fault {
+                Some(TransientFault::MidFlightAbort { at_fraction }) => (
+                    RUN_ABORT,
+                    (((alt.duration_nanos as f64) * at_fraction) as u64).max(1),
+                    alt.inflation,
+                ),
+                Some(TransientFault::Straggler { factor }) => (
+                    RUN_NORMAL,
+                    ((alt.duration_nanos as f64) * factor) as u64,
+                    alt.inflation * factor,
+                ),
+                _ => (RUN_NORMAL, alt.duration_nanos, alt.inflation),
+            };
+            self.occupy(InFlight {
+                completion_nanos: at + duration,
+                slot,
                 idx,
-                function as u32,
-                arrival_nanos,
-                attempt + 1,
-                family,
-            );
-            return (0.0, alt.inflation, at);
-        }
-        let (kind, duration, rel_inflation) = match fault {
-            Some(TransientFault::MidFlightAbort { at_fraction }) => (
-                RUN_ABORT,
-                (((alt.duration_nanos as f64) * at_fraction) as u64).max(1),
-                // Placeholder, overridden by the retry chain.
-                alt.inflation,
-            ),
-            Some(TransientFault::Straggler { factor }) => (
-                RUN_NORMAL,
-                ((alt.duration_nanos as f64) * factor) as u64,
-                alt.inflation * factor,
-            ),
-            _ => (RUN_NORMAL, alt.duration_nanos, alt.inflation),
+                epoch: 0,
+                milli: alt.milli_vcpus,
+                mib: alt.memory_mib,
+                meta: InFlight::meta_of(kind, attempt),
+                list_cost_usd: alt.list_cost_usd,
+            });
+            let price = ctx.market.spot.demand_fraction(utilization);
+            (alt.list_cost_usd * price, inflation, at + duration)
         };
-        self.occupy(InFlight {
-            completion_nanos: at + duration,
-            slot,
-            idx,
-            epoch: 0,
-            milli: alt.milli_vcpus,
-            mib: alt.memory_mib,
-            meta: InFlight::meta_of(kind, attempt),
-            list_cost_usd: alt.list_cost_usd,
-        });
-        if kind == RUN_ABORT {
-            // The retry is scheduled now, to fire at the abort's
-            // surfacing instant plus backoff. A later migration or
-            // demotion of the aborting run does not cancel it: the
-            // fault is a property of the attempt, not of the slot it
-            // happens to occupy.
-            self.schedule_or_deadletter(
-                at + duration,
-                idx,
-                function as u32,
-                arrival_nanos,
-                attempt + 1,
-                family,
-            );
-        } else if matches!(fault, Some(TransientFault::Straggler { .. })) {
-            self.maybe_schedule_hedge(
+        if attempt == 1 {
+            self.bill_first(cost, inflation, CLASS_ADMITTED);
+        }
+        let family = alt.family as u8;
+        match fault {
+            // The retry re-enters admission after backoff from the
+            // crash, or from the abort's surfacing instant. A later
+            // migration or demotion of the aborting run does not cancel
+            // it: the fault is a property of the attempt, not of the
+            // slot it happens to occupy.
+            Some(TransientFault::CrashOnStart | TransientFault::MidFlightAbort { .. }) => self
+                .schedule_or_deadletter(
+                    end,
+                    idx,
+                    function as u32,
+                    arrival_nanos,
+                    attempt + 1,
+                    family,
+                ),
+            Some(TransientFault::Straggler { .. }) => self.maybe_schedule_hedge(
                 idx,
                 function as u32,
                 arrival_nanos,
                 attempt,
                 family,
                 at,
-                at + duration,
-            );
+                end,
+            ),
+            None => {}
         }
-        let price = ctx.market.spot.demand_fraction(utilization);
-        (alt.list_cost_usd * price, rel_inflation, at + duration)
+        (cost, end)
     }
 
     /// Schedules attempt `next_attempt` of invocation `idx` to re-enter
@@ -2062,9 +1980,9 @@ impl<R: Recorder> EpochSim<'_, R> {
     /// fresh arrivals under overload), then the family budget is
     /// charged, then the activation runs the admission pass
     /// ([`EpochSim::admit`]) and draws a fresh fault, as an arrival
-    /// does. Its outcome lands in one [`RetryRecord`]; terminal
-    /// fallbacks record end-to-end inflation (queueing included)
-    /// against the function's best-config time.
+    /// does. Its outcome lands in one [`RetryRecord`], and its
+    /// end-to-end inflation (queueing included, against the function's
+    /// best-config time) becomes the invocation's latency.
     #[inline(never)]
     fn fire_retry(&mut self, p: PendingRetry) {
         let now = p.at_nanos;
@@ -2087,42 +2005,42 @@ impl<R: Recorder> EpochSim<'_, R> {
                 ai,
                 slot,
                 utilization,
-            } => {
-                let (cost, _, end) = self.place_attempt(
-                    function,
-                    p.idx,
-                    now,
-                    p.arrival_nanos,
-                    p.attempt,
-                    ai,
-                    slot,
-                    utilization,
-                );
-                (cost, end)
-            }
+            } => self.place_attempt(
+                function,
+                p.idx,
+                now,
+                p.arrival_nanos,
+                p.attempt,
+                ai,
+                slot,
+                utilization,
+            ),
             Admission::OnDemand(_) => (
                 self.ctx.best_costs[function],
                 now + self.ctx.best_duration_nanos[function],
             ),
         };
         let best_d = self.ctx.best_duration_nanos[function] as f64;
-        self.push_retry_record(RetryRecord {
+        let record = RetryRecord {
             idx: p.idx,
             attempt: p.attempt,
             class,
             flags: 0,
             cost_usd: cost,
-            inflation: (end.saturating_sub(p.arrival_nanos)) as f64 / best_d,
-        });
+        };
+        let inflation = (end.saturating_sub(p.arrival_nanos)) as f64 / best_d;
+        self.push_retry_record(record, inflation);
     }
 
     /// Fires one pending hedge: re-issues the straggling invocation's
     /// work as an extra racing copy. Hedges spend no retry budget,
     /// never fault, and have no outcome class — a placed hedge records
-    /// its bill and whether it beats the straggler (decided at
-    /// placement, since both completion instants are fixed there). A
-    /// hedge runs the admission pass unless brownout is on; one it does
-    /// not place on spot drops silently.
+    /// its bill, and whether it beats the straggler is decided at
+    /// placement, since both completion instants are fixed there. A
+    /// winner's latency becomes the invocation's (the straggler ended
+    /// its retry chain, so nothing overwrites it later). A hedge runs
+    /// the admission pass unless brownout is on; one it does not place
+    /// on spot drops silently.
     #[inline(never)]
     fn fire_hedge(&mut self, p: PendingRetry) {
         if self.control.brownout {
@@ -2150,37 +2068,43 @@ impl<R: Recorder> EpochSim<'_, R> {
             meta: InFlight::meta_of(RUN_HEDGE, p.attempt),
             list_cost_usd: alt.list_cost_usd,
         });
-        let won = completion < p.orig_completion_nanos;
-        if R::ENABLED && won {
-            self.rec.add(tel::Counter::HedgeWins, 1);
+        self.m
+            .hedge_costs
+            .push(alt.list_cost_usd * ctx.market.spot.demand_fraction(utilization));
+        if completion < p.orig_completion_nanos {
+            if R::ENABLED {
+                self.rec.add(tel::Counter::HedgeWins, 1);
+            }
+            self.m.hedge_wins += 1;
+            let best_d = ctx.best_duration_nanos[function] as f64;
+            self.set_latency(
+                p.idx,
+                (completion.saturating_sub(p.arrival_nanos)) as f64 / best_d,
+            );
         }
-        let best_d = ctx.best_duration_nanos[function] as f64;
-        self.m.hedges.push(HedgeRecord {
-            idx: p.idx,
-            won,
-            cost_usd: alt.list_cost_usd * ctx.market.spot.demand_fraction(utilization),
-            inflation_if_won: (completion.saturating_sub(p.arrival_nanos)) as f64 / best_d,
-        });
     }
 
     /// Dead-letters retry activation `p` at `at`: no re-execution and no
     /// bill, with its end-to-end inflation so far (at least 1).
     fn dead_letter(&mut self, p: &PendingRetry, at: u64, flags: u8) {
         let best_d = self.ctx.best_duration_nanos[p.function as usize] as f64;
-        self.push_retry_record(RetryRecord {
+        let record = RetryRecord {
             idx: p.idx,
             attempt: p.attempt,
             class: CLASS_DEAD_LETTERED,
             flags,
             cost_usd: 0.0,
-            inflation: ((at.saturating_sub(p.arrival_nanos)) as f64 / best_d).max(1.0),
-        });
+        };
+        let inflation = ((at.saturating_sub(p.arrival_nanos)) as f64 / best_d).max(1.0);
+        self.push_retry_record(record, inflation);
     }
 
     /// Appends one retry record — the single accounting slot of one
-    /// retry activation. `accum.retried` (the brownout-pressure
+    /// retry activation — and makes its end-to-end `inflation` the
+    /// invocation's latency. `accum.retried` (the brownout-pressure
     /// numerator) counts exactly these.
-    fn push_retry_record(&mut self, r: RetryRecord) {
+    fn push_retry_record(&mut self, r: RetryRecord, inflation: f64) {
+        self.set_latency(r.idx, inflation);
         self.accum.retried += 1;
         if R::ENABLED {
             self.rec.add(tel::Counter::Retried, 1);
@@ -2275,21 +2199,26 @@ thread_local! {
 /// stream against the shared market, starting from the carried state
 /// (in-flight ledger, controller, partial observation epoch). Events
 /// arrive through an iterator and are consumed exactly once — a
-/// materialized slice and a lazy cursor merge replay identically.
-/// `n_events` is the metering pre-size hint. The single pass is the
-/// one-epoch call: all events, the initial carry, an unbounded epoch
-/// (`end_nanos` = [`ONE_EPOCH`]).
+/// materialized slice and a lazy cursor merge replay identically. The
+/// epoch meters into the replay's running metering `m`, whose tail ends
+/// at arrival `base_idx`, and overwrites earlier epochs' records too.
+/// The single pass is the one-epoch call: all events, the initial
+/// carry, an unbounded epoch (`end_nanos` = [`ONE_EPOCH`]).
 #[allow(clippy::too_many_arguments)]
 fn simulate_epoch<R: Recorder>(
     ctx: &ReplayCtx,
     events: impl Iterator<Item = TraceEvent>,
-    n_events: usize,
     base_idx: u32,
     carry_in: &Carry,
     start_nanos: u64,
     end_nanos: u64,
     rec: &mut R,
+    m: &mut EpochMetering,
 ) -> EpochOutcome {
+    debug_assert_eq!(
+        u64::from(m.settled.next) + m.costs.len() as u64,
+        u64::from(base_idx)
+    );
     let epoch_wall = rec.now_nanos();
     let start = ctx.schedule.start_state(start_nanos);
     let mut ledger = SpotLedger::new(&ctx.market, start.caps);
@@ -2324,12 +2253,7 @@ fn simulate_epoch<R: Recorder>(
         control: carry_in.control.clone(),
         accum: carry_in.accum.clone(),
         scratch: ControlScratch::default(),
-        m: EpochMetering {
-            costs: Vec::with_capacity(n_events),
-            inflations: Vec::with_capacity(n_events),
-            classes: Vec::with_capacity(n_events),
-            ..EpochMetering::default()
-        },
+        m,
     };
     sim.queue_step();
     sim.queue_notice();
@@ -2392,7 +2316,6 @@ fn simulate_epoch<R: Recorder>(
     sim.rec
         .span_wall(tel::Span::EpochSim, epoch_wall, u64::from(base_idx));
     EpochOutcome {
-        metering: sim.m,
         carry_out: Carry {
             inflight,
             retries,
@@ -2408,9 +2331,10 @@ fn simulate_epoch<R: Recorder>(
 /// remainder is folded ([`EpochMetering::fold`]) — the same
 /// arrival-order fold whether one epoch or a resumable run's
 /// already-folded prefix produced the records, which is what makes the
-/// epoch chain bit-identical to the single pass. Retry and hedge records
-/// then finish the reduction: attempt ≥ 2 adjustments re-bill their
-/// retry records, and their costs add after every first-attempt cost.
+/// epoch chain bit-identical to the single pass. The retry records,
+/// re-billed in place like first attempts, and the hedge bills then
+/// finish the reduction: their costs add after every first-attempt
+/// cost.
 fn reduce(
     strategy: PlacementStrategy,
     slo_theta: f64,
@@ -2422,40 +2346,19 @@ fn reduce(
     debug_assert!(m.costs.is_empty());
     let EpochMetering {
         settled: s,
-        adjustments,
-        mut retries,
-        hedges,
+        retries,
+        hedge_costs,
+        hedge_wins,
         samples: control,
         notified,
         ..
     } = m;
-    // Only attempt >= 2 adjustments survive the fold; each targets the
-    // matching retry record (a later step may re-bill a retry placed
-    // long before).
-    let retry_pos: HashMap<(u32, u8), usize> = retries
-        .iter()
-        .enumerate()
-        .map(|(i, r)| ((r.idx, r.attempt), i))
-        .collect();
-    for &(idx, attempt, class, cost) in &adjustments {
-        if let Some(&at) = retry_pos.get(&(idx, attempt)) {
-            let r = &mut retries[at];
-            if class == CLASS_DRAINED {
-                if r.class == CLASS_ADMITTED {
-                    r.class = CLASS_DRAINED;
-                }
-            } else {
-                r.cost_usd = cost;
-                r.class = class;
-            }
-        }
-    }
     let mut total_cost = s.cost_usd;
     for r in &retries {
         total_cost += r.cost_usd;
     }
-    for h in &hedges {
-        total_cost += h.cost_usd;
+    for &c in &hedge_costs {
+        total_cost += c;
     }
     // Retry records extend the partition: every activation contributes
     // exactly one class, so the by-class sum is `invocations + retried`.
@@ -2487,7 +2390,7 @@ fn reduce(
             + by_class[CLASS_CAPACITY_MISS as usize]
             + by_class[CLASS_POLICY_REJECT as usize],
         retried: retries.len(),
-        hedge_wins: hedges.iter().filter(|h| h.won).count(),
+        hedge_wins: hedge_wins as usize,
         dead_lettered: by_class[CLASS_DEAD_LETTERED as usize],
         shed_retries: retries
             .iter()
@@ -3261,9 +3164,8 @@ mod tests {
             3,
         )
         .unwrap();
-        // The first boundary with settled runs, an unsettled tail, an
-        // attempt-1 adjustment still aimed at the tail, and work in
-        // flight.
+        // The first boundary with settled runs, an unsettled tail, and
+        // work in flight.
         let mut found = None;
         sim.run_stream_resumable(
             &lazy,
@@ -3276,7 +3178,6 @@ mod tests {
                 let ready = m.settled.next > 0
                     && m.settled.runs.len() >= 2
                     && !m.costs.is_empty()
-                    && m.adjustments.iter().any(|a| a.1 <= 1)
                     && !s.carry.inflight.is_empty();
                 if ready {
                     found = Some(s.clone());
@@ -3285,7 +3186,7 @@ mod tests {
             },
         )
         .unwrap();
-        let snap = found.expect("a boundary with runs, a tail, an adjustment and work in flight");
+        let snap = found.expect("a boundary with runs, a tail and work in flight");
         let m = &snap.metering;
         let bytes = snap.to_bytes();
         let body = bytes[..bytes.len() - 8].to_vec();
@@ -3306,9 +3207,14 @@ mod tests {
         let run_count = |i: usize| runs + 16 * i + 8;
         let tail = run_value(m.settled.runs.len()) + 8;
         let tail_class = tail + 16 * m.costs.len();
-        let adjustments = tail_class + m.costs.len() + 8;
-        let live = m.adjustments.iter().position(|a| a.1 <= 1).unwrap();
-        let adjustment = adjustments + 14 * live;
+        let retries = tail_class + m.costs.len() + 8;
+        let hedge_wins = retries + 15 * m.retries.len() + 8 + 8 * m.hedge_costs.len();
+        let samples = hedge_wins + 4;
+        assert_eq!(body[hedge_wins..samples], m.hedge_wins.to_le_bytes());
+        assert_eq!(
+            body[samples..samples + 8],
+            (m.samples.len() as u64).to_le_bytes()
+        );
 
         let get = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
         let put =
@@ -3343,9 +3249,6 @@ mod tests {
         reject("tail class out of range", &|b| {
             b[tail_class] = N_ARRIVAL_CLASSES as u8
         });
-        reject("adjustment class out of range", &|b| {
-            b[adjustment + 5] = 200
-        });
         reject("tail length off the events consumed", &|b| {
             let consumed = get(b, EVENTS_CONSUMED);
             put(b, EVENTS_CONSUMED, consumed + 1);
@@ -3359,8 +3262,9 @@ mod tests {
                 b[first_inflight_idx..first_inflight_idx + 4].copy_from_slice(&bad.to_le_bytes())
             });
         }
-        reject("adjustment below the watermark", &|b| {
-            b[adjustment..adjustment + 4].copy_from_slice(&(m.settled.next - 1).to_le_bytes())
+        reject("more hedge wins than hedges", &|b| {
+            let over = m.hedge_costs.len() as u32 + 1;
+            b[hedge_wins..samples].copy_from_slice(&over.to_le_bytes())
         });
         for len in 0..body.len() {
             assert!(
@@ -3368,10 +3272,15 @@ mod tests {
                 "a body truncated to {len} bytes decoded"
             );
         }
-        let mut v3 = body.clone();
-        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
-        let err = ReplaySnapshot::from_bytes(&sealed(v3)).expect_err("a v3 file");
-        assert!(format!("{err}").contains("version 3"), "{err}");
+        for old in [3, SNAPSHOT_VERSION - 1] {
+            let mut stale = body.clone();
+            stale[4..8].copy_from_slice(&old.to_le_bytes());
+            let err = ReplaySnapshot::from_bytes(&sealed(stale)).expect_err("an older file");
+            assert!(
+                format!("{err}").contains(&format!("version {old}")),
+                "{err}"
+            );
+        }
     }
 
     /// A snapshot whose checksum matches can still carry a state that
@@ -3684,11 +3593,12 @@ mod tests {
     fn a_carried_epoch_that_breaks_the_accounting_partition_is_rejected() {
         use crate::snapshot::tests::sealed;
         let fx = fuzz_fixture();
-        let breaks: [fn(&mut ObsAccum); 4] = [
+        let breaks: [fn(&mut ObsAccum); 5] = [
             |a| a.spot_admitted += 1,
             |a| a.policy_rejected = u32::MAX,
             |a| a.arrivals = u32::MAX,
             |a| a.per_function[0] = u32::MAX,
+            |a| a.on_demand = u32::MAX,
         ];
         for (trace, body) in &fx.cases {
             let resume = |snap: &ReplaySnapshot| {
@@ -4608,6 +4518,226 @@ mod tests {
         let lazy = StreamTrace::from_csv(&csv).unwrap();
         let resumed = chained(&sim, &lazy, PlacementStrategy::IdleAware, &config, 5.0);
         assert_eq!(format!("{report:?}"), format!("{resumed:?}"));
+    }
+
+    /// Replays `csv` through the single pass, checks the 5 s epoch chain
+    /// reproduces it, and returns the report.
+    fn replayed(sim: &FleetSimulator, csv: &str, config: &FleetConfig) -> FleetReport {
+        let report = sim
+            .run(
+                &TraceSource::from_csv(csv).unwrap(),
+                PlacementStrategy::IdleAware,
+                config,
+            )
+            .unwrap();
+        accounting_is_total(&report);
+        let lazy = StreamTrace::from_csv(csv).unwrap();
+        let epochs = chained(sim, &lazy, PlacementStrategy::IdleAware, config, 5.0);
+        assert_eq!(format!("{report:?}"), format!("{epochs:?}"));
+        report
+    }
+
+    /// Function 0 runs 12.5 s at its best and 17.5 s on its first
+    /// alternate (C6g), function 1 runs on-demand only: its arrival
+    /// stretches a scenario's horizon without touching the market.
+    fn one_spot_one_on_demand() -> Vec<FunctionPlan> {
+        let mut plans = lattice_plans_from(2, 12.5);
+        for alt in &mut plans[1].alternates {
+            alt.accepted = false;
+        }
+        plans
+    }
+
+    /// Latency inflation of a run that ended `nanos` after its arrival,
+    /// against function 0's 12.5 s best run in [`one_spot_one_on_demand`].
+    fn inflation_after(nanos: u64) -> f64 {
+        nanos as f64 / 12.5e9
+    }
+
+    #[test]
+    fn a_retry_dead_lettered_when_scheduled_replaces_the_first_attempts_latency() {
+        // Every spot attempt crashes and none may retry, so each spot
+        // arrival's retry is dead-lettered while the arrival is being
+        // placed. The dead letter resolves after the first attempt, so
+        // its latency (1.0: nothing ran) replaces the crashed attempt's
+        // placeholder (the alternate's planned inflation, 1.5–2.0 here).
+        let sim = FleetSimulator::new(lattice_plans(6)).unwrap();
+        let config = FleetConfig {
+            faults: FaultPlan {
+                seed: 5,
+                crash_prob: 1.0,
+                ..FaultPlan::NONE
+            },
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::DEFAULT
+            },
+            ..FleetConfig::default()
+        };
+        let mut csv = String::from("app,func,minute,count\n");
+        for minute in 0..3 {
+            for f in 0..6 {
+                csv.push_str(&format!("a,f{f},{minute},3\n"));
+            }
+        }
+        let report = replayed(&sim, &csv, &config);
+        assert_eq!(report.invocations, 54, "{report:?}");
+        assert_eq!(report.spot_admitted, 54, "{report:?}");
+        assert_eq!(report.dead_lettered, 54, "{report:?}");
+        assert_eq!(report.retried, 54, "{report:?}");
+        assert_eq!(report.mean_latency_inflation, 1.0, "{report:?}");
+        assert_eq!(report.p95_latency_inflation, 1.0, "{report:?}");
+    }
+
+    #[test]
+    fn a_winning_hedge_defines_the_latency() {
+        // Every spot attempt straggles 4× (70 s); its hedge fires 2.5 s
+        // in on the loose market and finishes 20 s after the arrival, so
+        // each of the five spot invocations reads the hedge's latency.
+        let sim = FleetSimulator::new(one_spot_one_on_demand()).unwrap();
+        let config = FleetConfig {
+            faults: FaultPlan {
+                seed: 5,
+                straggler_prob: 1.0,
+                straggler_factor: 4.0,
+                ..FaultPlan::NONE
+            },
+            retry: RetryPolicy {
+                hedge_delay_secs: 2.5,
+                ..RetryPolicy::DEFAULT
+            },
+            ..FleetConfig::default()
+        };
+        let csv = "a,f0,0,1\na,f0,1,1\na,f0,2,1\na,f0,3,1\na,f0,4,1\na,f1,5,1\n";
+        let report = replayed(&sim, csv, &config);
+        assert_eq!(report.hedge_wins, 5, "{report:?}");
+        let hedged = inflation_after(20_000_000_000);
+        let sum = (0..5).fold(0.0, |s, _| s + hedged) + 1.0;
+        assert_eq!(report.mean_latency_inflation, sum / 6.0, "{report:?}");
+    }
+
+    /// A two-zone market of one VM per family lane, redrawn every 10 s
+    /// and announced 5 s ahead, plus the first minute `m` whose C6g lanes
+    /// move as the migrate-then-drain scenarios need: zone 0 holds its VM
+    /// at `60m + 30 s`, loses it at `+ 40 s` while zone 1 has one, and
+    /// zone 1 loses its VM at `+ 50 s` (announced at `+ 45 s`).
+    fn migrate_then_drain_market(faults: FaultPlan, retry: RetryPolicy) -> (FleetConfig, u64) {
+        use freedom_cluster::InstanceFamily;
+        let config = FleetConfig {
+            market: MarketConfig {
+                vms_per_family: 1,
+                supply: SupplyProcess {
+                    step_secs: 10.0,
+                    min_fraction: 0.0,
+                    seed: 3,
+                },
+                zones: ZoneConfig {
+                    n_zones: 2,
+                    notice_secs: 5.0,
+                    shock: 0.0,
+                    migration_rebill: 0.5,
+                },
+                ..MarketConfig::default()
+            },
+            faults,
+            retry,
+            ..FleetConfig::default()
+        };
+        // The redraws are a prefix of a longer horizon's.
+        let schedule =
+            SupplySchedule::generate(&config.market, &config.faults, 3_600_000_000_000).unwrap();
+        let c6g = family_index(InstanceFamily::C6g).unwrap();
+        let (zone0, zone1) = (c6g, N_MARKET_FAMILIES + c6g);
+        // Caps in effect after the step at `secs` (steps every 10 s).
+        let caps = |secs: u64| &schedule.steps[(secs / 10 - 1) as usize].caps;
+        let minute = (0..59)
+            .find(|&m| {
+                let at = 60 * m + 30;
+                caps(at)[zone0] == 1
+                    && caps(at + 10)[zone0] == 0
+                    && caps(at + 10)[zone1] == 1
+                    && caps(at + 20)[zone1] == 0
+            })
+            .expect("a migrate-then-drain minute within the hour");
+        (config, minute)
+    }
+
+    #[test]
+    fn a_migrated_placement_that_drains_keeps_its_migration_class_and_bill() {
+        // Function 0 arrives at 60m + 30 s on zone 0's C6g VM and runs
+        // 17.5 s. The step at + 40 s withdraws that VM and migrates the
+        // run to zone 1, whose VM the notice at + 45 s announces for
+        // + 50 s; the run completes under that notice at + 47.5 s. A
+        // drain marks only an undisturbed admission: the invocation
+        // stays migrated, billed the migration fraction of list.
+        let plans = one_spot_one_on_demand();
+        let list = plans[0].table.points()[1].exec_cost_usd;
+        let best1 = plans[1].table.points()[0].exec_cost_usd;
+        let sim = FleetSimulator::new(plans).unwrap();
+        let (config, m) = migrate_then_drain_market(FaultPlan::NONE, RetryPolicy::DEFAULT);
+        let csv = format!("a,f0,{m},1\na,f1,{},1\n", m + 1);
+        let report = replayed(&sim, &csv, &config);
+        assert_eq!(report.migrated, 1, "{report:?}");
+        assert_eq!(report.drained, 0, "{report:?}");
+        assert_eq!(report.spot_admitted + report.spot_demoted, 0, "{report:?}");
+        assert_eq!(report.rejected, 1, "{report:?}");
+        assert_eq!(
+            report.total_cost_usd,
+            0.0 + list * 0.5 + best1,
+            "{report:?}"
+        );
+    }
+
+    #[test]
+    fn a_retried_placement_that_migrates_then_drains_keeps_its_class_bill_and_latency() {
+        // As above, but function 0's first attempt crashes and its retry
+        // places 1 s later, runs clean and takes the migrate-then-drain
+        // path. The re-bill and the drain reach the retry's record: it
+        // stays migrated, billed the migration fraction of list, and its
+        // latency (18.5 s from the arrival) replaces the crash's
+        // placeholder.
+        let plans = one_spot_one_on_demand();
+        let list = plans[0].table.points()[1].exec_cost_usd;
+        let best1 = plans[1].table.points()[0].exec_cost_usd;
+        let sim = FleetSimulator::new(plans).unwrap();
+        let faults = (0..)
+            .map(|seed| FaultPlan {
+                seed,
+                crash_prob: 0.5,
+                ..FaultPlan::NONE
+            })
+            .find(|f| {
+                f.fault_for(0, 0, 1) == Some(TransientFault::CrashOnStart)
+                    && f.fault_for(0, 0, 2).is_none()
+            })
+            .unwrap();
+        let retry = RetryPolicy {
+            backoff_base_secs: 1.0,
+            backoff_cap_secs: 1.0,
+            jitter_frac: 0.0,
+            ..RetryPolicy::DEFAULT
+        };
+        let (config, m) = migrate_then_drain_market(faults, retry);
+        let csv = format!("a,f0,{m},1\na,f1,{},1\n", m + 1);
+        let report = replayed(&sim, &csv, &config);
+        assert_eq!(report.retried, 1, "{report:?}");
+        assert_eq!(
+            report.spot_admitted, 1,
+            "the crashed first attempt: {report:?}"
+        );
+        assert_eq!(report.migrated, 1, "the retry: {report:?}");
+        assert_eq!(report.drained + report.spot_demoted, 0, "{report:?}");
+        assert_eq!(
+            report.total_cost_usd,
+            0.0 + 0.0 + best1 + list * 0.5,
+            "{report:?}"
+        );
+        let retried = inflation_after(18_500_000_000);
+        assert_eq!(
+            report.mean_latency_inflation,
+            (0.0 + retried + 1.0) / 2.0,
+            "{report:?}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! run — kill the process at any epoch, reload the last snapshot, and
 //! the report cannot tell.
 //!
-//! # What a version-6 snapshot holds
+//! # What a version-7 snapshot holds
 //!
 //! An invocation is *settled* at a boundary when it lies below the
 //! watermark `min(in-flight indices, pending retry/hedge indices,
@@ -22,16 +22,17 @@
 //! class counts, SLO violations — plus the sorted `(inflation, count)`
 //! runs the p95 is selected from, one entry per distinct value. Beside
 //! them it keeps the per-invocation records of the short unsettled tail,
-//! the outcome adjustments still aimed at that tail, every retry and
-//! hedge record and attempt ≥ 2 adjustment (their costs add after all
-//! first-attempt costs, so they wait for the final reduction), and the
-//! per-tick control samples (report output). A snapshot therefore grows
-//! with in-flight work, distinct inflation values, ticks, and retry and
-//! hedge records, not with the events replayed. Decoding checks every
-//! invariant the fold relies on — ascending positive runs, class codes,
-//! counts that add up to the settled invocations, tail length, and the
-//! indices adjustments and in-flight or pending work target — so a
-//! corrupt file is an error, never a panic.
+//! every retry record (class, flags and cost: a retry's latency already
+//! overwrote its invocation's) and hedge bill plus the hedge win count
+//! (their costs add after all first-attempt costs, so they wait for the
+//! final reduction), and the per-tick control samples (report output).
+//! A snapshot therefore grows with in-flight work, distinct inflation
+//! values, ticks, and retry and hedge records, not with the events
+//! replayed. Decoding checks every invariant the fold and the in-place
+//! overwrites rely on — ascending positive runs, class codes, counts
+//! that add up to the settled invocations, tail length, hedge wins
+//! within the hedges, and the indices in-flight or pending work target —
+//! so a corrupt file is an error, never a panic.
 //!
 //! The stream checkpoint of a CSV trace is two integers: the row cursor
 //! at the start of the minute that holds the next event (the rows of
@@ -71,8 +72,12 @@ use crate::{FreedomError, Result};
 /// row table; version 6 shrank the CSV checkpoint to that cursor, now at
 /// the start of a minute (the rows of every earlier minute), plus the
 /// emitted count of that minute, dropping the lookahead state and the
-/// open rows.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// open rows; version 7 dropped the outcome adjustments (outcome changes
+/// overwrite their records in place), the retry records' inflation,
+/// and the per-hedge records, which became the hedge bills plus a win
+/// count, and gave the partial observation epoch an on-demand count in
+/// place of each function's trailing on-demand slot.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// File magic: "FDSN" little-endian.
 const MAGIC: u32 = u32::from_le_bytes(*b"FDSN");
@@ -116,8 +121,8 @@ pub struct ReplaySnapshot {
     pub(crate) carry: Carry,
     /// Metering of epochs `0..epoch`: settled invocations folded into
     /// fixed-size accumulators plus inflation runs, the unsettled tail
-    /// as per-invocation records, and the retry/hedge records, attempt
-    /// ≥ 2 adjustments and control samples the final reduction needs.
+    /// as per-invocation records, and the retry records, hedge bills
+    /// and control samples the final reduction needs.
     pub(crate) metering: EpochMetering,
 }
 

@@ -3,15 +3,15 @@
 //! replaying more events must not allocate more. Every per-event path —
 //! CSV row parse into the scratch key, wheel push/pop, ledger
 //! place/release, metering pushes into exact-capacity vectors — is
-//! allocation-free; only per-run and per-epoch structures (context,
-//! metering headers, the carry itself) allocate, and their *count* is
-//! independent of the event count.
+//! allocation-free; only per-run and per-epoch structures (context, the
+//! carry itself) allocate, and their *count* is independent of the event
+//! count.
 //!
 //! The guard compares whole-run allocation counts between a small and an
 //! 8× larger trace over the same horizon (same ticks, same supply
-//! steps): the marginal allocations per added event must be zero, up to
-//! a small slack for amortized growth of event-count-logarithmic
-//! structures (e.g. the adjustments list).
+//! steps), for the single pass and for the epoch chain: the marginal
+//! allocations per added event must be zero, up to a small slack for
+//! amortized growth of event-count-logarithmic structures.
 //!
 //! The paper's tree-ensemble surrogates get the same kind of guard: a fit
 //! allocates per tree grown, never per node, split or training row, and a
@@ -166,6 +166,23 @@ fn steady_state_replay_allocations_are_event_count_independent() {
         second_cost <= first_cost + SLACK / 8,
         "identical warm epoch chains allocated {first_cost} then \
          {second_cost} times: epoch scratch is not being reused"
+    );
+
+    // Per epoch, too, the count is independent of the event count: every
+    // epoch meters into the chain's one running metering, whose tail
+    // keeps its capacity across folds, so 8× the events per epoch must
+    // not allocate more often.
+    let before_small_chain = alloc_events();
+    let small_chained = chained(&small);
+    let small_chain_cost = alloc_events() - before_small_chain;
+    assert_eq!(format!("{small_chained:?}"), format!("{small_report:?}"));
+    assert!(
+        second_cost <= small_chain_cost + SLACK,
+        "the warm 60 s epoch chain allocated {second_cost} times over {} \
+         events but {small_chain_cost} times over {} events: an epoch is \
+         allocating per event",
+        second.invocations,
+        small_chained.invocations,
     );
 }
 
